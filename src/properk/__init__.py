@@ -26,6 +26,7 @@ from .ahss import (
     ClosedForm,
     E2Page,
     ExtensionProblem,
+    NoCollapseError,
     Verdict,
     assemble_abutment,
     build_e2,

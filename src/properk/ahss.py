@@ -63,6 +63,11 @@ def build_e2(complex_: OrbitComplex, theory: str) -> E2Page:
     return E2Page(theory, period, tuple(rows))
 
 
+class NoCollapseError(ValueError):
+    """The E2 page does not collapse for positional reasons, so the abutment
+    is not determined by it."""
+
+
 def detect_collapse(page: E2Page) -> bool:
     """True iff no differential d_r (r >= 2) has nonzero source and target.
 
@@ -106,7 +111,7 @@ class AbutmentReport:
 def assemble_abutment(page: E2Page) -> tuple[AbutmentReport, ...]:
     """Collect E2 = E-infinity pieces per total degree, under collapse."""
     if not detect_collapse(page):
-        raise ValueError("page is not known to collapse at E2; abutment undetermined")
+        raise NoCollapseError("page is not known to collapse at E2; abutment undetermined")
     reports = []
     for n in range(page.period):
         pieces = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .abelian import AbGroup, IntMatrix, Mod2Matrix, SplitCochainComplex, cohomology
 from .groups import GroupClass, InclusionDescriptor
 from .orbit import OrbitComplex
-from .reprings import k0_rank, ko_point, restriction_k0, restriction_ko
+from .reprings import k0_rank, ko_ranks, restriction_k0, restriction_ko
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class CoefficientFunctor:
         """(free rank, Z/2 rank) of the functor at the orbit G/H."""
         if self.theory == "k":
             return (0, 0) if self.is_zero_functor else (k0_rank(g), 0)
-        pt = ko_point(g, self.n)
-        return (pt.free_rank, pt.tor2_rank)
+        return ko_ranks(g, self.n)
 
     def restriction(self, incl: InclusionDescriptor) -> tuple[IntMatrix, Mod2Matrix, Mod2Matrix]:
         if self.theory == "k":
@@ -71,59 +70,84 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     """Bredon cochain complex of an orbit complex, in split (Z ⊕ Z/2) form.
 
     Cell ordering fixes the block layout, so assembled matrices are
-    reproducible literals.
+    reproducible literals.  Free blocks are written straight into sparse
+    rows and torsion and cross blocks into bitmask rows; the coefficient
+    ranks are computed once per stabilizer and the restriction blocks once
+    per distinct inclusion descriptor.
     """
+    values: dict[GroupClass, tuple[int, int]] = {}
     free_ranks = []
     tor_ranks = []
-    offsets = []  # per dim: (free offsets, torsion offsets) per cell
+    offsets = []  # per dim: (free offset, torsion offset) per cell
     for cells in complex_.cells:
-        f_off, t_off = [], []
+        offs = []
         f_total = t_total = 0
         for cell in cells:
-            f, t = functor.value(cell.stabilizer)
-            f_off.append((f_total, f))
-            t_off.append((t_total, t))
+            offs.append((f_total, t_total))
+            if cell.stabilizer not in values:
+                values[cell.stabilizer] = functor.value(cell.stabilizer)
+            f, t = values[cell.stabilizer]
             f_total += f
             t_total += t
         free_ranks.append(f_total)
         tor_ranks.append(t_total)
-        offsets.append((f_off, t_off))
+        offsets.append(offs)
 
+    blocks: dict[InclusionDescriptor, tuple[IntMatrix, Mod2Matrix, Mod2Matrix]] = {}
     free_d, tor_d, cross_d = [], [], []
     for p in range(complex_.dim):
-        nf_src, nf_tgt = free_ranks[p], free_ranks[p + 1]
-        nt_src, nt_tgt = tor_ranks[p], tor_ranks[p + 1]
-        f_rows = [[0] * nf_src for _ in range(nf_tgt)]
-        t_rows = [[0] * nt_src for _ in range(nt_tgt)]
-        x_rows = [[0] * nf_src for _ in range(nt_tgt)]
-        matrix = complex_.incidence[p]
+        f_rows: list[dict[int, int]] = [{} for _ in range(free_ranks[p + 1])]
+        t_bits = [0] * tor_ranks[p + 1]
+        x_bits = [0] * tor_ranks[p + 1]
+        incidence = complex_.incidence[p].data
         for (j, k), incl in complex_.descriptors[p].items():
-            alpha = matrix.entry(j, k)
-            r_free, r_tor, r_cross = functor.restriction(incl)
-            fo_src, fn_src = offsets[p][0][j]
-            to_src, tn_src = offsets[p][1][j]
-            fo_tgt, fn_tgt = offsets[p + 1][0][k]
-            to_tgt, tn_tgt = offsets[p + 1][1][k]
-            if (r_free.rows, r_free.cols) != (fn_tgt, fn_src):
-                raise ValueError("free restriction block has inconsistent shape")
-            for a in range(fn_tgt):
+            alpha = incidence[j][k]
+            block = blocks.get(incl)
+            if block is None:
+                block = blocks[incl] = _restriction_blocks(functor, incl, values)
+            r_free, r_tor, r_cross = block
+            fo_src, to_src = offsets[p][j]
+            fo_tgt, to_tgt = offsets[p + 1][k]
+            for a, r_row in enumerate(r_free.data):
                 row = f_rows[fo_tgt + a]
-                for b in range(fn_src):
-                    row[fo_src + b] += alpha * r_free.entry(a, b)
+                for b, v in r_row.items():
+                    col = fo_src + b
+                    x = row.get(col, 0) + alpha * v
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
             if alpha % 2:
-                for a in range(tn_tgt):
-                    row = t_rows[to_tgt + a]
-                    for b in range(tn_src):
-                        row[to_src + b] ^= r_tor.entry(a, b)
-                for a in range(tn_tgt):
-                    row = x_rows[to_tgt + a]
-                    for b in range(fn_src):
-                        row[fo_src + b] ^= r_cross.entry(a, b)
-        free_d.append(IntMatrix.from_rows(f_rows, cols=nf_src))
-        tor_d.append(Mod2Matrix.from_rows(t_rows, cols=nt_src))
-        cross_d.append(Mod2Matrix.from_rows(x_rows, cols=nf_src))
+                for a, bits in enumerate(r_tor.bits):
+                    t_bits[to_tgt + a] ^= bits << to_src
+                for a, bits in enumerate(r_cross.bits):
+                    x_bits[to_tgt + a] ^= bits << fo_src
+        free_d.append(IntMatrix(free_ranks[p + 1], free_ranks[p], tuple(f_rows)))
+        tor_d.append(Mod2Matrix(tor_ranks[p + 1], tor_ranks[p], tuple(t_bits)))
+        cross_d.append(Mod2Matrix(tor_ranks[p + 1], free_ranks[p], tuple(x_bits)))
     return SplitCochainComplex(tuple(free_ranks), tuple(tor_ranks),
                                tuple(free_d), tuple(tor_d), tuple(cross_d))
+
+
+def _restriction_blocks(functor: CoefficientFunctor, incl: InclusionDescriptor,
+                        values: dict[GroupClass, tuple[int, int]]
+                        ) -> tuple[IntMatrix, Mod2Matrix, Mod2Matrix]:
+    """The functor's blocks along ``incl``, checked against the coefficient ranks.
+
+    The orbit complex guarantees that ``incl`` runs from the higher cell's
+    stabilizer to the face's, so these ranks are the block's target and
+    source sizes wherever the descriptor occurs.
+    """
+    r_free, r_tor, r_cross = functor.restriction(incl)
+    f_src, t_src = values[incl.big]
+    f_tgt, t_tgt = values[incl.sub]
+    if (r_free.rows, r_free.cols) != (f_tgt, f_src):
+        raise ValueError("free restriction block has inconsistent shape")
+    if (r_tor.rows, r_tor.cols) != (t_tgt, t_src):
+        raise ValueError("torsion restriction block has inconsistent shape")
+    if (r_cross.rows, r_cross.cols) != (t_tgt, f_src):
+        raise ValueError("cross restriction block has inconsistent shape")
+    return r_free, r_tor, r_cross
 
 
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:

@@ -6,10 +6,12 @@ Two subcommands:
   properk coxeter --file pentagon.json --theory ko --model both --check
 
 Exit status: 0 on success (including verdicts that only match up to an
-extension problem), 2 when --check finds a MISMATCH, 1 on invalid input or
-out-of-scope stabilizers, with a machine-readable error object naming the
-offender.  Output is deterministic: identical invocations produce identical
-bytes.
+extension problem), 2 when --check finds a MISMATCH, 1 otherwise, with a
+machine-readable error object whose kind names the failure:
+invalid_input, unsupported_stabilizer, unsupported_restriction,
+no_collapse (the E2 page does not collapse positionally) or
+model_disagreement (the Davis and Bestvina models differ, a bug).  Output
+is deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .ahss import (
     MISMATCH,
     ClosedForm,
     E2Page,
+    NoCollapseError,
     assemble_abutment,
     build_e2,
     closed_form_amalgam,
@@ -44,6 +47,10 @@ from .orbit import AmalgamSpec, OrbitComplex, OrbitComplexError, build_amalgam_o
 
 class InputError(ValueError):
     pass
+
+
+class ModelDisagreementError(Exception):
+    """Two models of the same group gave different reports: a bug."""
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -219,7 +226,8 @@ def _emit(args, payload: dict) -> None:
 
 
 def _run_amalgam(args) -> int:
-    spec = _amalgam_input(args)
+    # A loaded complex needs the amalgam parameters only for the closed form.
+    spec = _amalgam_input(args) if args.check or not args.from_complex else None
     if args.from_complex:
         complex_ = OrbitComplex.from_json(_load_json(args.from_complex))
         description = f"amalgam from {args.from_complex}"
@@ -229,9 +237,11 @@ def _run_amalgam(args) -> int:
     if args.emit == "complex":
         _emit(args, {"group": description, "complex": complex_.to_json()})
         return 0
-    if args.theory == "ko" and any(r % 2 == 0 for r in spec.r):
+    # The edge orders r_i are the orders of the 1-cell stabilizers.
+    edge_orders = [c.stabilizer.order for c in complex_.cells[1]] if complex_.dim >= 1 else []
+    if args.theory == "ko" and any(r % 2 == 0 for r in edge_orders):
         raise UnsupportedRestrictionError(
-            f"KO needs every edge order r_i odd; got r = {list(spec.r)}")
+            f"KO needs every edge order r_i odd; got r = {edge_orders}")
     if args.emit == "cochain":
         _emit(args, _cochain_payload(complex_, args.theory))
         return 0
@@ -281,7 +291,7 @@ def _run_coxeter(args) -> int:
         agree = reports[names[0]] == reports[names[1]]
         payload["models_agree"] = agree
         if not agree:
-            raise AssertionError(
+            raise ModelDisagreementError(
                 "Davis and Bestvina pipelines disagree; this is a bug, please report it")
     mismatch = False
     if args.check:
@@ -305,6 +315,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except UnsupportedRestrictionError as exc:
         _emit(args, {"error": {"kind": "unsupported_restriction", "message": str(exc)}})
+        return 1
+    except NoCollapseError as exc:
+        _emit(args, {"error": {"kind": "no_collapse", "message": str(exc)}})
+        return 1
+    except ModelDisagreementError as exc:
+        _emit(args, {"error": {"kind": "model_disagreement", "message": str(exc)}})
         return 1
     except (InputError, OrbitComplexError, ChainComplexError, ValueError) as exc:
         _emit(args, {"error": {"kind": "invalid_input", "message": str(exc)}})

@@ -414,20 +414,29 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
         cells.append(tuple(Cell(_chain_label(c), stab(c[0])) for c in chains))
     incidence = []
     descriptors = []
+    inclusions: dict[tuple[tuple[int, ...], tuple[int, ...]], InclusionDescriptor] = {}
+
+    def inclusion(sub: tuple[int, ...], big: tuple[int, ...]) -> InclusionDescriptor:
+        if (sub, big) not in inclusions:
+            inclusions[sub, big] = parabolic_inclusion(matrix, sub, big)
+        return inclusions[sub, big]
+
     for p in range(len(per_dim) - 1):
         index_of = {chain: i for i, chain in enumerate(per_dim[p])}
-        rows = [[0] * len(per_dim[p + 1]) for _ in range(len(per_dim[p]))]
+        rows: list[dict[int, int]] = [{} for _ in per_dim[p]]
         descs: dict[tuple[int, int], InclusionDescriptor] = {}
         for k, chain in enumerate(per_dim[p + 1]):
             for drop in range(len(chain)):
                 face = chain[:drop] + chain[drop + 1:]
                 j = index_of[face]
-                rows[j][k] += (-1) ** drop
-                if rows[j][k]:
-                    descs[(j, k)] = parabolic_inclusion(matrix, chain[0], face[0])
+                coeff = rows[j].get(k, 0) + (-1) ** drop
+                if coeff:
+                    rows[j][k] = coeff
+                    descs[(j, k)] = inclusion(chain[0], face[0])
                 else:
-                    descs.pop((j, k), None)
-        incidence.append(IntMatrix.from_rows(rows, cols=len(per_dim[p + 1])))
+                    del rows[j][k]
+                    del descs[(j, k)]
+        incidence.append(IntMatrix.from_sparse(len(per_dim[p]), len(per_dim[p + 1]), rows))
         descriptors.append(descs)
     return OrbitComplex(tuple(cells), tuple(incidence), tuple(descriptors))
 
@@ -464,11 +473,11 @@ class PanelComplex:
 
     def boundary_matrix(self, p: int) -> IntMatrix:
         """Boundary from (p+1)-cells to p-cells."""
-        rows = [[0] * len(self.cells[p + 1]) for _ in range(len(self.cells[p]))]
+        rows: list[dict[int, int]] = [{} for _ in self.cells[p]]
         for k, cell in enumerate(self.cells[p + 1]):
             for j, coeff in cell.boundary:
-                rows[j][k] += coeff
-        return IntMatrix.from_rows(rows, cols=len(self.cells[p + 1]))
+                rows[j][k] = rows[j].get(k, 0) + coeff
+        return IntMatrix.from_sparse(len(self.cells[p]), len(self.cells[p + 1]), rows)
 
 
 class _PanelBuilder:

@@ -47,12 +47,12 @@ class OrbitComplex:
         for p, matrix in enumerate(self.incidence):
             if (matrix.rows, matrix.cols) != (len(self.cells[p]), len(self.cells[p + 1])):
                 raise OrbitComplexError(f"incidence matrix at dimension {p} has wrong shape")
-            for j in range(matrix.rows):
-                for k in range(matrix.cols):
-                    has_desc = (j, k) in self.descriptors[p]
-                    if bool(matrix.entry(j, k)) != has_desc:
-                        raise OrbitComplexError(
-                            f"descriptor bookkeeping mismatch at dim {p}, cell pair ({j}, {k})")
+            nonzero = {(j, k) for j, row in enumerate(matrix.data) for k in row}
+            mismatch = nonzero.symmetric_difference(self.descriptors[p])
+            if mismatch:
+                j, k = min(mismatch)
+                raise OrbitComplexError(
+                    f"descriptor bookkeeping mismatch at dim {p}, cell pair ({j}, {k})")
             for (j, k), desc in self.descriptors[p].items():
                 if desc.sub != self.cells[p + 1][k].stabilizer:
                     raise OrbitComplexError(
@@ -177,7 +177,7 @@ def build_amalgam_orbit_complex(spec: AmalgamSpec) -> OrbitComplex:
         Cell(f"v{i}", cyclic(spec.vertex_order(i))) for i in range(spec.k + 1))
     edges = tuple(
         Cell(f"e{i}", cyclic(spec.edge_order(i))) for i in range(1, spec.k + 1))
-    rows = [[0] * spec.k for _ in range(spec.k + 1)]
+    rows: list[dict[int, int]] = [{} for _ in range(spec.k + 1)]
     descriptors: dict[tuple[int, int], InclusionDescriptor] = {}
     for i in range(1, spec.k + 1):
         col = i - 1
@@ -189,7 +189,7 @@ def build_amalgam_orbit_complex(spec: AmalgamSpec) -> OrbitComplex:
     if spec.k == 0:
         return OrbitComplex((vertices,), (), ())
     return OrbitComplex((vertices, edges),
-                        (IntMatrix.from_rows(rows, cols=spec.k),),
+                        (IntMatrix.from_sparse(spec.k + 1, spec.k, rows),),
                         (descriptors,))
 
 

@@ -81,22 +81,21 @@ def restriction_k0(incl: InclusionDescriptor) -> IntMatrix:
     """
     if incl.kind == CYCLIC_IN_CYCLIC:
         r, m = incl.extra
-        rows = [[1 if j % r == t else 0 for j in range(m * r)] for t in range(r)]
-        return IntMatrix.from_rows(rows, cols=m * r)
+        return IntMatrix(r, m * r, tuple(dict.fromkeys(range(t, m * r, r), 1) for t in range(r)))
     if incl.kind == TRIVIAL_IN_ANYTHING:
         return IntMatrix.from_rows([list(complex_irrep_dims(incl.big))],
                                    cols=k0_rank(incl.big))
     if incl.kind == ELEM2_SUBSET:
         sub_k = len(incl.extra)
         big_k = _elem2_rank(incl.big)
-        rows = [[0] * (2 ** big_k) for _ in range(2 ** sub_k)]
+        rows: list[dict[int, int]] = [{} for _ in range(2 ** sub_k)]
         for mask in range(2 ** big_k):
             t = 0
             for i, coord in enumerate(incl.extra):
                 if (mask >> coord) & 1:
                     t |= 1 << i
             rows[t][mask] = 1
-        return IntMatrix.from_rows(rows, cols=2 ** big_k)
+        return IntMatrix(2 ** sub_k, 2 ** big_k, tuple(rows))
     if incl.kind == REFLECTION_IN_DIHEDRAL:
         m = incl.extra[0]
         two_dims = (m - 1) // 2
@@ -107,13 +106,12 @@ def restriction_k0(incl: InclusionDescriptor) -> IntMatrix:
     if incl.kind == ROTATION_IN_DIHEDRAL:
         m = incl.extra[0]
         two_dims = (m - 1) // 2
-        rows = [[0] * (2 + two_dims) for _ in range(m)]
-        rows[0][0] = 1  # trivial -> chi_0
-        rows[0][1] = 1  # sign is trivial on rotations
+        rows = [{} for _ in range(m)]
+        rows[0] = {0: 1, 1: 1}  # trivial and sign both restrict to chi_0
         for l in range(1, two_dims + 1):
             rows[l][1 + l] = 1
-            rows[m - l][1 + l] += 1  # rho_l -> chi_l + chi_{m-l}
-        return IntMatrix.from_rows(rows, cols=2 + two_dims)
+            rows[m - l][1 + l] = 1  # rho_l -> chi_l + chi_{m-l}, m odd so l != m-l
+        return IntMatrix(m, 2 + two_dims, tuple(rows))
     raise UnsupportedRestrictionError(f"unsupported inclusion kind {incl.kind!r}")
 
 
@@ -164,10 +162,11 @@ def real_structure(g: GroupClass) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 
 def real_type_counts(g: GroupClass) -> RealTypeCounts:
-    gens = real_structure(g)
-    n_r = sum(1 for kind, _ in gens if kind == "R")
-    n_c = sum(1 for kind, _ in gens if kind == "C")
-    return RealTypeCounts(n_r, n_c, 0)
+    """The type counts of ``real_structure(g)``, without listing it."""
+    if g.kind == CYCLIC:
+        n_r = 2 if g.param % 2 == 0 else 1
+        return RealTypeCounts(n_r, (g.param - n_r) // 2, 0)
+    return RealTypeCounts(k0_rank(g), 0, 0)
 
 
 def real_irrep_labels(g: GroupClass) -> tuple[str, ...]:
@@ -191,16 +190,17 @@ def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
     member of W (summing over the members of V).
     """
     mc = restriction_k0(incl)
-    sub_gens = real_structure(incl.sub)
     big_gens = real_structure(incl.big)
+    # Complex irrep index -> the real generator of the big group holding it.
+    owner = {v: g for g, (_, members) in enumerate(big_gens) for v in members}
     rows = []
-    for _, w_members in sub_gens:
-        w = w_members[0]
-        row = []
-        for _, v_members in big_gens:
-            row.append(sum(mc.entry(w, v) for v in v_members))
+    for _, w_members in real_structure(incl.sub):
+        row: dict[int, int] = {}
+        for v, x in mc.data[w_members[0]].items():
+            g = owner[v]
+            row[g] = row.get(g, 0) + x
         rows.append(row)
-    return IntMatrix.from_rows(rows, cols=len(big_gens))
+    return IntMatrix.from_sparse(len(rows), len(big_gens), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +237,19 @@ def ko_point(g: GroupClass, n: int) -> KOCoefficient:
                          tuple(free_labels), tuple(tor2_labels))
 
 
+def ko_ranks(g: GroupClass, n: int) -> tuple[int, int]:
+    """(free rank, Z/2 rank) of KO^{-n}_G(pt): the sizes of ``ko_point``
+    without building its labels."""
+    n %= 8
+    counts = real_type_counts(g)
+    parts = ((counts.n_r, KO_POINT[n]), (counts.n_c, KU_POINT[n % 2]), (counts.n_h, KSP_POINT[n]))
+    return (sum(c * pt[0] for c, pt in parts), sum(c * pt[1] for c, pt in parts))
+
+
 def _real_indices_by_type(g: GroupClass) -> tuple[list[int], list[int]]:
-    gens = real_structure(g)
-    r_idx = [i for i, (kind, _) in enumerate(gens) if kind == "R"]
-    c_idx = [i for i, (kind, _) in enumerate(gens) if kind == "C"]
-    return r_idx, c_idx
+    # real_structure lists every R-type generator before the C-type ones.
+    counts = real_type_counts(g)
+    return list(range(counts.n_r)), list(range(counts.n_r, counts.n_r + counts.n_c))
 
 
 def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Matrix, Mod2Matrix]:
@@ -271,7 +279,7 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
         raise UnsupportedRestrictionError(
             f"KO^{-n} restriction for an even-order cyclic subgroup Z{incl.extra[0]} "
             "is not determined by the supported theory; odd edge orders only")
-    big_pt = ko_point(big, n)
+    big_free = ko_ranks(big, n)[0]
     if n in (3, 5, 7):
         return (IntMatrix.zero(0, 0), Mod2Matrix.zero(0, 0), Mod2Matrix.zero(0, 0))
     m_real = real_restriction(incl)
@@ -280,27 +288,43 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
     if n in (0, 4):
         free = m_real
         tor = Mod2Matrix.zero(0, 0)
-        cross = Mod2Matrix.zero(0, big_pt.free_rank)
+        cross = Mod2Matrix.zero(0, big_free)
         return free, tor, cross
     if n == 6:
-        free = IntMatrix.from_rows(
-            [[m_real.entry(i, j) for j in big_c] for i in sub_c], cols=len(big_c))
-        return free, Mod2Matrix.zero(0, 0), Mod2Matrix.zero(0, big_pt.free_rank)
+        free = _int_block(m_real, sub_c, big_c)
+        return free, Mod2Matrix.zero(0, 0), Mod2Matrix.zero(0, big_free)
     # n in (1, 2)
-    tor = Mod2Matrix.from_rows(
-        [[m_real.entry(i, j) % 2 for j in big_r] for i in sub_r], cols=len(big_r))
+    tor = _mod2_block(m_real, sub_r, big_r)
     if n == 1:
         return IntMatrix.zero(0, 0), tor, Mod2Matrix.zero(tor.rows, 0)
     # n == 2: the free block is C-to-C; a C generator of the big group may
     # also restrict onto R generators of the subgroup, which would be a
     # free-to-torsion cross term mod 2.  For odd-order subgroups that
     # multiplicity is always even; reject anything else.
-    free = IntMatrix.from_rows(
-        [[m_real.entry(i, j) for j in big_c] for i in sub_c], cols=len(big_c))
-    cross_rows = [[m_real.entry(i, j) % 2 for j in big_c] for i in sub_r]
-    cross = Mod2Matrix.from_rows(cross_rows, cols=len(big_c))
+    free = _int_block(m_real, sub_c, big_c)
+    cross = _mod2_block(m_real, sub_r, big_c)
     if not cross.is_zero():
         raise UnsupportedRestrictionError(
             f"KO^{-n} restriction along {incl} needs a nonzero free-to-torsion "
             "cross term, which is outside the supported theory")
     return free, tor, cross
+
+
+def _int_block(m: IntMatrix, rows: list[int], cols: list[int]) -> IntMatrix:
+    """The submatrix of ``m`` on the given rows and columns, in their order."""
+    pos = {j: b for b, j in enumerate(cols)}
+    return IntMatrix(len(rows), len(cols), tuple(
+        {pos[j]: x for j, x in m.data[i].items() if j in pos} for i in rows))
+
+
+def _mod2_block(m: IntMatrix, rows: list[int], cols: list[int]) -> Mod2Matrix:
+    """The submatrix of ``m`` on the given rows and columns, reduced mod 2."""
+    pos = {j: b for b, j in enumerate(cols)}
+    bits = []
+    for i in rows:
+        mask = 0
+        for j, x in m.data[i].items():
+            if x & 1 and j in pos:
+                mask |= 1 << pos[j]
+        bits.append(mask)
+    return Mod2Matrix(len(rows), len(cols), tuple(bits))

@@ -6,9 +6,15 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from properk import CoxeterMatrix, IntMatrix, OrbitComplex
 from properk.coxeter import INFINITY, build_davis_orbit_complex
+
+# Property tests draw the same examples on every run, and no example fails
+# for being slow on a loaded machine.
+settings.register_profile("properk", derandomize=True, deadline=None)
+settings.load_profile("properk")
 
 
 def random_int_matrix(rng: random.Random, max_dim: int = 6, bound: int = 5) -> IntMatrix:

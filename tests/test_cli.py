@@ -190,3 +190,60 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["degrees"]["0"]["resolved"]["rank"] == 3
+
+
+def test_amalgam_from_complex_needs_no_parameters(tmp_path, capsys):
+    # --emit complex, then --from-complex without --r/--m, for K and KO.
+    for theory in ("k", "ko"):
+        argv = ["amalgam", "--r", "3", "--m", "5,7", "--theory", theory]
+        code, direct = run(capsys, argv)
+        assert code == 0
+        code, out = run(capsys, argv + ["--emit", "complex"])
+        assert code == 0
+        dump = tmp_path / f"complex_{theory}.json"
+        dump.write_text(json.dumps(json.loads(out)["complex"]))
+        code, replayed = run(capsys, ["amalgam", "--theory", theory,
+                                      "--from-complex", str(dump)])
+        assert code == 0, replayed
+        assert json.loads(direct)["degrees"] == json.loads(replayed)["degrees"]
+
+
+def test_amalgam_from_complex_checks_edge_orders_for_ko(tmp_path, capsys):
+    code, out = run(capsys, ["amalgam", "--r", "2", "--m", "3,2", "--emit", "complex"])
+    assert code == 0
+    dump = tmp_path / "sl2z.json"
+    dump.write_text(json.dumps(json.loads(out)["complex"]))
+    code, out = run(capsys, ["amalgam", "--theory", "ko", "--from-complex", str(dump)])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "unsupported_restriction"
+    assert "r = [2]" in err["message"]
+
+
+def test_no_collapse_error_kind(tmp_path, capsys):
+    # S^3 with trivial stabilizers: H^0 and H^3 are both Z, so d_3 of the
+    # K-theory page has nonzero source and target.
+    point = {"label": "c", "stabilizer": "trivial"}
+    sphere = [{"dim": 0, "cells": [point], "incidence": [[]], "descriptors": []},
+              {"dim": 1, "cells": [], "incidence": [], "descriptors": []},
+              {"dim": 2, "cells": [], "incidence": [], "descriptors": []},
+              {"dim": 3, "cells": [point]}]
+    dump = tmp_path / "s3.json"
+    dump.write_text(json.dumps(sphere))
+    code, out = run(capsys, ["amalgam", "--theory", "k", "--from-complex", str(dump)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "no_collapse"
+
+
+def test_model_disagreement_error_kind(monkeypatch, capsys):
+    import properk.cli as cli
+    from properk.coxeter import CoxeterMatrix, build_davis_orbit_complex
+
+    # Let the Bestvina builder answer for another group.
+    other = CoxeterMatrix.from_rows([[1, 0], [0, 1]])
+    monkeypatch.setattr(cli, "build_bestvina_orbit_complex",
+                        lambda matrix: build_davis_orbit_complex(other))
+    code, out = run(capsys, ["coxeter", "--matrix", "1,2;2,1", "--theory", "k",
+                             "--model", "both"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "model_disagreement"

@@ -123,3 +123,13 @@ def test_tree_stabilizer_orders_match_edge_quotients():
 def test_tree_budget():
     with pytest.raises(OrbitComplexError):
         expand_tree(AmalgamSpec(r=(1, 1), m=(4, 4, 4)), 12, max_vertices=2000)
+
+
+def test_bookkeeping_error_names_the_first_offending_pair():
+    cells = ((Cell("v0", cyclic(4)), Cell("v1", cyclic(4))),
+             (Cell("e0", cyclic(2)), Cell("e1", cyclic(2))))
+    inc = (IntMatrix.from_rows([[0, 1], [1, 0]]),)
+    # (1, 0) is nonzero without a descriptor; (1, 1) has one but is zero.
+    descs = {(0, 1): cyclic_in_cyclic(2, 2), (1, 1): cyclic_in_cyclic(2, 2)}
+    with pytest.raises(OrbitComplexError, match=r"at dim 0, cell pair \(1, 0\)$"):
+        OrbitComplex(cells, inc, (descs,))

@@ -18,7 +18,9 @@ from properk.groups import (
 from properk.reprings import (
     k0_rank,
     ko_point,
+    ko_ranks,
     real_restriction,
+    real_structure,
     real_type_counts,
     restriction_k0,
     restriction_ko,
@@ -140,6 +142,27 @@ def test_real_type_counts():
     assert (t.n_r, t.n_c, t.n_h) == (1, 0, 0)
     d5 = real_type_counts(dihedral_odd(5))
     assert (d5.n_r, d5.n_c, d5.n_h) == (4, 0, 0)
+
+
+def catalogue_sample():
+    return ([trivial()] + [cyclic(s) for s in range(2, 40)] + [elem2(k) for k in range(2, 6)]
+            + [dihedral_odd(m) for m in range(3, 30, 2)])
+
+
+def test_real_type_counts_match_real_structure():
+    for g in catalogue_sample():
+        kinds = [kind for kind, _ in real_structure(g)]
+        counts = real_type_counts(g)
+        assert (counts.n_r, counts.n_c, counts.n_h) == (kinds.count("R"), kinds.count("C"), 0), g
+        # every R-type generator comes before the C-type ones
+        assert kinds == sorted(kinds, key="RC".index), g
+
+
+def test_ko_ranks_are_the_sizes_of_ko_point():
+    for g in catalogue_sample():
+        for n in range(-8, 9):
+            pt = ko_point(g, n)
+            assert ko_ranks(g, n) == (pt.free_rank, pt.tor2_rank), (g, n)
 
 
 def test_real_restriction_literals():

@@ -1,0 +1,181 @@
+"""Sparse integer and GF(2) kernels against plain dense references."""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from properk.abelian import IntMatrix, Mod2Matrix, invariant_factors
+from conftest import random_int_matrix
+
+SMALL = st.integers(-4, 4)
+
+
+@st.composite
+def dense(draw, rows=None, cols=None, entries=SMALL):
+    """A dense list-of-lists matrix, mostly zeros, with its column count."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    entry = st.one_of(st.just(0), st.just(0), entries)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows)), cols
+
+
+@st.composite
+def dense_pair(draw):
+    """Two dense matrices whose product is defined."""
+    n, k, m = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return draw(dense(n, k))[0], draw(dense(k, m))[0], k, m
+
+
+def to_int(a, cols):
+    return IntMatrix.from_rows(a, cols=cols)
+
+
+def dense_product(a, b, m):
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(m)] for row in a]
+
+
+@given(dense())
+def test_round_trip_and_entries(mat):
+    a, cols = mat
+    m = to_int(a, cols)
+    assert m.to_rows() == a
+    assert m.entries == tuple(x for row in a for x in row)
+    assert [m.row(i) for i in range(m.rows)] == [tuple(row) for row in a]
+    assert all(m.entry(i, j) == a[i][j] for i in range(m.rows) for j in range(cols))
+    assert all(0 not in row.values() for row in m.data)
+    assert sum(map(len, m.data)) == sum(1 for row in a for x in row if x)
+    assert m.is_zero() == (not any(x for row in a for x in row))
+    assert IntMatrix.from_sparse(m.rows, m.cols, [dict(enumerate(row)) for row in a]) == m
+
+
+@given(dense())
+def test_transpose(mat):
+    a, cols = mat
+    m = to_int(a, cols)
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, len(a))
+    assert t.to_rows() == [[a[i][j] for i in range(len(a))] for j in range(cols)]
+    assert t.transpose() == m
+
+
+@given(dense_pair())
+def test_product(pair):
+    a, b, k, m = pair
+    p = to_int(a, k) * to_int(b, m)
+    assert (p.rows, p.cols) == (len(a), m)
+    assert p.to_rows() == dense_product(a, b, m)
+    assert all(0 not in row.values() for row in p.data)
+
+
+@given(dense(entries=st.integers(-9, 9)))
+def test_mod2(mat):
+    a, cols = mat
+    assert to_int(a, cols).mod2().to_rows() == [[x % 2 for x in row] for row in a]
+
+
+@given(dense(), dense())
+def test_equality_is_entrywise(first, second):
+    (a, ca), (b, cb) = first, second
+    same = (len(a), ca, a) == (len(b), cb, b)
+    assert (to_int(a, ca) == to_int(b, cb)) == same
+    if same:
+        assert hash(to_int(a, ca)) == hash(to_int(b, cb))
+
+
+def test_identity_zero_and_bad_rows():
+    assert IntMatrix.identity(3).to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert IntMatrix.zero(2, 3).to_rows() == [[0] * 3] * 2
+    assert IntMatrix.from_sparse(2, 3, [{0: 0, 2: 5}, {}]).data == ({2: 5}, {})
+    with pytest.raises(ValueError):
+        IntMatrix(1, 2, ({2: 1},))  # column out of range
+    with pytest.raises(ValueError):
+        IntMatrix(1, 2, ({0: 0},))  # stored zero
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, ({},))  # too few rows
+    with pytest.raises(IndexError):
+        IntMatrix.zero(1, 1).entry(0, 1)
+
+
+def dense_rank2(rows, cols):
+    """Row reduction over GF(2) on lists of 0/1."""
+    a = [[x % 2 for x in row] for row in rows]
+    rank = 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                a[i] = [x ^ y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+@given(dense(entries=st.just(1)))
+def test_rank2_against_dense_elimination(mat):
+    a, cols = mat
+    m = Mod2Matrix.from_rows(a, cols=cols)
+    assert m.rank2() == dense_rank2(a, cols)
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_rank2_of_products_is_bounded(n, k, rng):
+    # Rank of a product of a random n x k and k x n matrix: never above k.
+    a = [[rng.randint(0, 1) for _ in range(k)] for _ in range(n)]
+    b = [[rng.randint(0, 1) for _ in range(n)] for _ in range(k)]
+    p = Mod2Matrix.from_rows(a, cols=k) * Mod2Matrix.from_rows(b, cols=n)
+    assert p.rank2() == dense_rank2(p.to_rows(), n) <= min(n, k)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form against sympy, a test-only oracle
+
+
+def sympy_factors(m: IntMatrix) -> tuple[int, ...]:
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    if m.rows == 0 or m.cols == 0 or m.is_zero():
+        return ()
+    d = smith_normal_form(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
+    diag = [abs(int(d[i, i])) for i in range(min(d.shape))]
+    return tuple(sorted(x for x in diag if x))
+
+
+def test_invariant_factors_match_sympy_on_random_matrices():
+    rng = random.Random(7)
+    for _ in range(150):
+        m = random_int_matrix(rng)
+        assert invariant_factors(m) == sympy_factors(m), m.to_rows()
+
+
+def no_unit_matrix(rng: random.Random) -> IntMatrix:
+    """A matrix with no entry ±1, so the dense finish does all the work."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    choices = (0, 0, 2, -2, 3, -3, 4, 6, -9, 10)
+    return IntMatrix.from_rows([[rng.choice(choices) for _ in range(cols)]
+                                for _ in range(rows)], cols=cols)
+
+
+def test_invariant_factors_match_sympy_without_unit_pivots():
+    rng = random.Random(8)
+    for _ in range(150):
+        m = no_unit_matrix(rng)
+        assert invariant_factors(m) == sympy_factors(m), m.to_rows()
+
+
+def test_invariant_factors_match_sympy_with_a_residual():
+    # A unit block on top of a residual without units: the sparse pass
+    # clears the units, the dense finish sees what is left.
+    rng = random.Random(9)
+    for _ in range(100):
+        core = no_unit_matrix(rng).to_rows()
+        width = len(core[0])
+        rows = [[1] + [rng.randint(-3, 3) for _ in range(width)]]
+        rows += [[rng.choice((0, 2, -4))] + row for row in core]
+        m = IntMatrix.from_rows(rows)
+        assert invariant_factors(m) == sympy_factors(m), rows
