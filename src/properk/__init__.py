@@ -37,7 +37,7 @@ from .ahss import (
     compare,
     detect_collapse,
 )
-from .bredon import CoefficientFunctor, assemble_cochain, bredon_cohomology
+from .bredon import CoefficientFunctor, assemble_cochain, bredon_cohomology, bredon_rows
 from .coxeter import (
     CoxeterMatrix,
     PanelComplex,

@@ -738,25 +738,32 @@ class SplitCochainComplex:
         return Mod2Matrix.zero(tgt, src)
 
 
-def cohomology(complex_: SplitCochainComplex, p: int) -> AbGroup:
-    """ker(d_p)/im(d_{p-1}) of a split cochain complex, in normal form.
+def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
+    """ker(d_p)/im(d_{p-1}) of a split cochain complex for p = 0..length.
 
-    With vanishing cross blocks this is the direct sum of the integral
-    cohomology of the free block and the mod-2 cohomology of the torsion
-    block; otherwise the degree is computed as a quotient of solution
-    lattices for the mixed Z ⊕ Z/2 groups.
+    Each free block is factored and each torsion block ranked exactly once,
+    and every degree is read off those numbers: with vanishing cross blocks
+    H^p is the direct sum of the integral cohomology of the free block and
+    the mod-2 cohomology of the torsion block.  The zero maps at either end
+    contribute nothing and are never built.  A degree touching a nonzero
+    cross block is computed instead as a quotient of solution lattices for
+    the mixed Z ⊕ Z/2 groups.
     """
-    if not (0 <= p <= complex_.length):
-        raise ValueError(f"degree {p} outside 0..{complex_.length}")
-    if complex_._cross(p).is_zero() and complex_._cross(p - 1).is_zero():
-        f_cur, f_prev = complex_._free(p), complex_._free(p - 1)
-        prev_factors = invariant_factors(f_prev)
-        free_rank = complex_.free_ranks[p] - len(invariant_factors(f_cur)) - len(prev_factors)
-        divisors = [d for d in prev_factors if d > 1]
-        t_cur, t_prev = complex_._tor(p), complex_._tor(p - 1)
-        tor_dim = complex_.tor2_ranks[p] - t_cur.rank2() - t_prev.rank2()
-        return AbGroup.from_divisors(free_rank, divisors + [2] * tor_dim)
-    return _cohomology_with_cross(complex_, p)
+    n = complex_.length
+    # Index p + 1 holds d_p, so index p holds d_{p-1}; both ends are zero maps.
+    factors = [()] + [invariant_factors(f) for f in complex_.free_d] + [()]
+    ranks2 = [0] + [t.rank2() for t in complex_.tor_d] + [0]
+    crossed = [False] + [not x.is_zero() for x in complex_.cross_d] + [False]
+    groups = []
+    for p in range(n + 1):
+        if crossed[p] or crossed[p + 1]:
+            groups.append(_cohomology_with_cross(complex_, p))
+            continue
+        free_rank = complex_.free_ranks[p] - len(factors[p + 1]) - len(factors[p])
+        tor_dim = complex_.tor2_ranks[p] - ranks2[p + 1] - ranks2[p]
+        groups.append(AbGroup.from_divisors(
+            free_rank, [d for d in factors[p] if d > 1] + [2] * tor_dim))
+    return tuple(groups)
 
 
 def _cohomology_with_cross(complex_: SplitCochainComplex, p: int) -> AbGroup:
@@ -815,11 +822,10 @@ def uct_verify(complex_: SplitCochainComplex) -> bool:
     """
     if not complex_.is_pure_integral():
         raise ChainComplexError("uct_verify requires a pure integral complex")
-    reduced = tensor_mod2(complex_)
-    integral = [cohomology(complex_, p) for p in range(complex_.length + 1)]
-    integral.append(AbGroup.zero())
+    reduced = cohomology(tensor_mod2(complex_))
+    integral = cohomology(complex_) + (AbGroup.zero(),)
     for p in range(complex_.length + 1):
-        lhs = cohomology(reduced, p).torsion.count(2)
+        lhs = reduced[p].torsion.count(2)
         rhs = integral[p].tensor_z2_dim() + integral[p + 1].tor_z2_dim()
         if lhs != rhs:
             return False

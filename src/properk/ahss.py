@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import AbGroup
-from .bredon import CoefficientFunctor, bredon_cohomology
+from .bredon import bredon_rows
 from .coxeter import CoxeterMatrix, enumerate_spherical_subsets
 from .orbit import AmalgamSpec, OrbitComplex
 
@@ -27,7 +27,8 @@ class E2Page:
 
     ``rows[n][p]`` is the Bredon cohomology H^p with coefficients in the
     theory's degree -n functor, n = 0..period-1; Bott periodicity identifies
-    every other row with one of these.
+    every other row with one of these.  Each of the ``period`` rows is
+    stored, whether it was computed or derived from others.
     """
 
     theory: str
@@ -36,7 +37,7 @@ class E2Page:
 
     def __post_init__(self):
         if len(self.rows) != self.period:
-            raise ValueError("need exactly one row per residue in the period")
+            raise ValueError("need exactly one row per coefficient degree in the period")
         if len({len(r) for r in self.rows}) > 1:
             raise ValueError("rows must have a common length")
 
@@ -52,15 +53,13 @@ class E2Page:
 
 
 def build_e2(complex_: OrbitComplex, theory: str) -> E2Page:
-    """Fill one period of rows by computing Bredon cohomology per degree."""
-    if theory not in ("k", "ko"):
-        raise ValueError("theory must be 'k' or 'ko'")
-    period = 2 if theory == "k" else 8
-    rows = []
-    for n in range(period):
-        functor = CoefficientFunctor(theory, n)
-        rows.append(tuple(bredon_cohomology(complex_, functor)))
-    return E2Page(theory, period, tuple(rows))
+    """One period of rows, from the page's distinct cochain complexes only.
+
+    ``bredon.bredon_rows`` assembles one complex for K and three for KO and
+    derives the other rows from them.
+    """
+    rows = bredon_rows(complex_, theory)
+    return E2Page(theory, len(rows), rows)
 
 
 class NoCollapseError(ValueError):

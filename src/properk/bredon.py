@@ -22,9 +22,10 @@ class CoefficientFunctor:
     """K^{-n} or KO^{-n} as a coefficient system on orbits.
 
     ``theory`` is "k" (period 2) or "ko" (period 8); ``n`` means the
-    nonpositive degree -n, reduced mod the period.  K in odd degrees is the
-    zero functor (K^1 of any orbit vanishes), represented explicitly so the
-    graded interface stays total.
+    nonpositive degree -n, reduced mod the period.  K in odd degrees and KO
+    in degrees -3, -5, -7 are zero functors (K^1, KO^{-3}, KO^{-5} and
+    KO^{-7} of any orbit vanish), represented explicitly so the graded
+    interface stays total.
     """
 
     theory: str
@@ -49,7 +50,7 @@ class CoefficientFunctor:
 
     @property
     def is_zero_functor(self) -> bool:
-        return self.theory == "k" and self.n % 2 == 1
+        return self.n in ((1,) if self.theory == "k" else (3, 5, 7))
 
     def value(self, g: GroupClass) -> tuple[int, int]:
         """(free rank, Z/2 rank) of the functor at the orbit G/H."""
@@ -151,6 +152,33 @@ def _restriction_blocks(functor: CoefficientFunctor, incl: InclusionDescriptor,
 
 
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
-    """Graded Bredon cohomology of the orbit complex, degrees 0..dim."""
-    cochain = assemble_cochain(complex_, functor)
-    return tuple(cohomology(cochain, p) for p in range(cochain.length + 1))
+    """Graded Bredon cohomology of the orbit complex, degrees 0..dim.
+
+    A zero functor has zero cohomology; nothing is assembled for it.
+    """
+    if functor.is_zero_functor:
+        return (AbGroup.zero(),) * (complex_.dim + 1)
+    return cohomology(assemble_cochain(complex_, functor))
+
+
+def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...], ...]:
+    """Bredon cohomology for the coefficient degrees -n, n = 0..period-1.
+
+    Only the distinct cochain complexes are assembled.  For K that is K^0;
+    K^{-1} is a zero functor.  For KO, Segal's decomposition makes three
+    complexes distinct: KO^0 (the full real restriction), KO^{-1} (its
+    R-to-R part mod 2) and KO^{-6} (its C-to-C part).  The other rows
+    follow: KO^{-4} has the blocks of KO^0, KO^{-3}, KO^{-5} and KO^{-7}
+    are zero functors, and KO^{-2} is the KO^{-6} free block beside the
+    KO^{-1} torsion block with a zero cross block, so its cohomology is
+    their direct sum degree by degree.  The KO^{-6} restriction blocks
+    reject every descriptor whose KO^{-2} cross block would not vanish.
+    """
+    if theory not in ("k", "ko"):
+        raise ValueError("theory must be 'k' or 'ko'")
+    if theory == "k":
+        return tuple(bredon_cohomology(complex_, CoefficientFunctor.k(n)) for n in (0, 1))
+    real, r_to_r, c_to_c, zero = (bredon_cohomology(complex_, CoefficientFunctor.ko(n))
+                                  for n in (0, 1, 6, 3))
+    mixed = tuple(free.direct_sum(tor) for free, tor in zip(c_to_c, r_to_r))
+    return (real, r_to_r, mixed, zero, real, zero, c_to_c, zero)

@@ -258,17 +258,20 @@ def _run_amalgam(args) -> int:
 
 
 def _run_coxeter(args) -> int:
-    matrix = _coxeter_input(args)
-    description = f"Coxeter group on {matrix.size} generators"
+    # A loaded complex needs the Coxeter matrix only for the closed form.
+    matrix = _coxeter_input(args) if args.check or not args.from_complex else None
     if args.from_complex:
         complexes = {"loaded": OrbitComplex.from_json(_load_json(args.from_complex))}
-    elif args.model == "both":
-        complexes = {"davis": build_davis_orbit_complex(matrix),
-                     "bestvina": build_bestvina_orbit_complex(matrix)}
-    elif args.model == "davis":
-        complexes = {"davis": build_davis_orbit_complex(matrix)}
+        description = f"Coxeter group from {args.from_complex}"
     else:
-        complexes = {"bestvina": build_bestvina_orbit_complex(matrix)}
+        description = f"Coxeter group on {matrix.size} generators"
+        if args.model == "both":
+            complexes = {"davis": build_davis_orbit_complex(matrix),
+                         "bestvina": build_bestvina_orbit_complex(matrix)}
+        elif args.model == "davis":
+            complexes = {"davis": build_davis_orbit_complex(matrix)}
+        else:
+            complexes = {"bestvina": build_bestvina_orbit_complex(matrix)}
     primary_name = next(iter(complexes))
     primary = complexes[primary_name]
     if args.emit == "complex":

@@ -269,9 +269,13 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
     of the subgroup always come with even multiplicity when the subgroup has
     odd order, so the free-to-torsion cross block is zero for every
     supported descriptor; a descriptor that would need a nonzero cross block
-    is rejected rather than guessed at.  Cyclic subgroups of even order are
-    rejected outright for n ≡ 1, 2 (their sign representation makes the
-    torsion block underdetermined).
+    is rejected rather than guessed at.  That rejection runs for n ≡ 6 as
+    well as for n ≡ 2: the E2 page never asks for n ≡ 2, it sums the n ≡ 6
+    and n ≡ 1 rows (``bredon.bredon_rows``), which is valid exactly because
+    the cross block vanishes, so the n ≡ 6 blocks carry the check for every
+    descriptor of a KO page.  Cyclic subgroups of even order are rejected
+    outright for n ≡ 1, 2 (their sign representation makes the torsion
+    block underdetermined).
     """
     n %= 8
     sub, big = incl.sub, incl.big
@@ -291,23 +295,33 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
         cross = Mod2Matrix.zero(0, big_free)
         return free, tor, cross
     if n == 6:
+        _cross_block(m_real, incl, sub_r, big_c)
         free = _int_block(m_real, sub_c, big_c)
         return free, Mod2Matrix.zero(0, 0), Mod2Matrix.zero(0, big_free)
     # n in (1, 2)
     tor = _mod2_block(m_real, sub_r, big_r)
     if n == 1:
         return IntMatrix.zero(0, 0), tor, Mod2Matrix.zero(tor.rows, 0)
-    # n == 2: the free block is C-to-C; a C generator of the big group may
-    # also restrict onto R generators of the subgroup, which would be a
-    # free-to-torsion cross term mod 2.  For odd-order subgroups that
-    # multiplicity is always even; reject anything else.
+    # n == 2: the free block is C-to-C and the torsion block R-to-R.
     free = _int_block(m_real, sub_c, big_c)
+    return free, tor, _cross_block(m_real, incl, sub_r, big_c)
+
+
+def _cross_block(m_real: IntMatrix, incl: InclusionDescriptor,
+                 sub_r: list[int], big_c: list[int]) -> Mod2Matrix:
+    """The KO^-2 free-to-torsion cross block along ``incl``, which must vanish.
+
+    A C generator of the big group may also restrict onto R generators of
+    the subgroup, which would be a free-to-torsion cross term mod 2.  For
+    odd-order subgroups that multiplicity is always even; reject anything
+    else.
+    """
     cross = _mod2_block(m_real, sub_r, big_c)
     if not cross.is_zero():
         raise UnsupportedRestrictionError(
-            f"KO^{-n} restriction along {incl} needs a nonzero free-to-torsion "
+            f"KO^-2 restriction along {incl} needs a nonzero free-to-torsion "
             "cross term, which is outside the supported theory")
-    return free, tor, cross
+    return cross
 
 
 def _int_block(m: IntMatrix, rows: list[int], cols: list[int]) -> IntMatrix:

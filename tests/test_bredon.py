@@ -1,12 +1,19 @@
+import json
 import random
 
-from properk.abelian import AbGroup, cohomology, tensor_mod2, uct_verify
+import pytest
+
+from properk import abelian, reprings
+from properk.abelian import AbGroup, IntMatrix, Mod2Matrix, cohomology, tensor_mod2, uct_verify
+from properk.ahss import build_e2
 from properk.bredon import CoefficientFunctor, assemble_cochain, bredon_cohomology
+from properk.cli import main
 from properk.coxeter import (
     CoxeterMatrix,
     build_bestvina_orbit_complex,
     build_davis_orbit_complex,
 )
+from properk.groups import UnsupportedRestrictionError, cyclic_in_cyclic
 from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
 from conftest import reorient
 
@@ -78,7 +85,7 @@ def test_right_angled_ko_rows_are_mod2_reductions(ra_corpus):
         reduced = tensor_mod2(k0)
         for n in (1, 2):
             ko = bredon_cohomology(x, CoefficientFunctor.ko(n))
-            via_tensor = tuple(cohomology(reduced, p) for p in range(reduced.length + 1))
+            via_tensor = cohomology(reduced)
             assert ko == via_tensor, matrix.entries
 
 
@@ -134,3 +141,103 @@ def test_ko_cochain_cross_blocks_vanish_in_scope():
         for n in range(8):
             c = assemble_cochain(x, CoefficientFunctor.ko(n))
             assert all(xb.is_zero() for xb in c.cross_d)
+
+
+def fold_corpus(ra_corpus):
+    """Davis and Bestvina complexes (right-angled, path family, an odd
+    dihedral label) and odd-edge amalgams, whose cyclic stabilizers bring
+    the C-type generators that only the KO^{-2} and KO^{-6} rows see."""
+    dihedral = CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 0], [2, 0, 1]])
+    out = []
+    for matrix in ra_corpus[:3] + [CoxeterMatrix.path_family(3), dihedral]:
+        out += [build_davis_orbit_complex(matrix), build_bestvina_orbit_complex(matrix)]
+    for r, m in (((3,), (5, 7)), ((1, 3), (2, 3, 4)), ((5,), (3, 2))):
+        out.append(build_amalgam_orbit_complex(AmalgamSpec(r=r, m=m)))
+    return out
+
+
+def test_e2_rows_match_unfolded_cochains(ra_corpus):
+    # The page assembles only the distinct complexes and derives the other
+    # rows; assembling every row's own complex must give the same groups.
+    for x in fold_corpus(ra_corpus):
+        for theory, period in (("k", 2), ("ko", 8)):
+            page = build_e2(x, theory)
+            assert len(page.rows) == period
+            for n in range(period):
+                unfolded = cohomology(assemble_cochain(x, CoefficientFunctor(theory, n)))
+                assert page.rows[n] == unfolded, (x.counts(), theory, n)
+
+
+def test_cohomology_factors_each_differential_once(monkeypatch):
+    x = build_davis_orbit_complex(CoxeterMatrix.from_rows(
+        [[1, 2, 2, 0], [2, 1, 2, 0], [2, 2, 1, 2], [0, 0, 2, 1]]))
+    factored, ranked = [], []
+    invariant_factors, rank2 = abelian.invariant_factors, Mod2Matrix.rank2
+
+    def counting_factors(m):
+        factored.append(m)
+        return invariant_factors(m)
+
+    def counting_rank2(m):
+        ranked.append(m)
+        return rank2(m)
+
+    for functor in (CoefficientFunctor.k(0), CoefficientFunctor.ko(1), CoefficientFunctor.ko(2)):
+        c = assemble_cochain(x, functor)
+        assert c.length == x.dim == 3
+        factored.clear()
+        ranked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(abelian, "invariant_factors", counting_factors)
+            patch.setattr(Mod2Matrix, "rank2", counting_rank2)
+            groups = cohomology(c)
+        assert len(groups) == c.length + 1
+        # Exactly the L differentials, each once: never a zero end map.
+        assert len(factored) == len(ranked) == c.length
+        assert all(a is b for a, b in zip(factored, c.free_d))
+        assert all(a is b for a, b in zip(ranked, c.tor_d))
+
+
+def test_ko_cross_rejection_fires_through_build_e2(monkeypatch, capsys):
+    # Make one C-type generator of Z15 restrict onto the trivial (R-type)
+    # generator of Z3 with odd multiplicity: the KO^-2 cross block is then
+    # nonzero, although the page never assembles the KO^-2 complex.
+    target = cyclic_in_cyclic(3, 5)
+    real_restriction = reprings.real_restriction
+
+    def odd_cross(incl):
+        m = real_restriction(incl)
+        if incl != target:
+            return m
+        rows = [dict(row) for row in m.data]
+        first_c = reprings.real_type_counts(incl.big).n_r
+        rows[0][first_c] = rows[0].get(first_c, 0) + 1
+        return IntMatrix.from_sparse(m.rows, m.cols, rows)
+
+    monkeypatch.setattr(reprings, "real_restriction", odd_cross)
+    message = (f"KO^-2 restriction along {target} needs a nonzero free-to-torsion "
+               "cross term, which is outside the supported theory")
+    with pytest.raises(UnsupportedRestrictionError) as err:
+        reprings.restriction_ko(target, 2)
+    assert str(err.value) == message
+    x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7)))
+    with pytest.raises(UnsupportedRestrictionError) as err:
+        build_e2(x, "ko")
+    assert str(err.value) == message
+    assert build_e2(x, "k").rows[0][0].rank > 0  # K never looks at real structure
+    assert main(["amalgam", "--r", "3", "--m", "5,7", "--theory", "ko"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "unsupported_restriction", "message": message}
+
+
+def test_zero_functors_assemble_nothing(monkeypatch):
+    x = build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(3))
+
+    def refuse(*_):
+        raise AssertionError("a zero functor was assembled")
+
+    monkeypatch.setattr("properk.bredon.assemble_cochain", refuse)
+    for functor in (CoefficientFunctor.k(1), CoefficientFunctor.ko(3),
+                    CoefficientFunctor.ko(5), CoefficientFunctor.ko(7)):
+        assert functor.is_zero_functor
+        assert bredon_cohomology(x, functor) == (AbGroup.zero(),) * (x.dim + 1)

@@ -77,13 +77,19 @@ def test_deterministic_across_processes():
     import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import properk
 
     argv = [sys.executable, "-m", "properk.cli", "coxeter", "--matrix",
             "1,3,3,0;3,1,0,3;3,0,1,3;0,3,3,1", "--theory", "ko",
             "--model", "both", "--check"]
+    # The children import the same properk as this process, installed or not.
+    src = str(Path(properk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
     for seed in ("0", "1", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(argv, capture_output=True, env=env)
         assert proc.returncode == 0, proc.stdout
         outputs.append(proc.stdout)
@@ -117,6 +123,32 @@ def test_coxeter_from_complex_round_trip(tmp_path, capsys):
     code, replayed = run(capsys, argv + ["--from-complex", str(dump)])
     assert code == 0
     assert json.loads(direct)["degrees"] == json.loads(replayed)["degrees"]
+
+
+def test_coxeter_from_complex_needs_no_matrix(tmp_path, capsys):
+    # --emit complex, then --from-complex without --matrix: same page, same
+    # abutment, and the report names the file the complex came from.
+    argv = ["coxeter", "--matrix", "1,3,0;3,1,2;0,2,1", "--theory", "ko", "--model", "davis"]
+    code, out = run(capsys, argv + ["--emit", "complex"])
+    assert code == 0
+    dump = tmp_path / "davis.json"
+    dump.write_text(json.dumps(json.loads(out)["complex"]))
+    loaded = ["coxeter", "--theory", "ko", "--from-complex", str(dump)]
+    for emit in ("e2page", "result"):
+        code, direct = run(capsys, argv + ["--emit", emit])
+        assert code == 0
+        code, replayed = run(capsys, loaded + ["--emit", emit])
+        assert code == 0, replayed
+        a, b = json.loads(direct), json.loads(replayed)
+        if emit == "e2page":
+            assert a == b
+        else:
+            assert a["degrees"] == b["degrees"]
+            assert b["group"] == f"Coxeter group from {dump}"
+    # --check still needs the matrix for its closed form.
+    code, out = run(capsys, loaded + ["--check"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "invalid_input"
 
 
 def test_emit_cochain_and_e2page_are_json(capsys):
