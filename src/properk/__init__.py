@@ -16,7 +16,6 @@ from .abelian import (
     SplitCochainComplex,
     cohomology,
     invariant_factors,
-    kernel_basis,
     smith_normal_form,
     tensor_mod2,
     uct_verify,

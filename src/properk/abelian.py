@@ -348,17 +348,6 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return (1,) * ones + rest
 
 
-def rank(m: IntMatrix) -> int:
-    return len(invariant_factors(m))
-
-
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel lattice of ``m`` (a saturated sublattice)."""
-    _, d, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(d.rows, d.cols)) if d.entry(i, i))
-    return [tuple(v.entry(i, j) for i in range(m.cols)) for j in range(r, m.cols)]
-
-
 # ---------------------------------------------------------------------------
 # GF(2) matrices
 
@@ -527,12 +516,6 @@ class AbGroup:
     def is_free(self) -> bool:
         return not self.torsion
 
-    def torsion_order(self) -> int:
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
     def tensor_z2_dim(self) -> int:
         """dim over GF(2) of G ⊗ Z/2."""
         return self.rank + sum(1 for d in self.torsion if d % 2 == 0)
@@ -559,95 +542,6 @@ class AbGroup:
 
 
 # ---------------------------------------------------------------------------
-# Lattices: integer spans, membership, quotients
-
-
-class Lattice:
-    """Sublattice of Z^n kept as a row-echelon basis (pivot columns increase)."""
-
-    def __init__(self, ambient_dim: int):
-        self.n = ambient_dim
-        self.basis: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec: Sequence[int]) -> None:
-        v = list(vec)
-        if len(v) != self.n:
-            raise ValueError("vector length does not match ambient dimension")
-        i = 0
-        while True:
-            j = next((k for k, x in enumerate(v) if x), None)
-            if j is None:
-                return
-            while i < len(self.pivots) and self.pivots[i] < j:
-                i += 1
-            if i == len(self.pivots) or self.pivots[i] > j:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                self.basis.insert(i, v)
-                self.pivots.insert(i, j)
-                return
-            row = self.basis[i]
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
-            else:
-                g, s, t = _xgcd(a, b)
-                # Replace the basis row by a gcd combination, reduce v by it.
-                new_row = [s * x + t * y for x, y in zip(row, v)]
-                v = [(-(b // g)) * x + (a // g) * y for x, y in zip(row, v)]
-                self.basis[i] = new_row
-
-    def coordinates(self, vec: Sequence[int]) -> list[int]:
-        """Coefficients of ``vec`` in the basis; raises if not a member."""
-        v = list(vec)
-        coeffs = [0] * len(self.basis)
-        for i, (row, j) in enumerate(zip(self.basis, self.pivots)):
-            if v[j] % row[j]:
-                raise ValueError("vector is not in the lattice")
-            q = v[j] // row[j]
-            coeffs[i] = q
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-        if any(v):
-            raise ValueError("vector is not in the lattice")
-        return coeffs
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def quotient_group(numerator_gens: Sequence[Sequence[int]],
-                   denominator_gens: Sequence[Sequence[int]],
-                   ambient_dim: int) -> AbGroup:
-    """Normal form of span(numerator)/span(denominator) inside Z^ambient.
-
-    The denominator span must be contained in the numerator span.
-    """
-    lat = Lattice(ambient_dim)
-    for g in numerator_gens:
-        lat.add(g)
-    s = len(lat.basis)
-    if s == 0:
-        return AbGroup.zero()
-    cols = [lat.coordinates(g) for g in denominator_gens]
-    if not cols:
-        return AbGroup.free(s)
-    rel = IntMatrix.from_rows([[col[i] for col in cols] for i in range(s)], cols=len(cols))
-    factors = invariant_factors(rel)
-    return AbGroup.from_divisors(s - len(factors), [d for d in factors if d > 1])
-
-
-# ---------------------------------------------------------------------------
 # Split cochain complexes
 
 
@@ -655,24 +549,23 @@ def quotient_group(numerator_gens: Sequence[Sequence[int]],
 class SplitCochainComplex:
     """Cochain complex whose degree-p group is Z^{n_p} ⊕ (Z/2)^{t_p}.
 
-    The differential d_p: degree p -> p+1 is carried in blocks:
+    The differential d_p: degree p -> p+1 is carried in two blocks:
 
         F_p : Z^{n_p}     -> Z^{n_{p+1}}      integer block
         T_p : (Z/2)^{t_p} -> (Z/2)^{t_{p+1}}  torsion block
-        X_p : Z^{n_p}     -> (Z/2)^{t_{p+1}}  free-to-torsion cross block
 
-    Torsion-to-free components cannot be expressed at all: coefficient
-    systems that would need one are out of scope and must be rejected by the
-    caller instead of silently miscomputed.  Construction validates the
-    composability of shapes, F∘F = 0, T∘T = 0 and the cross compatibility
-    T_{p+1}·X_p + X_{p+1}·(F_p mod 2) = 0.
+    so the complex is the direct sum of an integral complex and a GF(2)
+    complex.  Components between the two summands cannot be expressed at
+    all: coefficient systems that would need one are out of scope and are
+    rejected where their restriction blocks are built
+    (``reprings.restriction_ko``).  Construction validates the
+    composability of shapes, F∘F = 0 and T∘T = 0.
     """
 
     free_ranks: tuple[int, ...]
     tor2_ranks: tuple[int, ...]
     free_d: tuple[IntMatrix, ...]
     tor_d: tuple[Mod2Matrix, ...]
-    cross_d: tuple[Mod2Matrix, ...]
 
     def __post_init__(self):
         n = len(self.free_ranks)
@@ -680,121 +573,61 @@ class SplitCochainComplex:
             raise ChainComplexError("rank lists must be nonempty and equal length")
         if any(r < 0 for r in self.free_ranks + self.tor2_ranks):
             raise ChainComplexError("ranks must be nonnegative")
-        if not (len(self.free_d) == len(self.tor_d) == len(self.cross_d) == n - 1):
+        if not (len(self.free_d) == len(self.tor_d) == n - 1):
             raise ChainComplexError("need exactly one differential per adjacent degree pair")
         for p in range(n - 1):
-            f, t, x = self.free_d[p], self.tor_d[p], self.cross_d[p]
+            f, t = self.free_d[p], self.tor_d[p]
             if (f.rows, f.cols) != (self.free_ranks[p + 1], self.free_ranks[p]):
                 raise ChainComplexError(f"free differential at degree {p} has wrong shape")
             if (t.rows, t.cols) != (self.tor2_ranks[p + 1], self.tor2_ranks[p]):
                 raise ChainComplexError(f"torsion differential at degree {p} has wrong shape")
-            if (x.rows, x.cols) != (self.tor2_ranks[p + 1], self.free_ranks[p]):
-                raise ChainComplexError(f"cross differential at degree {p} has wrong shape")
         for p in range(n - 2):
             if not (self.free_d[p + 1] * self.free_d[p]).is_zero():
                 raise ChainComplexError(f"free differentials do not compose to zero at degree {p}")
             if not (self.tor_d[p + 1] * self.tor_d[p]).is_zero():
                 raise ChainComplexError(f"torsion differentials do not compose to zero at degree {p}")
-            lhs = self.tor_d[p + 1] * self.cross_d[p]
-            rhs = self.cross_d[p + 1] * self.free_d[p].mod2()
-            if tuple(a ^ b for a, b in zip(lhs.bits, rhs.bits)) != (0,) * lhs.rows:
-                raise ChainComplexError(f"cross compatibility fails at degree {p}")
 
     @classmethod
     def integral(cls, free_ranks: Sequence[int], diffs: Sequence[IntMatrix]) -> "SplitCochainComplex":
         """Pure integral complex (no torsion summands)."""
-        n = len(free_ranks)
-        return cls(tuple(free_ranks), (0,) * n, tuple(diffs),
-                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs),
-                   tuple(Mod2Matrix.zero(0, free_ranks[p]) for p in range(n - 1)))
+        return cls(tuple(free_ranks), (0,) * len(free_ranks), tuple(diffs),
+                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs))
 
     @property
     def length(self) -> int:
         """Top degree."""
         return len(self.free_ranks) - 1
 
+    @property
+    def cross_d(self) -> tuple[Mod2Matrix, ...]:
+        """The free-to-torsion blocks Z^{n_p} -> (Z/2)^{t_{p+1}}, all zero."""
+        return tuple(Mod2Matrix.zero(self.tor2_ranks[p + 1], self.free_ranks[p])
+                     for p in range(self.length))
+
     def is_pure_integral(self) -> bool:
         return all(t == 0 for t in self.tor2_ranks)
-
-    def _free(self, p: int) -> IntMatrix:
-        if 0 <= p < self.length:
-            return self.free_d[p]
-        src = self.free_ranks[p] if 0 <= p <= self.length else 0
-        tgt = self.free_ranks[p + 1] if 0 <= p + 1 <= self.length else 0
-        return IntMatrix.zero(tgt, src)
-
-    def _tor(self, p: int) -> Mod2Matrix:
-        if 0 <= p < self.length:
-            return self.tor_d[p]
-        src = self.tor2_ranks[p] if 0 <= p <= self.length else 0
-        tgt = self.tor2_ranks[p + 1] if 0 <= p + 1 <= self.length else 0
-        return Mod2Matrix.zero(tgt, src)
-
-    def _cross(self, p: int) -> Mod2Matrix:
-        if 0 <= p < self.length:
-            return self.cross_d[p]
-        src = self.free_ranks[p] if 0 <= p <= self.length else 0
-        tgt = self.tor2_ranks[p + 1] if 0 <= p + 1 <= self.length else 0
-        return Mod2Matrix.zero(tgt, src)
 
 
 def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
     """ker(d_p)/im(d_{p-1}) of a split cochain complex for p = 0..length.
 
-    Each free block is factored and each torsion block ranked exactly once,
-    and every degree is read off those numbers: with vanishing cross blocks
-    H^p is the direct sum of the integral cohomology of the free block and
-    the mod-2 cohomology of the torsion block.  The zero maps at either end
-    contribute nothing and are never built.  A degree touching a nonzero
-    cross block is computed instead as a quotient of solution lattices for
-    the mixed Z ⊕ Z/2 groups.
+    H^p is the direct sum of the integral cohomology of the free blocks and
+    the mod-2 cohomology of the torsion blocks.  Each free block is factored
+    and each torsion block ranked exactly once, and every degree is read off
+    those numbers; the zero maps at either end contribute nothing and are
+    never built.
     """
     n = complex_.length
     # Index p + 1 holds d_p, so index p holds d_{p-1}; both ends are zero maps.
     factors = [()] + [invariant_factors(f) for f in complex_.free_d] + [()]
     ranks2 = [0] + [t.rank2() for t in complex_.tor_d] + [0]
-    crossed = [False] + [not x.is_zero() for x in complex_.cross_d] + [False]
     groups = []
     for p in range(n + 1):
-        if crossed[p] or crossed[p + 1]:
-            groups.append(_cohomology_with_cross(complex_, p))
-            continue
         free_rank = complex_.free_ranks[p] - len(factors[p + 1]) - len(factors[p])
         tor_dim = complex_.tor2_ranks[p] - ranks2[p + 1] - ranks2[p]
         groups.append(AbGroup.from_divisors(
             free_rank, [d for d in factors[p] if d > 1] + [2] * tor_dim))
     return tuple(groups)
-
-
-def _cohomology_with_cross(complex_: SplitCochainComplex, p: int) -> AbGroup:
-    n_p = complex_.free_ranks[p] if p <= complex_.length else 0
-    t_p = complex_.tor2_ranks[p] if p <= complex_.length else 0
-    f, t, x = complex_._free(p), complex_._tor(p), complex_._cross(p)
-    n_next, t_next = f.rows, t.rows
-    # Solutions of d_p(v) = 0 in Z^{n_p} ⊕ Z^{t_p} with the torsion part
-    # read mod 2: stack the exact integer equations F·x = 0 with the
-    # congruences X·x + T·y ≡ 0 (mod 2) via slack variables.
-    stacked = []
-    for i in range(n_next):
-        stacked.append(list(f.row(i)) + [0] * (t_p + t_next))
-    for i in range(t_next):
-        row = [x.entry(i, j) for j in range(n_p)]
-        row += [t.entry(i, j) for j in range(t_p)]
-        row += [2 if k == i else 0 for k in range(t_next)]
-        stacked.append(row)
-    kernel = kernel_basis(IntMatrix.from_rows(stacked, cols=n_p + t_p + t_next))
-    numerator = [vec[:n_p + t_p] for vec in kernel]
-    # Relations: image of d_{p-1} (integer lift) plus 2·(torsion coordinates).
-    f_prev, t_prev, x_prev = complex_._free(p - 1), complex_._tor(p - 1), complex_._cross(p - 1)
-    denominator = []
-    for j in range(f_prev.cols):
-        denominator.append(tuple(f_prev.entry(i, j) for i in range(n_p))
-                           + tuple(x_prev.entry(i, j) for i in range(t_p)))
-    for j in range(t_prev.cols):
-        denominator.append((0,) * n_p + tuple(t_prev.entry(i, j) for i in range(t_p)))
-    for k in range(t_p):
-        denominator.append(tuple(2 if i == n_p + k else 0 for i in range(n_p + t_p)))
-    return quotient_group(numerator, denominator, n_p + t_p)
 
 
 def tensor_mod2(complex_: SplitCochainComplex) -> SplitCochainComplex:
@@ -807,7 +640,6 @@ def tensor_mod2(complex_: SplitCochainComplex) -> SplitCochainComplex:
         complex_.free_ranks,
         tuple(IntMatrix.zero(0, 0) for _ in range(n - 1)),
         tuple(f.mod2() for f in complex_.free_d),
-        tuple(Mod2Matrix.zero(complex_.free_ranks[p + 1], 0) for p in range(n - 1)),
     )
 
 

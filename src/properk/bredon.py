@@ -58,13 +58,12 @@ class CoefficientFunctor:
             return (0, 0) if self.is_zero_functor else (k0_rank(g), 0)
         return ko_ranks(g, self.n)
 
-    def restriction(self, incl: InclusionDescriptor) -> tuple[IntMatrix, Mod2Matrix, Mod2Matrix]:
-        if self.theory == "k":
-            if self.is_zero_functor:
-                return (IntMatrix.zero(0, 0), Mod2Matrix.zero(0, 0), Mod2Matrix.zero(0, 0))
-            free = restriction_k0(incl)
-            return (free, Mod2Matrix.zero(0, 0), Mod2Matrix.zero(0, free.cols))
-        return restriction_ko(incl, self.n)
+    def restriction(self, incl: InclusionDescriptor) -> tuple[IntMatrix, Mod2Matrix]:
+        """Blocks (free, torsion) of the restriction along ``incl``; K has no torsion."""
+        if self.theory == "ko":
+            return restriction_ko(incl, self.n)
+        free = IntMatrix.zero(0, 0) if self.is_zero_functor else restriction_k0(incl)
+        return free, Mod2Matrix.zero(0, 0)
 
 
 def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> SplitCochainComplex:
@@ -72,7 +71,7 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
 
     Cell ordering fixes the block layout, so assembled matrices are
     reproducible literals.  Free blocks are written straight into sparse
-    rows and torsion and cross blocks into bitmask rows; the coefficient
+    rows and torsion blocks into bitmask rows; the coefficient
     ranks are computed once per stabilizer and the restriction blocks once
     per distinct inclusion descriptor.
     """
@@ -94,19 +93,18 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
         tor_ranks.append(t_total)
         offsets.append(offs)
 
-    blocks: dict[InclusionDescriptor, tuple[IntMatrix, Mod2Matrix, Mod2Matrix]] = {}
-    free_d, tor_d, cross_d = [], [], []
+    blocks: dict[InclusionDescriptor, tuple[IntMatrix, Mod2Matrix]] = {}
+    free_d, tor_d = [], []
     for p in range(complex_.dim):
         f_rows: list[dict[int, int]] = [{} for _ in range(free_ranks[p + 1])]
         t_bits = [0] * tor_ranks[p + 1]
-        x_bits = [0] * tor_ranks[p + 1]
         incidence = complex_.incidence[p].data
         for (j, k), incl in complex_.descriptors[p].items():
             alpha = incidence[j][k]
             block = blocks.get(incl)
             if block is None:
                 block = blocks[incl] = _restriction_blocks(functor, incl, values)
-            r_free, r_tor, r_cross = block
+            r_free, r_tor = block
             fo_src, to_src = offsets[p][j]
             fo_tgt, to_tgt = offsets[p + 1][k]
             for a, r_row in enumerate(r_free.data):
@@ -121,34 +119,28 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
             if alpha % 2:
                 for a, bits in enumerate(r_tor.bits):
                     t_bits[to_tgt + a] ^= bits << to_src
-                for a, bits in enumerate(r_cross.bits):
-                    x_bits[to_tgt + a] ^= bits << fo_src
         free_d.append(IntMatrix(free_ranks[p + 1], free_ranks[p], tuple(f_rows)))
         tor_d.append(Mod2Matrix(tor_ranks[p + 1], tor_ranks[p], tuple(t_bits)))
-        cross_d.append(Mod2Matrix(tor_ranks[p + 1], free_ranks[p], tuple(x_bits)))
-    return SplitCochainComplex(tuple(free_ranks), tuple(tor_ranks),
-                               tuple(free_d), tuple(tor_d), tuple(cross_d))
+    return SplitCochainComplex(tuple(free_ranks), tuple(tor_ranks), tuple(free_d), tuple(tor_d))
 
 
 def _restriction_blocks(functor: CoefficientFunctor, incl: InclusionDescriptor,
                         values: dict[GroupClass, tuple[int, int]]
-                        ) -> tuple[IntMatrix, Mod2Matrix, Mod2Matrix]:
+                        ) -> tuple[IntMatrix, Mod2Matrix]:
     """The functor's blocks along ``incl``, checked against the coefficient ranks.
 
     The orbit complex guarantees that ``incl`` runs from the higher cell's
     stabilizer to the face's, so these ranks are the block's target and
     source sizes wherever the descriptor occurs.
     """
-    r_free, r_tor, r_cross = functor.restriction(incl)
+    r_free, r_tor = functor.restriction(incl)
     f_src, t_src = values[incl.big]
     f_tgt, t_tgt = values[incl.sub]
     if (r_free.rows, r_free.cols) != (f_tgt, f_src):
         raise ValueError("free restriction block has inconsistent shape")
     if (r_tor.rows, r_tor.cols) != (t_tgt, t_src):
         raise ValueError("torsion restriction block has inconsistent shape")
-    if (r_cross.rows, r_cross.cols) != (t_tgt, f_src):
-        raise ValueError("cross restriction block has inconsistent shape")
-    return r_free, r_tor, r_cross
+    return r_free, r_tor
 
 
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
@@ -170,9 +162,9 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     R-to-R part mod 2) and KO^{-6} (its C-to-C part).  The other rows
     follow: KO^{-4} has the blocks of KO^0, KO^{-3}, KO^{-5} and KO^{-7}
     are zero functors, and KO^{-2} is the KO^{-6} free block beside the
-    KO^{-1} torsion block with a zero cross block, so its cohomology is
-    their direct sum degree by degree.  The KO^{-6} restriction blocks
-    reject every descriptor whose KO^{-2} cross block would not vanish.
+    KO^{-1} torsion block, so its cohomology is their direct sum degree by
+    degree.  The KO^{-6} restriction blocks reject every descriptor whose
+    KO^{-2} restriction would need a free-to-torsion term.
     """
     if theory not in ("k", "ko"):
         raise ValueError("theory must be 'k' or 'ko'")

@@ -136,6 +136,14 @@ def _coxeter_input(args) -> CoxeterMatrix:
     raise InputError("coxeter needs --file or --matrix")
 
 
+def _loaded_complex(path: str) -> OrbitComplex:
+    data = _load_json(path)
+    try:
+        return OrbitComplex.from_json(data)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad orbit complex JSON: {exc}") from exc
+
+
 def _coxeter_closed_form(matrix: CoxeterMatrix, theory: str) -> ClosedForm:
     if matrix.is_right_angled():
         return closed_form_right_angled(matrix, theory)
@@ -229,7 +237,7 @@ def _run_amalgam(args) -> int:
     # A loaded complex needs the amalgam parameters only for the closed form.
     spec = _amalgam_input(args) if args.check or not args.from_complex else None
     if args.from_complex:
-        complex_ = OrbitComplex.from_json(_load_json(args.from_complex))
+        complex_ = _loaded_complex(args.from_complex)
         description = f"amalgam from {args.from_complex}"
     else:
         complex_ = build_amalgam_orbit_complex(spec)
@@ -261,7 +269,7 @@ def _run_coxeter(args) -> int:
     # A loaded complex needs the Coxeter matrix only for the closed form.
     matrix = _coxeter_input(args) if args.check or not args.from_complex else None
     if args.from_complex:
-        complexes = {"loaded": OrbitComplex.from_json(_load_json(args.from_complex))}
+        complexes = {"loaded": _loaded_complex(args.from_complex)}
         description = f"Coxeter group from {args.from_complex}"
     else:
         description = f"Coxeter group on {matrix.size} generators"

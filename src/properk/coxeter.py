@@ -270,9 +270,6 @@ class SphericalPoset:
     def __contains__(self, subset) -> bool:
         return tuple(sorted(subset)) in set(self.members)
 
-    def index(self, subset: tuple[int, ...]) -> int:
-        return self.members.index(tuple(sorted(subset)))
-
     def strict_supersets(self, subset: tuple[int, ...]) -> list[tuple[int, ...]]:
         s = set(subset)
         return [m for m in self.members if s < set(m)]

@@ -7,9 +7,8 @@ characters; KO coefficients at a point come out of Segal's decomposition
                     ⊕ KSp^{-n}(pt) ⊗ R(G;H)
 
 over the irreducible real representations grouped by endomorphism field.
-No group in the catalogue has a quaternionic irreducible, so the KSp column
-never contributes here; it is kept in the tables so the mechanism states the
-whole decomposition.
+No group in the catalogue has a quaternionic irreducible, so R(G;H) = 0
+and only the real-type and complex-type terms are computed.
 
 Fixed basis orders (tests rely on the literal matrices):
   * R(Z/m): characters chi_j ordered by exponent j = 0..m-1 (chi_0 trivial);
@@ -43,7 +42,6 @@ from .groups import (
 # Point coefficients for n = 0..7: (free rank, Z/2 rank).
 KO_POINT = ((1, 0), (0, 1), (0, 1), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0))
 KU_POINT = ((1, 0), (0, 0))
-KSP_POINT = ((1, 0), (0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (0, 1), (0, 0))
 
 
 def k0_rank(g: GroupClass) -> int:
@@ -130,11 +128,11 @@ def _elem2_rank(g: GroupClass) -> int:
 
 @dataclass(frozen=True)
 class RealTypeCounts:
-    """Counts of irreducible real representations by endomorphism field."""
+    """Counts of irreducible real representations by endomorphism field
+    (none in the catalogue is quaternionic)."""
 
     n_r: int
     n_c: int
-    n_h: int
 
 
 def real_structure(g: GroupClass) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -165,8 +163,8 @@ def real_type_counts(g: GroupClass) -> RealTypeCounts:
     """The type counts of ``real_structure(g)``, without listing it."""
     if g.kind == CYCLIC:
         n_r = 2 if g.param % 2 == 0 else 1
-        return RealTypeCounts(n_r, (g.param - n_r) // 2, 0)
-    return RealTypeCounts(k0_rank(g), 0, 0)
+        return RealTypeCounts(n_r, (g.param - n_r) // 2)
+    return RealTypeCounts(k0_rank(g), 0)
 
 
 def real_irrep_labels(g: GroupClass) -> tuple[str, ...]:
@@ -225,12 +223,7 @@ def ko_point(g: GroupClass, n: int) -> KOCoefficient:
     free_labels: list[str] = []
     tor2_labels: list[str] = []
     for (kind, _), label in zip(gens, labels):
-        if kind == "R":
-            pt_free, pt_tor = KO_POINT[n]
-        elif kind == "C":
-            pt_free, pt_tor = KU_POINT[n % 2]
-        else:
-            pt_free, pt_tor = KSP_POINT[n]
+        pt_free, pt_tor = KO_POINT[n] if kind == "R" else KU_POINT[n % 2]
         free_labels.extend([label] * pt_free)
         tor2_labels.extend([label] * pt_tor)
     return KOCoefficient(len(free_labels), len(tor2_labels),
@@ -242,7 +235,7 @@ def ko_ranks(g: GroupClass, n: int) -> tuple[int, int]:
     without building its labels."""
     n %= 8
     counts = real_type_counts(g)
-    parts = ((counts.n_r, KO_POINT[n]), (counts.n_c, KU_POINT[n % 2]), (counts.n_h, KSP_POINT[n]))
+    parts = ((counts.n_r, KO_POINT[n]), (counts.n_c, KU_POINT[n % 2]))
     return (sum(c * pt[0] for c, pt in parts), sum(c * pt[1] for c, pt in parts))
 
 
@@ -252,11 +245,11 @@ def _real_indices_by_type(g: GroupClass) -> tuple[list[int], list[int]]:
     return list(range(counts.n_r)), list(range(counts.n_r, counts.n_r + counts.n_c))
 
 
-def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Matrix, Mod2Matrix]:
-    """Blocks (free, torsion, cross) of KO^{-n}(big orbit) -> KO^{-n}(sub orbit).
+def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Matrix]:
+    """Blocks (free, torsion) of KO^{-n}(big orbit) -> KO^{-n}(sub orbit).
 
-    The free and torsion blocks are submatrices of the real restriction
-    matrix selected by type bookkeeping:
+    Both blocks are submatrices of the real restriction matrix selected by
+    type bookkeeping:
 
       n ≡ 0, 4: free block = the full real restriction (R and C generators
                 both carry a Z at the point level); no torsion.
@@ -265,63 +258,53 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
       n ≡ 6:    free block = C-to-C part; no torsion.
       n ≡ 3,5,7: everything vanishes.
 
-    Components of a restricted C-type generator landing on R-type generators
-    of the subgroup always come with even multiplicity when the subgroup has
-    odd order, so the free-to-torsion cross block is zero for every
-    supported descriptor; a descriptor that would need a nonzero cross block
-    is rejected rather than guessed at.  That rejection runs for n ≡ 6 as
-    well as for n ≡ 2: the E2 page never asks for n ≡ 2, it sums the n ≡ 6
-    and n ≡ 1 rows (``bredon.bredon_rows``), which is valid exactly because
-    the cross block vanishes, so the n ≡ 6 blocks carry the check for every
-    descriptor of a KO page.  Cyclic subgroups of even order are rejected
-    outright for n ≡ 1, 2 (their sign representation makes the torsion
-    block underdetermined).
+    For n ≡ 2 a restricted C-type generator could also land on R-type
+    generators of the subgroup, a free-to-torsion term mod 2 that these two
+    blocks cannot carry.  When the subgroup has odd order that multiplicity
+    is always even, so the term vanishes for every supported descriptor; a
+    descriptor that would need it is rejected rather than guessed at.  That
+    rejection runs for n ≡ 6 as well as for n ≡ 2: the E2 page never asks
+    for n ≡ 2, it sums the n ≡ 6 and n ≡ 1 rows (``bredon.bredon_rows``),
+    which is valid exactly because the term vanishes, so the n ≡ 6 blocks
+    carry the check for every descriptor of a KO page.  Cyclic subgroups of
+    even order are rejected outright for n ≡ 1, 2 (their sign
+    representation makes the torsion block underdetermined).
     """
     n %= 8
-    sub, big = incl.sub, incl.big
     if n in (1, 2) and incl.kind == CYCLIC_IN_CYCLIC and incl.extra[0] % 2 == 0:
         raise UnsupportedRestrictionError(
             f"KO^{-n} restriction for an even-order cyclic subgroup Z{incl.extra[0]} "
             "is not determined by the supported theory; odd edge orders only")
-    big_free = ko_ranks(big, n)[0]
     if n in (3, 5, 7):
-        return (IntMatrix.zero(0, 0), Mod2Matrix.zero(0, 0), Mod2Matrix.zero(0, 0))
+        return IntMatrix.zero(0, 0), Mod2Matrix.zero(0, 0)
     m_real = real_restriction(incl)
-    sub_r, sub_c = _real_indices_by_type(sub)
-    big_r, big_c = _real_indices_by_type(big)
     if n in (0, 4):
-        free = m_real
-        tor = Mod2Matrix.zero(0, 0)
-        cross = Mod2Matrix.zero(0, big_free)
-        return free, tor, cross
-    if n == 6:
-        _cross_block(m_real, incl, sub_r, big_c)
-        free = _int_block(m_real, sub_c, big_c)
-        return free, Mod2Matrix.zero(0, 0), Mod2Matrix.zero(0, big_free)
-    # n in (1, 2)
-    tor = _mod2_block(m_real, sub_r, big_r)
+        return m_real, Mod2Matrix.zero(0, 0)
+    sub_r, sub_c = _real_indices_by_type(incl.sub)
+    big_r, big_c = _real_indices_by_type(incl.big)
     if n == 1:
-        return IntMatrix.zero(0, 0), tor, Mod2Matrix.zero(tor.rows, 0)
-    # n == 2: the free block is C-to-C and the torsion block R-to-R.
+        return IntMatrix.zero(0, 0), _mod2_block(m_real, sub_r, big_r)
+    # n in (2, 6): the free block is C-to-C, and for n == 2 the torsion block R-to-R.
+    _cross_block(m_real, incl, sub_r, big_c)
     free = _int_block(m_real, sub_c, big_c)
-    return free, tor, _cross_block(m_real, incl, sub_r, big_c)
+    if n == 6:
+        return free, Mod2Matrix.zero(0, 0)
+    return free, _mod2_block(m_real, sub_r, big_r)
 
 
 def _cross_block(m_real: IntMatrix, incl: InclusionDescriptor,
-                 sub_r: list[int], big_c: list[int]) -> Mod2Matrix:
-    """The KO^-2 free-to-torsion cross block along ``incl``, which must vanish.
+                 sub_r: list[int], big_c: list[int]) -> None:
+    """Reject ``incl`` unless its KO^-2 free-to-torsion cross block vanishes.
 
     A C generator of the big group may also restrict onto R generators of
     the subgroup, which would be a free-to-torsion cross term mod 2.  For
     odd-order subgroups that multiplicity is always even; reject anything
     else.
     """
-    cross = _mod2_block(m_real, sub_r, big_c)
-    if not cross.is_zero():
+    if not _mod2_block(m_real, sub_r, big_c).is_zero():
         raise UnsupportedRestrictionError(
             f"KO^-2 restriction along {incl} needs a nonzero free-to-torsion "
             "cross term, which is outside the supported theory")
-    return cross
 
 
 def _int_block(m: IntMatrix, rows: list[int], cols: list[int]) -> IntMatrix:

@@ -11,8 +11,6 @@ from properk.abelian import (
     cohomology,
     determinant,
     invariant_factors,
-    kernel_basis,
-    quotient_group,
     smith_normal_form,
     tensor_mod2,
     uct_verify,
@@ -83,17 +81,6 @@ def test_invariant_factors_match_snf():
         assert invariant_factors(m) == diag
 
 
-def test_rank_nullity_and_kernel():
-    rng = random.Random(4)
-    for _ in range(100):
-        m = random_int_matrix(rng)
-        basis = kernel_basis(m)
-        assert len(invariant_factors(m)) + len(basis) == m.cols
-        for vec in basis:
-            image = [sum(m.entry(i, j) * vec[j] for j in range(m.cols)) for i in range(m.rows)]
-            assert not any(image)
-
-
 def test_mod2_rank_and_product():
     a = Mod2Matrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert a.rank2() == 2  # rows sum to zero over GF(2)
@@ -132,15 +119,6 @@ def test_abgroup_rendering_and_json():
     assert AbGroup.from_json(g.to_json()) == g
 
 
-def test_quotient_group():
-    # Z^2 / <(2,0), (0,3)> = Z/2 + Z/3 = Z/6
-    got = quotient_group([(1, 0), (0, 1)], [(2, 0), (0, 3)], 2)
-    assert got == AbGroup(0, (6,))
-    # index-2 sublattice of a rank-2 lattice inside Z^3
-    got = quotient_group([(1, 0, 1), (0, 1, 1)], [(2, 0, 2)], 3)
-    assert got == AbGroup(1, (2,))
-
-
 # ---------------------------------------------------------------------------
 # Split cochain complexes
 
@@ -165,8 +143,7 @@ def test_cohomology_zero_complex_returns_cochain_groups():
     mixed = SplitCochainComplex(
         free_ranks=(1, 0), tor2_ranks=(2, 0),
         free_d=(IntMatrix.zero(0, 1),),
-        tor_d=(Mod2Matrix.zero(0, 2),),
-        cross_d=(Mod2Matrix.zero(0, 1),))
+        tor_d=(Mod2Matrix.zero(0, 2),))
     assert cohomology(mixed)[0] == AbGroup(1, (2, 2))
 
 
@@ -184,28 +161,6 @@ def test_complex_rejects_nonzero_composition():
 def test_complex_rejects_shape_mismatch():
     with pytest.raises(ChainComplexError):
         integral_complex([2, 1], [[[1, -1], [0, 1]]])
-
-
-def test_cross_differential_degrees():
-    # d(x) = (x mod 2) into a lone Z/2: kernel 2Z = Z, cokernel trivial.
-    c = SplitCochainComplex(
-        free_ranks=(1, 0), tor2_ranks=(0, 1),
-        free_d=(IntMatrix.zero(0, 1),),
-        tor_d=(Mod2Matrix.zero(1, 0),),
-        cross_d=(Mod2Matrix.from_rows([[1]]),))
-    assert cohomology(c)[0] == AbGroup.free(1)
-    assert cohomology(c)[1] == AbGroup.zero()
-
-
-def test_cross_differential_glues_z4():
-    # d(x) = (2x, x mod 2) into Z + Z/2: H^1 is the pushout Z/4.
-    c = SplitCochainComplex(
-        free_ranks=(1, 1), tor2_ranks=(0, 1),
-        free_d=(IntMatrix.from_rows([[2]]),),
-        tor_d=(Mod2Matrix.zero(1, 0),),
-        cross_d=(Mod2Matrix.from_rows([[1]]),))
-    assert cohomology(c)[0] == AbGroup.zero()
-    assert cohomology(c)[1] == AbGroup(0, (4,))
 
 
 def test_tensor_mod2_examples():
@@ -226,8 +181,7 @@ def test_tensor_mod2_rejects_torsion_input():
     c = SplitCochainComplex(
         free_ranks=(0, 0), tor2_ranks=(1, 1),
         free_d=(IntMatrix.zero(0, 0),),
-        tor_d=(Mod2Matrix.zero(1, 1),),
-        cross_d=(Mod2Matrix.zero(1, 0),))
+        tor_d=(Mod2Matrix.zero(1, 1),))
     with pytest.raises(ChainComplexError):
         tensor_mod2(c)
 
@@ -247,9 +201,11 @@ def test_uct_verify_random_complexes():
         d0 = IntMatrix.from_rows(
             [[d0.entry(i % max(d0.rows, 1), j % max(d0.cols, 1)) if d0.rows and d0.cols else 0
               for j in range(n0)] for i in range(n1)], cols=n0)
-        kernel = kernel_basis(d0.transpose())
-        # d1 rows live in the left kernel of d0, so that d1 * d0 = 0.
-        rows = [list(vec) for vec in kernel][:2]
+        # d1 rows live in the left kernel of d0, so that d1 * d0 = 0: the
+        # last columns of V in the Smith form U·d0ᵀ·V = D span the kernel of d0ᵀ.
+        _, d, v = smith_normal_form(d0.transpose())
+        r = sum(1 for i in range(min(d.rows, d.cols)) if d.entry(i, i))
+        rows = [[v.entry(i, j) for i in range(n1)] for j in range(r, n1)][:2]
         if not rows:
             rows = [[0] * n1]
         d1 = IntMatrix.from_rows(rows, cols=n1)

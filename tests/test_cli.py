@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from properk.cli import main
 
@@ -279,3 +282,49 @@ def test_model_disagreement_error_kind(monkeypatch, capsys):
                              "--model", "both"])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "model_disagreement"
+
+
+EDGE = [{"dim": 0, "cells": [{"label": "v", "stabilizer": "trivial"}],
+         "incidence": [[1]],
+         "descriptors": [{"row": 0, "col": 0, "descriptor": {"kind": "cyclic_in_cyclic"}}]},
+        {"dim": 1, "cells": [{"label": "e", "stabilizer": "trivial"}]}]
+
+
+@pytest.mark.parametrize("command", ["amalgam", "coxeter"])
+@pytest.mark.parametrize("dump", [[{"cells": []}], {"dim": 0}, EDGE],
+                         ids=["no-dim", "not-a-list", "descriptor-without-extra"])
+def test_malformed_complex_dump_is_invalid_input(tmp_path, capsys, command, dump):
+    # A cell layer without "dim" (KeyError), an object instead of a list of
+    # layers (TypeError) and a descriptor without its parameters
+    # (IndexError) are refused like any other bad input.
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    code, out = run(capsys, [command, "--theory", "k", "--from-complex", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "invalid_input"
+
+
+# SHA-256 of the --emit cochain report, k then ko.  They were recorded while
+# each cochain complex still stored its (always zero) cross blocks; the
+# "cross" key now comes from SplitCochainComplex.cross_d and must print the
+# same bytes.
+COCHAIN_DIGESTS = [
+    (["amalgam", "--r", "3,5", "--m", "3,7,5"],
+     "a9302c8742528a31104a140bf52813e7dec229da81b28446d438cf880ef602b1",
+     "2a97b76d8fe5ab48081ffab842ac1472d2e6d4ebfaabbdfe601cf175f4b761b4"),
+    (["coxeter", "--matrix", "1,3,0;3,1,3;0,3,1"],
+     "87385270d16394c262c11873ec396314d00057bee36c920a319873716edd93e1",
+     "0fc1c0ee26c74b8f176a07ec0cb668ed4afdb18d086acfae6c027518c89c74c8"),
+    (["coxeter", "--matrix", "1,2,0,2;2,1,2,0;0,2,1,2;2,0,2,1", "--model", "davis"],
+     "ff4d07775e22c3031447b9f70c52bc802eaedcaa25e8e98e92a53a915ac08af9",
+     "8ea3f2c5191d5bddba66e722610185c164bd8a1b45d04d4847be32d630a6831c"),
+]
+
+
+@pytest.mark.parametrize("argv, k_digest, ko_digest", COCHAIN_DIGESTS,
+                         ids=["amalgam", "coxeter-path", "coxeter-square-davis"])
+def test_emit_cochain_bytes_are_pinned(capsys, argv, k_digest, ko_digest):
+    for theory, expected in (("k", k_digest), ("ko", ko_digest)):
+        code, out = run(capsys, argv + ["--theory", theory, "--emit", "cochain"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (argv, theory)

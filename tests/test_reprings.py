@@ -133,15 +133,15 @@ def test_restrictions_are_surjective():
 
 def test_real_type_counts():
     c3 = real_type_counts(cyclic(3))
-    assert (c3.n_r, c3.n_c, c3.n_h) == (1, 1, 0)
+    assert (c3.n_r, c3.n_c) == (1, 1)
     c4 = real_type_counts(cyclic(4))
-    assert (c4.n_r, c4.n_c, c4.n_h) == (2, 1, 0)
+    assert (c4.n_r, c4.n_c) == (2, 1)
     e2 = real_type_counts(elem2(2))
-    assert (e2.n_r, e2.n_c, e2.n_h) == (4, 0, 0)
+    assert (e2.n_r, e2.n_c) == (4, 0)
     t = real_type_counts(trivial())
-    assert (t.n_r, t.n_c, t.n_h) == (1, 0, 0)
+    assert (t.n_r, t.n_c) == (1, 0)
     d5 = real_type_counts(dihedral_odd(5))
-    assert (d5.n_r, d5.n_c, d5.n_h) == (4, 0, 0)
+    assert (d5.n_r, d5.n_c) == (4, 0)
 
 
 def catalogue_sample():
@@ -153,7 +153,7 @@ def test_real_type_counts_match_real_structure():
     for g in catalogue_sample():
         kinds = [kind for kind, _ in real_structure(g)]
         counts = real_type_counts(g)
-        assert (counts.n_r, counts.n_c, counts.n_h) == (kinds.count("R"), kinds.count("C"), 0), g
+        assert (counts.n_r, counts.n_c) == (kinds.count("R"), kinds.count("C")), g
         # every R-type generator comes before the C-type ones
         assert kinds == sorted(kinds, key="RC".index), g
 
@@ -219,22 +219,20 @@ def test_ko_point_periodicity_and_labels():
 
 def test_restriction_ko_trivial_in_z2_degree1():
     # both the trivial and the sign character restrict to the trivial one
-    free, tor, cross = restriction_ko(trivial_in(cyclic(2)), 1)
+    free, tor = restriction_ko(trivial_in(cyclic(2)), 1)
     assert (free.rows, free.cols) == (0, 0)
     assert tor.to_rows() == [[1, 1]]
-    assert cross.is_zero()
 
 
 def test_restriction_ko_trivial_in_z3_degree2():
-    free, tor, cross = restriction_ko(cyclic_in_cyclic(1, 3), 2)
+    free, tor = restriction_ko(cyclic_in_cyclic(1, 3), 2)
     assert (free.rows, free.cols) == (0, 1)
     assert tor.to_rows() == [[1]]
-    assert cross.is_zero() and cross.rows == 1
 
 
 def test_restriction_ko_degree3_empty():
     for incl in (cyclic_in_cyclic(3, 2), reflection_in_dihedral(3), trivial_in(elem2(2))):
-        free, tor, cross = restriction_ko(incl, 3)
+        free, tor = restriction_ko(incl, 3)
         assert free.rows == free.cols == 0
         assert tor.rows == tor.cols == 0
 
@@ -245,15 +243,15 @@ def test_restriction_ko_rejects_even_cyclic_subgroups():
             restriction_ko(cyclic_in_cyclic(2, 2), n)
     # fine outside the torsion degrees: triv and sign of Z4 restrict
     # trivially, the conjugate pair gives twice the sign of Z2
-    free, _, _ = restriction_ko(cyclic_in_cyclic(2, 2), 0)
+    free, _ = restriction_ko(cyclic_in_cyclic(2, 2), 0)
     assert free.to_rows() == [[1, 1, 0], [0, 0, 2]]
 
 
 def test_restriction_ko_degree_0_equals_real_restriction():
     for incl in (cyclic_in_cyclic(3, 2), reflection_in_dihedral(5),
                  trivial_in(cyclic(7)), elem2_subset(1, 3, (2,))):
-        free0, _, _ = restriction_ko(incl, 0)
-        free4, _, _ = restriction_ko(incl, 4)
+        free0, _ = restriction_ko(incl, 0)
+        free4, _ = restriction_ko(incl, 4)
         assert free0 == real_restriction(incl)
         assert free4 == free0
 
@@ -261,6 +259,6 @@ def test_restriction_ko_degree_0_equals_real_restriction():
 def test_restriction_ko_degree6_is_c_block():
     # Z3 <= Z9: one conjugate pair downstairs, four upstairs; pair_j of Z9
     # lands on the pair of Z3 exactly when j is not divisible by 3.
-    free, tor, _ = restriction_ko(cyclic_in_cyclic(3, 3), 6)
+    free, tor = restriction_ko(cyclic_in_cyclic(3, 3), 6)
     assert (tor.rows, tor.cols) == (0, 0)
     assert free.to_rows() == [[1, 1, 0, 1]]
