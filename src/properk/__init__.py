@@ -39,14 +39,11 @@ from .ahss import (
 from .bredon import CoefficientFunctor, assemble_cochain, bredon_cohomology, bredon_rows
 from .coxeter import (
     CoxeterMatrix,
-    PanelComplex,
     SphericalPoset,
     UnsupportedStabilizerError,
-    build_bestvina_complex,
     build_bestvina_orbit_complex,
     build_davis_orbit_complex,
     enumerate_spherical_subsets,
-    orbit_complex_from_panel,
 )
 from .groups import (
     GroupClass,

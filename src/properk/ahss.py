@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .abelian import AbGroup
 from .bredon import bredon_rows
-from .coxeter import CoxeterMatrix, enumerate_spherical_subsets
+from .coxeter import CoxeterMatrix
 from .orbit import AmalgamSpec, OrbitComplex
 
 
@@ -203,7 +203,7 @@ def closed_form_right_angled(matrix: CoxeterMatrix, theory: str) -> ClosedForm:
     """Graded answer for a right-angled Coxeter group with d spherical subgroups."""
     if not matrix.is_right_angled():
         raise ValueError("the right-angled closed form needs off-diagonal labels in {2, oo}")
-    d = len(enumerate_spherical_subsets(matrix))
+    d = len(matrix.poset)
     if theory == "k":
         return ClosedForm("k", 2, (AbGroup.free(d), AbGroup.zero()))
     if theory != "ko":

@@ -8,7 +8,8 @@ Two subcommands:
 Exit status: 0 on success (including verdicts that only match up to an
 extension problem), 2 when --check finds a MISMATCH, 1 otherwise, with a
 machine-readable error object whose kind names the failure:
-invalid_input, unsupported_stabilizer, unsupported_restriction,
+invalid_input (an --out file that cannot be written included, reported on
+stdout), unsupported_stabilizer, unsupported_restriction,
 no_collapse (the E2 page does not collapse positionally) or
 model_disagreement (the Davis and Bestvina models differ, a bug).  Output
 is deterministic: identical invocations produce identical bytes.
@@ -23,6 +24,7 @@ import sys
 from .abelian import ChainComplexError
 from .ahss import (
     MISMATCH,
+    AbutmentReport,
     ClosedForm,
     E2Page,
     NoCollapseError,
@@ -162,8 +164,7 @@ def _degree_key(n: int) -> str:
     return str(-n) if n else "0"
 
 
-def _result_payload(page: E2Page, description: str) -> dict:
-    reports = assemble_abutment(page)
+def _result_payload(page: E2Page, reports: tuple[AbutmentReport, ...], description: str) -> dict:
     degrees = {}
     for report in reports:
         entry = report.to_json()
@@ -217,23 +218,14 @@ def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
     return {"theory": theory, "cochains": out}
 
 
-def _verdict_payload(page: E2Page, closed: ClosedForm) -> tuple[list[dict], bool]:
-    reports = assemble_abutment(page)
+def _verdict_payload(reports: tuple[AbutmentReport, ...],
+                     closed: ClosedForm) -> tuple[list[dict], bool]:
     verdicts = compare(reports, closed)
     payload = [v.to_json(reports) for v in verdicts]
     return payload, any(v.verdict == MISMATCH for v in verdicts)
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _run_amalgam(args) -> int:
+def _run_amalgam(args) -> tuple[dict, int]:
     # A loaded complex needs the amalgam parameters only for the closed form.
     spec = _amalgam_input(args) if args.check or not args.from_complex else None
     if args.from_complex:
@@ -243,29 +235,27 @@ def _run_amalgam(args) -> int:
         complex_ = build_amalgam_orbit_complex(spec)
         description = spec.describe()
     if args.emit == "complex":
-        _emit(args, {"group": description, "complex": complex_.to_json()})
-        return 0
+        return {"group": description, "complex": complex_.to_json()}, 0
     # The edge orders r_i are the orders of the 1-cell stabilizers.
     edge_orders = [c.stabilizer.order for c in complex_.cells[1]] if complex_.dim >= 1 else []
     if args.theory == "ko" and any(r % 2 == 0 for r in edge_orders):
         raise UnsupportedRestrictionError(
             f"KO needs every edge order r_i odd; got r = {edge_orders}")
     if args.emit == "cochain":
-        _emit(args, _cochain_payload(complex_, args.theory))
-        return 0
+        return _cochain_payload(complex_, args.theory), 0
     page = build_e2(complex_, args.theory)
     if args.emit == "e2page":
-        _emit(args, _page_payload(page))
-        return 0
-    payload = _result_payload(page, description)
+        return _page_payload(page), 0
+    reports = assemble_abutment(page)
+    payload = _result_payload(page, reports, description)
     mismatch = False
     if args.check:
-        payload["verdicts"], mismatch = _verdict_payload(page, closed_form_amalgam(spec, args.theory))
-    _emit(args, payload)
-    return 2 if mismatch else 0
+        payload["verdicts"], mismatch = _verdict_payload(
+            reports, closed_form_amalgam(spec, args.theory))
+    return payload, 2 if mismatch else 0
 
 
-def _run_coxeter(args) -> int:
+def _run_coxeter(args) -> tuple[dict, int]:
     # A loaded complex needs the Coxeter matrix only for the closed form.
     matrix = _coxeter_input(args) if args.check or not args.from_complex else None
     if args.from_complex:
@@ -283,59 +273,64 @@ def _run_coxeter(args) -> int:
     primary_name = next(iter(complexes))
     primary = complexes[primary_name]
     if args.emit == "complex":
-        _emit(args, {"group": description, "model": primary_name,
-                     "complex": primary.to_json()})
-        return 0
+        return {"group": description, "model": primary_name, "complex": primary.to_json()}, 0
     if args.emit == "cochain":
-        _emit(args, _cochain_payload(primary, args.theory))
-        return 0
+        return _cochain_payload(primary, args.theory), 0
     pages = {name: build_e2(cx, args.theory) for name, cx in complexes.items()}
     page = pages[primary_name]
     if args.emit == "e2page":
-        _emit(args, _page_payload(page))
-        return 0
-    payload = _result_payload(page, description)
+        return _page_payload(page), 0
+    reports = {name: assemble_abutment(pg) for name, pg in pages.items()}
+    payload = _result_payload(page, reports[primary_name], description)
     payload["model"] = primary_name
-    if len(pages) > 1:
-        reports = {name: assemble_abutment(pg) for name, pg in pages.items()}
-        names = list(reports)
-        agree = reports[names[0]] == reports[names[1]]
-        payload["models_agree"] = agree
-        if not agree:
+    if len(reports) > 1:
+        davis, bestvina = reports.values()
+        payload["models_agree"] = davis == bestvina
+        if davis != bestvina:
             raise ModelDisagreementError(
                 "Davis and Bestvina pipelines disagree; this is a bug, please report it")
     mismatch = False
     if args.check:
         payload["verdicts"], mismatch = _verdict_payload(
-            page, _coxeter_closed_form(matrix, args.theory))
-    _emit(args, payload)
-    return 2 if mismatch else 0
+            reports[primary_name], _coxeter_closed_form(matrix, args.theory))
+    return payload, 2 if mismatch else 0
+
+
+def _error(kind: str, message: str, **extra) -> tuple[dict, int]:
+    return {"error": {"kind": kind, "message": message, **extra}}, 1
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = _run_amalgam if args.command == "amalgam" else _run_coxeter
     try:
-        if args.command == "amalgam":
-            return _run_amalgam(args)
-        return _run_coxeter(args)
+        payload, status = run(args)
     except UnsupportedStabilizerError as exc:
-        _emit(args, {"error": {"kind": "unsupported_stabilizer",
-                               "subset": [f"s{i}" for i in exc.subset],
-                               "message": str(exc)}})
-        return 1
+        payload, status = _error("unsupported_stabilizer", str(exc),
+                                 subset=[f"s{i}" for i in exc.subset])
     except UnsupportedRestrictionError as exc:
-        _emit(args, {"error": {"kind": "unsupported_restriction", "message": str(exc)}})
-        return 1
+        payload, status = _error("unsupported_restriction", str(exc))
     except NoCollapseError as exc:
-        _emit(args, {"error": {"kind": "no_collapse", "message": str(exc)}})
-        return 1
+        payload, status = _error("no_collapse", str(exc))
     except ModelDisagreementError as exc:
-        _emit(args, {"error": {"kind": "model_disagreement", "message": str(exc)}})
-        return 1
+        payload, status = _error("model_disagreement", str(exc))
     except (InputError, OrbitComplexError, ChainComplexError, ValueError) as exc:
-        _emit(args, {"error": {"kind": "invalid_input", "message": str(exc)}})
-        return 1
+        payload, status = _error("invalid_input", str(exc))
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(_json_text(payload))
+            return status
+        except OSError as exc:
+            # The report, error or not, goes nowhere: say so on stdout.
+            payload, status = _error("invalid_input", f"cannot write {args.out}: {exc}")
+    sys.stdout.write(_json_text(payload))
+    return status
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ cross-check, never on the exact path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .abelian import IntMatrix
 from .groups import (
@@ -61,6 +62,12 @@ class CoxeterMatrix:
 
     def m(self, i: int, j: int) -> int:
         return self.entries[i][j]
+
+    @cached_property
+    def poset(self) -> "SphericalPoset":
+        """The spherical subsets, enumerated once per matrix and shared by
+        every model and closed form built from it."""
+        return enumerate_spherical_subsets(self)
 
     def is_right_angled(self) -> bool:
         return all(self.entries[i][j] in (2, INFINITY)
@@ -255,14 +262,20 @@ def is_spherical(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True)
 class SphericalPoset:
-    """All spherical subsets of the generating set, ordered by inclusion.
+    """All spherical subsets of one Coxeter matrix, ordered by inclusion.
 
     Members are kept in a deterministic order (by size, then
     lexicographically), which downstream constructions use as the canonical
-    cell ordering.
+    cell ordering.  Both models read the stabilizer of each member and each
+    parabolic inclusion from here, so each is classified once per matrix.
     """
 
+    matrix: CoxeterMatrix
     members: tuple[tuple[int, ...], ...]
+    _stabilizers: dict[tuple[int, ...], GroupClass] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _inclusions: dict[tuple[tuple[int, ...], tuple[int, ...]], InclusionDescriptor] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -270,44 +283,43 @@ class SphericalPoset:
     def __contains__(self, subset) -> bool:
         return tuple(sorted(subset)) in set(self.members)
 
-    def strict_supersets(self, subset: tuple[int, ...]) -> list[tuple[int, ...]]:
-        s = set(subset)
-        return [m for m in self.members if s < set(m)]
+    def stabilizer(self, subset: tuple[int, ...]) -> GroupClass:
+        """``group_class_of(matrix, subset)``, classified once."""
+        found = self._stabilizers.get(subset)
+        if found is None:
+            found = self._stabilizers[subset] = group_class_of(self.matrix, subset)
+        return found
+
+    def inclusion(self, sub: tuple[int, ...], big: tuple[int, ...]) -> InclusionDescriptor:
+        """``parabolic_inclusion(matrix, sub, big)``, described once."""
+        found = self._inclusions.get((sub, big))
+        if found is None:
+            found = self._inclusions[sub, big] = parabolic_inclusion(self.matrix, sub, big)
+        return found
 
 
 def enumerate_spherical_subsets(matrix: CoxeterMatrix) -> SphericalPoset:
     """All J with W_J finite, pruned by downward closure.
 
     A subset can only be spherical if all its maximal proper subsets are, so
-    candidates are grown by size.
+    candidates are grown by size, each from its own prefix by one larger
+    generator.  That grows every layer in lexicographic order.
     """
     spherical: set[tuple[int, ...]] = {()}
-    by_size: list[list[tuple[int, ...]]] = [[()]]
-    for size in range(1, matrix.size + 1):
-        layer = []
-        if size == 1:
-            candidates = [(i,) for i in range(matrix.size)]
-        else:
-            candidates = []
-            seen = set()
-            for smaller in by_size[size - 1]:
-                top = smaller[-1] if smaller else -1
-                for extra in range(top + 1, matrix.size):
-                    cand = smaller + (extra,)
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    if all(tuple(x for x in cand if x != drop) in spherical for drop in cand):
-                        candidates.append(cand)
-        for cand in candidates:
-            if is_spherical(matrix, cand):
-                layer.append(cand)
-                spherical.add(cand)
-        if not layer:
-            break
-        by_size.append(layer)
-    members = sorted(spherical, key=lambda s: (len(s), s))
-    return SphericalPoset(tuple(members))
+    members = [()]
+    layer = [()]
+    while layer:
+        grown = []
+        for smaller in layer:
+            for extra in range(smaller[-1] + 1 if smaller else 0, matrix.size):
+                cand = smaller + (extra,)
+                if (all(tuple(x for x in cand if x != drop) in spherical for drop in cand)
+                        and is_spherical(matrix, cand)):
+                    grown.append(cand)
+        spherical.update(grown)
+        members.extend(grown)
+        layer = grown
+    return SphericalPoset(matrix, tuple(members))
 
 
 def group_class_of(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> GroupClass:
@@ -382,11 +394,8 @@ def _chains(poset: SphericalPoset) -> list[list[tuple[tuple[int, ...], ...]]]:
     return per_dim
 
 
-def _chain_label(chain: tuple[tuple[int, ...], ...]) -> str:
-    def one(j):
-        return "{" + ",".join(f"s{i}" for i in j) + "}"
-
-    return "<".join(one(j) for j in chain)
+def _subset_label(j: tuple[int, ...]) -> str:
+    return "{" + ",".join(f"s{i}" for i in j) + "}"
 
 
 def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
@@ -397,27 +406,12 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     changes the stabilizer along W_{J_0} <= W_{J_1}, every other face keeps
     it.
     """
-    poset = enumerate_spherical_subsets(matrix)
+    poset = matrix.poset
     per_dim = _chains(poset)
-    cells = []
-    stab_cache: dict[tuple[int, ...], GroupClass] = {}
-
-    def stab(j: tuple[int, ...]) -> GroupClass:
-        if j not in stab_cache:
-            stab_cache[j] = group_class_of(matrix, j)
-        return stab_cache[j]
-
-    for chains in per_dim:
-        cells.append(tuple(Cell(_chain_label(c), stab(c[0])) for c in chains))
+    cells = tuple(tuple(Cell("<".join(map(_subset_label, c)), poset.stabilizer(c[0]))
+                        for c in chains) for chains in per_dim)
     incidence = []
     descriptors = []
-    inclusions: dict[tuple[tuple[int, ...], tuple[int, ...]], InclusionDescriptor] = {}
-
-    def inclusion(sub: tuple[int, ...], big: tuple[int, ...]) -> InclusionDescriptor:
-        if (sub, big) not in inclusions:
-            inclusions[sub, big] = parabolic_inclusion(matrix, sub, big)
-        return inclusions[sub, big]
-
     for p in range(len(per_dim) - 1):
         index_of = {chain: i for i, chain in enumerate(per_dim[p])}
         rows: list[dict[int, int]] = [{} for _ in per_dim[p]]
@@ -429,75 +423,42 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
                 coeff = rows[j].get(k, 0) + (-1) ** drop
                 if coeff:
                     rows[j][k] = coeff
-                    descs[(j, k)] = inclusion(chain[0], face[0])
+                    descs[(j, k)] = poset.inclusion(chain[0], face[0])
                 else:
                     del rows[j][k]
                     del descs[(j, k)]
         incidence.append(IntMatrix.from_sparse(len(per_dim[p]), len(per_dim[p + 1]), rows))
         descriptors.append(descs)
-    return OrbitComplex(tuple(cells), tuple(incidence), tuple(descriptors))
+    return OrbitComplex(cells, tuple(incidence), tuple(descriptors))
 
 
 # ---------------------------------------------------------------------------
-# Bestvina panel complex
-
-
-@dataclass(frozen=True)
-class PanelCell:
-    """Cell of a panel complex: minimal panel label and signed boundary."""
-
-    label: tuple[int, ...]
-    boundary: tuple[tuple[int, int], ...]  # (index into the cells one dimension down, coefficient)
-
-
-@dataclass(frozen=True)
-class PanelComplex:
-    """Regular CW complex whose cells carry spherical-subset panel labels.
-
-    The panel B_J is the subcomplex of cells whose label contains J; panels
-    shrink as J grows, every panel is contractible by construction, and the
-    stabilizer of a cell in the basic construction is W_{label}.
-    """
-
-    cells: tuple[tuple[PanelCell, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.cells) - 1
-
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
-
-    def boundary_matrix(self, p: int) -> IntMatrix:
-        """Boundary from (p+1)-cells to p-cells."""
-        rows: list[dict[int, int]] = [{} for _ in self.cells[p]]
-        for k, cell in enumerate(self.cells[p + 1]):
-            for j, coeff in cell.boundary:
-                rows[j][k] = rows[j].get(k, 0) + coeff
-        return IntMatrix.from_sparse(len(self.cells[p]), len(self.cells[p + 1]), rows)
+# Bestvina model: a recursive panel complex over the spherical poset
 
 
 class _PanelBuilder:
+    """Panel complex under construction: per dimension, the cells as
+    (panel label, boundary) pairs, the boundary listing distinct faces one
+    dimension down as (index, coefficient ±1)."""
+
     def __init__(self):
-        self.cells: list[list[dict]] = [[]]
+        self.cells: list[list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]] = [[]]
 
     def add(self, dim: int, label: tuple[int, ...], boundary: list[tuple[int, int]]) -> int:
         while len(self.cells) <= dim:
             self.cells.append([])
-        self.cells[dim].append({"label": label, "boundary": tuple(boundary)})
+        self.cells[dim].append((label, tuple(boundary)))
         return len(self.cells[dim]) - 1
 
-    def freeze(self) -> PanelComplex:
-        return PanelComplex(tuple(
-            tuple(PanelCell(c["label"], c["boundary"]) for c in layer)
-            for layer in self.cells))
 
+def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
+    """Quotient structure of the basic construction over a panel complex.
 
-def build_bestvina_complex(matrix: CoxeterMatrix) -> PanelComplex:
-    """Recursive panel complex over the spherical poset.
-
-    Processing subsets J by decreasing size, B_J must be a compact
-    contractible complex containing U = union of the B_I for I > J:
+    The panel complex is a regular CW complex whose cells carry spherical
+    subsets as labels.  The panel B_J is the subcomplex of cells whose label
+    contains J; panels shrink as J grows.  Processing subsets J by
+    decreasing size, B_J must be a compact contractible complex containing
+    U = union of the B_I for I > J:
 
       * no I > J: B_J is a new vertex;
       * U a single vertex or a tree: B_J = U, nothing new;
@@ -510,12 +471,16 @@ def build_bestvina_complex(matrix: CoxeterMatrix) -> PanelComplex:
     the cone fallback is deliberately conservative and can exceed the
     minimal dimension without hurting correctness, since the basic
     construction only needs contractible panels.
+
+    Cells and incidence numbers of the quotient are those of the panel
+    complex; the stabilizer of a cell is W of its label, and every face
+    relation is witnessed by the parabolic inclusion of the labels (labels
+    only grow along faces).
     """
-    poset = enumerate_spherical_subsets(matrix)
+    poset = matrix.poset
     builder = _PanelBuilder()
     for j_set in sorted(poset.members, key=lambda s: (-len(s), s)):
-        up = set(map(tuple, poset.strict_supersets(j_set)))
-        cell_idx = _collect_cells(builder, up)
+        cell_idx = _collect_cells(builder, j_set)
         n_vertices = len(cell_idx[0])
         n_edges = len(cell_idx[1]) if len(cell_idx) > 1 else 0
         higher = sum(len(layer) for layer in cell_idx[2:])
@@ -533,18 +498,36 @@ def build_bestvina_complex(matrix: CoxeterMatrix) -> PanelComplex:
             builder.add(2, j_set, cycle)
             continue
         _cone(builder, j_set, cell_idx)
-    return builder.freeze()
+
+    panel = builder.cells
+    cells = tuple(
+        tuple(Cell(f"B{_subset_label(label)}#{i}", poset.stabilizer(label))
+              for i, (label, _) in enumerate(layer))
+        for layer in panel)
+    incidence = []
+    descriptors = []
+    for p in range(len(panel) - 1):
+        rows: list[dict[int, int]] = [{} for _ in panel[p]]
+        descs: dict[tuple[int, int], InclusionDescriptor] = {}
+        for k, (label, boundary) in enumerate(panel[p + 1]):
+            for j, coeff in boundary:
+                rows[j][k] = coeff
+                descs[(j, k)] = poset.inclusion(label, panel[p][j][0])
+        incidence.append(IntMatrix.from_sparse(len(panel[p]), len(panel[p + 1]), rows))
+        descriptors.append(descs)
+    return OrbitComplex(cells, tuple(incidence), tuple(descriptors))
 
 
-def _collect_cells(builder: _PanelBuilder, up: set[tuple[int, ...]]) -> list[list[int]]:
-    """Indices, per dimension, of the cells lying in the union of panels B_I, I in up.
+def _collect_cells(builder: _PanelBuilder, j_set: tuple[int, ...]) -> list[list[int]]:
+    """Indices, per dimension, of the cells in U, the union of the panels B_I, I > J.
 
     A cell created while processing label L lies in B_I exactly when I ⊆ L.
+    So it lies in U exactly when J < L: L is spherical, so I = L will do.
     """
-    out = []
-    for layer in builder.cells:
-        out.append([i for i, c in enumerate(layer)
-                    if any(set(i_set) <= set(c["label"]) for i_set in up)])
+    j = set(j_set)
+    out = [[i for i, (label, _) in enumerate(layer)
+            if len(label) > len(j_set) and j.issubset(label)]
+           for layer in builder.cells]
     while out and not out[-1]:
         out.pop()
     return out or [[]]
@@ -564,7 +547,7 @@ def _is_tree(builder: _PanelBuilder, cell_idx: list[list[int]]) -> bool:
         return v
 
     for e in edges:
-        endpoints = [j for j, _ in builder.cells[1][e]["boundary"]]
+        endpoints = [j for j, _ in builder.cells[1][e][1]]
         a, b = find(endpoints[0]), find(endpoints[1])
         if a == b:
             return False
@@ -586,7 +569,7 @@ def _as_single_cycle(builder: _PanelBuilder, cell_idx: list[list[int]]) -> list[
     incident: dict[int, list[int]] = {v: [] for v in vertices}
     ends = {}
     for e in edges:
-        bd = builder.cells[1][e]["boundary"]
+        bd = builder.cells[1][e][1]
         head = next(j for j, c in bd if c == 1)
         tail = next(j for j, c in bd if c == -1)
         if head not in incident or tail not in incident:
@@ -632,50 +615,7 @@ def _cone(builder: _PanelBuilder, j_set: tuple[int, ...], cell_idx: list[list[in
                 idx = builder.add(1, j_set, [(c, 1), (apex, -1)])
             else:
                 boundary = [(c, 1)]
-                for face, coeff in builder.cells[dim][c]["boundary"]:
+                for face, coeff in builder.cells[dim][c][1]:
                     boundary.append((cone_of[(dim - 1, face)], -coeff))
                 idx = builder.add(dim + 1, j_set, boundary)
             cone_of[(dim, c)] = idx
-
-
-def orbit_complex_from_panel(matrix: CoxeterMatrix, panel: PanelComplex) -> OrbitComplex:
-    """Quotient structure of the basic construction over a panel complex.
-
-    Cells and incidence numbers are those of the panel complex itself; the
-    stabilizer of a cell is W of its minimal panel label, and every face
-    relation is witnessed by the parabolic inclusion of the labels (labels
-    only grow along faces).
-    """
-
-    def one(j):
-        return "{" + ",".join(f"s{i}" for i in j) + "}"
-
-    stab_cache: dict[tuple[int, ...], GroupClass] = {}
-
-    def stab(j: tuple[int, ...]) -> GroupClass:
-        if j not in stab_cache:
-            stab_cache[j] = group_class_of(matrix, j)
-        return stab_cache[j]
-
-    cells = tuple(
-        tuple(Cell(f"B{one(c.label)}#{i}", stab(c.label)) for i, c in enumerate(layer))
-        for layer in panel.cells)
-    incidence = []
-    descriptors = []
-    for p in range(panel.dim):
-        incidence.append(panel.boundary_matrix(p))
-        descs: dict[tuple[int, int], InclusionDescriptor] = {}
-        for k, cell in enumerate(panel.cells[p + 1]):
-            seen: dict[int, int] = {}
-            for j, coeff in cell.boundary:
-                seen[j] = seen.get(j, 0) + coeff
-            for j, coeff in seen.items():
-                if coeff:
-                    face = panel.cells[p][j]
-                    descs[(j, k)] = parabolic_inclusion(matrix, cell.label, face.label)
-        descriptors.append(descs)
-    return OrbitComplex(cells, tuple(incidence), tuple(descriptors))
-
-
-def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
-    return orbit_complex_from_panel(matrix, build_bestvina_complex(matrix))

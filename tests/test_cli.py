@@ -206,7 +206,7 @@ def test_check_without_closed_form_errors(capsys):
 def test_mismatch_exit_code_via_compare():
     # The closed forms agree with the pipeline on every valid input, so the
     # MISMATCH exit path is exercised at the verdict level.
-    from properk.ahss import MISMATCH, ClosedForm, build_e2
+    from properk.ahss import MISMATCH, ClosedForm, assemble_abutment, build_e2
     from properk.abelian import AbGroup
     from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
     from properk.cli import _verdict_payload
@@ -214,7 +214,7 @@ def test_mismatch_exit_code_via_compare():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2,), m=(3, 2)))
     page = build_e2(x, "k")
     bad = ClosedForm("k", 2, (AbGroup.free(9), AbGroup.zero()))
-    payload, mismatch = _verdict_payload(page, bad)
+    payload, mismatch = _verdict_payload(assemble_abutment(page), bad)
     assert mismatch is True
     assert any(v["verdict"] == MISMATCH for v in payload)
 
@@ -225,6 +225,55 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["degrees"]["0"]["resolved"]["rank"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["amalgam", "--r", "3", "--m", "5,7"],
+    ["amalgam", "--r", "2", "--m", "3,2", "--theory", "ko"],  # an error report
+    ["coxeter", "--matrix", "1,2;2,1", "--emit", "complex"],
+], ids=["result", "error", "complex"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, argv, where):
+    # Whatever the report, an --out file that cannot be written is refused
+    # on stdout instead of ending in a traceback.
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out = run(capsys, argv + ["--out", str(target)])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "invalid_input"
+    assert str(target) in err["message"]
+
+
+def test_both_models_enumerate_once_and_assemble_each_abutment_once(monkeypatch, capsys):
+    # One spherical poset per matrix: the Davis model, the Bestvina model and
+    # the right-angled closed form all read it, and each model's abutment is
+    # assembled once for the result, the agreement check and the verdicts.
+    import properk.cli as cli
+    from properk import coxeter
+
+    enumerated, assembled = [], []
+    enumerate_spherical_subsets, assemble_abutment = (
+        coxeter.enumerate_spherical_subsets, cli.assemble_abutment)
+
+    def counting_enumerate(matrix):
+        enumerated.append(matrix)
+        return enumerate_spherical_subsets(matrix)
+
+    def counting_assemble(page):
+        assembled.append(page)
+        return assemble_abutment(page)
+
+    monkeypatch.setattr(coxeter, "enumerate_spherical_subsets", counting_enumerate)
+    monkeypatch.setattr(cli, "assemble_abutment", counting_assemble)
+    code, out = run(capsys, ["coxeter", "--matrix", "1,2,0,2;2,1,2,0;0,2,1,2;2,0,2,1",
+                             "--theory", "ko", "--model", "both", "--check"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["models_agree"] is True
+    assert all(v["verdict"] == "EXACT_MATCH" for v in report["verdicts"])
+    assert len(enumerated) == 1
+    assert len(assembled) == 2
+    assert assembled[0] is not assembled[1]
 
 
 def test_amalgam_from_complex_needs_no_parameters(tmp_path, capsys):
