@@ -304,9 +304,12 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# Built once: parse_args leaves the parser unchanged.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     run = _run_amalgam if args.command == "amalgam" else _run_coxeter
     try:
         payload, status = run(args)

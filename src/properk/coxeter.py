@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .abelian import IntMatrix
 from .groups import (
@@ -281,7 +282,11 @@ class SphericalPoset:
         return len(self.members)
 
     def __contains__(self, subset) -> bool:
-        return tuple(sorted(subset)) in set(self.members)
+        return tuple(sorted(subset)) in self._member_set
+
+    @cached_property
+    def _member_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.members)
 
     def stabilizer(self, subset: tuple[int, ...]) -> GroupClass:
         """``group_class_of(matrix, subset)``, classified once."""
@@ -291,33 +296,42 @@ class SphericalPoset:
         return found
 
     def inclusion(self, sub: tuple[int, ...], big: tuple[int, ...]) -> InclusionDescriptor:
-        """``parabolic_inclusion(matrix, sub, big)``, described once."""
+        """``parabolic_inclusion(matrix, sub, big)`` for members sub ⊆ big,
+        described once from the memoised stabilizers."""
         found = self._inclusions.get((sub, big))
         if found is None:
-            found = self._inclusions[sub, big] = parabolic_inclusion(self.matrix, sub, big)
+            found = self._inclusions[sub, big] = _inclusion_of(
+                sub, big, self.stabilizer(sub), self.stabilizer(big))
         return found
 
 
 def enumerate_spherical_subsets(matrix: CoxeterMatrix) -> SphericalPoset:
-    """All J with W_J finite, pruned by downward closure.
+    """All J with W_J finite, grown by size from spherical prefixes.
 
-    A subset can only be spherical if all its maximal proper subsets are, so
-    candidates are grown by size, each from its own prefix by one larger
-    generator.  That grows every layer in lexicographic order.
+    Every subset of a spherical J is spherical, so J is grown from its own
+    prefix by one larger generator, which yields every layer in
+    lexicographic order.  Each generator has a bitmask of the generators it
+    shares a finite label with; a candidate only takes an extra generator in
+    the AND of its members' masks, so all of its pairs have finite labels.
+    A pair with a finite label is I2(m), hence spherical, and the
+    classification runs only on candidates of three or more generators.
     """
-    spherical: set[tuple[int, ...]] = {()}
+    finite = [sum(1 << j for j, label in enumerate(row) if label != INFINITY)
+              for row in matrix.entries]
     members = [()]
-    layer = [()]
+    # Each entry: a spherical subset and the larger generators it may take.
+    layer = [((), (1 << matrix.size) - 1)]
     while layer:
         grown = []
-        for smaller in layer:
-            for extra in range(smaller[-1] + 1 if smaller else 0, matrix.size):
+        for smaller, allowed in layer:
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                extra = low.bit_length() - 1
                 cand = smaller + (extra,)
-                if (all(tuple(x for x in cand if x != drop) in spherical for drop in cand)
-                        and is_spherical(matrix, cand)):
-                    grown.append(cand)
-        spherical.update(grown)
-        members.extend(grown)
+                if len(cand) < 3 or is_spherical(matrix, cand):
+                    grown.append((cand, allowed & finite[extra]))
+        members.extend(cand for cand, _ in grown)
         layer = grown
     return SphericalPoset(matrix, tuple(members))
 
@@ -354,8 +368,12 @@ def parabolic_inclusion(matrix: CoxeterMatrix, sub: tuple[int, ...],
     """Descriptor for W_sub <= W_big, sub ⊆ big, both supported."""
     if not set(sub) <= set(big):
         raise ValueError("parabolic inclusion needs sub ⊆ big")
-    sub_class = group_class_of(matrix, sub)
-    big_class = group_class_of(matrix, big)
+    return _inclusion_of(sub, big, group_class_of(matrix, sub), group_class_of(matrix, big))
+
+
+def _inclusion_of(sub: tuple[int, ...], big: tuple[int, ...], sub_class: GroupClass,
+                  big_class: GroupClass) -> InclusionDescriptor:
+    """Descriptor for W_sub <= W_big, sub ⊆ big, from their classes."""
     if sub_class.kind == "trivial":
         return trivial_in(big_class)
     big_k = elem2_exponent(big_class)
@@ -376,11 +394,17 @@ def parabolic_inclusion(matrix: CoxeterMatrix, sub: tuple[int, ...],
 
 
 def _chains(poset: SphericalPoset) -> list[list[tuple[tuple[int, ...], ...]]]:
-    """Strictly increasing chains, grouped by length-1 (= cell dimension)."""
+    """Strictly increasing chains, grouped by length-1 (= cell dimension),
+    each group sorted.
+
+    The poset is downward closed, so the members below m are exactly the
+    proper subsets of m.  They are listed by size, then lexicographically:
+    the poset's own member order, which leaves long sorted runs for the
+    sort of each group.
+    """
     members = poset.members
-    below: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-        m: [o for o in members if set(o) < set(m)] for m in members
-    }
+    below = {m: [sub for size in range(len(m)) for sub in combinations(m, size)]
+             for m in members}
     per_dim: list[list[tuple[tuple[int, ...], ...]]] = [[(m,) for m in members]]
     while True:
         longer = []
@@ -408,7 +432,8 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     """
     poset = matrix.poset
     per_dim = _chains(poset)
-    cells = tuple(tuple(Cell("<".join(map(_subset_label, c)), poset.stabilizer(c[0]))
+    names = {j: _subset_label(j) for j in poset.members}
+    cells = tuple(tuple(Cell("<".join([names[j] for j in c]), poset.stabilizer(c[0]))
                         for c in chains) for chains in per_dim)
     incidence = []
     descriptors = []
@@ -417,16 +442,11 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
         rows: list[dict[int, int]] = [{} for _ in per_dim[p]]
         descs: dict[tuple[int, int], InclusionDescriptor] = {}
         for k, chain in enumerate(per_dim[p + 1]):
+            # The faces of a chain are distinct, so no coefficient cancels.
             for drop in range(len(chain)):
-                face = chain[:drop] + chain[drop + 1:]
-                j = index_of[face]
-                coeff = rows[j].get(k, 0) + (-1) ** drop
-                if coeff:
-                    rows[j][k] = coeff
-                    descs[(j, k)] = poset.inclusion(chain[0], face[0])
-                else:
-                    del rows[j][k]
-                    del descs[(j, k)]
+                j = index_of[chain[:drop] + chain[drop + 1:]]
+                rows[j][k] = -1 if drop % 2 else 1
+                descs[(j, k)] = poset.inclusion(chain[0], chain[1 if drop == 0 else 0])
         incidence.append(IntMatrix.from_sparse(len(per_dim[p]), len(per_dim[p + 1]), rows))
         descriptors.append(descs)
     return OrbitComplex(cells, tuple(incidence), tuple(descriptors))
@@ -437,18 +457,32 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
 
 
 class _PanelBuilder:
-    """Panel complex under construction: per dimension, the cells as
-    (panel label, boundary) pairs, the boundary listing distinct faces one
-    dimension down as (index, coefficient ±1)."""
+    """Panel complex under construction over a spherical poset.
 
-    def __init__(self):
+    Per dimension, ``cells`` holds the cells as (panel label, boundary)
+    pairs, the boundary listing distinct faces one dimension down as
+    (index, coefficient ±1), and ``by_label`` the indices of the cells of
+    each label.  ``covers[J]`` lists the members J ∪ {s} of the poset as
+    (s, J ∪ {s}).
+    """
+
+    def __init__(self, poset: SphericalPoset):
         self.cells: list[list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]] = [[]]
+        self.by_label: list[dict[tuple[int, ...], list[int]]] = [{}]
+        self.covers: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {
+            m: [] for m in poset.members}
+        for m in poset.members:
+            for i, extra in enumerate(m):
+                self.covers[m[:i] + m[i + 1:]].append((extra, m))
 
     def add(self, dim: int, label: tuple[int, ...], boundary: list[tuple[int, int]]) -> int:
         while len(self.cells) <= dim:
             self.cells.append([])
+            self.by_label.append({})
         self.cells[dim].append((label, tuple(boundary)))
-        return len(self.cells[dim]) - 1
+        idx = len(self.cells[dim]) - 1
+        self.by_label[dim].setdefault(label, []).append(idx)
+        return idx
 
 
 def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
@@ -478,7 +512,7 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     only grow along faces).
     """
     poset = matrix.poset
-    builder = _PanelBuilder()
+    builder = _PanelBuilder(poset)
     for j_set in sorted(poset.members, key=lambda s: (-len(s), s)):
         cell_idx = _collect_cells(builder, j_set)
         n_vertices = len(cell_idx[0])
@@ -519,15 +553,25 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
 
 
 def _collect_cells(builder: _PanelBuilder, j_set: tuple[int, ...]) -> list[list[int]]:
-    """Indices, per dimension, of the cells in U, the union of the panels B_I, I > J.
+    """Indices, per dimension and in increasing order, of the cells in U,
+    the union of the panels B_I, I > J.
 
     A cell created while processing label L lies in B_I exactly when I ⊆ L.
     So it lies in U exactly when J < L: L is spherical, so I = L will do.
+    U is read from the cells of each strict superset L of J, found by
+    adding the generators of L - J to J in increasing order: the poset is
+    downward closed, so every step is a cover, and each L is reached once.
     """
-    j = set(j_set)
-    out = [[i for i, (label, _) in enumerate(layer)
-            if len(label) > len(j_set) and j.issubset(label)]
-           for layer in builder.cells]
+    supersets = []
+    stack = [(j_set, -1)]
+    while stack:
+        label, last = stack.pop()
+        for extra, bigger in builder.covers[label]:
+            if extra > last:
+                supersets.append(bigger)
+                stack.append((bigger, extra))
+    out = [sorted(i for label in supersets for i in layer.get(label, ()))
+           for layer in builder.by_label]
     while out and not out[-1]:
         out.pop()
     return out or [[]]

@@ -377,3 +377,21 @@ def test_emit_cochain_bytes_are_pinned(capsys, argv, k_digest, ko_digest):
         code, out = run(capsys, argv + ["--theory", theory, "--emit", "cochain"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (argv, theory)
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    # The parser is built once, on import: main works without build_parser,
+    # and repeated calls give the same output, usage errors included.
+    import properk.cli as cli
+
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    argv = ["coxeter", "--matrix", "1,3;3,1", "--theory", "ko"]
+    assert run(capsys, argv) == run(capsys, argv)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["coxeter", "--theory", "x"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'x'" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,86 @@ def test_downward_closure():
         for j_set in members:
             for drop in j_set:
                 assert tuple(x for x in j_set if x != drop) in members
+
+
+def test_enumeration_matches_brute_force():
+    # Independent oracle: every subset, classified on its own by
+    # is_spherical, in the poset's member order (by size, then
+    # lexicographically).  Half the draws favour label 2, so that spherical
+    # subsets of three or more generators, which the enumeration
+    # classifies, are common.
+    rng = random.Random(11)
+    uniform = (2, 3, 4, 5, 6, INFINITY)
+    commuting = (2, 2, 2, 2, 2, 3, 4, 5, 6, INFINITY)
+    for trial in range(60):
+        size = rng.randint(0, 8)
+        labels = uniform if trial % 2 else commuting
+        rows = [[1 if i == j else INFINITY for j in range(size)] for i in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                rows[i][j] = rows[j][i] = rng.choice(labels)
+        matrix = CoxeterMatrix.from_rows(rows)
+        subsets = (tuple(i for i in range(size) if (bits >> i) & 1) for bits in range(2 ** size))
+        expected = sorted((j for j in subsets if is_spherical(matrix, j)),
+                          key=lambda j: (len(j), j))
+        assert list(enumerate_spherical_subsets(matrix).members) == expected, rows
+
+
+def test_poset_membership_and_inclusions():
+    # `in` accepts any order of the generators; the poset's memoised
+    # inclusions equal parabolic_inclusion, or refuse with the same message.
+    rng = random.Random(12)
+    for _ in range(30):
+        size = rng.randint(1, 6)
+        rows = [[1 if i == j else INFINITY for j in range(size)] for i in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                rows[i][j] = rows[j][i] = rng.choice((2, 2, 3, 5, INFINITY))
+        matrix = CoxeterMatrix.from_rows(rows)
+        poset = matrix.poset
+        for bits in range(2 ** size):
+            subset = tuple(i for i in range(size) if (bits >> i) & 1)
+            assert (subset[::-1] in poset) == (subset in poset.members)
+        for big in poset.members:
+            for sub in poset.members:
+                if not set(sub) <= set(big):
+                    continue
+                try:
+                    expected = parabolic_inclusion(matrix, sub, big)
+                except UnsupportedStabilizerError as exc:
+                    with pytest.raises(UnsupportedStabilizerError, match=re.escape(str(exc))):
+                        poset.inclusion(sub, big)
+                    continue
+                assert poset.inclusion(sub, big) == expected
+
+
+def test_families_at_scale(monkeypatch):
+    # Exact sizes for n = 640 (641 generators): the spherical subsets
+    # are the empty set, the singletons and the label-3 pairs.  The
+    # enumeration classifies no pair, and no larger candidate arises.
+    from properk import coxeter
+
+    n = 640
+    components = []
+    components_of = coxeter._components
+
+    def counting_components(matrix, subset):
+        components.append(subset)
+        return components_of(matrix, subset)
+
+    monkeypatch.setattr(coxeter, "_components", counting_components)
+    polygon = CoxeterMatrix.polygon_family(n)
+    assert len(enumerate_spherical_subsets(polygon)) == 2 * n + 3
+    assert len(components) < 2 * n + 3
+    monkeypatch.undo()
+
+    path = CoxeterMatrix.path_family(n)
+    assert len(path.poset) == 2 * n + 2
+    assert build_davis_orbit_complex(path).counts() == (2 * n + 2, 4 * n + 1, 2 * n)
+    assert build_bestvina_orbit_complex(path).counts() == (n, n - 1)
+    assert len(polygon.poset) == 2 * n + 3
+    assert build_davis_orbit_complex(polygon).counts() == (2 * n + 3, 4 * n + 4, 2 * n + 2)
+    assert build_bestvina_orbit_complex(polygon).counts() == (n + 1, n + 1, 1)
 
 
 def test_classification_against_gram_criterion():
