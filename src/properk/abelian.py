@@ -8,8 +8,10 @@ floating arithmetic appears anywhere on the computation path.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 
@@ -435,19 +437,6 @@ class Mod2Matrix:
 # Finitely generated abelian groups in normal form
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass(frozen=True)
 class AbGroup:
     """A finitely generated abelian group Z^rank ⊕ Z/d1 ⊕ ... ⊕ Z/dt.
@@ -485,22 +474,28 @@ class AbGroup:
 
     @classmethod
     def from_divisors(cls, rank: int, divisors: Iterable[int]) -> "AbGroup":
-        """Normal form of Z^rank ⊕ ⊕ Z/d for an arbitrary multiset of d >= 1."""
-        primary: dict[int, list[int]] = {}
+        """Normal form of Z^rank ⊕ ⊕ Z/d for an arbitrary multiset of d >= 1.
+
+        Nothing is factored: each d is merged into the chain, kept largest
+        first, by Z/a ⊕ Z/d ≅ Z/lcm(a, d) ⊕ Z/gcd(a, d), the gcd carried on.
+        Entries that d divides would not change; they lead what is left of
+        the chain, so a bisection skips them, and a d dividing the last
+        entry is appended at once, keeping many equal divisors linear.
+        """
+        chain: list[int] = []
         for d in divisors:
             if d < 1:
                 raise ValueError("divisors must be positive")
-            for p, e in _factorize(d).items():
-                primary.setdefault(p, []).append(e)
-        if not primary:
-            return cls(rank, ())
-        t = max(len(v) for v in primary.values())
-        chain = [1] * t
-        for p, exps in primary.items():
-            exps.sort(reverse=True)
-            for i, e in enumerate(exps):
-                chain[t - 1 - i] *= p ** e
-        return cls(rank, tuple(d for d in chain if d > 1))
+            i = 0
+            while d > 1:
+                if not chain or chain[-1] % d == 0:
+                    chain.append(d)
+                    break
+                i = bisect_left(chain, True, i, key=lambda c: c % d != 0)
+                a, g = chain[i], gcd(chain[i], d)
+                chain[i], d = a // g * d, g
+                i += 1
+        return cls(rank, tuple(reversed(chain)))
 
     @property
     def is_zero(self) -> bool:
@@ -555,9 +550,10 @@ class SplitCochainComplex:
         T_p : (Z/2)^{t_p} -> (Z/2)^{t_{p+1}}  torsion block
 
     so the complex is the direct sum of an integral complex and a GF(2)
-    complex.  Components between the two summands cannot be expressed at
-    all: coefficient systems that would need one are out of scope and are
-    rejected where their restriction blocks are built
+    complex.  Each KO^{-n} complex is a cut of one integral complex (the
+    real one, ``bredon.cut_cochain``): F_p its Z rows and columns, T_p its
+    Z/2 ones reduced mod 2.  Components between the two summands cannot be
+    expressed at all; descriptors that would need one are refused
     (``reprings.restriction_ko``).  Construction validates the
     composability of shapes, F∘F = 0 and T∘T = 0.
     """

@@ -36,7 +36,7 @@ from .ahss import (
     closed_form_right_angled,
     compare,
 )
-from .bredon import CoefficientFunctor, assemble_cochain
+from .bredon import CoefficientFunctor, assemble_cochain, cut_cochain
 from .coxeter import (
     CoxeterMatrix,
     UnsupportedStabilizerError,
@@ -140,6 +140,8 @@ def _coxeter_input(args) -> CoxeterMatrix:
 
 def _loaded_complex(path: str) -> OrbitComplex:
     data = _load_json(path)
+    if isinstance(data, dict) and "complex" in data:  # a whole --emit complex report
+        data = data["complex"]
     try:
         return OrbitComplex.from_json(data)
     except (IndexError, KeyError, TypeError, ValueError) as exc:
@@ -189,31 +191,28 @@ def _page_payload(page: E2Page) -> dict:
 
 
 def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
-    period = 2 if theory == "k" else 8
+    degree0 = CoefficientFunctor(theory, 0)
+    full = assemble_cochain(complex_, degree0)
+    provenance = [
+        [{"from_cell": j, "to_cell": k,
+          "alpha": complex_.incidence[p].entry(j, k),
+          "descriptor": str(desc)}
+         for (j, k), desc in sorted(complex_.descriptors[p].items())]
+        for p in range(complex_.dim)
+    ]
     out = []
-    for n in range(period):
-        functor = CoefficientFunctor(theory, n)
-        cochain = assemble_cochain(complex_, functor)
-        blocks = []
-        for p in range(cochain.length):
-            provenance = [
-                {"from_cell": j, "to_cell": k,
-                 "alpha": complex_.incidence[p].entry(j, k),
-                 "descriptor": str(desc)}
-                for (j, k), desc in sorted(complex_.descriptors[p].items())
-            ]
-            blocks.append({
-                "p": p,
-                "free": cochain.free_d[p].to_rows(),
-                "tor2": cochain.tor_d[p].to_rows(),
-                "cross": cochain.cross_d[p].to_rows(),
-                "provenance": provenance,
-            })
+    for n in range(degree0.period):
+        cochain = cut_cochain(complex_, full, CoefficientFunctor(theory, n))
         out.append({
             "coefficient_degree": _degree_key(n),
             "free_ranks": list(cochain.free_ranks),
             "tor2_ranks": list(cochain.tor2_ranks),
-            "differentials": blocks,
+            "differentials": [{"p": p,
+                               "free": cochain.free_d[p].to_rows(),
+                               "tor2": cochain.tor_d[p].to_rows(),
+                               "cross": cochain.cross_d[p].to_rows(),
+                               "provenance": provenance[p]}
+                              for p in range(cochain.length)],
         })
     return {"theory": theory, "cochains": out}
 

@@ -22,6 +22,7 @@ conjugate characters), each block in the complex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .abelian import IntMatrix, Mod2Matrix
 from .groups import (
@@ -233,78 +234,83 @@ def ko_point(g: GroupClass, n: int) -> KOCoefficient:
 def ko_ranks(g: GroupClass, n: int) -> tuple[int, int]:
     """(free rank, Z/2 rank) of KO^{-n}_G(pt): the sizes of ``ko_point``
     without building its labels."""
+    runs = coefficient_runs(g, "ko")
+    return tuple(sum(count * table[n % len(table)][part] for table, count in runs)
+                 for part in (0, 1))
+
+
+def coefficient_runs(g: GroupClass, theory: str) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """The degree-0 coefficient basis at G/H as runs (point table, count):
+    for K each complex irreducible carries K^*(pt); for KO, in
+    ``real_structure`` order, each R-type one KO^*(pt), each C-type one K^*(pt)."""
+    if theory == "k":
+        return ((KU_POINT, k0_rank(g)),)
+    counts = real_type_counts(g)
+    return ((KO_POINT, counts.n_r), (KU_POINT, counts.n_c))
+
+
+def cut_indices(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
+                n: int) -> tuple[list[int], list[int]]:
+    """Indices of the generators whose point value in degree -n is Z, then
+    of those whose value is Z/2; ``runs`` lists the generators in order."""
+    free, tor = [], []
+    start = 0
+    for table, count in runs:
+        f, t = table[n % len(table)]
+        if f:
+            free.extend(range(start, start + count))
+        elif t:
+            tor.extend(range(start, start + count))
+        start += count
+    return free, tor
+
+
+def cut(m: IntMatrix, rows: tuple[list[int], list[int]],
+        cols: tuple[list[int], list[int]]) -> tuple[IntMatrix, Mod2Matrix]:
+    """The free and torsion blocks of ``m`` on the ``cut_indices`` of its
+    rows and columns; the torsion block is reduced mod 2."""
+    whole = (m.rows, m.cols)
+    free = m if (len(rows[0]), len(cols[0])) == whole else _int_block(m, rows[0], cols[0])
+    tor = m.mod2() if (len(rows[1]), len(cols[1])) == whole else _mod2_block(m, rows[1], cols[1])
+    return free, tor
+
+
+def refuse_even_cyclic(incls: Iterable[InclusionDescriptor], n: int) -> None:
+    """Reject an even-order cyclic subgroup among ``incls`` in the degrees
+    where R-type generators carry Z/2: the sign representation leaves its
+    torsion block undetermined.  The first offender in ``incls`` is named."""
     n %= 8
-    counts = real_type_counts(g)
-    parts = ((counts.n_r, KO_POINT[n]), (counts.n_c, KU_POINT[n % 2]))
-    return (sum(c * pt[0] for c, pt in parts), sum(c * pt[1] for c, pt in parts))
-
-
-def _real_indices_by_type(g: GroupClass) -> tuple[list[int], list[int]]:
-    # real_structure lists every R-type generator before the C-type ones.
-    counts = real_type_counts(g)
-    return list(range(counts.n_r)), list(range(counts.n_r, counts.n_r + counts.n_c))
+    if not KO_POINT[n][1]:
+        return
+    for incl in incls:
+        if incl.kind == CYCLIC_IN_CYCLIC and incl.extra[0] % 2 == 0:
+            raise UnsupportedRestrictionError(
+                f"KO^{-n} restriction for an even-order cyclic subgroup Z{incl.extra[0]} "
+                "is not determined by the supported theory; odd edge orders only")
 
 
 def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Matrix]:
-    """Blocks (free, torsion) of KO^{-n}(big orbit) -> KO^{-n}(sub orbit).
+    """Blocks (free, torsion) of KO^{-n}(big orbit) -> KO^{-n}(sub orbit),
+    ``cut`` from the real restriction by the point tables, as
+    ``bredon.cut_cochain`` cuts whole complexes: n ≡ 0, 4 keep it all as the
+    free block, n ≡ 1 its R-to-R part mod 2, n ≡ 2 its C-to-C part beside
+    that, n ≡ 6 the C-to-C part alone, n ≡ 3, 5, 7 nothing.
 
-    Both blocks are submatrices of the real restriction matrix selected by
-    type bookkeeping:
-
-      n ≡ 0, 4: free block = the full real restriction (R and C generators
-                both carry a Z at the point level); no torsion.
-      n ≡ 1:    torsion block = R-to-R part mod 2; no free part.
-      n ≡ 2:    free block = C-to-C part; torsion block = R-to-R part mod 2.
-      n ≡ 6:    free block = C-to-C part; no torsion.
-      n ≡ 3,5,7: everything vanishes.
-
-    For n ≡ 2 a restricted C-type generator could also land on R-type
-    generators of the subgroup, a free-to-torsion term mod 2 that these two
-    blocks cannot carry.  When the subgroup has odd order that multiplicity
-    is always even, so the term vanishes for every supported descriptor; a
-    descriptor that would need it is rejected rather than guessed at.  That
-    rejection runs for n ≡ 6 as well as for n ≡ 2: the E2 page never asks
-    for n ≡ 2, it sums the n ≡ 6 and n ≡ 1 rows (``bredon.bredon_rows``),
-    which is valid exactly because the term vanishes, so the n ≡ 6 blocks
-    carry the check for every descriptor of a KO page.  Cyclic subgroups of
-    even order are rejected outright for n ≡ 1, 2 (their sign
-    representation makes the torsion block underdetermined).
+    The KO^{-2} row is derived from the KO^{-6} and KO^{-1} rows, so in
+    every degree a C-type generator restricting onto an R-type one with odd
+    multiplicity is refused.  That multiplicity is always even, so this
+    never fires on a correct real restriction; the Segal-oracle item of
+    ROADMAP.md finds the true free-to-torsion entry to be half of it mod 2.
     """
-    n %= 8
-    if n in (1, 2) and incl.kind == CYCLIC_IN_CYCLIC and incl.extra[0] % 2 == 0:
-        raise UnsupportedRestrictionError(
-            f"KO^{-n} restriction for an even-order cyclic subgroup Z{incl.extra[0]} "
-            "is not determined by the supported theory; odd edge orders only")
-    if n in (3, 5, 7):
-        return IntMatrix.zero(0, 0), Mod2Matrix.zero(0, 0)
+    refuse_even_cyclic((incl,), n)
     m_real = real_restriction(incl)
-    if n in (0, 4):
-        return m_real, Mod2Matrix.zero(0, 0)
-    sub_r, sub_c = _real_indices_by_type(incl.sub)
-    big_r, big_c = _real_indices_by_type(incl.big)
-    if n == 1:
-        return IntMatrix.zero(0, 0), _mod2_block(m_real, sub_r, big_r)
-    # n in (2, 6): the free block is C-to-C, and for n == 2 the torsion block R-to-R.
-    _cross_block(m_real, incl, sub_r, big_c)
-    free = _int_block(m_real, sub_c, big_c)
-    if n == 6:
-        return free, Mod2Matrix.zero(0, 0)
-    return free, _mod2_block(m_real, sub_r, big_r)
-
-
-def _cross_block(m_real: IntMatrix, incl: InclusionDescriptor,
-                 sub_r: list[int], big_c: list[int]) -> None:
-    """Reject ``incl`` unless its KO^-2 free-to-torsion cross block vanishes.
-
-    A C generator of the big group may also restrict onto R generators of
-    the subgroup, which would be a free-to-torsion cross term mod 2.  For
-    odd-order subgroups that multiplicity is always even; reject anything
-    else.
-    """
-    if not _mod2_block(m_real, sub_r, big_c).is_zero():
+    sub = coefficient_runs(incl.sub, "ko")
+    big = coefficient_runs(incl.big, "ko")
+    if not _mod2_block(m_real, cut_indices(sub, 2)[1], cut_indices(big, 2)[0]).is_zero():
         raise UnsupportedRestrictionError(
             f"KO^-2 restriction along {incl} needs a nonzero free-to-torsion "
             "cross term, which is outside the supported theory")
+    return cut(m_real, cut_indices(sub, n), cut_indices(big, n))
 
 
 def _int_block(m: IntMatrix, rows: list[int], cols: list[int]) -> IntMatrix:

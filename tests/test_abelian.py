@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from properk.abelian import (
     AbGroup,
@@ -102,6 +104,29 @@ def test_abgroup_normalization_merges_coprime_parts():
 def test_abgroup_equality_is_isomorphism():
     assert AbGroup.from_divisors(0, [6]) == AbGroup.from_divisors(0, [2, 3])
     assert AbGroup.from_divisors(0, [8]) != AbGroup.from_divisors(0, [2, 4])
+
+
+def primary_normal_form(rank, divisors):
+    """Invariant factors from the primary decomposition, factored by sympy."""
+    factorint = pytest.importorskip("sympy").factorint
+    primary = {}
+    for d in divisors:
+        for p, e in factorint(d).items():
+            primary.setdefault(p, []).append(e)
+    t = max(map(len, primary.values()), default=0)
+    chain = [1] * t
+    for p, exponents in primary.items():
+        for i, e in enumerate(sorted(exponents, reverse=True)):
+            chain[t - 1 - i] *= p ** e
+    return AbGroup(rank, tuple(chain))
+
+
+@given(st.integers(0, 3), st.lists(st.one_of(
+    st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 36, 60)),
+    st.integers(1, 10 ** 4),
+    st.integers(1, 10 ** 12)), max_size=12))
+def test_from_divisors_matches_primary_decomposition(rank, divisors):
+    assert AbGroup.from_divisors(rank, divisors) == primary_normal_form(rank, divisors)
 
 
 def test_abgroup_rejects_non_chain():

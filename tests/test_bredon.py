@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from properk import abelian, reprings
+from properk import abelian, bredon, reprings
 from properk.abelian import AbGroup, IntMatrix, Mod2Matrix, cohomology, tensor_mod2, uct_verify
 from properk.ahss import build_e2
 from properk.bredon import CoefficientFunctor, assemble_cochain, bredon_cohomology
@@ -15,6 +15,7 @@ from properk.coxeter import (
 )
 from properk.groups import UnsupportedRestrictionError, cyclic_in_cyclic
 from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
+from properk.reprings import ko_ranks, restriction_ko
 from conftest import reorient
 
 
@@ -247,3 +248,85 @@ def test_zero_functors_assemble_nothing(monkeypatch):
                     CoefficientFunctor.ko(5), CoefficientFunctor.ko(7)):
         assert functor.is_zero_functor
         assert bredon_cohomology(x, functor) == (AbGroup.zero(),) * (x.dim + 1)
+
+
+def per_descriptor_cochain(x, n):
+    """KO^{-n} cochain data written block by block from ``restriction_ko(incl, n)``.
+
+    This is how every KO complex used to be assembled, kept as the
+    reference for the cut: ranks from ``ko_ranks``, each free block added
+    alpha times, each torsion block XORed in where alpha is odd.
+    """
+    free_ranks, tor_ranks, offsets = [], [], []
+    for cells in x.cells:
+        offs, f_total, t_total = [], 0, 0
+        for cell in cells:
+            offs.append((f_total, t_total))
+            f, t = ko_ranks(cell.stabilizer, n)
+            f_total, t_total = f_total + f, t_total + t
+        free_ranks.append(f_total)
+        tor_ranks.append(t_total)
+        offsets.append(offs)
+    blocks = {}
+    free_d, tor_d = [], []
+    for p in range(x.dim):
+        f_rows = [{} for _ in range(free_ranks[p + 1])]
+        t_bits = [0] * tor_ranks[p + 1]
+        for (j, k), incl in x.descriptors[p].items():
+            alpha = x.incidence[p].entry(j, k)
+            if incl not in blocks:
+                blocks[incl] = restriction_ko(incl, n)
+            r_free, r_tor = blocks[incl]
+            (f_src, t_src), (f_tgt, t_tgt) = offsets[p][j], offsets[p + 1][k]
+            for a, r_row in enumerate(r_free.data):
+                row = f_rows[f_tgt + a]
+                for b, v in r_row.items():
+                    row[f_src + b] = row.get(f_src + b, 0) + alpha * v
+            if alpha % 2:
+                for a, bits in enumerate(r_tor.bits):
+                    t_bits[t_tgt + a] ^= bits << t_src
+        free_d.append(IntMatrix.from_sparse(free_ranks[p + 1], free_ranks[p], f_rows))
+        tor_d.append(Mod2Matrix(tor_ranks[p + 1], tor_ranks[p], tuple(t_bits)))
+    return tuple(free_ranks), tuple(tor_ranks), tuple(free_d), tuple(tor_d)
+
+
+def test_ko_cochains_cut_equal_per_descriptor_assembly(ra_corpus):
+    # Every KO^{-n} complex is cut from the one real complex; it must equal,
+    # matrix for matrix, the complex assembled from each descriptor's own
+    # KO^{-n} blocks, also after the cells are reoriented.
+    rng = random.Random(13)
+    for base in fold_corpus(ra_corpus):
+        for x in (base, reorient(base, rng)):
+            for n in range(8):
+                c = assemble_cochain(x, CoefficientFunctor.ko(n))
+                free_ranks, tor_ranks, free_d, tor_d = per_descriptor_cochain(x, n)
+                assert (c.free_ranks, c.tor2_ranks) == (free_ranks, tor_ranks), (x.counts(), n)
+                assert c.free_d == free_d, (x.counts(), n)
+                assert c.tor_d == tor_d, (x.counts(), n)
+
+
+def counting(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
+    # KO^-1 and KO^-6 are cut from the real complex: one assembly per page,
+    # one real restriction per distinct descriptor.
+    assembled = counting(monkeypatch, bredon, "assemble_cochain")
+    restricted = counting(monkeypatch, bredon, "restriction_ko")
+    for x in fold_corpus(ra_corpus):
+        assembled.clear()
+        restricted.clear()
+        build_e2(x, "ko")
+        assert assembled == [(x, CoefficientFunctor.ko(0))]
+        distinct = list(dict.fromkeys(incl for layer in x.descriptors for incl in layer.values()))
+        assert restricted == [(incl, 0) for incl in distinct]

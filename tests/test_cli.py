@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -395,3 +396,68 @@ def test_main_builds_no_parser_per_call(monkeypatch, capsys):
             main(["coxeter", "--theory", "x"])
         assert exc.value.code == 2
         assert "invalid choice: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["amalgam", "--r", "3", "--m", "5,7"],
+    ["coxeter", "--matrix", "1,3,0;3,1,2;0,2,1", "--model", "davis"],
+], ids=["amalgam", "coxeter"])
+def test_emit_complex_out_feeds_back_verbatim(tmp_path, capsys, argv):
+    # The whole --emit complex report, written by --out, is a valid dump.
+    dump = tmp_path / "dump.json"
+    assert main(argv + ["--emit", "complex", "--out", str(dump)]) == 0
+    assert "complex" in json.loads(dump.read_text())
+    for theory in ("k", "ko"):
+        code, direct = run(capsys, argv + ["--theory", theory, "--emit", "e2page"])
+        assert code == 0
+        code, replayed = run(capsys, [argv[0], "--theory", theory, "--emit", "e2page",
+                                      "--from-complex", str(dump)])
+        assert code == 0, replayed
+        assert replayed == direct
+
+
+@pytest.mark.parametrize("emit", ["result", "e2page", "cochain"])
+def test_even_edge_dump_through_coxeter_is_refused(tmp_path, capsys, emit):
+    # The coxeter subcommand runs no edge-order pre-check, so the refusal
+    # comes from the KO^-1 cut of the one real complex.
+    dump = tmp_path / "sl2z.json"
+    assert main(["amalgam", "--r", "2", "--m", "3,2", "--emit", "complex", "--out", str(dump)]) == 0
+    code, out = run(capsys, ["coxeter", "--theory", "ko", "--from-complex", str(dump),
+                             "--emit", emit])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "unsupported_restriction",
+        "message": "KO^-1 restriction for an even-order cyclic subgroup Z2 is not determined "
+                   "by the supported theory; odd edge orders only"}
+
+
+@pytest.mark.parametrize("theory", ["k", "ko"])
+def test_emit_cochain_assembles_once(monkeypatch, capsys, theory):
+    import properk.cli as cli
+
+    assembled = []
+    assemble_cochain = cli.assemble_cochain
+    monkeypatch.setattr(cli, "assemble_cochain",
+                        lambda x, functor: assembled.append(functor) or assemble_cochain(x, functor))
+    code, out = run(capsys, ["amalgam", "--r", "3,5", "--m", "3,7,5", "--theory", theory,
+                             "--emit", "cochain"])
+    assert code == 0
+    assert len(json.loads(out)["cochains"]) == (2 if theory == "k" else 8)
+    assert len(assembled) == 1
+
+
+def test_large_prime_incidence_is_not_factored(tmp_path, capsys):
+    # D_inf with boundary P·v0 - P·v1: H^1 of K^0 is Z/P.  Normalizing it
+    # must not factor P, so a 40-digit prime costs nothing.
+    prime = pytest.importorskip("sympy").nextprime(10 ** 39)
+    code, out = run(capsys, ["amalgam", "--r", "1", "--m", "2,2", "--emit", "complex"])
+    report = json.loads(out)
+    report["complex"][0]["incidence"] = [[prime], [-prime]]
+    dump = tmp_path / "dinf.json"
+    dump.write_text(json.dumps(report))
+    start = time.perf_counter()
+    code, out = run(capsys, ["amalgam", "--theory", "k", "--from-complex", str(dump)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["degrees"]["-1"]["resolved"] == {"rank": 0, "torsion": [prime]}
+    assert elapsed < 0.25

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from properk.abelian import invariant_factors
 from properk.groups import (
@@ -262,3 +264,40 @@ def test_restriction_ko_degree6_is_c_block():
     free, tor = restriction_ko(cyclic_in_cyclic(3, 3), 6)
     assert (tor.rows, tor.cols) == (0, 0)
     assert free.to_rows() == [[1, 1, 0, 1]]
+
+
+def inclusion_descriptors():
+    """Every descriptor kind, cyclic subgroups of odd and of even order included."""
+    odd = st.integers(1, 6).map(lambda k: 2 * k + 1)
+    groups = st.one_of(st.integers(1, 12).map(cyclic), st.integers(0, 4).map(elem2),
+                       odd.map(dihedral_odd))
+    coordinates = st.integers(0, 4).flatmap(lambda big: st.tuples(
+        st.just(big), st.permutations(range(big)), st.integers(0, big)))
+    return st.one_of(
+        st.builds(cyclic_in_cyclic, st.integers(1, 12), st.integers(1, 8)),
+        groups.map(trivial_in),
+        coordinates.map(lambda c: elem2_subset(c[2], c[0], tuple(c[1][:c[2]]))),
+        odd.map(reflection_in_dihedral),
+        odd.map(rotation_in_dihedral),
+    )
+
+
+@given(inclusion_descriptors(), st.integers(0, 15))
+@example(cyclic_in_cyclic(2, 3), 1)
+@example(cyclic_in_cyclic(4, 1), 10)
+@example(cyclic_in_cyclic(3, 5), 2)
+@example(rotation_in_dihedral(5), 6)
+def test_restriction_ko_blocks_have_the_ko_ranks_shapes(incl, n):
+    # The blocks are cut by the point tables, so their shapes are the
+    # KO^{-n} ranks of the subgroup (rows) and the big group (columns); the
+    # only refusal in scope is an even-order cyclic subgroup in the degrees
+    # with Z/2 coefficients.
+    try:
+        free, tor = restriction_ko(incl, n)
+    except UnsupportedRestrictionError as err:
+        assert n % 8 in (1, 2) and incl.kind == "cyclic_in_cyclic" and incl.extra[0] % 2 == 0
+        assert str(err).startswith(f"KO^-{n % 8} restriction for an even-order cyclic subgroup")
+        return
+    (f_sub, t_sub), (f_big, t_big) = ko_ranks(incl.sub, n), ko_ranks(incl.big, n)
+    assert (free.rows, free.cols) == (f_sub, f_big)
+    assert (tor.rows, tor.cols) == (t_sub, t_big)
