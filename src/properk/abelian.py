@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class ChainComplexError(ValueError):
@@ -277,12 +277,19 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             IntMatrix.from_rows(v, cols=cols))
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+def invariant_factors(m: IntMatrix, skip: Collection[int] = (),
+                      pivot_cols: set[int] | None = None) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form of ``m``, without the transforms.
 
     Fast path: entries of absolute value 1 are eliminated sparsely first
     (each such step splits off an invariant factor 1); the small residual is
     finished by dense reduction.
+
+    ``skip`` names rows left out of the elimination, and the column of each
+    unit pivot is added to ``pivot_cols``; ``cohomology`` passes the unit
+    pivot columns of d_{p+1} as the rows of d_p to skip, which keeps d_p's
+    rank and its invariant factors > 1 (see there), so the result is that of
+    the whole matrix.  The dense residual's pivots are not reported.
 
     The pivot is always the smallest alive row holding a unit, at the unit
     whose column meets the fewest alive rows, the highest such column on a
@@ -292,7 +299,8 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     a scan finds no unit in them and go back on it only when an elimination
     step changes them, so no row is rescanned unchanged.
     """
-    sparse = [dict(row) for row in m.data if row]
+    rows = [row for i, row in enumerate(m.data) if i not in skip] if skip else m.data
+    sparse = [dict(row) for row in rows if row]
     col_rows: dict[int, set[int]] = {}
     for ridx, row in enumerate(sparse):
         for j in row:
@@ -338,6 +346,8 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
         del col_rows[j]
         sparse[ridx] = {}  # the pivot row is done with
         ones += 1
+        if pivot_cols is not None:
+            pivot_cols.add(j)
     # Dense residual.
     live_rows = [row for row in sparse if row]
     if not live_rows:
@@ -415,14 +425,23 @@ class Mod2Matrix:
             out.append(acc)
         return Mod2Matrix(self.rows, other.cols, tuple(out))
 
-    def rank2(self) -> int:
+    def rank2(self, skip: Collection[int] = (), pivot_cols: set[int] | None = None) -> int:
+        """Rank over GF(2), with the rows in ``skip`` left out.
+
+        The column of each pivot's top bit is added to ``pivot_cols``.
+        ``cohomology`` skips, in t_p, the rows at the pivot columns of
+        t_{p+1}: those columns of t_{p+1} hold an invertible minor, so
+        leaving them out is injective on ker t_{p+1} ⊇ im t_p and keeps
+        t_p's rank.
+        """
         # Pivots keyed by their highest set bit: reducing a row by the pivot
         # that owns its highest bit clears that bit and touches only lower
         # ones, so each row meets just the pivots it actually hits.  The
         # highest bit costs O(1) to find (the lowest costs a pass over the
         # row) and fills in far less on the Davis cochains.
+        bits = [b for i, b in enumerate(self.bits) if i not in skip] if skip else self.bits
         pivots: dict[int, int] = {}
-        for b in self.bits:
+        for b in bits:
             while b:
                 top = b.bit_length()
                 p = pivots.get(top)
@@ -430,6 +449,8 @@ class Mod2Matrix:
                     pivots[top] = b
                     break
                 b ^= p
+        if pivot_cols is not None:
+            pivot_cols.update(top - 1 for top in pivots)
         return len(pivots)
 
 
@@ -612,11 +633,27 @@ def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
     and each torsion block ranked exactly once, and every degree is read off
     those numbers; the zero maps at either end contribute nothing and are
     never built.
+
+    The differentials are factored top-down, d_{L-1} first, and d_p without
+    the rows at the columns A where the unit-pivot phase of d_{p+1} pivoted
+    (the elementary reductions of Kaczynski, Mrozek and Ślusarek, "Homology
+    computation by reduction of chain complexes", 1998).  Those pivots make
+    the minor d_{p+1}[B, A] on their rows B unimodular, so dropping the A
+    coordinates is injective on ker d_{p+1}, with a saturated image; as
+    im d_p ⊆ ker d_{p+1}, the rest of d_p has the rank and the invariant
+    factors > 1 of d_p.  Over GF(2) the pivots' top bits play the part of A.
     """
     n = complex_.length
     # Index p + 1 holds d_p, so index p holds d_{p-1}; both ends are zero maps.
-    factors = [()] + [invariant_factors(f) for f in complex_.free_d] + [()]
-    ranks2 = [0] + [t.rank2() for t in complex_.tor_d] + [0]
+    factors: list[tuple[int, ...]] = [()] * (n + 2)
+    ranks2 = [0] * (n + 2)
+    skip_free, skip_tor = set(), set()
+    for p in reversed(range(n)):
+        # d_0's pivots would index the rows of no further differential.
+        pivots_free, pivots_tor = (set(), set()) if p else (None, None)
+        factors[p + 1] = invariant_factors(complex_.free_d[p], skip_free, pivots_free)
+        ranks2[p + 1] = complex_.tor_d[p].rank2(skip_tor, pivots_tor)
+        skip_free, skip_tor = pivots_free, pivots_tor
     groups = []
     for p in range(n + 1):
         free_rank = complex_.free_ranks[p] - len(factors[p + 1]) - len(factors[p])

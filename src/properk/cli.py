@@ -10,8 +10,10 @@ extension problem), 2 when --check finds a MISMATCH, 1 otherwise, with a
 machine-readable error object whose kind names the failure:
 invalid_input (an --out file that cannot be written included, reported on
 stdout), unsupported_stabilizer, unsupported_restriction,
-no_collapse (the E2 page does not collapse positionally) or
-model_disagreement (the Davis and Bestvina models differ, a bug).  Output
+no_collapse (the E2 page does not collapse positionally),
+model_disagreement (the Davis and Bestvina models differ, a bug) or
+too_large (--emit complex or cochain would write more dense matrix entries
+than EMIT_ENTRY_BUDGET, predicted before anything is assembled).  Output
 is deterministic: identical invocations produce identical bytes.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .abelian import ChainComplexError
 from .ahss import (
@@ -45,6 +48,12 @@ from .coxeter import (
 )
 from .groups import UnsupportedRestrictionError
 from .orbit import AmalgamSpec, OrbitComplex, OrbitComplexError, build_amalgam_orbit_complex
+from .reprings import coefficient_runs, cut_indices
+
+# Most dense matrix entries an --emit complex or --emit cochain report may
+# write.  Each costs about 17 bytes of output and 115 bytes of peak memory
+# while the report is built, so the budget is near 170 MB and 1.1 GiB.
+EMIT_ENTRY_BUDGET = 10_000_000
 
 
 class InputError(ValueError):
@@ -53,6 +62,40 @@ class InputError(ValueError):
 
 class ModelDisagreementError(Exception):
     """Two models of the same group gave different reports: a bug."""
+
+
+class TooLargeError(Exception):
+    """A dense --emit payload would exceed EMIT_ENTRY_BUDGET."""
+
+    def __init__(self, emit: str, entries: int):
+        super().__init__(f"--emit {emit} would write {entries} dense matrix entries, "
+                         f"over the budget of {EMIT_ENTRY_BUDGET}")
+        self.entries = entries
+
+
+def _complex_entries(complex_: OrbitComplex) -> int:
+    """Dense entries of --emit complex: its incidence matrices."""
+    counts = complex_.counts()
+    return sum(a * b for a, b in zip(counts, counts[1:]))
+
+
+def _cochain_entries(complex_: OrbitComplex, theory: str) -> int:
+    """Dense entries of --emit cochain, from the cells' stabilizers alone: in
+    every coefficient degree, each differential's free, tor2 and cross
+    blocks, sized by the cut that ``bredon.cut_cochain`` makes."""
+    layers = [Counter(cell.stabilizer for cell in cells).items() for cells in complex_.cells]
+    total = 0
+    for n in range(CoefficientFunctor(theory, 0).period):
+        ranks = [[sum(count * len(cut_indices(coefficient_runs(stabilizer, theory), n)[part])
+                      for stabilizer, count in layer) for part in (0, 1)]
+                 for layer in layers]  # (free, tor) per dimension
+        total += sum(f1 * f0 + t1 * (t0 + f0) for (f0, t0), (f1, t1) in zip(ranks, ranks[1:]))
+    return total
+
+
+def _refuse_dense(emit: str, entries: int) -> None:
+    if entries > EMIT_ENTRY_BUDGET:
+        raise TooLargeError(emit, entries)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -190,7 +233,13 @@ def _page_payload(page: E2Page) -> dict:
     }
 
 
+def _complex_payload(complex_: OrbitComplex) -> list[dict]:
+    _refuse_dense("complex", _complex_entries(complex_))
+    return complex_.to_json()
+
+
 def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
+    _refuse_dense("cochain", _cochain_entries(complex_, theory))
     degree0 = CoefficientFunctor(theory, 0)
     full = assemble_cochain(complex_, degree0)
     provenance = [
@@ -234,7 +283,7 @@ def _run_amalgam(args) -> tuple[dict, int]:
         complex_ = build_amalgam_orbit_complex(spec)
         description = spec.describe()
     if args.emit == "complex":
-        return {"group": description, "complex": complex_.to_json()}, 0
+        return {"group": description, "complex": _complex_payload(complex_)}, 0
     # The edge orders r_i are the orders of the 1-cell stabilizers.
     edge_orders = [c.stabilizer.order for c in complex_.cells[1]] if complex_.dim >= 1 else []
     if args.theory == "ko" and any(r % 2 == 0 for r in edge_orders):
@@ -272,7 +321,8 @@ def _run_coxeter(args) -> tuple[dict, int]:
     primary_name = next(iter(complexes))
     primary = complexes[primary_name]
     if args.emit == "complex":
-        return {"group": description, "model": primary_name, "complex": primary.to_json()}, 0
+        return {"group": description, "model": primary_name,
+                "complex": _complex_payload(primary)}, 0
     if args.emit == "cochain":
         return _cochain_payload(primary, args.theory), 0
     pages = {name: build_e2(cx, args.theory) for name, cx in complexes.items()}
@@ -321,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
         payload, status = _error("no_collapse", str(exc))
     except ModelDisagreementError as exc:
         payload, status = _error("model_disagreement", str(exc))
+    except TooLargeError as exc:
+        payload, status = _error("too_large", str(exc), predicted_entries=exc.entries,
+                                 budget=EMIT_ENTRY_BUDGET)
     except (InputError, OrbitComplexError, ChainComplexError, ValueError) as exc:
         payload, status = _error("invalid_input", str(exc))
     if args.out:

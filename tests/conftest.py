@@ -9,7 +9,8 @@ import pytest
 from hypothesis import settings
 
 from properk import CoxeterMatrix, IntMatrix, OrbitComplex
-from properk.coxeter import INFINITY, build_davis_orbit_complex
+from properk.coxeter import INFINITY, build_bestvina_orbit_complex, build_davis_orbit_complex
+from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
 
 # Property tests draw the same examples on every run, and no example fails
 # for being slow on a loaded machine.
@@ -55,6 +56,19 @@ def right_angled_corpus(count: int = 50, seed: int = 20240601) -> list[CoxeterMa
 @pytest.fixture(scope="session")
 def ra_corpus() -> list[CoxeterMatrix]:
     return right_angled_corpus()
+
+
+def fold_corpus(ra_corpus):
+    """Davis and Bestvina complexes (right-angled, path family, an odd
+    dihedral label) and odd-edge amalgams, whose cyclic stabilizers bring
+    the C-type generators that only the KO^{-2} and KO^{-6} rows see."""
+    dihedral = CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 0], [2, 0, 1]])
+    out = []
+    for matrix in ra_corpus[:3] + [CoxeterMatrix.path_family(3), dihedral]:
+        out += [build_davis_orbit_complex(matrix), build_bestvina_orbit_complex(matrix)]
+    for r, m in (((3,), (5, 7)), ((1, 3), (2, 3, 4)), ((5,), (3, 2))):
+        out.append(build_amalgam_orbit_complex(AmalgamSpec(r=r, m=m)))
+    return out
 
 
 def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,9 @@ from properk.abelian import (
     tensor_mod2,
     uct_verify,
 )
-from conftest import random_int_matrix
+from properk.bredon import CoefficientFunctor, assemble_cochain
+from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
+from conftest import fold_corpus, random_int_matrix
 
 
 def check_snf_contract(m: IntMatrix):
@@ -236,3 +239,82 @@ def test_uct_verify_random_complexes():
         d1 = IntMatrix.from_rows(rows, cols=n1)
         c = SplitCochainComplex.integral((n0, n1, d1.rows), (d0, d1))
         assert uct_verify(c)
+
+
+# ---------------------------------------------------------------------------
+# Top-down factoring against the per-differential route
+
+
+def per_differential_cohomology(c: SplitCochainComplex) -> tuple[AbGroup, ...]:
+    """Every degree read off ``invariant_factors`` and ``rank2`` of the whole
+    differentials, nothing skipped."""
+    factors = [()] + [invariant_factors(d) for d in c.free_d] + [()]
+    ranks2 = [0] + [t.rank2() for t in c.tor_d] + [0]
+    return tuple(AbGroup.from_divisors(
+        c.free_ranks[p] - len(factors[p + 1]) - len(factors[p]),
+        [d for d in factors[p] if d > 1] + [2] * (c.tor2_ranks[p] - ranks2[p + 1] - ranks2[p]))
+        for p in range(c.length + 1))
+
+
+@st.composite
+def block_complexes(draw, length):
+    """An integral complex of the given length with d∘d = 0, and its
+    cohomology.  It is a direct sum of pieces Z --d--> Z between adjacent
+    degrees, d in 1..6, and of lone Z's; each degree's basis is then changed
+    by a random product of elementary matrices g_p, so d_p becomes
+    g_{p+1}·d_p·g_p⁻¹, dense, with units, non-unit pivots and torsion."""
+    pieces = [draw(st.lists(st.integers(1, 6), max_size=3)) for _ in range(length)]
+    lone = [draw(st.integers(0, 2)) for _ in range(length + 1)]
+    # Degree p holds the targets of d_{p-1}, then the sources of d_p, then lone Z's.
+    incoming, outgoing = [[]] + pieces, pieces + [[]]
+    ranks = [len(incoming[p]) + len(outgoing[p]) + lone[p] for p in range(length + 1)]
+    blocks = [IntMatrix.from_sparse(ranks[p + 1], ranks[p],
+                                    [{len(incoming[p]) + i: d} for i, d in enumerate(pieces[p])]
+                                    + [{}] * (ranks[p + 1] - len(pieces[p])))
+              for p in range(length)]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    change, inverse = [], []
+    for n in ranks:
+        g = ginv = IntMatrix.identity(n)
+        for _ in range(3 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            e, einv = [{k: 1} for k in range(n)], [{k: 1} for k in range(n)]
+            e[i], einv[i] = {i: 1, j: c}, {i: 1, j: -c}
+            g = g * IntMatrix.from_sparse(n, n, e)
+            ginv = IntMatrix.from_sparse(n, n, einv) * ginv
+        change.append(g)
+        inverse.append(ginv)
+    diffs = tuple(change[p + 1] * blocks[p] * inverse[p] for p in range(length))
+    groups = tuple(AbGroup.from_divisors(lone[p], incoming[p]) for p in range(length + 1))
+    return SplitCochainComplex.integral(ranks, diffs), groups
+
+
+@st.composite
+def split_complexes(draw):
+    """A free part and, beside it, the mod-2 reduction of another draw of
+    the same length, with the cohomology each must have."""
+    length = draw(st.integers(2, 5))
+    free, free_h = draw(block_complexes(length))
+    tor = tensor_mod2(draw(block_complexes(length))[0])
+    return (SplitCochainComplex(free.free_ranks, tor.tor2_ranks, free.free_d, tor.tor_d),
+            free_h, per_differential_cohomology(tor))
+
+
+@given(split_complexes())
+def test_cohomology_matches_the_per_differential_route(case):
+    c, free_h, tor_h = case
+    expected = tuple(f.direct_sum(t) for f, t in zip(free_h, tor_h))
+    assert per_differential_cohomology(c) == expected
+    assert cohomology(c) == expected
+
+
+def test_cohomology_matches_the_per_differential_route_on_models(ra_corpus):
+    amalgams = [build_amalgam_orbit_complex(AmalgamSpec(r=r, m=m[:len(r) + 1]))
+                for r, m in itertools.product(((1,), (3,), (5,), (3, 1), (1, 5, 3)),
+                                              ((2, 3, 4, 2), (3, 2, 2, 4), (4, 4, 3, 3)))]
+    for x in fold_corpus(ra_corpus) + amalgams:
+        for functor in (CoefficientFunctor.k(0), CoefficientFunctor.ko(0),
+                        CoefficientFunctor.ko(1), CoefficientFunctor.ko(6)):
+            c = assemble_cochain(x, functor)
+            assert cohomology(c) == per_differential_cohomology(c), (x.counts(), functor)

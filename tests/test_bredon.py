@@ -16,7 +16,7 @@ from properk.coxeter import (
 from properk.groups import UnsupportedRestrictionError, cyclic_in_cyclic
 from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
 from properk.reprings import ko_ranks, restriction_ko
-from conftest import reorient
+from conftest import fold_corpus, reorient
 
 
 def test_sl2z_k0_cochain_literal():
@@ -150,19 +150,6 @@ def test_ko_cochain_cross_blocks_vanish_in_scope():
                 assert (xb.rows, xb.cols) == (c.tor2_ranks[p + 1], c.free_ranks[p])
 
 
-def fold_corpus(ra_corpus):
-    """Davis and Bestvina complexes (right-angled, path family, an odd
-    dihedral label) and odd-edge amalgams, whose cyclic stabilizers bring
-    the C-type generators that only the KO^{-2} and KO^{-6} rows see."""
-    dihedral = CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 0], [2, 0, 1]])
-    out = []
-    for matrix in ra_corpus[:3] + [CoxeterMatrix.path_family(3), dihedral]:
-        out += [build_davis_orbit_complex(matrix), build_bestvina_orbit_complex(matrix)]
-    for r, m in (((3,), (5, 7)), ((1, 3), (2, 3, 4)), ((5,), (3, 2))):
-        out.append(build_amalgam_orbit_complex(AmalgamSpec(r=r, m=m)))
-    return out
-
-
 def test_e2_rows_match_unfolded_cochains(ra_corpus):
     # The page assembles only the distinct complexes and derives the other
     # rows; assembling every row's own complex must give the same groups.
@@ -179,30 +166,35 @@ def test_cohomology_factors_each_differential_once(monkeypatch):
     x = build_davis_orbit_complex(CoxeterMatrix.from_rows(
         [[1, 2, 2, 0], [2, 1, 2, 0], [2, 2, 1, 2], [0, 0, 2, 1]]))
     factored, ranked = [], []
+    eliminated = []  # rows of each differential that reach elimination
     invariant_factors, rank2 = abelian.invariant_factors, Mod2Matrix.rank2
 
-    def counting_factors(m):
-        factored.append(m)
-        return invariant_factors(m)
-
-    def counting_rank2(m):
-        ranked.append(m)
-        return rank2(m)
+    def counting(fn, calls):
+        def count(m, *args):
+            calls.append(m)
+            skip = args[0] if args else ()
+            eliminated.append(sum(1 for i in range(m.rows) if i not in skip))
+            return fn(m, *args)
+        return count
 
     for functor in (CoefficientFunctor.k(0), CoefficientFunctor.ko(1), CoefficientFunctor.ko(2)):
         c = assemble_cochain(x, functor)
         assert c.length == x.dim == 3
         factored.clear()
         ranked.clear()
+        eliminated.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(abelian, "invariant_factors", counting_factors)
-            patch.setattr(Mod2Matrix, "rank2", counting_rank2)
+            patch.setattr(abelian, "invariant_factors", counting(invariant_factors, factored))
+            patch.setattr(Mod2Matrix, "rank2", counting(rank2, ranked))
             groups = cohomology(c)
         assert len(groups) == c.length + 1
         # Exactly the L differentials, each once: never a zero end map.
+        # They run top-down, d_{L-1} to d_0, and the unit pivots of each
+        # keep some rows of the next one out of elimination.
         assert len(factored) == len(ranked) == c.length
-        assert all(a is b for a, b in zip(factored, c.free_d))
-        assert all(a is b for a, b in zip(ranked, c.tor_d))
+        assert all(a is b for a, b in zip(factored, reversed(c.free_d)))
+        assert all(a is b for a, b in zip(ranked, reversed(c.tor_d)))
+        assert sum(eliminated) < sum(d.rows for d in c.free_d + c.tor_d)
 
 
 def test_ko_cross_rejection_fires_through_build_e2(monkeypatch, capsys):

@@ -461,3 +461,59 @@ def test_large_prime_incidence_is_not_factored(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["degrees"]["-1"]["resolved"] == {"rank": 0, "torsion": [prime]}
     assert elapsed < 0.25
+
+
+def dense_entries(report):
+    """Matrix entries, zeros included, in an --emit cochain or complex report."""
+    if "cochains" in report:
+        return sum(len(row) for cochain in report["cochains"] for d in cochain["differentials"]
+                   for block in ("free", "tor2", "cross") for row in d[block])
+    return sum(len(row) for layer in report["complex"] for row in layer.get("incidence", ()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["amalgam", "--r", "3,5", "--m", "3,7,5"],
+    ["coxeter", "--matrix", "1,3,0;3,1,3;0,3,1", "--model", "bestvina"],
+    ["coxeter", "--matrix", "1,2,0,2;2,1,2,0;0,2,1,2;2,0,2,1", "--model", "davis"],
+    ["coxeter", "--matrix", "1,5,2;5,1,0;2,0,1", "--model", "davis"],
+], ids=["amalgam", "path-bestvina", "square-davis", "dihedral-davis"])
+@pytest.mark.parametrize("emit, theory", [("complex", "k"), ("cochain", "k"), ("cochain", "ko")])
+def test_dense_emit_budget_is_exact(monkeypatch, capsys, argv, emit, theory):
+    # At a budget of exactly the entries written the report is unchanged;
+    # one entry less and it is refused, with the count, before assembly.
+    import properk.cli as cli
+
+    argv = argv + ["--theory", theory, "--emit", emit]
+    code, out = run(capsys, argv)
+    assert code == 0
+    entries = dense_entries(json.loads(out))
+    monkeypatch.setattr(cli, "EMIT_ENTRY_BUDGET", entries)
+    assert run(capsys, argv) == (0, out)
+    monkeypatch.setattr(cli, "EMIT_ENTRY_BUDGET", entries - 1)
+    monkeypatch.setattr(cli, "assemble_cochain", None)
+    code, out = run(capsys, argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "too_large"
+    assert (error["predicted_entries"], error["budget"]) == (entries, entries - 1)
+
+
+def test_large_dense_emit_is_refused_quickly(capsys):
+    # The Davis model of polygon_family(640): its KO cochains once took
+    # 106 s, 1.19 GB of output and 7.6 GB of memory.
+    from properk.coxeter import CoxeterMatrix
+    from properk.cli import EMIT_ENTRY_BUDGET
+
+    matrix = CoxeterMatrix.polygon_family(640)
+    argv = ["coxeter", "--matrix", ";".join(",".join(map(str, row)) for row in matrix.entries),
+            "--theory", "ko", "--model", "davis", "--emit", "cochain"]
+    start = time.perf_counter()
+    code, out = run(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    entries = 69_043_392
+    assert json.loads(out)["error"] == {
+        "kind": "too_large", "predicted_entries": entries, "budget": EMIT_ENTRY_BUDGET,
+        "message": f"--emit cochain would write {entries} dense matrix entries, "
+                   f"over the budget of {EMIT_ENTRY_BUDGET}"}
+    assert elapsed < 2
