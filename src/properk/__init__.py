@@ -55,7 +55,6 @@ from .groups import (
     elem2,
     elem2_subset,
     reflection_in_dihedral,
-    rotation_in_dihedral,
     trivial,
     trivial_in,
 )
@@ -63,15 +62,11 @@ from .orbit import (
     AmalgamSpec,
     Cell,
     OrbitComplex,
-    TreeBall,
     build_amalgam_orbit_complex,
-    expand_tree,
 )
 from .reprings import (
-    KOCoefficient,
     RealTypeCounts,
     k0_rank,
-    ko_point,
     real_restriction,
     real_type_counts,
     restriction_k0,

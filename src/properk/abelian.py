@@ -552,10 +552,6 @@ class AbGroup:
     def to_json(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "AbGroup":
-        return cls(int(data["rank"]), tuple(int(d) for d in data["torsion"]))
-
 
 # ---------------------------------------------------------------------------
 # Split cochain complexes

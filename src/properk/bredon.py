@@ -148,8 +148,10 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     follow: KO^{-4} equals KO^0, KO^{-3}, KO^{-5} and KO^{-7} are zero
     functors, and KO^{-2} is the KO^{-6} free block beside the KO^{-1}
     torsion block, so its cohomology is their direct sum degree by degree.
-    The assembly refuses every descriptor whose KO^{-2} restriction would
-    need a free-to-torsion term (``reprings.restriction_ko``).
+    That leaves out any free-to-torsion term.  ``reprings.restriction_ko``
+    refuses one where a C-type generator restricts onto an R-type one with
+    odd multiplicity, but that multiplicity is always even; item 1 of
+    ROADMAP.md is to settle the term.
     """
     if theory not in ("k", "ko"):
         raise ValueError("theory must be 'k' or 'ko'")

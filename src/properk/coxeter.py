@@ -23,6 +23,7 @@ from .groups import (
     elem2,
     elem2_exponent,
     elem2_subset,
+    json_int,
     reflection_in_dihedral,
     trivial_in,
 )
@@ -80,14 +81,11 @@ class CoxeterMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoxeterMatrix":
-        size = int(data["size"])
+        size = json_int(data["size"])
         rows = data["m"]
         if len(rows) != size:
             raise ValueError("matrix row count does not match declared size")
-        return cls.from_rows(rows)
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "m": [list(row) for row in self.entries]}
+        return cls(size, tuple(tuple(map(json_int, row)) for row in rows))
 
     @classmethod
     def path_family(cls, n: int) -> "CoxeterMatrix":

@@ -16,6 +16,15 @@ class UnsupportedRestrictionError(ValueError):
     """An inclusion/degree combination whose restriction map is out of scope."""
 
 
+def json_int(x) -> int:
+    """``x`` if it is a JSON integer: every ``from_json`` loader reads its
+    numbers through this, so a string, a float or a boolean is refused
+    rather than converted."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 TRIVIAL = "trivial"
 CYCLIC = "cyclic"
 ELEM2 = "elem2"
@@ -65,11 +74,11 @@ class GroupClass:
         if isinstance(data, dict) and len(data) == 1:
             kind, param = next(iter(data.items()))
             if kind == CYCLIC:
-                return cyclic(int(param))
+                return cyclic(json_int(param))
             if kind == ELEM2:
-                return elem2(int(param))
+                return elem2(json_int(param))
             if kind == DIHEDRAL_ODD:
-                return dihedral_odd(int(param))
+                return dihedral_odd(json_int(param))
         raise ValueError(f"unrecognized group serialization: {data!r}")
 
 
@@ -115,7 +124,6 @@ def elem2_exponent(g: GroupClass) -> int | None:
 CYCLIC_IN_CYCLIC = "cyclic_in_cyclic"
 ELEM2_SUBSET = "elem2_subset"
 REFLECTION_IN_DIHEDRAL = "reflection_in_dihedral"
-ROTATION_IN_DIHEDRAL = "rotation_in_dihedral"
 TRIVIAL_IN_ANYTHING = "trivial_in_anything"
 
 
@@ -130,7 +138,6 @@ class InclusionDescriptor:
                              extra = tuple mapping sub coordinate i to a big
                              coordinate
       reflection_in_dihedral Z/2 generated by a reflection inside D_m
-      rotation_in_dihedral   the rotation subgroup Z/m inside D_m
       trivial_in_anything    the trivial subgroup
     """
 
@@ -149,7 +156,7 @@ class InclusionDescriptor:
     @classmethod
     def from_json(cls, data: dict) -> "InclusionDescriptor":
         kind = data["kind"]
-        extra = tuple(int(x) for x in data.get("extra", ()))
+        extra = tuple(json_int(x) for x in data.get("extra", ()))
         if kind == CYCLIC_IN_CYCLIC:
             return cyclic_in_cyclic(extra[0], extra[1])
         if kind == ELEM2_SUBSET:
@@ -158,8 +165,6 @@ class InclusionDescriptor:
             return elem2_subset(len(extra), k, extra)
         if kind == REFLECTION_IN_DIHEDRAL:
             return reflection_in_dihedral(extra[0])
-        if kind == ROTATION_IN_DIHEDRAL:
-            return rotation_in_dihedral(extra[0])
         if kind == TRIVIAL_IN_ANYTHING:
             return trivial_in(GroupClass.from_json(data["big"]))
         raise ValueError(f"unrecognized inclusion kind: {kind!r}")
@@ -185,10 +190,6 @@ def elem2_subset(sub_k: int, big_k: int, injection: tuple[int, ...]) -> Inclusio
 
 def reflection_in_dihedral(m: int) -> InclusionDescriptor:
     return InclusionDescriptor(REFLECTION_IN_DIHEDRAL, cyclic(2), dihedral_odd(m), (m,))
-
-
-def rotation_in_dihedral(m: int) -> InclusionDescriptor:
-    return InclusionDescriptor(ROTATION_IN_DIHEDRAL, cyclic(m), dihedral_odd(m), (m,))
 
 
 def trivial_in(big: GroupClass) -> InclusionDescriptor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abelian import IntMatrix
-from .groups import GroupClass, InclusionDescriptor, cyclic, cyclic_in_cyclic
+from .groups import GroupClass, InclusionDescriptor, cyclic, cyclic_in_cyclic, json_int
 
 
 class OrbitComplexError(ValueError):
@@ -92,19 +92,20 @@ class OrbitComplex:
         cells = []
         incidence = []
         descriptors = []
-        for p, entry in enumerate(sorted(data, key=lambda e: e["dim"])):
+        layers = sorted(data, key=lambda e: json_int(e["dim"]))
+        for p, entry in enumerate(layers):
             if entry["dim"] != p:
                 raise OrbitComplexError("dimensions must be contiguous from 0")
             cells.append(tuple(Cell(c["label"], GroupClass.from_json(c["stabilizer"]))
                                for c in entry["cells"]))
-        for p, entry in enumerate(sorted(data, key=lambda e: e["dim"])):
+        for p, entry in enumerate(layers):
             if p == len(data) - 1:
                 break
             rows = entry.get("incidence", [])
             incidence.append(IntMatrix.from_rows(
-                [list(map(int, row)) for row in rows], cols=len(cells[p + 1])))
+                [list(map(json_int, row)) for row in rows], cols=len(cells[p + 1])))
             descriptors.append({
-                (int(d["row"]), int(d["col"])): InclusionDescriptor.from_json(d["descriptor"])
+                (json_int(d["row"]), json_int(d["col"])): InclusionDescriptor.from_json(d["descriptor"])
                 for d in entry.get("descriptors", [])
             })
         return cls(tuple(cells), tuple(incidence), tuple(descriptors))
@@ -158,12 +159,9 @@ class AmalgamSpec:
             parts.append(f"Z{self.vertex_order(i)}")
         return " ".join(parts)
 
-    def to_json(self) -> dict:
-        return {"r": list(self.r), "m": list(self.m)}
-
     @classmethod
     def from_json(cls, data: dict) -> "AmalgamSpec":
-        return cls(tuple(int(x) for x in data["r"]), tuple(int(x) for x in data["m"]))
+        return cls(tuple(map(json_int, data["r"])), tuple(map(json_int, data["m"])))
 
 
 def build_amalgam_orbit_complex(spec: AmalgamSpec) -> OrbitComplex:
@@ -191,71 +189,3 @@ def build_amalgam_orbit_complex(spec: AmalgamSpec) -> OrbitComplex:
     return OrbitComplex((vertices, edges),
                         (IntMatrix.from_sparse(spec.k + 1, spec.k, rows),),
                         (descriptors,))
-
-
-@dataclass(frozen=True)
-class TreeBall:
-    """Finite ball of the Bass-Serre tree: typed, stabilizer-labeled graph."""
-
-    vertices: tuple[tuple[int, int, int], ...]  # (type, stabilizer order, depth)
-    edges: tuple[tuple[int, int, int, int], ...]  # (endpoint, endpoint, type, stabilizer order)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b, _, _ in self.edges if v in (a, b))
-
-    def is_tree(self) -> bool:
-        return len(self.edges) == len(self.vertices) - 1 and self._connected()
-
-    def _connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {0}
-        frontier = [0]
-        adj: dict[int, list[int]] = {}
-        for a, b, _, _ in self.edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        while frontier:
-            v = frontier.pop()
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
-
-
-def expand_tree(spec: AmalgamSpec, radius: int, max_vertices: int = 10_000) -> TreeBall:
-    """Ball of the Bass-Serre tree around the type-0 base vertex.
-
-    A vertex of type i has one incident edge per coset of the adjacent edge
-    stabilizer: order(vertex stabilizer)/order(edge stabilizer) edges of
-    type t for each adjacent edge type t in {i, i+1}.  The tree is infinite;
-    this expander exists for property tests and figures, so it carries a
-    hard vertex budget.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    vertices: list[tuple[int, int, int]] = [(0, spec.vertex_order(0), 0)]
-    edges: list[tuple[int, int, int, int]] = []
-    frontier = [(0, 0, None)]  # (vertex index, type, incoming edge type)
-    for depth in range(radius):
-        next_frontier = []
-        for v_idx, v_type, in_type in frontier:
-            for e_type in (v_type, v_type + 1):
-                if not 1 <= e_type <= spec.k:
-                    continue
-                count = spec.vertex_order(v_type) // spec.edge_order(e_type)
-                if e_type == in_type:
-                    count -= 1  # one slot is taken by the edge toward the root
-                w_type = e_type - 1 if e_type == v_type else e_type
-                for _ in range(count):
-                    w_idx = len(vertices)
-                    if w_idx >= max_vertices:
-                        raise OrbitComplexError(
-                            f"tree ball exceeds the budget of {max_vertices} vertices; "
-                            "reduce the radius")
-                    vertices.append((w_type, spec.vertex_order(w_type), depth + 1))
-                    edges.append((v_idx, w_idx, e_type, spec.edge_order(e_type)))
-                    next_frontier.append((w_idx, w_type, e_type))
-        frontier = next_frontier
-    return TreeBall(tuple(vertices), tuple(edges))

@@ -32,7 +32,6 @@ from .groups import (
     ELEM2,
     ELEM2_SUBSET,
     REFLECTION_IN_DIHEDRAL,
-    ROTATION_IN_DIHEDRAL,
     TRIVIAL,
     TRIVIAL_IN_ANYTHING,
     GroupClass,
@@ -54,16 +53,6 @@ def k0_rank(g: GroupClass) -> int:
     if g.kind == ELEM2:
         return 2 ** g.param
     return (g.param + 3) // 2
-
-
-def complex_irrep_labels(g: GroupClass) -> tuple[str, ...]:
-    if g.kind == TRIVIAL:
-        return ("chi0",)
-    if g.kind == CYCLIC:
-        return tuple(f"chi{j}" for j in range(g.param))
-    if g.kind == ELEM2:
-        return tuple(f"e{mask}" for mask in range(2 ** g.param))
-    return ("triv", "sgn") + tuple(f"rho{l}" for l in range(1, (g.param - 1) // 2 + 1))
 
 
 def complex_irrep_dims(g: GroupClass) -> tuple[int, ...]:
@@ -102,15 +91,6 @@ def restriction_k0(incl: InclusionDescriptor) -> IntMatrix:
         # (a reflection acts on rho with eigenvalues +1 and -1).
         return IntMatrix.from_rows([[1, 0] + [1] * two_dims,
                                     [0, 1] + [1] * two_dims], cols=2 + two_dims)
-    if incl.kind == ROTATION_IN_DIHEDRAL:
-        m = incl.extra[0]
-        two_dims = (m - 1) // 2
-        rows = [{} for _ in range(m)]
-        rows[0] = {0: 1, 1: 1}  # trivial and sign both restrict to chi_0
-        for l in range(1, two_dims + 1):
-            rows[l][1 + l] = 1
-            rows[m - l][1 + l] = 1  # rho_l -> chi_l + chi_{m-l}, m odd so l != m-l
-        return IntMatrix(m, 2 + two_dims, tuple(rows))
     raise UnsupportedRestrictionError(f"unsupported inclusion kind {incl.kind!r}")
 
 
@@ -168,17 +148,6 @@ def real_type_counts(g: GroupClass) -> RealTypeCounts:
     return RealTypeCounts(k0_rank(g), 0)
 
 
-def real_irrep_labels(g: GroupClass) -> tuple[str, ...]:
-    complex_labels = complex_irrep_labels(g)
-    out = []
-    for kind, members in real_structure(g):
-        if kind == "R":
-            out.append(complex_labels[members[0]])
-        else:
-            out.append("+".join(complex_labels[i] for i in members))
-    return tuple(out)
-
-
 def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
     """Matrix of RO(big) -> RO(sub) in the fixed real bases.
 
@@ -206,34 +175,9 @@ def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
 # KO coefficients at orbits
 
 
-@dataclass(frozen=True)
-class KOCoefficient:
-    """Value of KO^{-n} at an orbit: a free part and an elementary 2-part."""
-
-    free_rank: int
-    tor2_rank: int
-    free_labels: tuple[str, ...]
-    tor2_labels: tuple[str, ...]
-
-
-def ko_point(g: GroupClass, n: int) -> KOCoefficient:
-    """KO^{-n}_G(pt) through the Segal decomposition, n taken mod 8."""
-    n %= 8
-    labels = real_irrep_labels(g)
-    gens = real_structure(g)
-    free_labels: list[str] = []
-    tor2_labels: list[str] = []
-    for (kind, _), label in zip(gens, labels):
-        pt_free, pt_tor = KO_POINT[n] if kind == "R" else KU_POINT[n % 2]
-        free_labels.extend([label] * pt_free)
-        tor2_labels.extend([label] * pt_tor)
-    return KOCoefficient(len(free_labels), len(tor2_labels),
-                         tuple(free_labels), tuple(tor2_labels))
-
-
 def ko_ranks(g: GroupClass, n: int) -> tuple[int, int]:
-    """(free rank, Z/2 rank) of KO^{-n}_G(pt): the sizes of ``ko_point``
-    without building its labels."""
+    """(free rank, Z/2 rank) of KO^{-n}_G(pt) through Segal's decomposition:
+    each R-type generator carries KO^{-n}(pt), each C-type one K^{-n}(pt)."""
     runs = coefficient_runs(g, "ko")
     return tuple(sum(count * table[n % len(table)][part] for table, count in runs)
                  for part in (0, 1))

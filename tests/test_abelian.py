@@ -144,7 +144,7 @@ def test_abgroup_rendering_and_json():
     assert str(g) == "Z^2 (+) Z/2 (+) Z/4"
     assert str(AbGroup.zero()) == "0"
     assert str(AbGroup.free(1)) == "Z"
-    assert AbGroup.from_json(g.to_json()) == g
+    assert g.to_json() == {"rank": 2, "torsion": [2, 4]}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from properk import (
     closed_form_polygon_family,
     closed_form_right_angled,
     compare,
-    ko_point,
     smith_normal_form,
     uct_verify,
 )
@@ -38,6 +37,7 @@ from properk.ahss import EXACT_MATCH, MATCH_UP_TO_EXTENSION
 from properk.cli import main
 from properk.coxeter import INFINITY, UnsupportedStabilizerError
 from properk.groups import cyclic
+from properk.reprings import ko_ranks
 from conftest import random_int_matrix, reorient
 
 Z = AbGroup.free
@@ -201,8 +201,7 @@ def test_criterion_6_ko_point_oracle():
         table = {0: (fl, 0), 1: (0, t), 2: (ce, t), 3: (0, 0),
                  4: (fl, 0), 5: (0, 0), 6: (ce, 0), 7: (0, 0)}
         for n in range(8):
-            pt = ko_point(cyclic(s), n)
-            assert (pt.free_rank, pt.tor2_rank) == table[n], (s, n)
+            assert ko_ranks(cyclic(s), n) == table[n], (s, n)
     announce(6, "Segal-decomposition KO point coefficients reproduce the "
                 "cyclic-group table for s = 1..12, n = 0..7")
 

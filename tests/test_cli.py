@@ -517,3 +517,64 @@ def test_large_dense_emit_is_refused_quickly(capsys):
         "message": f"--emit cochain would write {entries} dense matrix entries, "
                    f"over the budget of {EMIT_ENTRY_BUDGET}"}
     assert elapsed < 2
+
+
+def _vertex_edge_dump(stabilizer: str, incidence: str = "1") -> str:
+    """A one-vertex, one-edge dump as JSON text, so that numbers like 1e400
+    reach the loader as written."""
+    return ('[{"dim": 0, "cells": [{"label": "v", "stabilizer": %s}], "incidence": [[%s]],'
+            ' "descriptors": [{"row": 0, "col": 0, "descriptor":'
+            ' {"kind": "trivial_in_anything", "sub": "trivial", "big": %s}}]},'
+            ' {"dim": 1, "cells": [{"label": "e", "stabilizer": "trivial"}]}]'
+            % (stabilizer, incidence, stabilizer))
+
+
+# Each of these was once read as some other input or ended in a traceback:
+# "35" as r = (3, 5), 3.9 as 3, the label 2.7 as 2, true as 1, and 1e400
+# (infinity once parsed) in an OverflowError.
+NON_INTEGER_INPUTS = [
+    (["amalgam", "--file"], '{"r": "35", "m": [2, 2, 2]}', "'3'"),
+    (["amalgam", "--file"], '{"r": [3.9], "m": [2, 2]}', "3.9"),
+    (["coxeter", "--file"], '{"size": 2, "m": [[1, 2.7], [2.7, 1]]}', "2.7"),
+    (["amalgam", "--file"], '{"r": [true], "m": [2, 2]}', "True"),
+    (["amalgam", "--file"], '{"r": [1e400], "m": [2, 2]}', "inf"),
+    (["coxeter", "--file"], '{"size": 1e400, "m": []}', "inf"),
+    (["amalgam", "--from-complex"], _vertex_edge_dump('{"cyclic": 1e400}'), "inf"),
+    (["coxeter", "--from-complex"], _vertex_edge_dump('"trivial"', "1.0"), "1.0"),
+]
+
+
+@pytest.mark.parametrize("flag, text, shown", NON_INTEGER_INPUTS,
+                         ids=["string-r", "float-r", "float-label", "bool-r", "huge-r",
+                              "huge-size", "huge-stabilizer", "float-incidence"])
+def test_non_integer_json_numbers_are_invalid_input(tmp_path, capsys, flag, text, shown):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out = run(capsys, flag + [str(path), "--theory", "k"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid_input"
+    assert f"expected an integer, got {shown}" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["amalgam", "coxeter"])
+@pytest.mark.parametrize("theory", ["k", "ko"])
+def test_rotation_in_dihedral_dump_is_invalid_input(tmp_path, capsys, command, theory):
+    # No model builds the rotation subgroup Z3 <= D3, so a dump naming it
+    # is refused like any unknown descriptor kind.
+    rotation = {"kind": "rotation_in_dihedral", "sub": {"cyclic": 3},
+                "big": {"dihedral_odd": 3}, "extra": [3]}
+    dump = [{"dim": 0,
+             "cells": [{"label": "v0", "stabilizer": {"dihedral_odd": 3}},
+                       {"label": "v1", "stabilizer": {"dihedral_odd": 3}}],
+             "incidence": [[1], [-1]],
+             "descriptors": [{"row": 0, "col": 0, "descriptor": rotation},
+                             {"row": 1, "col": 0, "descriptor": rotation}]},
+            {"dim": 1, "cells": [{"label": "e", "stabilizer": {"cyclic": 3}}]}]
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(dump))
+    code, out = run(capsys, [command, "--theory", theory, "--from-complex", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "invalid_input",
+        "message": "bad orbit complex JSON: unrecognized inclusion kind: 'rotation_in_dihedral'"}

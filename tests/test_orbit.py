@@ -8,7 +8,6 @@ from properk.orbit import (
     OrbitComplex,
     OrbitComplexError,
     build_amalgam_orbit_complex,
-    expand_tree,
 )
 
 
@@ -68,61 +67,6 @@ def test_orbit_complex_validation_catches_bad_descriptors():
 def test_orbit_complex_json_roundtrip():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2, 1), m=(3, 2, 2)))
     assert OrbitComplex.from_json(x.to_json()) == x
-
-
-# ---------------------------------------------------------------------------
-# Bass-Serre tree balls
-
-
-def test_tree_radius_zero():
-    ball = expand_tree(AmalgamSpec(r=(1,), m=(2, 2)), 0)
-    assert len(ball.vertices) == 1
-    assert not ball.edges
-
-
-def test_tree_infinite_dihedral_is_a_path():
-    ball = expand_tree(AmalgamSpec(r=(1,), m=(2, 2)), 3)
-    assert len(ball.vertices) == 7
-    assert ball.is_tree()
-    degrees = sorted(ball.degree(v) for v in range(7))
-    assert degrees == [1, 1, 2, 2, 2, 2, 2]
-    # vertex types alternate along the path
-    types = {v: t for v, (t, _, _) in enumerate(ball.vertices)}
-    for a, b, _, _ in ball.edges:
-        assert types[a] != types[b]
-
-
-def test_tree_free_product_degrees():
-    # Z4 * Z3 * Z2 with trivial edge groups: the base vertex has one edge
-    # per element of Z4, its type-1 neighbors have 2*3 incident edges.
-    ball = expand_tree(AmalgamSpec(r=(1, 1), m=(4, 3, 2)), 2)
-    assert ball.is_tree()
-    assert ball.degree(0) == 4
-    neighbors = [w for a, w, _, _ in ball.edges if a == 0]
-    assert all(ball.degree(w) == 6 for w in neighbors)
-    orders = {t: o for t, o, _ in ball.vertices}
-    assert orders == {0: 4, 1: 3, 2: 2}
-
-
-def test_tree_stabilizer_orders_match_edge_quotients():
-    spec = AmalgamSpec(r=(3, 5), m=(2, 2, 2))
-    ball = expand_tree(spec, 2)
-    assert ball.is_tree()
-    # degree at an interior vertex of type t: one edge per coset of each
-    # adjacent edge stabilizer
-    for v, (t, order, depth) in enumerate(ball.vertices):
-        if depth >= 2:
-            continue
-        expected = 0
-        for e_type in (t, t + 1):
-            if 1 <= e_type <= spec.k:
-                expected += order // spec.edge_order(e_type)
-        assert ball.degree(v) == expected
-
-
-def test_tree_budget():
-    with pytest.raises(OrbitComplexError):
-        expand_tree(AmalgamSpec(r=(1, 1), m=(4, 4, 4)), 12, max_vertices=2000)
 
 
 def test_bookkeeping_error_names_the_first_offending_pair():

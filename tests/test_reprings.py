@@ -13,13 +13,11 @@ from properk.groups import (
     elem2,
     elem2_subset,
     reflection_in_dihedral,
-    rotation_in_dihedral,
     trivial,
     trivial_in,
 )
 from properk.reprings import (
     k0_rank,
-    ko_point,
     ko_ranks,
     real_restriction,
     real_structure,
@@ -65,18 +63,6 @@ def test_restriction_to_trivial_is_dimension():
     assert m.to_rows() == [[1, 1, 1, 1]]
 
 
-def test_restriction_rotation_in_dihedral():
-    m = restriction_k0(rotation_in_dihedral(5))
-    # columns: trivial, sign, rho1, rho2 against chi_0..chi_4
-    assert m.to_rows() == [
-        [1, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ]
-
-
 def test_restriction_elem2_subset():
     m = restriction_k0(elem2_subset(1, 2, (0,)))
     assert m.to_rows() == [[1, 0, 1, 0], [0, 1, 0, 1]]
@@ -106,7 +92,6 @@ def test_restriction_preserves_dimensions():
         cyclic_in_cyclic(3, 4),
         cyclic_in_cyclic(1, 5),
         reflection_in_dihedral(5),
-        rotation_in_dihedral(7),
         elem2_subset(2, 4, (1, 3)),
         trivial_in(dihedral_odd(9)),
     ]
@@ -160,13 +145,6 @@ def test_real_type_counts_match_real_structure():
         assert kinds == sorted(kinds, key="RC".index), g
 
 
-def test_ko_ranks_are_the_sizes_of_ko_point():
-    for g in catalogue_sample():
-        for n in range(-8, 9):
-            pt = ko_point(g, n)
-            assert ko_ranks(g, n) == (pt.free_rank, pt.tor2_rank), (g, n)
-
-
 def test_real_restriction_literals():
     # RO(Z3) -> RO(1): the rotation plane restricts to two copies of the
     # trivial representation.
@@ -195,28 +173,27 @@ def expected_cyclic_ko_table(s: int, n: int) -> tuple[int, int]:
 def test_ko_point_reproduces_cyclic_table():
     for s in range(1, 13):
         for n in range(8):
-            pt = ko_point(cyclic(s), n)
-            assert (pt.free_rank, pt.tor2_rank) == expected_cyclic_ko_table(s, n), (s, n)
+            assert ko_ranks(cyclic(s), n) == expected_cyclic_ko_table(s, n), (s, n)
 
 
 def test_ko_point_elem2_and_dihedral():
     for k in range(4):
-        assert (ko_point(elem2(k), 2).free_rank, ko_point(elem2(k), 2).tor2_rank) == (0, 2 ** k)
-        assert ko_point(elem2(k), 0).free_rank == 2 ** k
-        assert ko_point(elem2(k), 6).free_rank == 0
-    d = ko_point(dihedral_odd(3), 1)
-    assert (d.free_rank, d.tor2_rank) == (0, 3)
+        assert ko_ranks(elem2(k), 2) == (0, 2 ** k)
+        assert ko_ranks(elem2(k), 0)[0] == 2 ** k
+        assert ko_ranks(elem2(k), 6)[0] == 0
+    assert ko_ranks(dihedral_odd(3), 1) == (0, 3)
     for g in (cyclic(5), elem2(2), dihedral_odd(7), trivial()):
-        pt = ko_point(g, 3)
-        assert (pt.free_rank, pt.tor2_rank) == (0, 0)
+        assert ko_ranks(g, 3) == (0, 0)
 
 
 def test_ko_point_periodicity_and_labels():
     for n in range(8):
-        a, b = ko_point(cyclic(6), n), ko_point(cyclic(6), n + 8)
-        assert a == b
-    pt = ko_point(cyclic(5), 0)
-    assert len(set(pt.free_labels)) == len(pt.free_labels)
+        assert ko_ranks(cyclic(6), n) == ko_ranks(cyclic(6), n + 8)
+    # Each real generator is labelled by the complex irreducibles it holds,
+    # and every complex irreducible labels exactly one generator.
+    for g in catalogue_sample():
+        members = sorted(i for _, group in real_structure(g) for i in group)
+        assert members == list(range(k0_rank(g))), g
 
 
 def test_restriction_ko_trivial_in_z2_degree1():
@@ -278,7 +255,6 @@ def inclusion_descriptors():
         groups.map(trivial_in),
         coordinates.map(lambda c: elem2_subset(c[2], c[0], tuple(c[1][:c[2]]))),
         odd.map(reflection_in_dihedral),
-        odd.map(rotation_in_dihedral),
     )
 
 
@@ -286,7 +262,6 @@ def inclusion_descriptors():
 @example(cyclic_in_cyclic(2, 3), 1)
 @example(cyclic_in_cyclic(4, 1), 10)
 @example(cyclic_in_cyclic(3, 5), 2)
-@example(rotation_in_dihedral(5), 6)
 def test_restriction_ko_blocks_have_the_ko_ranks_shapes(incl, n):
     # The blocks are cut by the point tables, so their shapes are the
     # KO^{-n} ranks of the subgroup (rows) and the big group (columns); the
@@ -301,3 +276,18 @@ def test_restriction_ko_blocks_have_the_ko_ranks_shapes(incl, n):
     (f_sub, t_sub), (f_big, t_big) = ko_ranks(incl.sub, n), ko_ranks(incl.big, n)
     assert (free.rows, free.cols) == (f_sub, f_big)
     assert (tor.rows, tor.cols) == (t_sub, t_big)
+
+
+@given(inclusion_descriptors())
+@example(trivial_in(cyclic(3)))
+@example(cyclic_in_cyclic(3, 5))
+def test_complex_type_restricts_onto_real_type_evenly(incl):
+    # A C-type generator V of the big group restricts onto an R-type W of
+    # the subgroup with even multiplicity: V ⊗ C = chi + conj(chi), and W's
+    # self-conjugate character occurs equally often in both halves.  So
+    # restriction_ko's KO^-2 refusal, which tests this multiplicity mod 2,
+    # never fires.
+    m = real_restriction(incl)
+    sub_r = [w for w, (kind, _) in enumerate(real_structure(incl.sub)) if kind == "R"]
+    big_c = [v for v, (kind, _) in enumerate(real_structure(incl.big)) if kind == "C"]
+    assert all(m.entry(w, v) % 2 == 0 for w in sub_r for v in big_c), incl
