@@ -621,14 +621,50 @@ class SplitCochainComplex:
         return all(t == 0 for t in self.tor2_ranks)
 
 
-def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
-    """ker(d_p)/im(d_{p-1}) of a split cochain complex for p = 0..length.
+@dataclass(frozen=True)
+class Factorization:
+    """The numbers every cohomology group of a split cochain complex is read
+    off: its ranks, and per differential d_p the invariant factors of the
+    free block and the GF(2) rank of the torsion block.
 
-    H^p is the direct sum of the integral cohomology of the free blocks and
-    the mod-2 cohomology of the torsion blocks.  Each free block is factored
-    and each torsion block ranked exactly once, and every degree is read off
-    those numbers; the zero maps at either end contribute nothing and are
-    never built.
+    ``factors[p + 1]`` and ``ranks2[p + 1]`` belong to d_p; index 0 and the
+    last index stand for the zero maps at either end.
+    """
+
+    free_ranks: tuple[int, ...]
+    tor2_ranks: tuple[int, ...]
+    factors: tuple[tuple[int, ...], ...]
+    ranks2: tuple[int, ...]
+
+    def groups(self) -> tuple[AbGroup, ...]:
+        """ker(d_p)/im(d_{p-1}) for p = 0..length: the integral cohomology
+        of the free blocks beside the mod-2 cohomology of the torsion ones."""
+        factors, ranks2 = self.factors, self.ranks2
+        return tuple(AbGroup.from_divisors(
+            self.free_ranks[p] - len(factors[p + 1]) - len(factors[p]),
+            [d for d in factors[p] if d > 1]
+            + [2] * (self.tor2_ranks[p] - ranks2[p + 1] - ranks2[p]))
+            for p in range(len(self.free_ranks)))
+
+    def mod2(self) -> "Factorization":
+        """The factorization of C ⊗ Z/2, for C this pure integral complex,
+        with nothing reduced or ranked again.
+
+        U·d_p·V = D with U and V unimodular stays so mod 2, so d_p mod 2
+        has GF(2) rank the number of odd invariant factors of d_p.  The
+        top-down factorization keeps that list complete: it holds rank(d_p)
+        factors and d_p's factors > 1, so the rest are the ones.
+        """
+        if any(self.tor2_ranks):
+            raise ChainComplexError("mod2 requires a pure integral complex")
+        return Factorization((0,) * len(self.free_ranks), self.free_ranks,
+                             ((),) * len(self.factors),
+                             tuple(sum(d & 1 for d in f) for f in self.factors))
+
+
+def factor_complex(complex_: SplitCochainComplex) -> Factorization:
+    """Factor each free block and rank each torsion block exactly once; the
+    zero maps at either end contribute nothing and are never built.
 
     The differentials are factored top-down, d_{L-1} first, and d_p without
     the rows at the columns A where the unit-pivot phase of d_{p+1} pivoted
@@ -639,24 +675,39 @@ def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
     im d_p ⊆ ker d_{p+1}, the rest of d_p has the rank and the invariant
     factors > 1 of d_p.  Over GF(2) the pivots' top bits play the part of A.
     """
-    n = complex_.length
-    # Index p + 1 holds d_p, so index p holds d_{p-1}; both ends are zero maps.
-    factors: list[tuple[int, ...]] = [()] * (n + 2)
-    ranks2 = [0] * (n + 2)
-    skip_free, skip_tor = set(), set()
-    for p in reversed(range(n)):
+    return Factorization(complex_.free_ranks, complex_.tor2_ranks,
+                         _top_down(complex_.free_d, invariant_factors, ()),
+                         _top_down(complex_.tor_d, Mod2Matrix.rank2, 0))
+
+
+def factor_integral(complex_: SplitCochainComplex) -> Factorization:
+    """``factor_complex`` of a pure integral complex, whose torsion blocks
+    are all empty and are not ranked."""
+    if not complex_.is_pure_integral():
+        raise ChainComplexError("factor_integral requires a pure integral complex")
+    n = len(complex_.free_ranks)
+    return Factorization(complex_.free_ranks, complex_.tor2_ranks,
+                         _top_down(complex_.free_d, invariant_factors, ()), (0,) * (n + 1))
+
+
+def _top_down(diffs, factor, end) -> tuple:
+    """``factor(d_p, skip, pivots)`` for p = L-1 down to 0, each d_p without
+    the rows at the pivot columns of d_{p+1}; index p + 1 holds d_p's
+    result, and ``end`` stands for the zero maps at either end."""
+    out = [end] * (len(diffs) + 2)
+    skip = set()
+    for p in reversed(range(len(diffs))):
         # d_0's pivots would index the rows of no further differential.
-        pivots_free, pivots_tor = (set(), set()) if p else (None, None)
-        factors[p + 1] = invariant_factors(complex_.free_d[p], skip_free, pivots_free)
-        ranks2[p + 1] = complex_.tor_d[p].rank2(skip_tor, pivots_tor)
-        skip_free, skip_tor = pivots_free, pivots_tor
-    groups = []
-    for p in range(n + 1):
-        free_rank = complex_.free_ranks[p] - len(factors[p + 1]) - len(factors[p])
-        tor_dim = complex_.tor2_ranks[p] - ranks2[p + 1] - ranks2[p]
-        groups.append(AbGroup.from_divisors(
-            free_rank, [d for d in factors[p] if d > 1] + [2] * tor_dim))
-    return tuple(groups)
+        pivots = set() if p else None
+        out[p + 1] = factor(diffs[p], skip, pivots)
+        skip = pivots
+    return tuple(out)
+
+
+def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
+    """ker(d_p)/im(d_{p-1}) of a split cochain complex for p = 0..length,
+    read off its one factorization (``factor_complex``)."""
+    return factor_complex(complex_).groups()
 
 
 def tensor_mod2(complex_: SplitCochainComplex) -> SplitCochainComplex:

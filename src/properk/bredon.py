@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .abelian import AbGroup, IntMatrix, SplitCochainComplex, cohomology
-from .groups import InclusionDescriptor
+from .abelian import AbGroup, IntMatrix, SplitCochainComplex, cohomology, factor_integral
+from .groups import GroupClass, InclusionDescriptor
 from .orbit import OrbitComplex
 from .reprings import (
     coefficient_runs,
     cut,
     cut_indices,
+    ko_ranks,
     refuse_even_cyclic,
     restriction_k0,
     restriction_ko,
@@ -73,9 +74,10 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     block layout, so assembled matrices are reproducible literals.
     """
     ko = functor.theory == "ko"
-    sizes = [[sum(count for _, count in coefficient_runs(cell.stabilizer, functor.theory))
-              for cell in cells] for cells in complex_.cells]
-    offsets = [list(accumulate(layer, initial=0)) for layer in sizes]  # per dim and cell
+    size = {g: sum(count for _, count in coefficient_runs(g, functor.theory))
+            for g in _stabilizers(complex_)}
+    offsets = [list(accumulate((size[cell.stabilizer] for cell in cells), initial=0))
+               for cells in complex_.cells]  # per dim and cell
     ranks = [offs.pop() for offs in offsets]
 
     blocks: dict[InclusionDescriptor, IntMatrix] = {}
@@ -116,8 +118,7 @@ def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,
     the order they occur.
     """
     if functor.theory == "ko":
-        refuse_even_cyclic((incl for layer in complex_.descriptors for incl in layer.values()),
-                           functor.n)
+        refuse_even_cyclic(_descriptors(complex_), functor.n)
     parts = [cut_indices((run for cell in cells
                           for run in coefficient_runs(cell.stabilizer, functor.theory)), functor.n)
              for cells in complex_.cells]
@@ -126,6 +127,16 @@ def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,
                                tuple(len(tor) for _, tor in parts),
                                tuple(free for free, _ in blocks),
                                tuple(tor for _, tor in blocks))
+
+
+def _stabilizers(complex_: OrbitComplex) -> set[GroupClass]:
+    """The distinct cell stabilizers."""
+    return {cell.stabilizer for cells in complex_.cells for cell in cells}
+
+
+def _descriptors(complex_: OrbitComplex):
+    """Every inclusion descriptor, in the order the layers hold them."""
+    return (incl for layer in complex_.descriptors for incl in layer.values())
 
 
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
@@ -142,25 +153,42 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     """Bredon cohomology for the coefficient degrees -n, n = 0..period-1.
 
     One cochain complex is assembled per page.  For K that is K^0; K^{-1}
-    is a zero functor.  For KO it is the real complex, KO^0, and Segal's
-    decomposition makes two more rows distinct, both cut from it: KO^{-1}
-    (its R-to-R part mod 2) and KO^{-6} (its C-to-C part).  The other rows
-    follow: KO^{-4} equals KO^0, KO^{-3}, KO^{-5} and KO^{-7} are zero
-    functors, and KO^{-2} is the KO^{-6} free block beside the KO^{-1}
-    torsion block, so its cohomology is their direct sum degree by degree.
-    That leaves out any free-to-torsion term.  ``reprings.restriction_ko``
-    refuses one where a C-type generator restricts onto an R-type one with
-    odd multiplicity, but that multiplicity is always even; item 1 of
-    ROADMAP.md is to settle the term.
+    is a zero functor.  For KO it is the real complex C, which is KO^0 and
+    KO^{-4}; KO^{-3}, KO^{-5} and KO^{-7} are zero functors.  Segal's
+    decomposition makes two more rows distinct: KO^{-1} (the R-to-R part of
+    C mod 2) and KO^{-6} (its C-to-C part).  KO^{-2} is the KO^{-6} free
+    block beside the KO^{-1} torsion block, so its cohomology is their
+    direct sum degree by degree.
+
+    Real-type route: when no cell stabilizer has a complex-type real
+    irreducible (KO^{-6} of every orbit is 0), as for every Coxeter group in
+    scope, KO^{-6} is the zero complex and KO^{-1} is C ⊗ Z/2.  C is then
+    factored once and both rows are read off that factorization, the mod-2
+    one from the parity of its invariant factors; no cut is built.  The
+    KO^{-1} refusal of an even-order cyclic subgroup still applies.
+
+    Cut route, otherwise (an amalgam with a cyclic stabilizer of order 3 or
+    more): C is factored, and KO^{-1} and KO^{-6} are cut from it
+    (``cut_cochain``) and factored on their own.
+
+    Either way any free-to-torsion term is left out.
+    ``reprings.restriction_ko`` refuses one where a C-type generator
+    restricts onto an R-type one with odd multiplicity, but that
+    multiplicity is always even; item 1 of ROADMAP.md is to settle the term.
     """
     if theory not in ("k", "ko"):
         raise ValueError("theory must be 'k' or 'ko'")
     if theory == "k":
         return tuple(bredon_cohomology(complex_, CoefficientFunctor.k(n)) for n in (0, 1))
     full = assemble_cochain(complex_, CoefficientFunctor.ko(0))
+    zero = (AbGroup.zero(),) * (complex_.dim + 1)
+    if all(ko_ranks(g, 6) == (0, 0) for g in _stabilizers(complex_)):
+        refuse_even_cyclic(_descriptors(complex_), 1)
+        factored = factor_integral(full)
+        real, mod2 = factored.groups(), factored.mod2().groups()
+        return (real, mod2, mod2, zero, real, zero, zero, zero)
     real = cohomology(full)
     r_to_r, c_to_c = (cohomology(cut_cochain(complex_, full, CoefficientFunctor.ko(n)))
                       for n in (1, 6))
-    zero = (AbGroup.zero(),) * (complex_.dim + 1)
     mixed = tuple(free.direct_sum(tor) for free, tor in zip(c_to_c, r_to_r))
     return (real, r_to_r, mixed, zero, real, zero, c_to_c, zero)

@@ -279,13 +279,6 @@ class SphericalPoset:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, subset) -> bool:
-        return tuple(sorted(subset)) in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.members)
-
     def stabilizer(self, subset: tuple[int, ...]) -> GroupClass:
         """``group_class_of(matrix, subset)``, classified once."""
         found = self._stabilizers.get(subset)

@@ -125,6 +125,8 @@ CYCLIC_IN_CYCLIC = "cyclic_in_cyclic"
 ELEM2_SUBSET = "elem2_subset"
 REFLECTION_IN_DIHEDRAL = "reflection_in_dihedral"
 TRIVIAL_IN_ANYTHING = "trivial_in_anything"
+# Length of ``extra`` for the kinds whose parameters have a fixed count.
+_EXTRA_ARITY = {CYCLIC_IN_CYCLIC: 2, REFLECTION_IN_DIHEDRAL: 1, TRIVIAL_IN_ANYTHING: 0}
 
 
 @dataclass(frozen=True)
@@ -157,11 +159,18 @@ class InclusionDescriptor:
     def from_json(cls, data: dict) -> "InclusionDescriptor":
         kind = data["kind"]
         extra = tuple(json_int(x) for x in data.get("extra", ()))
+        arity = _EXTRA_ARITY.get(kind)
+        if arity is not None and len(extra) != arity:
+            raise ValueError(f"{kind} descriptor needs an extra of length {arity}, "
+                             f"got {len(extra)}")
         if kind == CYCLIC_IN_CYCLIC:
             return cyclic_in_cyclic(extra[0], extra[1])
         if kind == ELEM2_SUBSET:
             big = GroupClass.from_json(data["big"])
             k = elem2_exponent(big)
+            if k is None:
+                raise ValueError(f"{kind} descriptor needs an elementary abelian 2-group "
+                                 f"as big, got {big}")
             return elem2_subset(len(extra), k, extra)
         if kind == REFLECTION_IN_DIHEDRAL:
             return reflection_in_dihedral(extra[0])

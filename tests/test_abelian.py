@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from properk.abelian import (
@@ -13,6 +13,8 @@ from properk.abelian import (
     SplitCochainComplex,
     cohomology,
     determinant,
+    factor_complex,
+    factor_integral,
     invariant_factors,
     smith_normal_form,
     tensor_mod2,
@@ -307,6 +309,37 @@ def test_cohomology_matches_the_per_differential_route(case):
     expected = tuple(f.direct_sum(t) for f, t in zip(free_h, tor_h))
     assert per_differential_cohomology(c) == expected
     assert cohomology(c) == expected
+
+
+# Z^2 -> Z^3 -> Z, with d_0 = diag(2, 3) and d_1 = (0 0 4): H = (0, Z/6, Z/4),
+# invariant factors above 1 both even and odd.
+MIXED_PARITY = (integral_complex([2, 3, 1], [[[2, 0], [0, 3], [0, 0]], [[0, 0, 4]]]),
+                (AbGroup.zero(), AbGroup(0, (6,)), AbGroup(0, (4,))))
+
+
+@given(st.integers(1, 5).flatmap(block_complexes))
+@example(MIXED_PARITY)
+def test_mod2_groups_read_off_the_invariant_factors(case):
+    # d_p mod 2 has GF(2) rank the number of odd invariant factors of d_p,
+    # so one factorization of c gives H(c ⊗ Z/2) with nothing reduced or
+    # ranked; cohomology(tensor_mod2(c)) reduces and runs rank2 instead.
+    c, groups = case
+    factored = factor_integral(c)
+    assert factored == factor_complex(c)  # the empty torsion blocks rank 0
+    assert factored.groups() == groups
+    mod2 = factored.mod2().groups()
+    assert mod2 == cohomology(tensor_mod2(c))
+    # The universal coefficient theorem, from the known integral groups.
+    assert mod2 == tuple(AbGroup.elementary_2(h.tensor_z2_dim() + above.tor_z2_dim())
+                         for h, above in zip(groups, groups[1:] + (AbGroup.zero(),)))
+
+
+def test_integral_factorization_needs_a_pure_integral_complex():
+    mixed = SplitCochainComplex((1, 0), (1, 0), (IntMatrix.zero(0, 1),), (Mod2Matrix.zero(0, 1),))
+    with pytest.raises(ChainComplexError):
+        factor_integral(mixed)
+    with pytest.raises(ChainComplexError):
+        factor_complex(mixed).mod2()
 
 
 def test_cohomology_matches_the_per_differential_route_on_models(ra_corpus):

@@ -322,3 +322,66 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
         assert assembled == [(x, CoefficientFunctor.ko(0))]
         distinct = list(dict.fromkeys(incl for layer in x.descriptors for incl in layer.values()))
         assert restricted == [(incl, 0) for incl in distinct]
+
+
+def test_real_type_ko_page_reads_one_factorization(monkeypatch, ra_corpus):
+    # Right-angled stabilizers are (Z/2)^k, whose real irreducibles are all
+    # of real type: KO^-1 is the real complex mod 2 and KO^-6 is zero, so
+    # the page factors each differential of the real complex once and
+    # builds, reduces and ranks no cut.
+    matrix = next(m for m in ra_corpus if build_bestvina_orbit_complex(m).dim >= 2)
+    complexes = [build_davis_orbit_complex(matrix), build_bestvina_orbit_complex(matrix)]
+    expected = [build_e2(x, "ko") for x in complexes]  # checked against the cut route
+    assembled = []
+    assemble = bredon.assemble_cochain
+    monkeypatch.setattr(bredon, "assemble_cochain",
+                        lambda *args: assembled.append(assemble(*args)) or assembled[-1])
+    factored = counting(monkeypatch, abelian, "invariant_factors")
+
+    def refuse(*_):
+        raise AssertionError("the real-type route cut, reduced or ranked a complex")
+
+    monkeypatch.setattr(bredon, "cut_cochain", refuse)
+    monkeypatch.setattr(IntMatrix, "mod2", refuse)
+    monkeypatch.setattr(Mod2Matrix, "rank2", refuse)
+    for x, page in zip(complexes, expected):
+        assembled.clear()
+        factored.clear()
+        assert build_e2(x, "ko") == page
+        (full,) = assembled
+        assert full.length == x.dim >= 2
+        assert [args[0] for args in factored] == list(reversed(full.free_d))
+        assert all(args[0] is d for args, d in zip(factored, reversed(full.free_d)))
+
+
+def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
+    # Z15 and Z21 have complex-type irreducibles: the amalgam keeps the cut
+    # route, KO^-1 and KO^-6 each cut from the real complex.
+    cuts = counting(monkeypatch, bredon, "cut_cochain")
+    x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7)))
+    page = build_e2(x, "ko")
+    assert [args[2] for args in cuts] == [CoefficientFunctor.ko(1), CoefficientFunctor.ko(6)]
+    assert not page.rows[6][0].is_zero
+
+
+def test_real_type_route_keeps_the_even_cyclic_refusal(tmp_path, monkeypatch, capsys):
+    # Z2 <= Z2 is real-type only, so the page takes the route without cuts,
+    # and still refuses the even-order edge group in KO^-1.
+    z2_in_z2 = {"kind": "cyclic_in_cyclic", "sub": {"cyclic": 2}, "big": {"cyclic": 2},
+                "extra": [2, 1]}
+    dump = [{"dim": 0,
+             "cells": [{"label": "v0", "stabilizer": {"cyclic": 2}},
+                       {"label": "v1", "stabilizer": {"cyclic": 2}}],
+             "incidence": [[1], [-1]],
+             "descriptors": [{"row": 0, "col": 0, "descriptor": z2_in_z2},
+                             {"row": 1, "col": 0, "descriptor": z2_in_z2}]},
+            {"dim": 1, "cells": [{"label": "e", "stabilizer": {"cyclic": 2}}]}]
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(dump))
+    cuts = counting(monkeypatch, bredon, "cut_cochain")
+    assert main(["coxeter", "--theory", "ko", "--from-complex", str(path)]) == 1
+    assert cuts == []
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "unsupported_restriction",
+        "message": "KO^-1 restriction for an even-order cyclic subgroup Z2 is not determined "
+                   "by the supported theory; odd edge orders only"}

@@ -354,6 +354,40 @@ def test_malformed_complex_dump_is_invalid_input(tmp_path, capsys, command, dump
     assert json.loads(out)["error"]["kind"] == "invalid_input"
 
 
+def one_edge_dump(vertex, edge, descriptor) -> list[dict]:
+    """A vertex and one edge through it, the edge's stabilizer included in
+    the vertex's along ``descriptor``."""
+    return [{"dim": 0, "cells": [{"label": "v", "stabilizer": vertex}],
+             "incidence": [[1]],
+             "descriptors": [{"row": 0, "col": 0, "descriptor": descriptor}]},
+            {"dim": 1, "cells": [{"label": "e", "stabilizer": edge}]}]
+
+
+@pytest.mark.parametrize("dump, message", [
+    (one_edge_dump({"cyclic": 3}, {"cyclic": 2},
+                   {"kind": "elem2_subset", "sub": {"cyclic": 2}, "big": {"cyclic": 3},
+                    "extra": [0]}),
+     "elem2_subset descriptor needs an elementary abelian 2-group as big, got Z3"),
+    (one_edge_dump({"cyclic": 3}, {"cyclic": 3},
+                   {"kind": "cyclic_in_cyclic", "sub": {"cyclic": 3}, "big": {"cyclic": 3},
+                    "extra": [3]}),
+     "cyclic_in_cyclic descriptor needs an extra of length 2, got 1"),
+    (one_edge_dump({"dihedral_odd": 3}, {"cyclic": 2},
+                   {"kind": "reflection_in_dihedral", "sub": {"cyclic": 2},
+                    "big": {"dihedral_odd": 3}}),
+     "reflection_in_dihedral descriptor needs an extra of length 1, got 0"),
+], ids=["elem2-subset-of-cyclic", "cyclic-one-extra", "reflection-no-extra"])
+def test_malformed_descriptor_names_its_kind(tmp_path, capsys, dump, message):
+    # The message names the kind whose parameters do not fit, rather than
+    # a bare exception text such as "tuple index out of range".
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    code, out = run(capsys, ["coxeter", "--theory", "ko", "--from-complex", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "invalid_input", "message": f"bad orbit complex JSON: {message}"}
+
+
 # SHA-256 of the --emit cochain report, k then ko.  They were recorded while
 # each cochain complex still stored its (always zero) cross blocks; the
 # "cross" key now comes from SplitCochainComplex.cross_d and must print the

@@ -116,9 +116,9 @@ def test_enumeration_matches_brute_force():
         assert list(enumerate_spherical_subsets(matrix).members) == expected, rows
 
 
-def test_poset_membership_and_inclusions():
-    # `in` accepts any order of the generators; the poset's memoised
-    # inclusions equal parabolic_inclusion, or refuse with the same message.
+def test_poset_inclusions_match_parabolic_inclusion():
+    # The poset's memoised inclusions equal parabolic_inclusion, or refuse
+    # with the same message.
     rng = random.Random(12)
     for _ in range(30):
         size = rng.randint(1, 6)
@@ -128,9 +128,6 @@ def test_poset_membership_and_inclusions():
                 rows[i][j] = rows[j][i] = rng.choice((2, 2, 3, 5, INFINITY))
         matrix = CoxeterMatrix.from_rows(rows)
         poset = matrix.poset
-        for bits in range(2 ** size):
-            subset = tuple(i for i in range(size) if (bits >> i) & 1)
-            assert (subset[::-1] in poset) == (subset in poset.members)
         for big in poset.members:
             for sub in poset.members:
                 if not set(sub) <= set(big):
@@ -420,7 +417,7 @@ def test_unsupported_stabilizer_surfaces_in_model_build():
         [2, 3, 1, 3],
         [3, 2, 3, 1]])
     q = enumerate_spherical_subsets(affine_a3)
-    assert (0, 1, 2) in q
+    assert (0, 1, 2) in q.members
     for builder in (build_davis_orbit_complex, build_bestvina_orbit_complex):
         with pytest.raises(UnsupportedStabilizerError) as err:
             builder(affine_a3)
