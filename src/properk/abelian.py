@@ -1,5 +1,13 @@
 """Exact linear algebra over Z and GF(2), and normal forms of f.g. abelian groups.
 
+An integral cochain complex is factored once, top-down (``factor_integral``),
+and both its cohomology and that of its reduction mod 2 are read off the
+invariant factors (``Factorization``); the E2 page uses nothing else.  GF(2)
+matrices carry the torsion half of a ``SplitCochainComplex``, which serves
+the ``--emit cochain`` report, the per-functor cohomology that tests hold
+the page against, and the mod-2 side of ``uct_verify``, ranked by a plain
+bitmask elimination that shares nothing with the Smith normal form.
+
 Everything runs on plain Python integers: Smith normal form intermediates can
 blow up far past machine words even on small inputs, so no fixed-width or
 floating arithmetic appears anywhere on the computation path.
@@ -126,6 +134,12 @@ class IntMatrix:
                     acc[j] = acc.get(j, 0) + a * b
             out.append({j: x for j, x in acc.items() if x})
         return IntMatrix(self.rows, other.cols, tuple(out))
+
+    def block(self, rows: Sequence[int], cols: Sequence[int]) -> "IntMatrix":
+        """The submatrix on the given rows and columns, in their order."""
+        pos = {j: b for b, j in enumerate(cols)}
+        return IntMatrix(len(rows), len(cols), tuple(
+            {pos[j]: x for j, x in self.data[i].items() if j in pos} for i in rows))
 
     def mod2(self) -> "Mod2Matrix":
         bits = []
@@ -286,10 +300,10 @@ def invariant_factors(m: IntMatrix, skip: Collection[int] = (),
     finished by dense reduction.
 
     ``skip`` names rows left out of the elimination, and the column of each
-    unit pivot is added to ``pivot_cols``; ``cohomology`` passes the unit
-    pivot columns of d_{p+1} as the rows of d_p to skip, which keeps d_p's
-    rank and its invariant factors > 1 (see there), so the result is that of
-    the whole matrix.  The dense residual's pivots are not reported.
+    unit pivot is added to ``pivot_cols``; ``factor_integral`` passes the
+    unit pivot columns of d_{p+1} as the rows of d_p to skip, which keeps
+    d_p's rank and its invariant factors > 1 (see there), so the result is
+    that of the whole matrix.  The dense residual's pivots are not reported.
 
     The pivot is always the smallest alive row holding a unit, at the unit
     whose column meets the fewest alive rows, the highest such column on a
@@ -425,23 +439,15 @@ class Mod2Matrix:
             out.append(acc)
         return Mod2Matrix(self.rows, other.cols, tuple(out))
 
-    def rank2(self, skip: Collection[int] = (), pivot_cols: set[int] | None = None) -> int:
-        """Rank over GF(2), with the rows in ``skip`` left out.
-
-        The column of each pivot's top bit is added to ``pivot_cols``.
-        ``cohomology`` skips, in t_p, the rows at the pivot columns of
-        t_{p+1}: those columns of t_{p+1} hold an invertible minor, so
-        leaving them out is injective on ker t_{p+1} ⊇ im t_p and keeps
-        t_p's rank.
-        """
+    def rank2(self) -> int:
+        """Rank over GF(2)."""
         # Pivots keyed by their highest set bit: reducing a row by the pivot
         # that owns its highest bit clears that bit and touches only lower
         # ones, so each row meets just the pivots it actually hits.  The
         # highest bit costs O(1) to find (the lowest costs a pass over the
         # row) and fills in far less on the Davis cochains.
-        bits = [b for i, b in enumerate(self.bits) if i not in skip] if skip else self.bits
         pivots: dict[int, int] = {}
-        for b in bits:
+        for b in self.bits:
             while b:
                 top = b.bit_length()
                 p = pivots.get(top)
@@ -449,8 +455,6 @@ class Mod2Matrix:
                     pivots[top] = b
                     break
                 b ^= p
-        if pivot_cols is not None:
-            pivot_cols.update(top - 1 for top in pivots)
         return len(pivots)
 
 
@@ -567,9 +571,11 @@ class SplitCochainComplex:
         T_p : (Z/2)^{t_p} -> (Z/2)^{t_{p+1}}  torsion block
 
     so the complex is the direct sum of an integral complex and a GF(2)
-    complex.  Each KO^{-n} complex is a cut of one integral complex (the
-    real one, ``bredon.cut_cochain``): F_p its Z rows and columns, T_p its
-    Z/2 ones reduced mod 2.  Components between the two summands cannot be
+    complex.  The E2 page is read off integral complexes alone; this form
+    serves the ``--emit cochain`` report, ``bredon.bredon_cohomology`` and
+    ``uct_verify``.  Each KO^{-n} complex is a cut of one integral complex
+    (the real one, ``bredon.cut_cochain``): F_p its Z rows and columns,
+    T_p its Z/2 ones reduced mod 2.  Components between the two summands cannot be
     expressed at all; descriptors that would need one are refused
     (``reprings.restriction_ko``).  Construction validates the
     composability of shapes, F∘F = 0 and T∘T = 0.
@@ -623,48 +629,41 @@ class SplitCochainComplex:
 
 @dataclass(frozen=True)
 class Factorization:
-    """The numbers every cohomology group of a split cochain complex is read
-    off: its ranks, and per differential d_p the invariant factors of the
-    free block and the GF(2) rank of the torsion block.
+    """The numbers the cohomology of an integral cochain complex, and of its
+    reduction mod 2, is read off: its ranks, and per differential d_p its
+    invariant factors.
 
-    ``factors[p + 1]`` and ``ranks2[p + 1]`` belong to d_p; index 0 and the
-    last index stand for the zero maps at either end.
+    ``factors[p + 1]`` belongs to d_p; index 0 and the last index stand for
+    the zero maps at either end.
     """
 
-    free_ranks: tuple[int, ...]
-    tor2_ranks: tuple[int, ...]
+    ranks: tuple[int, ...]
     factors: tuple[tuple[int, ...], ...]
-    ranks2: tuple[int, ...]
 
     def groups(self) -> tuple[AbGroup, ...]:
-        """ker(d_p)/im(d_{p-1}) for p = 0..length: the integral cohomology
-        of the free blocks beside the mod-2 cohomology of the torsion ones."""
-        factors, ranks2 = self.factors, self.ranks2
-        return tuple(AbGroup.from_divisors(
-            self.free_ranks[p] - len(factors[p + 1]) - len(factors[p]),
-            [d for d in factors[p] if d > 1]
-            + [2] * (self.tor2_ranks[p] - ranks2[p + 1] - ranks2[p]))
-            for p in range(len(self.free_ranks)))
+        """ker(d_p)/im(d_{p-1}) for p = 0..length."""
+        factors = self.factors
+        return tuple(AbGroup.from_divisors(n - len(factors[p + 1]) - len(factors[p]),
+                                           [d for d in factors[p] if d > 1])
+                     for p, n in enumerate(self.ranks))
 
-    def mod2(self) -> "Factorization":
-        """The factorization of C ⊗ Z/2, for C this pure integral complex,
-        with nothing reduced or ranked again.
+    def mod2(self) -> tuple[AbGroup, ...]:
+        """The cohomology of C ⊗ Z/2, for C the factored complex, with
+        nothing reduced or ranked again.
 
         U·d_p·V = D with U and V unimodular stays so mod 2, so d_p mod 2
         has GF(2) rank the number of odd invariant factors of d_p.  The
         top-down factorization keeps that list complete: it holds rank(d_p)
         factors and d_p's factors > 1, so the rest are the ones.
         """
-        if any(self.tor2_ranks):
-            raise ChainComplexError("mod2 requires a pure integral complex")
-        return Factorization((0,) * len(self.free_ranks), self.free_ranks,
-                             ((),) * len(self.factors),
-                             tuple(sum(d & 1 for d in f) for f in self.factors))
+        ranks2 = [sum(d & 1 for d in f) for f in self.factors]
+        return tuple(AbGroup.elementary_2(n - ranks2[p + 1] - ranks2[p])
+                     for p, n in enumerate(self.ranks))
 
 
-def factor_complex(complex_: SplitCochainComplex) -> Factorization:
-    """Factor each free block and rank each torsion block exactly once; the
-    zero maps at either end contribute nothing and are never built.
+def factor_integral(complex_: SplitCochainComplex) -> Factorization:
+    """Factor each differential of a pure integral complex exactly once;
+    the zero maps at either end contribute nothing and are never built.
 
     The differentials are factored top-down, d_{L-1} first, and d_p without
     the rows at the columns A where the unit-pivot phase of d_{p+1} pivoted
@@ -673,41 +672,36 @@ def factor_complex(complex_: SplitCochainComplex) -> Factorization:
     the minor d_{p+1}[B, A] on their rows B unimodular, so dropping the A
     coordinates is injective on ker d_{p+1}, with a saturated image; as
     im d_p ⊆ ker d_{p+1}, the rest of d_p has the rank and the invariant
-    factors > 1 of d_p.  Over GF(2) the pivots' top bits play the part of A.
+    factors > 1 of d_p.
     """
-    return Factorization(complex_.free_ranks, complex_.tor2_ranks,
-                         _top_down(complex_.free_d, invariant_factors, ()),
-                         _top_down(complex_.tor_d, Mod2Matrix.rank2, 0))
-
-
-def factor_integral(complex_: SplitCochainComplex) -> Factorization:
-    """``factor_complex`` of a pure integral complex, whose torsion blocks
-    are all empty and are not ranked."""
     if not complex_.is_pure_integral():
         raise ChainComplexError("factor_integral requires a pure integral complex")
-    n = len(complex_.free_ranks)
-    return Factorization(complex_.free_ranks, complex_.tor2_ranks,
-                         _top_down(complex_.free_d, invariant_factors, ()), (0,) * (n + 1))
+    return Factorization(complex_.free_ranks, _top_down(complex_.free_d))
 
 
-def _top_down(diffs, factor, end) -> tuple:
-    """``factor(d_p, skip, pivots)`` for p = L-1 down to 0, each d_p without
-    the rows at the pivot columns of d_{p+1}; index p + 1 holds d_p's
-    result, and ``end`` stands for the zero maps at either end."""
-    out = [end] * (len(diffs) + 2)
+def _top_down(diffs: Sequence[IntMatrix]) -> tuple[tuple[int, ...], ...]:
+    """The invariant factors of d_p for p = L-1 down to 0, each d_p without
+    the rows at the unit pivot columns of d_{p+1}; index p + 1 holds d_p's,
+    and () stands for the zero maps at either end."""
+    out = [()] * (len(diffs) + 2)
     skip = set()
     for p in reversed(range(len(diffs))):
         # d_0's pivots would index the rows of no further differential.
         pivots = set() if p else None
-        out[p + 1] = factor(diffs[p], skip, pivots)
+        out[p + 1] = invariant_factors(diffs[p], skip, pivots)
         skip = pivots
     return tuple(out)
 
 
 def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
-    """ker(d_p)/im(d_{p-1}) of a split cochain complex for p = 0..length,
-    read off its one factorization (``factor_complex``)."""
-    return factor_complex(complex_).groups()
+    """ker(d_p)/im(d_{p-1}) of a split cochain complex for p = 0..length:
+    the cohomology of the free blocks, factored top-down as in
+    ``factor_integral``, beside that of the torsion blocks, each ranked
+    whole over GF(2)."""
+    free = Factorization(complex_.free_ranks, _top_down(complex_.free_d)).groups()
+    ranks2 = (0, *(t.rank2() for t in complex_.tor_d), 0)
+    return tuple(h.direct_sum(AbGroup.elementary_2(t - ranks2[p + 1] - ranks2[p]))
+                 for p, (h, t) in enumerate(zip(free, complex_.tor2_ranks)))
 
 
 def tensor_mod2(complex_: SplitCochainComplex) -> SplitCochainComplex:

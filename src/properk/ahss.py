@@ -203,43 +203,25 @@ def closed_form_right_angled(matrix: CoxeterMatrix, theory: str) -> ClosedForm:
     """Graded answer for a right-angled Coxeter group with d spherical subgroups."""
     if not matrix.is_right_angled():
         raise ValueError("the right-angled closed form needs off-diagonal labels in {2, oo}")
-    d = len(matrix.poset)
-    if theory == "k":
-        return ClosedForm("k", 2, (AbGroup.free(d), AbGroup.zero()))
-    if theory != "ko":
-        raise ValueError("theory must be 'k' or 'ko'")
-    degrees: list[ClosedEntry] = [
-        AbGroup.free(d),
-        AbGroup.elementary_2(d),
-        AbGroup.elementary_2(d),
-        AbGroup.zero(),
-        AbGroup.free(d),
-        AbGroup.zero(),
-        AbGroup.zero(),
-        AbGroup.zero(),
-    ]
-    return ClosedForm("ko", 8, tuple(degrees))
+    return _real_type_form(len(matrix.poset), theory)
 
 
 def closed_form_path_family(n: int, theory: str) -> ClosedForm:
     """Closed form for the braid-path family on n+1 generators."""
     if n < 1:
         raise ValueError("the path family needs n >= 1")
+    return _real_type_form(n + 2, theory)
+
+
+def _real_type_form(d: int, theory: str) -> ClosedForm:
+    """The table the right-angled and path closed forms share: K is
+    (Z^d, 0) and KO is (Z^d, (Z/2)^d, (Z/2)^d, 0, Z^d, 0, 0, 0)."""
     if theory == "k":
-        return ClosedForm("k", 2, (AbGroup.free(n + 2), AbGroup.zero()))
+        return ClosedForm("k", 2, (AbGroup.free(d), AbGroup.zero()))
     if theory != "ko":
         raise ValueError("theory must be 'k' or 'ko'")
-    degrees: list[ClosedEntry] = [
-        AbGroup.free(n + 2),
-        AbGroup.elementary_2(n + 2),
-        AbGroup.elementary_2(n + 2),
-        AbGroup.zero(),
-        AbGroup.free(n + 2),
-        AbGroup.zero(),
-        AbGroup.zero(),
-        AbGroup.zero(),
-    ]
-    return ClosedForm("ko", 8, tuple(degrees))
+    free, mod2, zero = AbGroup.free(d), AbGroup.elementary_2(d), AbGroup.zero()
+    return ClosedForm("ko", 8, (free, mod2, mod2, zero, free, zero, zero, zero))
 
 
 def closed_form_polygon_family(n: int, theory: str) -> ClosedForm:

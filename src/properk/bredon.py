@@ -12,14 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .abelian import AbGroup, IntMatrix, SplitCochainComplex, cohomology, factor_integral
+from .abelian import (
+    AbGroup,
+    Factorization,
+    IntMatrix,
+    SplitCochainComplex,
+    cohomology,
+    factor_integral,
+)
 from .groups import GroupClass, InclusionDescriptor
 from .orbit import OrbitComplex
 from .reprings import (
     coefficient_runs,
     cut,
     cut_indices,
-    ko_ranks,
     refuse_even_cyclic,
     restriction_k0,
     restriction_ko,
@@ -119,14 +125,41 @@ def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,
     """
     if functor.theory == "ko":
         refuse_even_cyclic(_descriptors(complex_), functor.n)
-    parts = [cut_indices((run for cell in cells
-                          for run in coefficient_runs(cell.stabilizer, functor.theory)), functor.n)
-             for cells in complex_.cells]
+    parts = _cut_parts(complex_, functor)
     blocks = [cut(d, parts[p + 1], parts[p]) for p, d in enumerate(full.free_d)]
     return SplitCochainComplex(tuple(len(free) for free, _ in parts),
                                tuple(len(tor) for _, tor in parts),
                                tuple(free for free, _ in blocks),
                                tuple(tor for _, tor in blocks))
+
+
+def _cut_parts(complex_: OrbitComplex, functor: CoefficientFunctor):
+    """Per dimension, the ``cut_indices`` of the generators of its cells."""
+    return [cut_indices((run for cell in cells
+                         for run in coefficient_runs(cell.stabilizer, functor.theory)), functor.n)
+            for cells in complex_.cells]
+
+
+def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Factorization,
+                n: int, part: int) -> Factorization:
+    """The factorization of the integral sub-complex of the real complex
+    ``full`` on the generators whose KO^{-n} point value is Z (``part`` 0)
+    or Z/2 (``part`` 1); ``factored`` is that of ``full``.
+
+    Whether the cut keeps every generator or none is decided per distinct
+    stabilizer, with no pass over the cells: keeping every one gives
+    ``full`` back, whose factorization is reused, and keeping none gives
+    the zero complex.
+    """
+    runs = [coefficient_runs(g, "ko") for g in _stabilizers(complex_)]
+    kept = [len(cut_indices(r, n)[part]) for r in runs]
+    if all(k == sum(count for _, count in r) for k, r in zip(kept, runs)):
+        return factored
+    if not any(kept):
+        return Factorization((0,) * len(full.free_ranks), ((),) * (len(full.free_ranks) + 1))
+    keep = [parts[part] for parts in _cut_parts(complex_, CoefficientFunctor.ko(n))]
+    return factor_integral(SplitCochainComplex.integral(
+        [len(k) for k in keep], [d.block(keep[p + 1], keep[p]) for p, d in enumerate(full.free_d)]))
 
 
 def _stabilizers(complex_: OrbitComplex) -> set[GroupClass]:
@@ -155,23 +188,24 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     One cochain complex is assembled per page.  For K that is K^0; K^{-1}
     is a zero functor.  For KO it is the real complex C, which is KO^0 and
     KO^{-4}; KO^{-3}, KO^{-5} and KO^{-7} are zero functors.  Segal's
-    decomposition makes two more rows distinct: KO^{-1} (the R-to-R part of
-    C mod 2) and KO^{-6} (its C-to-C part).  KO^{-2} is the KO^{-6} free
-    block beside the KO^{-1} torsion block, so its cohomology is their
-    direct sum degree by degree.
+    decomposition makes two more rows distinct, both read off integral
+    factorizations: KO^{-1} is the cohomology mod 2 of the R-to-R cut of C
+    (its real-type generators), read off the parity of that cut's
+    invariant factors (``Factorization.mod2``), and KO^{-6} is the
+    cohomology of its C-to-C cut.  KO^{-2} is the KO^{-6} free block beside
+    the KO^{-1} torsion block, so its cohomology is their direct sum degree
+    by degree.  C is factored once.  A cut that keeps every generator is C
+    and reuses that factorization, as the R-to-R cut does when no
+    stabilizer has a complex-type irreducible (every Coxeter group in
+    scope); the C-to-C cut is then empty.
 
-    Real-type route: when no cell stabilizer has a complex-type real
-    irreducible (KO^{-6} of every orbit is 0), as for every Coxeter group in
-    scope, KO^{-6} is the zero complex and KO^{-1} is C ⊗ Z/2.  C is then
-    factored once and both rows are read off that factorization, the mod-2
-    one from the parity of its invariant factors; no cut is built.  The
-    KO^{-1} refusal of an even-order cyclic subgroup still applies.
+    Both cuts are integral complexes whenever C is.  Along every inclusion
+    in the catalogue the real restriction takes no R-type generator of the
+    big group to a C-type one of the subgroup: d_CR = 0.  So the R-to-R
+    block of d∘d = 0 reads d_RR² = -d_RC·d_CR = 0 and the C-to-C block
+    d_CC² = -d_CR·d_RC = 0, over Z and not only mod 2.
 
-    Cut route, otherwise (an amalgam with a cyclic stabilizer of order 3 or
-    more): C is factored, and KO^{-1} and KO^{-6} are cut from it
-    (``cut_cochain``) and factored on their own.
-
-    Either way any free-to-torsion term is left out.
+    Any free-to-torsion term is left out.
     ``reprings.restriction_ko`` refuses one where a C-type generator
     restricts onto an R-type one with odd multiplicity, but that
     multiplicity is always even; item 1 of ROADMAP.md is to settle the term.
@@ -181,14 +215,11 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     if theory == "k":
         return tuple(bredon_cohomology(complex_, CoefficientFunctor.k(n)) for n in (0, 1))
     full = assemble_cochain(complex_, CoefficientFunctor.ko(0))
-    zero = (AbGroup.zero(),) * (complex_.dim + 1)
-    if all(ko_ranks(g, 6) == (0, 0) for g in _stabilizers(complex_)):
-        refuse_even_cyclic(_descriptors(complex_), 1)
-        factored = factor_integral(full)
-        real, mod2 = factored.groups(), factored.mod2().groups()
-        return (real, mod2, mod2, zero, real, zero, zero, zero)
-    real = cohomology(full)
-    r_to_r, c_to_c = (cohomology(cut_cochain(complex_, full, CoefficientFunctor.ko(n)))
-                      for n in (1, 6))
+    refuse_even_cyclic(_descriptors(complex_), 1)
+    factored = factor_integral(full)
+    real = factored.groups()
+    r_to_r = _factor_cut(complex_, full, factored, 1, 1).mod2()
+    c_to_c = _factor_cut(complex_, full, factored, 6, 0).groups()
     mixed = tuple(free.direct_sum(tor) for free, tor in zip(c_to_c, r_to_r))
+    zero = (AbGroup.zero(),) * (complex_.dim + 1)
     return (real, r_to_r, mixed, zero, real, zero, c_to_c, zero)

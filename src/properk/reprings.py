@@ -213,10 +213,9 @@ def cut(m: IntMatrix, rows: tuple[list[int], list[int]],
         cols: tuple[list[int], list[int]]) -> tuple[IntMatrix, Mod2Matrix]:
     """The free and torsion blocks of ``m`` on the ``cut_indices`` of its
     rows and columns; the torsion block is reduced mod 2."""
-    whole = (m.rows, m.cols)
-    free = m if (len(rows[0]), len(cols[0])) == whole else _int_block(m, rows[0], cols[0])
-    tor = m.mod2() if (len(rows[1]), len(cols[1])) == whole else _mod2_block(m, rows[1], cols[1])
-    return free, tor
+    free, tor = (m if (len(r), len(c)) == (m.rows, m.cols) else m.block(r, c)
+                 for r, c in zip(rows, cols))
+    return free, tor.mod2()
 
 
 def refuse_even_cyclic(incls: Iterable[InclusionDescriptor], n: int) -> None:
@@ -250,28 +249,9 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
     m_real = real_restriction(incl)
     sub = coefficient_runs(incl.sub, "ko")
     big = coefficient_runs(incl.big, "ko")
-    if not _mod2_block(m_real, cut_indices(sub, 2)[1], cut_indices(big, 2)[0]).is_zero():
+    if not m_real.block(cut_indices(sub, 2)[1], cut_indices(big, 2)[0]).mod2().is_zero():
         raise UnsupportedRestrictionError(
             f"KO^-2 restriction along {incl} needs a nonzero free-to-torsion "
             "cross term, which is outside the supported theory")
     return cut(m_real, cut_indices(sub, n), cut_indices(big, n))
 
-
-def _int_block(m: IntMatrix, rows: list[int], cols: list[int]) -> IntMatrix:
-    """The submatrix of ``m`` on the given rows and columns, in their order."""
-    pos = {j: b for b, j in enumerate(cols)}
-    return IntMatrix(len(rows), len(cols), tuple(
-        {pos[j]: x for j, x in m.data[i].items() if j in pos} for i in rows))
-
-
-def _mod2_block(m: IntMatrix, rows: list[int], cols: list[int]) -> Mod2Matrix:
-    """The submatrix of ``m`` on the given rows and columns, reduced mod 2."""
-    pos = {j: b for b, j in enumerate(cols)}
-    bits = []
-    for i in rows:
-        mask = 0
-        for j, x in m.data[i].items():
-            if x & 1 and j in pos:
-                mask |= 1 << pos[j]
-        bits.append(mask)
-    return Mod2Matrix(len(rows), len(cols), tuple(bits))

@@ -10,7 +10,8 @@ from hypothesis import settings
 
 from properk import CoxeterMatrix, IntMatrix, OrbitComplex
 from properk.coxeter import INFINITY, build_bestvina_orbit_complex, build_davis_orbit_complex
-from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
+from properk.groups import cyclic, cyclic_in_cyclic, trivial, trivial_in
+from properk.orbit import AmalgamSpec, Cell, build_amalgam_orbit_complex
 
 # Property tests draw the same examples on every run, and no example fails
 # for being slow on a loaded machine.
@@ -60,15 +61,29 @@ def ra_corpus() -> list[CoxeterMatrix]:
 
 def fold_corpus(ra_corpus):
     """Davis and Bestvina complexes (right-angled, path family, an odd
-    dihedral label) and odd-edge amalgams, whose cyclic stabilizers bring
-    the C-type generators that only the KO^{-2} and KO^{-6} rows see."""
+    dihedral label), odd-edge amalgams, whose cyclic stabilizers bring the
+    C-type generators that only the KO^{-2} and KO^{-6} rows see, and
+    ``z3_square``, which brings them in dimension 2."""
     dihedral = CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 0], [2, 0, 1]])
     out = []
     for matrix in ra_corpus[:3] + [CoxeterMatrix.path_family(3), dihedral]:
         out += [build_davis_orbit_complex(matrix), build_bestvina_orbit_complex(matrix)]
     for r, m in (((3,), (5, 7)), ((1, 3), (2, 3, 4)), ((5,), (3, 2))):
         out.append(build_amalgam_orbit_complex(AmalgamSpec(r=r, m=m)))
-    return out
+    return out + [z3_square()]
+
+
+def z3_square() -> OrbitComplex:
+    """A complex of dimension 2 with complex-type stabilizers: two Z3
+    vertices, two Z3 edges a and b each joined to both of them, and one
+    free 2-cell with boundary a - b."""
+    z3, vertex_edge, edge_face = cyclic(3), cyclic_in_cyclic(3, 1), trivial_in(cyclic(3))
+    cells = ((Cell("v0", z3), Cell("v1", z3)), (Cell("a", z3), Cell("b", z3)),
+             (Cell("f", trivial()),))
+    incidence = (IntMatrix.from_rows([[1, 1], [-1, -1]]), IntMatrix.from_rows([[1], [-1]]))
+    descriptors = ({(j, k): vertex_edge for j in range(2) for k in range(2)},
+                   {(0, 0): edge_face, (1, 0): edge_face})
+    return OrbitComplex(cells, incidence, descriptors)
 
 
 def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:

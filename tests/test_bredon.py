@@ -16,7 +16,7 @@ from properk.coxeter import (
 from properk.groups import UnsupportedRestrictionError, cyclic_in_cyclic
 from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
 from properk.reprings import ko_ranks, restriction_ko
-from conftest import fold_corpus, reorient
+from conftest import fold_corpus, reorient, z3_square
 
 
 def test_sl2z_k0_cochain_literal():
@@ -172,8 +172,8 @@ def test_cohomology_factors_each_differential_once(monkeypatch):
     def counting(fn, calls):
         def count(m, *args):
             calls.append(m)
-            skip = args[0] if args else ()
-            eliminated.append(sum(1 for i in range(m.rows) if i not in skip))
+            if args:
+                eliminated.append(sum(1 for i in range(m.rows) if i not in args[0]))
             return fn(m, *args)
         return count
 
@@ -189,12 +189,13 @@ def test_cohomology_factors_each_differential_once(monkeypatch):
             groups = cohomology(c)
         assert len(groups) == c.length + 1
         # Exactly the L differentials, each once: never a zero end map.
-        # They run top-down, d_{L-1} to d_0, and the unit pivots of each
-        # keep some rows of the next one out of elimination.
+        # The free blocks run top-down, d_{L-1} to d_0, and the unit pivots
+        # of each keep some rows of the next one out of elimination; the
+        # torsion blocks are ranked whole.
         assert len(factored) == len(ranked) == c.length
         assert all(a is b for a, b in zip(factored, reversed(c.free_d)))
-        assert all(a is b for a, b in zip(ranked, reversed(c.tor_d)))
-        assert sum(eliminated) < sum(d.rows for d in c.free_d + c.tor_d)
+        assert all(a is b for a, b in zip(ranked, c.tor_d))
+        assert sum(eliminated) < sum(d.rows for d in c.free_d) or not any(c.free_ranks)
 
 
 def test_ko_cross_rejection_fires_through_build_e2(monkeypatch, capsys):
@@ -324,30 +325,34 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
         assert restricted == [(incl, 0) for incl in distinct]
 
 
+def refuse_gf2_elimination(monkeypatch):
+    """Make the split cut and the GF(2) rank fail if anything calls them."""
+    def refuse(*_):
+        raise AssertionError("the KO page built a split cut or ranked over GF(2)")
+
+    monkeypatch.setattr(bredon, "cut_cochain", refuse)
+    monkeypatch.setattr(Mod2Matrix, "rank2", refuse)
+
+
 def test_real_type_ko_page_reads_one_factorization(monkeypatch, ra_corpus):
     # Right-angled stabilizers are (Z/2)^k, whose real irreducibles are all
-    # of real type: KO^-1 is the real complex mod 2 and KO^-6 is zero, so
-    # the page factors each differential of the real complex once and
-    # builds, reduces and ranks no cut.
+    # of real type: the R-to-R cut is the real complex itself and the C-to-C
+    # cut is empty, so the page factors each differential of the real
+    # complex once and builds and ranks no cut.
     matrix = next(m for m in ra_corpus if build_bestvina_orbit_complex(m).dim >= 2)
     complexes = [build_davis_orbit_complex(matrix), build_bestvina_orbit_complex(matrix)]
-    expected = [build_e2(x, "ko") for x in complexes]  # checked against the cut route
+    expected = [tuple(bredon_cohomology(x, CoefficientFunctor.ko(n)) for n in range(8))
+                for x in complexes]  # each row from its own split complex
     assembled = []
     assemble = bredon.assemble_cochain
     monkeypatch.setattr(bredon, "assemble_cochain",
                         lambda *args: assembled.append(assemble(*args)) or assembled[-1])
     factored = counting(monkeypatch, abelian, "invariant_factors")
-
-    def refuse(*_):
-        raise AssertionError("the real-type route cut, reduced or ranked a complex")
-
-    monkeypatch.setattr(bredon, "cut_cochain", refuse)
-    monkeypatch.setattr(IntMatrix, "mod2", refuse)
-    monkeypatch.setattr(Mod2Matrix, "rank2", refuse)
-    for x, page in zip(complexes, expected):
+    refuse_gf2_elimination(monkeypatch)
+    for x, rows in zip(complexes, expected):
         assembled.clear()
         factored.clear()
-        assert build_e2(x, "ko") == page
+        assert build_e2(x, "ko").rows == rows
         (full,) = assembled
         assert full.length == x.dim >= 2
         assert [args[0] for args in factored] == list(reversed(full.free_d))
@@ -355,18 +360,46 @@ def test_real_type_ko_page_reads_one_factorization(monkeypatch, ra_corpus):
 
 
 def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
-    # Z15 and Z21 have complex-type irreducibles: the amalgam keeps the cut
-    # route, KO^-1 and KO^-6 each cut from the real complex.
-    cuts = counting(monkeypatch, bredon, "cut_cochain")
+    # Z15, Z21 and Z3 have complex-type irreducibles: beside the real
+    # complex C the page factors two integral cuts of it, R-to-R (read mod
+    # 2 for KO^-1) and C-to-C (KO^-6), and still builds and ranks no split
+    # cut.  The integral cuts are the blocks that --emit cochain prints.
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7)))
+    full = assemble_cochain(x, CoefficientFunctor.ko(0))
+    split = {n: bredon.cut_cochain(x, full, CoefficientFunctor.ko(n)) for n in (1, 6)}
+    expected = tuple(bredon_cohomology(x, CoefficientFunctor.ko(n)) for n in range(8))
+    factored = counting(monkeypatch, bredon, "factor_integral")
+    refuse_gf2_elimination(monkeypatch)
     page = build_e2(x, "ko")
-    assert [args[2] for args in cuts] == [CoefficientFunctor.ko(1), CoefficientFunctor.ko(6)]
+    assert page.rows == expected
     assert not page.rows[6][0].is_zero
+    (whole,), (r_to_r,), (c_to_c,) = factored
+    assert whole == full
+    # Z15 and Z21 have one R-type and 7 and 10 C-type generators, Z3 one of each.
+    assert (r_to_r.free_ranks, c_to_c.free_ranks) == ((2, 1), (17, 1))
+    assert tuple(d.mod2() for d in r_to_r.free_d) == split[1].tor_d
+    assert c_to_c.free_d == split[6].free_d
+
+
+def test_dimension_two_complex_type_rows(tmp_path, capsys):
+    # KO^-1 is the R-to-R cut mod 2 and KO^-6 the C-to-C cut; both are
+    # integral complexes of length 2 here, with the trivial 2-cell, whose
+    # one generator is of R-type, taking no part in the C-to-C cut.
+    x = z3_square()
+    z, z2, zero = AbGroup.free(1), AbGroup.elementary_2(1), AbGroup.zero()
+    page = build_e2(x, "ko")
+    assert page.rows[1] == (z2, zero, zero)
+    assert page.rows[6] == (z, z, zero)
+    path = tmp_path / "z3_square.json"
+    path.write_text(json.dumps(x.to_json()))
+    assert main(["coxeter", "--theory", "ko", "--emit", "e2page", "--from-complex", str(path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == {f"-{n}" if n else "0": [g.to_json() for g in page.rows[n]] for n in range(8)}
 
 
 def test_real_type_route_keeps_the_even_cyclic_refusal(tmp_path, monkeypatch, capsys):
-    # Z2 <= Z2 is real-type only, so the page takes the route without cuts,
-    # and still refuses the even-order edge group in KO^-1.
+    # Z2 <= Z2 is real-type only, so the page builds no cut, and still
+    # refuses the even-order edge group in KO^-1.
     z2_in_z2 = {"kind": "cyclic_in_cyclic", "sub": {"cyclic": 2}, "big": {"cyclic": 2},
                 "extra": [2, 1]}
     dump = [{"dim": 0,

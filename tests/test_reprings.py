@@ -291,3 +291,21 @@ def test_complex_type_restricts_onto_real_type_evenly(incl):
     sub_r = [w for w, (kind, _) in enumerate(real_structure(incl.sub)) if kind == "R"]
     big_c = [v for v, (kind, _) in enumerate(real_structure(incl.big)) if kind == "C"]
     assert all(m.entry(w, v) % 2 == 0 for w in sub_r for v in big_c), incl
+
+
+@given(inclusion_descriptors())
+@example(trivial_in(cyclic(3)))
+@example(cyclic_in_cyclic(3, 5))
+@example(cyclic_in_cyclic(4, 3))
+def test_real_type_never_restricts_onto_complex_type(incl):
+    # d_CR = 0: no R-type generator of the big group restricts onto a C-type
+    # one of the subgroup.  An R-type irreducible of a cyclic group is a
+    # character of order at most 2, and so is its restriction; every other
+    # subgroup in the catalogue has only R-type irreducibles.  (It fails in
+    # general: D_3 >= Z3 takes the 2-dimensional rho onto Z3's C-type pair.)
+    # So the R-to-R and C-to-C cuts of an integral real complex compose to
+    # zero over Z, which bredon.bredon_rows relies on.
+    m = real_restriction(incl)
+    sub_c = [w for w, (kind, _) in enumerate(real_structure(incl.sub)) if kind == "C"]
+    big_r = [v for v, (kind, _) in enumerate(real_structure(incl.big)) if kind == "R"]
+    assert all(m.entry(w, v) == 0 for w in sub_c for v in big_r), incl
