@@ -75,7 +75,8 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     restriction matrices (``restriction_k0``), or for KO the real complex,
     which is KO^0 and KO^{-4}, from the real ones (``restriction_ko`` in
     degree 0).  Its blocks are written straight into sparse rows, each
-    restriction computed once per distinct inclusion descriptor.  Any
+    restriction computed once per distinct inclusion descriptor and
+    written once per face of a higher cell, into that cell's rows.  Any
     other degree is cut from it (``cut_cochain``).  Cell ordering fixes the
     block layout, so assembled matrices are reproducible literals.
     """
@@ -88,25 +89,20 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
 
     blocks: dict[InclusionDescriptor, IntMatrix] = {}
     free_d = []
-    for p in range(complex_.dim):
-        rows: list[dict[int, int]] = [{} for _ in range(ranks[p + 1])]
-        incidence = complex_.incidence[p].data
-        for (j, k), incl in complex_.descriptors[p].items():
-            block = blocks.get(incl)
-            if block is None:
-                block = blocks[incl] = restriction_ko(incl, 0)[0] if ko else restriction_k0(incl)
-            alpha = incidence[j][k]
-            src = offsets[p][j]
-            tgt = offsets[p + 1][k]
-            for a, r_row in enumerate(block.data):
-                row = rows[tgt + a]
-                for b, v in r_row.items():
-                    col = src + b
-                    x = row.get(col, 0) + alpha * v
-                    if x:
-                        row[col] = x
-                    else:
-                        del row[col]
+    for p, layer in enumerate(complex_.faces):
+        rows: list[dict[int, int]] = []
+        for cell, faces in zip(complex_.cells[p + 1], layer):
+            # A cell's faces are distinct, so their blocks never overlap.
+            cell_rows: list[dict[int, int]] = [{} for _ in range(size[cell.stabilizer])]
+            for j, (alpha, incl) in faces.items():
+                block = blocks.get(incl)
+                if block is None:
+                    block = blocks[incl] = restriction_ko(incl, 0)[0] if ko else restriction_k0(incl)
+                src = offsets[p][j]
+                for row, r_row in zip(cell_rows, block.data):
+                    for b, v in r_row.items():
+                        row[src + b] = alpha * v
+            rows += cell_rows
         free_d.append(IntMatrix(ranks[p + 1], ranks[p], tuple(rows)))
     full = SplitCochainComplex.integral(ranks, free_d)
     return full if functor.n == 0 else cut_cochain(complex_, full, functor)
@@ -168,8 +164,9 @@ def _stabilizers(complex_: OrbitComplex) -> set[GroupClass]:
 
 
 def _descriptors(complex_: OrbitComplex):
-    """Every inclusion descriptor, in the order the layers hold them."""
-    return (incl for layer in complex_.descriptors for incl in layer.values())
+    """Every inclusion descriptor, in face order: by dimension, then by
+    higher cell."""
+    return (incl for layer in complex_.faces for faces in layer for _, incl in faces.values())
 
 
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
@@ -185,9 +182,10 @@ def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tu
 def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...], ...]:
     """Bredon cohomology for the coefficient degrees -n, n = 0..period-1.
 
-    One cochain complex is assembled per page.  For K that is K^0; K^{-1}
-    is a zero functor.  For KO it is the real complex C, which is KO^0 and
-    KO^{-4}; KO^{-3}, KO^{-5} and KO^{-7} are zero functors.  Segal's
+    One cochain complex is assembled and factored (``factor_integral``) per
+    page.  For K that is K^0, whose cohomology the factorization gives;
+    K^{-1} is a zero functor.  For KO it is the real complex C, which is
+    KO^0 and KO^{-4}; KO^{-3}, KO^{-5} and KO^{-7} are zero functors.  Segal's
     decomposition makes two more rows distinct, both read off integral
     factorizations: KO^{-1} is the cohomology mod 2 of the R-to-R cut of C
     (its real-type generators), read off the parity of that cut's
@@ -210,16 +208,14 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     restricts onto an R-type one with odd multiplicity, but that
     multiplicity is always even; item 1 of ROADMAP.md is to settle the term.
     """
-    if theory not in ("k", "ko"):
-        raise ValueError("theory must be 'k' or 'ko'")
+    full = assemble_cochain(complex_, CoefficientFunctor(theory, 0))
+    zero = (AbGroup.zero(),) * (complex_.dim + 1)
     if theory == "k":
-        return tuple(bredon_cohomology(complex_, CoefficientFunctor.k(n)) for n in (0, 1))
-    full = assemble_cochain(complex_, CoefficientFunctor.ko(0))
+        return factor_integral(full).groups(), zero
     refuse_even_cyclic(_descriptors(complex_), 1)
     factored = factor_integral(full)
     real = factored.groups()
     r_to_r = _factor_cut(complex_, full, factored, 1, 1).mod2()
     c_to_c = _factor_cut(complex_, full, factored, 6, 0).groups()
     mixed = tuple(free.direct_sum(tor) for free, tor in zip(c_to_c, r_to_r))
-    zero = (AbGroup.zero(),) * (complex_.dim + 1)
     return (real, r_to_r, mixed, zero, real, zero, c_to_c, zero)

@@ -243,10 +243,8 @@ def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
     degree0 = CoefficientFunctor(theory, 0)
     full = assemble_cochain(complex_, degree0)
     provenance = [
-        [{"from_cell": j, "to_cell": k,
-          "alpha": complex_.incidence[p].entry(j, k),
-          "descriptor": str(desc)}
-         for (j, k), desc in sorted(complex_.descriptors[p].items())]
+        [{"from_cell": j, "to_cell": k, "alpha": alpha, "descriptor": str(desc)}
+         for j, k, alpha, desc in complex_.sorted_faces(p)]
         for p in range(complex_.dim)
     ]
     out = []

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .abelian import IntMatrix
 from .groups import (
     GroupClass,
     InclusionDescriptor,
@@ -426,21 +425,16 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     names = {j: _subset_label(j) for j in poset.members}
     cells = tuple(tuple(Cell("<".join([names[j] for j in c]), poset.stabilizer(c[0]))
                         for c in chains) for chains in per_dim)
-    incidence = []
-    descriptors = []
+    faces = []
     for p in range(len(per_dim) - 1):
         index_of = {chain: i for i, chain in enumerate(per_dim[p])}
-        rows: list[dict[int, int]] = [{} for _ in per_dim[p]]
-        descs: dict[tuple[int, int], InclusionDescriptor] = {}
-        for k, chain in enumerate(per_dim[p + 1]):
-            # The faces of a chain are distinct, so no coefficient cancels.
-            for drop in range(len(chain)):
-                j = index_of[chain[:drop] + chain[drop + 1:]]
-                rows[j][k] = -1 if drop % 2 else 1
-                descs[(j, k)] = poset.inclusion(chain[0], chain[1 if drop == 0 else 0])
-        incidence.append(IntMatrix.from_sparse(len(per_dim[p]), len(per_dim[p + 1]), rows))
-        descriptors.append(descs)
-    return OrbitComplex(cells, tuple(incidence), tuple(descriptors))
+        # The faces of a chain are distinct, so no coefficient cancels.
+        faces.append(tuple(
+            {index_of[chain[:drop] + chain[drop + 1:]]:
+             (-1 if drop % 2 else 1, poset.inclusion(chain[0], chain[1 if drop == 0 else 0]))
+             for drop in range(len(chain))}
+            for chain in per_dim[p + 1]))
+    return OrbitComplex(cells, tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +523,11 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
         tuple(Cell(f"B{_subset_label(label)}#{i}", poset.stabilizer(label))
               for i, (label, _) in enumerate(layer))
         for layer in panel)
-    incidence = []
-    descriptors = []
-    for p in range(len(panel) - 1):
-        rows: list[dict[int, int]] = [{} for _ in panel[p]]
-        descs: dict[tuple[int, int], InclusionDescriptor] = {}
-        for k, (label, boundary) in enumerate(panel[p + 1]):
-            for j, coeff in boundary:
-                rows[j][k] = coeff
-                descs[(j, k)] = poset.inclusion(label, panel[p][j][0])
-        incidence.append(IntMatrix.from_sparse(len(panel[p]), len(panel[p + 1]), rows))
-        descriptors.append(descs)
-    return OrbitComplex(cells, tuple(incidence), tuple(descriptors))
+    faces = tuple(
+        tuple({j: (coeff, poset.inclusion(label, panel[p][j][0])) for j, coeff in boundary}
+              for label, boundary in panel[p + 1])
+        for p in range(len(panel) - 1))
+    return OrbitComplex(cells, faces)
 
 
 def _collect_cells(builder: _PanelBuilder, j_set: tuple[int, ...]) -> list[list[int]]:

@@ -1,9 +1,10 @@
 """Quotient cell structures of proper G-CW models, and Bass-Serre path models.
 
 An OrbitComplex records, per dimension, the orbit cells with their
-stabilizer classes, the signed incidence integers of the quotient CW
-structure, and one inclusion descriptor per nonzero incidence witnessing
-that the stabilizer of the higher cell embeds in the stabilizer of the face.
+stabilizer classes and, per cell of positive dimension, its faces: each
+face one dimension down with the signed incidence integer of the quotient
+CW structure and an inclusion descriptor witnessing that the stabilizer of
+the higher cell embeds in the stabilizer of the face.
 """
 
 from __future__ import annotations
@@ -26,42 +27,45 @@ class Cell:
 
 @dataclass(frozen=True)
 class OrbitComplex:
-    """Cells per dimension, incidence integers, and inclusion witnesses.
+    """Cells per dimension, and the faces of every higher cell.
 
-    ``incidence[p]`` is the boundary matrix from (p+1)-cells to p-cells:
-    entry (j, k) is the signed coefficient of p-cell j in the boundary of
-    (p+1)-cell k.  ``descriptors[p]`` maps (j, k) with a nonzero coefficient
-    to the inclusion stab(k-th (p+1)-cell) <= stab(j-th p-cell).
+    ``faces[p][k]`` maps each p-cell j in the boundary of (p+1)-cell k to
+    (coefficient, descriptor): the nonzero signed coefficient of j in the
+    boundary of k, and the inclusion stab(k) <= stab(j).  ``incidence[p]``
+    is derived from it: the boundary matrix from (p+1)-cells to p-cells,
+    with entry (j, k) that coefficient.
     """
 
     cells: tuple[tuple[Cell, ...], ...]
-    incidence: tuple[IntMatrix, ...]
-    descriptors: tuple[dict[tuple[int, int], InclusionDescriptor], ...] = field(hash=False)
+    faces: tuple[tuple[dict[int, tuple[int, InclusionDescriptor]], ...], ...] = field(hash=False)
+    incidence: tuple[IntMatrix, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = len(self.cells)
         if dims == 0:
             raise OrbitComplexError("a complex needs at least dimension 0")
-        if len(self.incidence) != dims - 1 or len(self.descriptors) != dims - 1:
-            raise OrbitComplexError("need one incidence matrix per adjacent dimension pair")
-        for p, matrix in enumerate(self.incidence):
-            if (matrix.rows, matrix.cols) != (len(self.cells[p]), len(self.cells[p + 1])):
-                raise OrbitComplexError(f"incidence matrix at dimension {p} has wrong shape")
-            nonzero = {(j, k) for j, row in enumerate(matrix.data) for k in row}
-            mismatch = nonzero.symmetric_difference(self.descriptors[p])
-            if mismatch:
-                j, k = min(mismatch)
-                raise OrbitComplexError(
-                    f"descriptor bookkeeping mismatch at dim {p}, cell pair ({j}, {k})")
-            for (j, k), desc in self.descriptors[p].items():
-                if desc.sub != self.cells[p + 1][k].stabilizer:
-                    raise OrbitComplexError(
-                        f"descriptor at dim {p} ({j},{k}) does not start at the higher cell's stabilizer")
-                if desc.big != self.cells[p][j].stabilizer:
-                    raise OrbitComplexError(
-                        f"descriptor at dim {p} ({j},{k}) does not land in the face's stabilizer")
+        if list(map(len, self.faces)) != list(map(len, self.cells[1:])):
+            raise OrbitComplexError("need one face table per cell of positive dimension")
+        incidence = []
+        for p, layer in enumerate(self.faces):
+            lower, higher = self.cells[p], self.cells[p + 1]
+            rows: list[dict[int, int]] = [{} for _ in lower]
+            for k, faces in enumerate(layer):
+                for j, (coeff, desc) in faces.items():
+                    if not (0 <= j < len(lower) and coeff):
+                        raise OrbitComplexError(
+                            f"face at dim {p} ({j},{k}) is out of range or has coefficient 0")
+                    if desc.sub != higher[k].stabilizer:
+                        raise OrbitComplexError(
+                            f"descriptor at dim {p} ({j},{k}) does not start at the higher cell's stabilizer")
+                    if desc.big != lower[j].stabilizer:
+                        raise OrbitComplexError(
+                            f"descriptor at dim {p} ({j},{k}) does not land in the face's stabilizer")
+                    rows[j][k] = coeff
+            incidence.append(IntMatrix(len(lower), len(higher), tuple(rows)))
+        object.__setattr__(self, "incidence", tuple(incidence))
         for p in range(dims - 2):
-            if not (self.incidence[p] * self.incidence[p + 1]).is_zero():
+            if not (incidence[p] * incidence[p + 1]).is_zero():
                 raise OrbitComplexError(f"boundary does not square to zero at dimension {p}")
 
     @property
@@ -70,6 +74,12 @@ class OrbitComplex:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
+
+    def sorted_faces(self, p: int) -> list[tuple[int, int, int, InclusionDescriptor]]:
+        """(j, k, coefficient, descriptor) for every face at dimension p,
+        ordered by (j, k)."""
+        return sorted((j, k, coeff, desc) for k, faces in enumerate(self.faces[p])
+                      for j, (coeff, desc) in faces.items())
 
     def to_json(self) -> list[dict]:
         out = []
@@ -80,35 +90,45 @@ class OrbitComplex:
             }
             if p < self.dim:
                 entry["incidence"] = self.incidence[p].to_rows()
-                entry["descriptors"] = [
-                    {"row": j, "col": k, "descriptor": d.to_json()}
-                    for (j, k), d in sorted(self.descriptors[p].items())
-                ]
+                entry["descriptors"] = [{"row": j, "col": k, "descriptor": d.to_json()}
+                                        for j, k, _, d in self.sorted_faces(p)]
             out.append(entry)
         return out
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "OrbitComplex":
+        """Faces from a dump's incidence matrices and its descriptors, one
+        for each nonzero entry (row, col) and none repeated."""
         cells = []
-        incidence = []
-        descriptors = []
         layers = sorted(data, key=lambda e: json_int(e["dim"]))
         for p, entry in enumerate(layers):
             if entry["dim"] != p:
                 raise OrbitComplexError("dimensions must be contiguous from 0")
             cells.append(tuple(Cell(c["label"], GroupClass.from_json(c["stabilizer"]))
                                for c in entry["cells"]))
-        for p, entry in enumerate(layers):
-            if p == len(data) - 1:
-                break
-            rows = entry.get("incidence", [])
-            incidence.append(IntMatrix.from_rows(
-                [list(map(json_int, row)) for row in rows], cols=len(cells[p + 1])))
-            descriptors.append({
-                (json_int(d["row"]), json_int(d["col"])): InclusionDescriptor.from_json(d["descriptor"])
-                for d in entry.get("descriptors", [])
-            })
-        return cls(tuple(cells), tuple(incidence), tuple(descriptors))
+        faces = []
+        for p, entry in enumerate(layers[:-1]):
+            rows = [list(map(json_int, row)) for row in entry.get("incidence", [])]
+            matrix = IntMatrix.from_rows(rows, cols=len(cells[p + 1]))
+            descriptors: dict[tuple[int, int], InclusionDescriptor] = {}
+            for d in entry.get("descriptors", []):
+                pair = json_int(d["row"]), json_int(d["col"])
+                if pair in descriptors:
+                    raise OrbitComplexError(f"repeated descriptor at dim {p}, cell pair {pair}")
+                descriptors[pair] = InclusionDescriptor.from_json(d["descriptor"])
+            if (matrix.rows, matrix.cols) != (len(cells[p]), len(cells[p + 1])):
+                raise OrbitComplexError(f"incidence matrix at dimension {p} has wrong shape")
+            nonzero = {(j, k) for j, row in enumerate(matrix.data) for k in row}
+            mismatch = nonzero.symmetric_difference(descriptors)
+            if mismatch:
+                j, k = min(mismatch)
+                raise OrbitComplexError(
+                    f"descriptor bookkeeping mismatch at dim {p}, cell pair ({j}, {k})")
+            layer: list[dict] = [{} for _ in cells[p + 1]]
+            for (j, k), desc in descriptors.items():
+                layer[k][j] = (matrix.data[j][k], desc)
+            faces.append(tuple(layer))
+        return cls(tuple(cells), tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +195,11 @@ def build_amalgam_orbit_complex(spec: AmalgamSpec) -> OrbitComplex:
         Cell(f"v{i}", cyclic(spec.vertex_order(i))) for i in range(spec.k + 1))
     edges = tuple(
         Cell(f"e{i}", cyclic(spec.edge_order(i))) for i in range(1, spec.k + 1))
-    rows: list[dict[int, int]] = [{} for _ in range(spec.k + 1)]
-    descriptors: dict[tuple[int, int], InclusionDescriptor] = {}
+    faces = []
     for i in range(1, spec.k + 1):
-        col = i - 1
         r = spec.edge_order(i)
-        rows[i - 1][col] = 1
-        descriptors[(i - 1, col)] = cyclic_in_cyclic(r, spec.vertex_order(i - 1) // r)
-        rows[i][col] = -1
-        descriptors[(i, col)] = cyclic_in_cyclic(r, spec.vertex_order(i) // r)
+        faces.append({i - 1: (1, cyclic_in_cyclic(r, spec.vertex_order(i - 1) // r)),
+                      i: (-1, cyclic_in_cyclic(r, spec.vertex_order(i) // r))})
     if spec.k == 0:
-        return OrbitComplex((vertices,), (), ())
-    return OrbitComplex((vertices, edges),
-                        (IntMatrix.from_sparse(spec.k + 1, spec.k, rows),),
-                        (descriptors,))
+        return OrbitComplex((vertices,), ())
+    return OrbitComplex((vertices, edges), (tuple(faces),))

@@ -80,28 +80,25 @@ def z3_square() -> OrbitComplex:
     z3, vertex_edge, edge_face = cyclic(3), cyclic_in_cyclic(3, 1), trivial_in(cyclic(3))
     cells = ((Cell("v0", z3), Cell("v1", z3)), (Cell("a", z3), Cell("b", z3)),
              (Cell("f", trivial()),))
-    incidence = (IntMatrix.from_rows([[1, 1], [-1, -1]]), IntMatrix.from_rows([[1], [-1]]))
-    descriptors = ({(j, k): vertex_edge for j in range(2) for k in range(2)},
-                   {(0, 0): edge_face, (1, 0): edge_face})
-    return OrbitComplex(cells, incidence, descriptors)
+    faces = (({0: (1, vertex_edge), 1: (-1, vertex_edge)},   # a
+              {0: (1, vertex_edge), 1: (-1, vertex_edge)}),  # b
+             ({0: (1, edge_face), 1: (-1, edge_face)},))     # f
+    return OrbitComplex(cells, faces)
 
 
 def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:
     """Flip the orientation of a random set of cells.
 
-    Reorienting a cell negates both its boundary column and its row in the
-    next boundary matrix, so the result is again a valid quotient CW
-    structure with the same cohomology.
+    Reorienting a cell negates both its faces' coefficients and its
+    coefficient in the faces of every higher cell it bounds, so the result
+    is again a valid quotient CW structure with the same cohomology.
     """
     signs = [[rng.choice((1, -1)) for _ in layer] for layer in complex_.cells]
-    new_incidence = []
-    for p, matrix in enumerate(complex_.incidence):
-        rows = matrix.to_rows()
-        for j in range(matrix.rows):
-            for k in range(matrix.cols):
-                rows[j][k] *= signs[p][j] * signs[p + 1][k]
-        new_incidence.append(IntMatrix.from_rows(rows, cols=matrix.cols))
-    return OrbitComplex(complex_.cells, tuple(new_incidence), complex_.descriptors)
+    return OrbitComplex(complex_.cells, tuple(
+        tuple({j: (coeff * signs[p][j] * signs[p + 1][k], desc)
+               for j, (coeff, desc) in faces.items()}
+              for k, faces in enumerate(layer))
+        for p, layer in enumerate(complex_.faces)))
 
 
 def gram_positive_definite(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> bool:

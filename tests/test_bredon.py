@@ -2,9 +2,20 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from properk import abelian, bredon, reprings
-from properk.abelian import AbGroup, IntMatrix, Mod2Matrix, cohomology, tensor_mod2, uct_verify
+from properk.abelian import (
+    AbGroup,
+    ChainComplexError,
+    IntMatrix,
+    Mod2Matrix,
+    SplitCochainComplex,
+    cohomology,
+    tensor_mod2,
+    uct_verify,
+)
 from properk.ahss import build_e2
 from properk.bredon import CoefficientFunctor, assemble_cochain, bredon_cohomology
 from properk.cli import main
@@ -265,8 +276,7 @@ def per_descriptor_cochain(x, n):
     for p in range(x.dim):
         f_rows = [{} for _ in range(free_ranks[p + 1])]
         t_bits = [0] * tor_ranks[p + 1]
-        for (j, k), incl in x.descriptors[p].items():
-            alpha = x.incidence[p].entry(j, k)
+        for j, k, alpha, incl in x.sorted_faces(p):
             if incl not in blocks:
                 blocks[incl] = restriction_ko(incl, n)
             r_free, r_tor = blocks[incl]
@@ -281,6 +291,35 @@ def per_descriptor_cochain(x, n):
         free_d.append(IntMatrix.from_sparse(free_ranks[p + 1], free_ranks[p], f_rows))
         tor_d.append(Mod2Matrix(tor_ranks[p + 1], tor_ranks[p], tuple(t_bits)))
     return tuple(free_ranks), tuple(tor_ranks), tuple(free_d), tuple(tor_d)
+
+
+@pytest.fixture(scope="module")
+def breakable_differentials(ra_corpus):
+    """(complex, p) for the assembled K^0 and real complexes of
+    ``fold_corpus`` where d_{p+1} is nonzero."""
+    cochains = (assemble_cochain(x, CoefficientFunctor(theory, 0))
+                for x in fold_corpus(ra_corpus) for theory in ("k", "ko"))
+    return [(c, p) for c in cochains for p in range(c.length - 1)
+            if c.free_ranks[p] and not c.free_d[p + 1].is_zero()]
+
+
+@given(data=st.data())
+def test_cochain_that_does_not_compose_to_zero_is_refused(breakable_differentials, data):
+    # Adding delta to entry (a, b) of d_p adds delta times column a of
+    # d_{p+1} to column b of d_{p+1}·d_p; a is drawn where that column is
+    # nonzero.
+    c, p = data.draw(st.sampled_from(breakable_differentials))
+    d = c.free_d
+    a = data.draw(st.sampled_from(sorted({a for row in d[p + 1].data for a in row})))
+    b = data.draw(st.integers(0, d[p].cols - 1))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    rows = [dict(row) for row in d[p].data]
+    rows[a][b] = rows[a].get(b, 0) + delta
+    broken = IntMatrix.from_sparse(d[p].rows, d[p].cols, rows)
+    with pytest.raises(ChainComplexError) as err:
+        SplitCochainComplex.integral(c.free_ranks, d[:p] + (broken,) + d[p + 1:])
+    assert str(err.value) in {f"free differentials do not compose to zero at degree {q}"
+                              for q in (p - 1, p)}
 
 
 def test_ko_cochains_cut_equal_per_descriptor_assembly(ra_corpus):
@@ -321,7 +360,8 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
         restricted.clear()
         build_e2(x, "ko")
         assert assembled == [(x, CoefficientFunctor.ko(0))]
-        distinct = list(dict.fromkeys(incl for layer in x.descriptors for incl in layer.values()))
+        distinct = list(dict.fromkeys(incl for layer in x.faces for faces in layer
+                                      for _, incl in faces.values()))
         assert restricted == [(incl, 0) for incl in distinct]
 
 

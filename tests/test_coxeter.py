@@ -289,7 +289,7 @@ def test_davis_single_generator_segment():
 def test_davis_descriptor_direction():
     x = build_davis_orbit_complex(CoxeterMatrix.path_family(2))
     for p in range(x.dim):
-        for (j, k), desc in x.descriptors[p].items():
+        for j, k, _, desc in x.sorted_faces(p):
             assert desc.sub == x.cells[p + 1][k].stabilizer
             assert desc.big == x.cells[p][j].stabilizer
             assert desc.sub.order <= desc.big.order
@@ -400,10 +400,10 @@ def test_orbit_complex_from_panel_single_point():
 def test_orbit_complex_from_panel_descriptors():
     x = build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(4))
     # edges: reflections inside the two adjacent S3 stabilizers
-    for (j, k), desc in x.descriptors[0].items():
+    for _, _, _, desc in x.sorted_faces(0):
         assert desc.kind == "reflection_in_dihedral"
     # the 2-cell has trivial stabilizer inside Z2 edge stabilizers
-    for (j, k), desc in x.descriptors[1].items():
+    for _, _, _, desc in x.sorted_faces(1):
         assert desc.kind == "trivial_in_anything"
         assert desc.big == cyclic(2)
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from properk.abelian import IntMatrix
 from properk.cli import main
 from properk.coxeter import CoxeterMatrix, build_bestvina_orbit_complex, build_davis_orbit_complex
 from properk.groups import cyclic, cyclic_in_cyclic, trivial
@@ -43,8 +42,7 @@ def test_sl2z_path():
     x = build_amalgam_orbit_complex(spec)
     assert [c.stabilizer for c in x.cells[0]] == [cyclic(6), cyclic(4)]
     assert [c.stabilizer for c in x.cells[1]] == [cyclic(2)]
-    assert x.descriptors[0][(0, 0)] == cyclic_in_cyclic(2, 3)
-    assert x.descriptors[0][(1, 0)] == cyclic_in_cyclic(2, 2)
+    assert x.faces[0][0] == {0: (1, cyclic_in_cyclic(2, 3)), 1: (-1, cyclic_in_cyclic(2, 2))}
 
 
 def test_single_vertex_amalgam():
@@ -64,12 +62,20 @@ def test_longer_amalgam_stabilizers():
 
 def test_orbit_complex_validation_catches_bad_descriptors():
     cells = ((Cell("v", cyclic(4)),), (Cell("e", cyclic(2)),))
-    inc = (IntMatrix.from_rows([[1]]),)
-    with pytest.raises(OrbitComplexError):
-        OrbitComplex(cells, inc, ({},))  # missing descriptor at a nonzero entry
-    with pytest.raises(OrbitComplexError):
-        # descriptor does not match the face stabilizer
-        OrbitComplex(cells, inc, ({(0, 0): cyclic_in_cyclic(2, 3)},))
+    edge = OrbitComplex(cells, (({0: (1, cyclic_in_cyclic(2, 2))},),))
+    assert edge.incidence[0].to_rows() == [[1]]
+    with pytest.raises(OrbitComplexError, match="does not land in the face's stabilizer"):
+        OrbitComplex(cells, (({0: (1, cyclic_in_cyclic(2, 3))},),))
+    with pytest.raises(OrbitComplexError, match="does not start at the higher cell's stabilizer"):
+        OrbitComplex(cells, (({0: (1, cyclic_in_cyclic(4, 1))},),))
+    for face in ({0: (0, cyclic_in_cyclic(2, 2))}, {1: (1, cyclic_in_cyclic(2, 2))}):
+        with pytest.raises(OrbitComplexError, match="out of range or has coefficient 0"):
+            OrbitComplex(cells, ((face,),))
+    # A dump can hold a nonzero entry without a descriptor.
+    dump = edge.to_json()
+    dump[0]["descriptors"] = []
+    with pytest.raises(OrbitComplexError, match=r"at dim 0, cell pair \(0, 0\)$"):
+        OrbitComplex.from_json(dump)
 
 
 def test_orbit_complex_json_roundtrip():
@@ -78,13 +84,31 @@ def test_orbit_complex_json_roundtrip():
 
 
 def test_bookkeeping_error_names_the_first_offending_pair():
-    cells = ((Cell("v0", cyclic(4)), Cell("v1", cyclic(4))),
-             (Cell("e0", cyclic(2)), Cell("e1", cyclic(2))))
-    inc = (IntMatrix.from_rows([[0, 1], [1, 0]]),)
-    # (1, 0) is nonzero without a descriptor; (1, 1) has one but is zero.
-    descs = {(0, 1): cyclic_in_cyclic(2, 2), (1, 1): cyclic_in_cyclic(2, 2)}
+    z4, z2, z2_in_z4 = {"cyclic": 4}, {"cyclic": 2}, cyclic_in_cyclic(2, 2).to_json()
+    dump = [{"dim": 0,
+             "cells": [{"label": "v0", "stabilizer": z4}, {"label": "v1", "stabilizer": z4}],
+             "incidence": [[0, 1], [1, 0]],
+             # (1, 0) is nonzero without a descriptor; (1, 1) has one but is zero.
+             "descriptors": [{"row": 0, "col": 1, "descriptor": z2_in_z4},
+                             {"row": 1, "col": 1, "descriptor": z2_in_z4}]},
+            {"dim": 1,
+             "cells": [{"label": "e0", "stabilizer": z2}, {"label": "e1", "stabilizer": z2}]}]
     with pytest.raises(OrbitComplexError, match=r"at dim 0, cell pair \(1, 0\)$"):
-        OrbitComplex(cells, inc, (descs,))
+        OrbitComplex.from_json(dump)
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["wrong-first", "right-first"])
+def test_repeated_descriptor_in_a_dump_is_refused(tmp_path, capsys, first):
+    # Whichever of two descriptors at (0, 0) comes first, the dump is refused.
+    dump = build_amalgam_orbit_complex(AmalgamSpec(r=(1,), m=(2, 2))).to_json()
+    wrong = {"row": 0, "col": 0, "descriptor": cyclic_in_cyclic(1, 3).to_json()}
+    dump[0]["descriptors"].insert(first, wrong)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(dump))
+    assert main(["amalgam", "--theory", "k", "--from-complex", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "invalid_input",
+        "message": "bad orbit complex JSON: repeated descriptor at dim 0, cell pair (0, 0)"}
 
 
 # Davis and Bestvina models of dimension >= 2: D_inf^2, a group with labels
@@ -124,12 +148,10 @@ def corrupted_boundaries(draw):
 @given(corrupted_boundaries())
 def test_boundary_that_does_not_square_to_zero_is_refused(case):
     x, p, j, k, new = case
-    rows = x.incidence[p].to_rows()
-    rows[j][k] = new
-    incidence = x.incidence[:p] + (IntMatrix.from_rows(rows, cols=x.incidence[p].cols),) \
-        + x.incidence[p + 1:]
+    layer = list(x.faces[p])
+    layer[k] = {**layer[k], j: (new, layer[k][j][1])}
     with pytest.raises(OrbitComplexError) as err:
-        OrbitComplex(x.cells, incidence, x.descriptors)
+        OrbitComplex(x.cells, x.faces[:p] + (tuple(layer),) + x.faces[p + 1:])
     message = str(err.value)
     assert message in {f"boundary does not square to zero at dimension {q}" for q in (p - 1, p)}
     dump = x.to_json()
