@@ -20,7 +20,6 @@ from .abelian import (
     cohomology,
     factor_integral,
 )
-from .groups import GroupClass, InclusionDescriptor
 from .orbit import OrbitComplex
 from .reprings import (
     coefficient_runs,
@@ -80,26 +79,25 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     other degree is cut from it (``cut_cochain``).  Cell ordering fixes the
     block layout, so assembled matrices are reproducible literals.
     """
-    ko = functor.theory == "ko"
-    size = {g: sum(count for _, count in coefficient_runs(g, functor.theory))
-            for g in _stabilizers(complex_)}
+    size = [sum(count for _, count in coefficient_runs(g, functor.theory))
+            for g in complex_.stabilizers]
     offsets = [list(accumulate((size[cell.stabilizer] for cell in cells), initial=0))
                for cells in complex_.cells]  # per dim and cell
     ranks = [offs.pop() for offs in offsets]
 
-    blocks: dict[InclusionDescriptor, IntMatrix] = {}
+    if functor.theory == "ko":
+        blocks = [restriction_ko(incl, 0)[0] for incl in complex_.descriptors]
+    else:
+        blocks = [restriction_k0(incl) for incl in complex_.descriptors]
     free_d = []
     for p, layer in enumerate(complex_.faces):
         rows: list[dict[int, int]] = []
         for cell, faces in zip(complex_.cells[p + 1], layer):
             # A cell's faces are distinct, so their blocks never overlap.
             cell_rows: list[dict[int, int]] = [{} for _ in range(size[cell.stabilizer])]
-            for j, (alpha, incl) in faces.items():
-                block = blocks.get(incl)
-                if block is None:
-                    block = blocks[incl] = restriction_ko(incl, 0)[0] if ko else restriction_k0(incl)
+            for j, (alpha, d) in faces.items():
                 src = offsets[p][j]
-                for row, r_row in zip(cell_rows, block.data):
+                for row, r_row in zip(cell_rows, blocks[d].data):
                     for b, v in r_row.items():
                         row[src + b] = alpha * v
             rows += cell_rows
@@ -116,11 +114,11 @@ def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,
     A generator keeps its row and column in the free block where its point
     value in degree -n is Z and in the torsion block, reduced mod 2, where
     it is Z/2 (``reprings.cut``).  A KO degree with a torsion block first
-    refuses an even-order cyclic subgroup among the descriptors, named in
-    the order they occur.
+    refuses an even-order cyclic subgroup among the descriptors, naming the
+    first in the descriptor table.
     """
     if functor.theory == "ko":
-        refuse_even_cyclic(_descriptors(complex_), functor.n)
+        refuse_even_cyclic(complex_.descriptors, functor.n)
     parts = _cut_parts(complex_, functor)
     blocks = [cut(d, parts[p + 1], parts[p]) for p, d in enumerate(full.free_d)]
     return SplitCochainComplex(tuple(len(free) for free, _ in parts),
@@ -131,8 +129,8 @@ def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,
 
 def _cut_parts(complex_: OrbitComplex, functor: CoefficientFunctor):
     """Per dimension, the ``cut_indices`` of the generators of its cells."""
-    return [cut_indices((run for cell in cells
-                         for run in coefficient_runs(cell.stabilizer, functor.theory)), functor.n)
+    runs = [coefficient_runs(g, functor.theory) for g in complex_.stabilizers]
+    return [cut_indices((run for cell in cells for run in runs[cell.stabilizer]), functor.n)
             for cells in complex_.cells]
 
 
@@ -147,7 +145,7 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
     ``full`` back, whose factorization is reused, and keeping none gives
     the zero complex.
     """
-    runs = [coefficient_runs(g, "ko") for g in _stabilizers(complex_)]
+    runs = [coefficient_runs(g, "ko") for g in complex_.stabilizers]
     kept = [len(cut_indices(r, n)[part]) for r in runs]
     if all(k == sum(count for _, count in r) for k, r in zip(kept, runs)):
         return factored
@@ -156,17 +154,6 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
     keep = [parts[part] for parts in _cut_parts(complex_, CoefficientFunctor.ko(n))]
     return factor_integral(SplitCochainComplex.integral(
         [len(k) for k in keep], [d.block(keep[p + 1], keep[p]) for p, d in enumerate(full.free_d)]))
-
-
-def _stabilizers(complex_: OrbitComplex) -> set[GroupClass]:
-    """The distinct cell stabilizers."""
-    return {cell.stabilizer for cells in complex_.cells for cell in cells}
-
-
-def _descriptors(complex_: OrbitComplex):
-    """Every inclusion descriptor, in face order: by dimension, then by
-    higher cell."""
-    return (incl for layer in complex_.faces for faces in layer for _, incl in faces.values())
 
 
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
@@ -212,7 +199,7 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     zero = (AbGroup.zero(),) * (complex_.dim + 1)
     if theory == "k":
         return factor_integral(full).groups(), zero
-    refuse_even_cyclic(_descriptors(complex_), 1)
+    refuse_even_cyclic(complex_.descriptors, 1)
     factored = factor_integral(full)
     real = factored.groups()
     r_to_r = _factor_cut(complex_, full, factored, 1, 1).mod2()

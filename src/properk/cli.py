@@ -80,13 +80,15 @@ def _complex_entries(complex_: OrbitComplex) -> int:
 
 
 def _cochain_entries(complex_: OrbitComplex, theory: str) -> int:
-    """Dense entries of --emit cochain, from the cells' stabilizers alone: in
-    every coefficient degree, each differential's free, tor2 and cross
-    blocks, sized by the cut that ``bredon.cut_cochain`` makes."""
+    """Dense entries of --emit cochain, from the number of cells with each
+    stabilizer alone: in every coefficient degree, each differential's
+    free, tor2 and cross blocks, sized by the cut that
+    ``bredon.cut_cochain`` makes."""
     layers = [Counter(cell.stabilizer for cell in cells).items() for cells in complex_.cells]
+    runs = [coefficient_runs(g, theory) for g in complex_.stabilizers]
     total = 0
     for n in range(CoefficientFunctor(theory, 0).period):
-        ranks = [[sum(count * len(cut_indices(coefficient_runs(stabilizer, theory), n)[part])
+        ranks = [[sum(count * len(cut_indices(runs[stabilizer], n)[part])
                       for stabilizer, count in layer) for part in (0, 1)]
                  for layer in layers]  # (free, tor) per dimension
         total += sum(f1 * f0 + t1 * (t0 + f0) for (f0, t0), (f1, t1) in zip(ranks, ranks[1:]))
@@ -283,7 +285,8 @@ def _run_amalgam(args) -> tuple[dict, int]:
     if args.emit == "complex":
         return {"group": description, "complex": _complex_payload(complex_)}, 0
     # The edge orders r_i are the orders of the 1-cell stabilizers.
-    edge_orders = [c.stabilizer.order for c in complex_.cells[1]] if complex_.dim >= 1 else []
+    edge_orders = ([complex_.stabilizers[c.stabilizer].order for c in complex_.cells[1]]
+                   if complex_.dim >= 1 else [])
     if args.theory == "ko" and any(r % 2 == 0 for r in edge_orders):
         raise UnsupportedRestrictionError(
             f"KO needs every edge order r_i odd; got r = {edge_orders}")

@@ -26,7 +26,7 @@ from .groups import (
     reflection_in_dihedral,
     trivial_in,
 )
-from .orbit import Cell, OrbitComplex
+from .orbit import Cell, OrbitComplex, intern
 
 INFINITY = 0  # Coxeter matrix entries use 0 to encode the label infinity.
 
@@ -272,8 +272,14 @@ class SphericalPoset:
     members: tuple[tuple[int, ...], ...]
     _stabilizers: dict[tuple[int, ...], GroupClass] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _inclusions: dict[tuple[tuple[int, ...], tuple[int, ...]], InclusionDescriptor] = field(
+    # Each parabolic inclusion described so far, as its position in
+    # ``descriptors``, which lists every distinct descriptor once.
+    _inclusions: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _positions: dict[InclusionDescriptor, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    descriptors: list[InclusionDescriptor] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -285,13 +291,18 @@ class SphericalPoset:
             found = self._stabilizers[subset] = group_class_of(self.matrix, subset)
         return found
 
-    def inclusion(self, sub: tuple[int, ...], big: tuple[int, ...]) -> InclusionDescriptor:
-        """``parabolic_inclusion(matrix, sub, big)`` for members sub ⊆ big,
-        described once from the memoised stabilizers."""
+    def inclusion_position(self, sub: tuple[int, ...], big: tuple[int, ...]) -> int:
+        """The position in ``descriptors`` of ``parabolic_inclusion(matrix,
+        sub, big)`` for members sub ⊆ big, described once from the memoised
+        stabilizers; equal descriptors of different pairs share one."""
         found = self._inclusions.get((sub, big))
         if found is None:
-            found = self._inclusions[sub, big] = _inclusion_of(
-                sub, big, self.stabilizer(sub), self.stabilizer(big))
+            desc = _inclusion_of(sub, big, self.stabilizer(sub), self.stabilizer(big))
+            found = self._positions.get(desc)
+            if found is None:
+                found = self._positions[desc] = len(self.descriptors)
+                self.descriptors.append(desc)
+            self._inclusions[sub, big] = found
         return found
 
 
@@ -379,6 +390,37 @@ def _inclusion_of(sub: tuple[int, ...], big: tuple[int, ...], sub_class: GroupCl
         tuple(sub), f"no supported inclusion of {sub_class} into {big_class}")
 
 
+class _Tables:
+    """The stabilizer and descriptor tables of one model under construction.
+
+    Cells and faces get indices into them by spherical subset, read off the
+    poset's memo.  A table grows in the order its entries are first asked
+    for, so a builder asks in the order of its cells and faces, the faces
+    of each cell by index.
+    """
+
+    def __init__(self, poset: SphericalPoset):
+        self.poset = poset
+        self._stabilizers: dict[GroupClass, int] = {}
+        self._stabilizer_of: dict[tuple[int, ...], int] = {}
+        # Position in the poset's descriptors -> index in this table.
+        self._descriptors: dict[int, int] = {}
+
+    def stabilizer(self, subset: tuple[int, ...]) -> int:
+        found = self._stabilizer_of.get(subset)
+        if found is None:
+            found = self._stabilizer_of[subset] = intern(
+                self._stabilizers, self.poset.stabilizer(subset))
+        return found
+
+    def inclusion(self, sub: tuple[int, ...], big: tuple[int, ...]) -> int:
+        return intern(self._descriptors, self.poset.inclusion_position(sub, big))
+
+    def complex(self, cells, faces) -> OrbitComplex:
+        descriptors = tuple(self.poset.descriptors[i] for i in self._descriptors)
+        return OrbitComplex(tuple(self._stabilizers), descriptors, cells, faces)
+
+
 # ---------------------------------------------------------------------------
 # Davis model: the order complex of the spherical poset
 
@@ -423,18 +465,37 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     poset = matrix.poset
     per_dim = _chains(poset)
     names = {j: _subset_label(j) for j in poset.members}
-    cells = tuple(tuple(Cell("<".join([names[j] for j in c]), poset.stabilizer(c[0]))
+    tables = _Tables(poset)
+    # The vertices are the members in order, so this meets the stabilizers
+    # in the order of the cells.
+    stabilizer_of = {j: tables.stabilizer(j) for j in poset.members}
+    cells = tuple(tuple(Cell("<".join([names[j] for j in c]), stabilizer_of[c[0]])
                         for c in chains) for chains in per_dim)
+    # (J_0, J_1) -> (coefficient, descriptor index) of the face that drops
+    # entry i of a chain starting J_0 < J_1, for every i.
+    face_values: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
     faces = []
     for p in range(len(per_dim) - 1):
         index_of = {chain: i for i, chain in enumerate(per_dim[p])}
-        # The faces of a chain are distinct, so no coefficient cancels.
-        faces.append(tuple(
-            {index_of[chain[:drop] + chain[drop + 1:]]:
-             (-1 if drop % 2 else 1, poset.inclusion(chain[0], chain[1 if drop == 0 else 0]))
-             for drop in range(len(chain))}
-            for chain in per_dim[p + 1]))
-    return OrbitComplex(cells, tuple(faces))
+        layer = []
+        for chain in per_dim[p + 1]:
+            js = [index_of[chain[:drop] + chain[drop + 1:]] for drop in range(len(chain))]
+            values = face_values.get(chain[:2])
+            if values is None:
+                low, up = chain[:2]
+                # Only the face dropping J_0 changes the stabilizer.  This is
+                # the first chain starting J_0 < J_1, so the two inclusions
+                # are asked for in the order of its faces.
+                if js[0] < min(js[1:]):
+                    changed, kept = tables.inclusion(low, up), tables.inclusion(low, low)
+                else:
+                    kept, changed = tables.inclusion(low, low), tables.inclusion(low, up)
+                values = face_values[low, up] = (
+                    ((1, changed),) + ((-1, kept), (1, kept)) * (len(per_dim) // 2))
+            # The faces of a chain are distinct, so no coefficient cancels.
+            layer.append(dict(zip(js, values)))
+        faces.append(tuple(layer))
+    return tables.complex(cells, tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +580,16 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
         _cone(builder, j_set, cell_idx)
 
     panel = builder.cells
+    tables = _Tables(poset)
     cells = tuple(
-        tuple(Cell(f"B{_subset_label(label)}#{i}", poset.stabilizer(label))
+        tuple(Cell(f"B{_subset_label(label)}#{i}", tables.stabilizer(label))
               for i, (label, _) in enumerate(layer))
         for layer in panel)
     faces = tuple(
-        tuple({j: (coeff, poset.inclusion(label, panel[p][j][0])) for j, coeff in boundary}
+        tuple({j: (coeff, tables.inclusion(label, panel[p][j][0])) for j, coeff in sorted(boundary)}
               for label, boundary in panel[p + 1])
         for p in range(len(panel) - 1))
-    return OrbitComplex(cells, faces)
+    return tables.complex(cells, faces)
 
 
 def _collect_cells(builder: _PanelBuilder, j_set: tuple[int, ...]) -> list[list[int]]:

@@ -4,7 +4,9 @@ An OrbitComplex records, per dimension, the orbit cells with their
 stabilizer classes and, per cell of positive dimension, its faces: each
 face one dimension down with the signed incidence integer of the quotient
 CW structure and an inclusion descriptor witnessing that the stabilizer of
-the higher cell embeds in the stabilizer of the face.
+the higher cell embeds in the stabilizer of the face.  Stabilizers and
+descriptors are interned: a model with thousands of faces has a few dozen
+distinct ones, kept in one table each and referred to by index.
 """
 
 from __future__ import annotations
@@ -21,23 +23,37 @@ class OrbitComplexError(ValueError):
 
 @dataclass(frozen=True)
 class Cell:
+    """An orbit cell; ``stabilizer`` indexes its complex's stabilizer table."""
+
     label: str
-    stabilizer: GroupClass
+    stabilizer: int
+
+
+def intern(table: dict, item) -> int:
+    """The index of ``item`` in ``table``, a dict from each item to its
+    position, appending it if it is new."""
+    return table.setdefault(item, len(table))
 
 
 @dataclass(frozen=True)
 class OrbitComplex:
     """Cells per dimension, and the faces of every higher cell.
 
-    ``faces[p][k]`` maps each p-cell j in the boundary of (p+1)-cell k to
-    (coefficient, descriptor): the nonzero signed coefficient of j in the
-    boundary of k, and the inclusion stab(k) <= stab(j).  ``incidence[p]``
-    is derived from it: the boundary matrix from (p+1)-cells to p-cells,
-    with entry (j, k) that coefficient.
+    ``stabilizers`` and ``descriptors`` hold each distinct stabilizer and
+    inclusion descriptor once, in order of first occurrence: stabilizers
+    over the cells by dimension, descriptors over the faces by dimension,
+    higher cell and face index.  A cell's ``stabilizer`` is an index into the
+    first table.  ``faces[p][k]`` maps each p-cell j in the boundary of
+    (p+1)-cell k to (coefficient, descriptor index): the nonzero signed
+    coefficient of j in the boundary of k, and the inclusion stab(k) <=
+    stab(j).  ``incidence[p]`` is derived from it: the boundary matrix from
+    (p+1)-cells to p-cells, with entry (j, k) that coefficient.
     """
 
+    stabilizers: tuple[GroupClass, ...]
+    descriptors: tuple[InclusionDescriptor, ...]
     cells: tuple[tuple[Cell, ...], ...]
-    faces: tuple[tuple[dict[int, tuple[int, InclusionDescriptor]], ...], ...] = field(hash=False)
+    faces: tuple[tuple[dict[int, tuple[int, int]], ...], ...] = field(hash=False)
     incidence: tuple[IntMatrix, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -46,23 +62,47 @@ class OrbitComplex:
             raise OrbitComplexError("a complex needs at least dimension 0")
         if list(map(len, self.faces)) != list(map(len, self.cells[1:])):
             raise OrbitComplexError("need one face table per cell of positive dimension")
+        position = {g: i for i, g in enumerate(self.stabilizers)}
+        if len(position) != len(self.stabilizers):
+            repeated = next(g for i, g in enumerate(self.stabilizers) if position[g] != i)
+            raise OrbitComplexError(f"the stabilizer table repeats {repeated}")
+        stabs = [[cell.stabilizer for cell in cells] for cells in self.cells]
+        for p, indices in enumerate(stabs):
+            if indices and not (min(indices) >= 0 and max(indices) < len(position)):
+                i = next(i for i, s in enumerate(indices) if not 0 <= s < len(position))
+                raise OrbitComplexError(f"stabilizer index of cell {i} at dim {p} is out of range")
+        # Each descriptor's ends, looked up once so that every face is
+        # checked by comparing indices; -1 for an end outside the table.
+        subs = [position.get(desc.sub, -1) for desc in self.descriptors]
+        bigs = [position.get(desc.big, -1) for desc in self.descriptors]
         incidence = []
         for p, layer in enumerate(self.faces):
-            lower, higher = self.cells[p], self.cells[p + 1]
+            lower, higher = stabs[p], stabs[p + 1]
             rows: list[dict[int, int]] = [{} for _ in lower]
             for k, faces in enumerate(layer):
-                for j, (coeff, desc) in faces.items():
+                sub = higher[k]
+                for j, (coeff, d) in faces.items():
                     if not (0 <= j < len(lower) and coeff):
                         raise OrbitComplexError(
                             f"face at dim {p} ({j},{k}) is out of range or has coefficient 0")
-                    if desc.sub != higher[k].stabilizer:
+                    if not 0 <= d < len(subs):
+                        raise OrbitComplexError(
+                            f"descriptor index at dim {p} ({j},{k}) is out of range")
+                    if subs[d] != sub:
                         raise OrbitComplexError(
                             f"descriptor at dim {p} ({j},{k}) does not start at the higher cell's stabilizer")
-                    if desc.big != lower[j].stabilizer:
+                    if bigs[d] != lower[j]:
                         raise OrbitComplexError(
                             f"descriptor at dim {p} ({j},{k}) does not land in the face's stabilizer")
                     rows[j][k] = coeff
             incidence.append(IntMatrix(len(lower), len(higher), tuple(rows)))
+        # A descriptor with an end outside the table fails the checks above
+        # at any face that uses it; one that no face uses is refused here.
+        for desc, sub, big in zip(self.descriptors, subs, bigs):
+            if sub < 0 or big < 0:
+                raise OrbitComplexError(
+                    f"descriptor {desc} has an end, {desc.sub if sub < 0 else desc.big}, "
+                    "outside the stabilizer table")
         object.__setattr__(self, "incidence", tuple(incidence))
         for p in range(dims - 2):
             if not (incidence[p] * incidence[p + 1]).is_zero():
@@ -78,15 +118,16 @@ class OrbitComplex:
     def sorted_faces(self, p: int) -> list[tuple[int, int, int, InclusionDescriptor]]:
         """(j, k, coefficient, descriptor) for every face at dimension p,
         ordered by (j, k)."""
-        return sorted((j, k, coeff, desc) for k, faces in enumerate(self.faces[p])
-                      for j, (coeff, desc) in faces.items())
+        return sorted((j, k, coeff, self.descriptors[d]) for k, faces in enumerate(self.faces[p])
+                      for j, (coeff, d) in faces.items())
 
     def to_json(self) -> list[dict]:
         out = []
         for p, cells in enumerate(self.cells):
             entry: dict = {
                 "dim": p,
-                "cells": [{"label": c.label, "stabilizer": c.stabilizer.to_json()} for c in cells],
+                "cells": [{"label": c.label, "stabilizer": self.stabilizers[c.stabilizer].to_json()}
+                          for c in cells],
             }
             if p < self.dim:
                 entry["incidence"] = self.incidence[p].to_rows()
@@ -98,37 +139,41 @@ class OrbitComplex:
     @classmethod
     def from_json(cls, data: list[dict]) -> "OrbitComplex":
         """Faces from a dump's incidence matrices and its descriptors, one
-        for each nonzero entry (row, col) and none repeated."""
+        for each nonzero entry (row, col) and none repeated.  Stabilizers
+        and descriptors are interned in the order the tables keep."""
+        stabilizers: dict[GroupClass, int] = {}
         cells = []
         layers = sorted(data, key=lambda e: json_int(e["dim"]))
         for p, entry in enumerate(layers):
             if entry["dim"] != p:
                 raise OrbitComplexError("dimensions must be contiguous from 0")
-            cells.append(tuple(Cell(c["label"], GroupClass.from_json(c["stabilizer"]))
-                               for c in entry["cells"]))
+            cells.append(tuple(
+                Cell(c["label"], intern(stabilizers, GroupClass.from_json(c["stabilizer"])))
+                for c in entry["cells"]))
+        descriptors: dict[InclusionDescriptor, int] = {}
         faces = []
         for p, entry in enumerate(layers[:-1]):
             rows = [list(map(json_int, row)) for row in entry.get("incidence", [])]
             matrix = IntMatrix.from_rows(rows, cols=len(cells[p + 1]))
-            descriptors: dict[tuple[int, int], InclusionDescriptor] = {}
+            listed: dict[tuple[int, int], InclusionDescriptor] = {}
             for d in entry.get("descriptors", []):
                 pair = json_int(d["row"]), json_int(d["col"])
-                if pair in descriptors:
+                if pair in listed:
                     raise OrbitComplexError(f"repeated descriptor at dim {p}, cell pair {pair}")
-                descriptors[pair] = InclusionDescriptor.from_json(d["descriptor"])
+                listed[pair] = InclusionDescriptor.from_json(d["descriptor"])
             if (matrix.rows, matrix.cols) != (len(cells[p]), len(cells[p + 1])):
                 raise OrbitComplexError(f"incidence matrix at dimension {p} has wrong shape")
             nonzero = {(j, k) for j, row in enumerate(matrix.data) for k in row}
-            mismatch = nonzero.symmetric_difference(descriptors)
+            mismatch = nonzero.symmetric_difference(listed)
             if mismatch:
                 j, k = min(mismatch)
                 raise OrbitComplexError(
                     f"descriptor bookkeeping mismatch at dim {p}, cell pair ({j}, {k})")
             layer: list[dict] = [{} for _ in cells[p + 1]]
-            for (j, k), desc in descriptors.items():
-                layer[k][j] = (matrix.data[j][k], desc)
+            for (j, k) in sorted(listed, key=lambda pair: pair[::-1]):
+                layer[k][j] = (matrix.data[j][k], intern(descriptors, listed[j, k]))
             faces.append(tuple(layer))
-        return cls(tuple(cells), tuple(faces))
+        return cls(tuple(stabilizers), tuple(descriptors), tuple(cells), tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +236,18 @@ def build_amalgam_orbit_complex(spec: AmalgamSpec) -> OrbitComplex:
     vertex-(i-1) block of the assembled Bredon differential carries the
     positive sign.
     """
-    vertices = tuple(
-        Cell(f"v{i}", cyclic(spec.vertex_order(i))) for i in range(spec.k + 1))
-    edges = tuple(
-        Cell(f"e{i}", cyclic(spec.edge_order(i))) for i in range(1, spec.k + 1))
+    stabilizers: dict[GroupClass, int] = {}
+    vertices = tuple(Cell(f"v{i}", intern(stabilizers, cyclic(spec.vertex_order(i))))
+                     for i in range(spec.k + 1))
+    edges = tuple(Cell(f"e{i}", intern(stabilizers, cyclic(spec.edge_order(i))))
+                  for i in range(1, spec.k + 1))
+    descriptors: dict[InclusionDescriptor, int] = {}
     faces = []
     for i in range(1, spec.k + 1):
         r = spec.edge_order(i)
-        faces.append({i - 1: (1, cyclic_in_cyclic(r, spec.vertex_order(i - 1) // r)),
-                      i: (-1, cyclic_in_cyclic(r, spec.vertex_order(i) // r))})
-    if spec.k == 0:
-        return OrbitComplex((vertices,), ())
-    return OrbitComplex((vertices, edges), (tuple(faces),))
+        faces.append(
+            {i - 1: (1, intern(descriptors, cyclic_in_cyclic(r, spec.vertex_order(i - 1) // r))),
+             i: (-1, intern(descriptors, cyclic_in_cyclic(r, spec.vertex_order(i) // r)))})
+    cells = (vertices, edges) if spec.k else (vertices,)
+    return OrbitComplex(tuple(stabilizers), tuple(descriptors), cells,
+                        (tuple(faces),) if spec.k else ())

@@ -77,13 +77,15 @@ def z3_square() -> OrbitComplex:
     """A complex of dimension 2 with complex-type stabilizers: two Z3
     vertices, two Z3 edges a and b each joined to both of them, and one
     free 2-cell with boundary a - b."""
-    z3, vertex_edge, edge_face = cyclic(3), cyclic_in_cyclic(3, 1), trivial_in(cyclic(3))
+    z3, free = 0, 1  # stabilizer table indices
+    vertex_edge, edge_face = 0, 1  # descriptor table indices
     cells = ((Cell("v0", z3), Cell("v1", z3)), (Cell("a", z3), Cell("b", z3)),
-             (Cell("f", trivial()),))
+             (Cell("f", free),))
     faces = (({0: (1, vertex_edge), 1: (-1, vertex_edge)},   # a
               {0: (1, vertex_edge), 1: (-1, vertex_edge)}),  # b
              ({0: (1, edge_face), 1: (-1, edge_face)},))     # f
-    return OrbitComplex(cells, faces)
+    return OrbitComplex((cyclic(3), trivial()), (cyclic_in_cyclic(3, 1), trivial_in(cyclic(3))),
+                        cells, faces)
 
 
 def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:
@@ -94,7 +96,7 @@ def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:
     is again a valid quotient CW structure with the same cohomology.
     """
     signs = [[rng.choice((1, -1)) for _ in layer] for layer in complex_.cells]
-    return OrbitComplex(complex_.cells, tuple(
+    return OrbitComplex(complex_.stabilizers, complex_.descriptors, complex_.cells, tuple(
         tuple({j: (coeff * signs[p][j] * signs[p + 1][k], desc)
                for j, (coeff, desc) in faces.items()}
               for k, faces in enumerate(layer))

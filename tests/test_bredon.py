@@ -266,7 +266,7 @@ def per_descriptor_cochain(x, n):
         offs, f_total, t_total = [], 0, 0
         for cell in cells:
             offs.append((f_total, t_total))
-            f, t = ko_ranks(cell.stabilizer, n)
+            f, t = ko_ranks(x.stabilizers[cell.stabilizer], n)
             f_total, t_total = f_total + f, t_total + t
         free_ranks.append(f_total)
         tor_ranks.append(t_total)
@@ -360,9 +360,7 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
         restricted.clear()
         build_e2(x, "ko")
         assert assembled == [(x, CoefficientFunctor.ko(0))]
-        distinct = list(dict.fromkeys(incl for layer in x.faces for faces in layer
-                                      for _, incl in faces.values()))
-        assert restricted == [(incl, 0) for incl in distinct]
+        assert restricted == [(incl, 0) for incl in x.descriptors]
 
 
 def refuse_gf2_elimination(monkeypatch):

@@ -465,6 +465,38 @@ def test_even_edge_dump_through_coxeter_is_refused(tmp_path, capsys, emit):
                    "by the supported theory; odd edge orders only"}
 
 
+def cyclic_edge(r: int, m: int) -> dict:
+    return {"kind": "cyclic_in_cyclic", "sub": {"cyclic": r}, "big": {"cyclic": r * m},
+            "extra": [r, m]}
+
+
+@pytest.mark.parametrize("emit", ["result", "cochain"])
+def test_first_even_edge_in_face_order_is_named(tmp_path, capsys, emit):
+    # A path v2 - e0 - v1 - e1 - v0 with edge groups Z4 (e0) and Z2 (e1).
+    # The dump lists its descriptors by row, so Z2 <= Z6 at (0, 1) comes
+    # first; in face order, by higher cell, e0's Z4 <= Z8 does.
+    cells = [{"label": "v0", "stabilizer": {"cyclic": 6}},
+             {"label": "v1", "stabilizer": {"cyclic": 8}},
+             {"label": "v2", "stabilizer": {"cyclic": 4}}]
+    dump = [{"dim": 0, "cells": cells,
+             "incidence": [[0, 1], [1, -1], [-1, 0]],
+             "descriptors": [{"row": 0, "col": 1, "descriptor": cyclic_edge(2, 3)},
+                             {"row": 1, "col": 0, "descriptor": cyclic_edge(4, 2)},
+                             {"row": 1, "col": 1, "descriptor": cyclic_edge(2, 4)},
+                             {"row": 2, "col": 0, "descriptor": cyclic_edge(4, 1)}]},
+            {"dim": 1, "cells": [{"label": "e0", "stabilizer": {"cyclic": 4}},
+                                 {"label": "e1", "stabilizer": {"cyclic": 2}}]}]
+    path = tmp_path / "two_even_edges.json"
+    path.write_text(json.dumps(dump))
+    code, out = run(capsys, ["coxeter", "--theory", "ko", "--from-complex", str(path),
+                             "--emit", emit])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "unsupported_restriction",
+        "message": "KO^-1 restriction for an even-order cyclic subgroup Z4 is not determined "
+                   "by the supported theory; odd edge orders only"}
+
+
 @pytest.mark.parametrize("theory", ["k", "ko"])
 def test_emit_cochain_assembles_once(monkeypatch, capsys, theory):
     import properk.cli as cli

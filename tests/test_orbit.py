@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from properk.cli import main
 from properk.coxeter import CoxeterMatrix, build_bestvina_orbit_complex, build_davis_orbit_complex
-from properk.groups import cyclic, cyclic_in_cyclic, trivial
+from properk.groups import cyclic, cyclic_in_cyclic, trivial, trivial_in
 from properk.orbit import (
     AmalgamSpec,
     Cell,
@@ -16,6 +17,7 @@ from properk.orbit import (
     OrbitComplexError,
     build_amalgam_orbit_complex,
 )
+from conftest import z3_square
 
 
 def test_amalgam_spec_validation():
@@ -27,12 +29,18 @@ def test_amalgam_spec_validation():
         AmalgamSpec(r=(1, 1), m=(2, 2))  # length mismatch
 
 
+def stabilizers(x, p):
+    """The stabilizers of the p-cells of x, read off its table."""
+    return [x.stabilizers[c.stabilizer] for c in x.cells[p]]
+
+
 def test_infinite_dihedral_path():
     spec = AmalgamSpec(r=(1,), m=(2, 2))
     x = build_amalgam_orbit_complex(spec)
     assert x.counts() == (2, 1)
-    assert [c.stabilizer for c in x.cells[0]] == [cyclic(2), cyclic(2)]
-    assert x.cells[1][0].stabilizer == trivial()
+    assert x.stabilizers == (cyclic(2), trivial())
+    assert [c.stabilizer for c in x.cells[0]] == [0, 0]
+    assert stabilizers(x, 1) == [trivial()]
     assert x.incidence[0].to_rows() == [[1], [-1]]
 
 
@@ -40,37 +48,43 @@ def test_sl2z_path():
     spec = AmalgamSpec(r=(2,), m=(3, 2))
     assert spec.describe() == "Z6 *_Z2 Z4"
     x = build_amalgam_orbit_complex(spec)
-    assert [c.stabilizer for c in x.cells[0]] == [cyclic(6), cyclic(4)]
-    assert [c.stabilizer for c in x.cells[1]] == [cyclic(2)]
-    assert x.faces[0][0] == {0: (1, cyclic_in_cyclic(2, 3)), 1: (-1, cyclic_in_cyclic(2, 2))}
+    assert stabilizers(x, 0) == [cyclic(6), cyclic(4)]
+    assert stabilizers(x, 1) == [cyclic(2)]
+    assert x.descriptors == (cyclic_in_cyclic(2, 3), cyclic_in_cyclic(2, 2))
+    assert x.faces[0][0] == {0: (1, 0), 1: (-1, 1)}
 
 
 def test_single_vertex_amalgam():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(), m=(5,)))
     assert x.counts() == (1,)
-    assert x.cells[0][0].stabilizer == cyclic(5)
+    assert (x.stabilizers, x.descriptors) == ((cyclic(5),), ())
+    assert x.cells[0][0].stabilizer == 0
 
 
 def test_longer_amalgam_stabilizers():
     # Z_{3*5} *_{Z_3} Z_{3*7*2} *_{Z_7} Z_{7*4}
     spec = AmalgamSpec(r=(3, 7), m=(5, 2, 4))
     x = build_amalgam_orbit_complex(spec)
-    assert [c.stabilizer for c in x.cells[0]] == [cyclic(15), cyclic(42), cyclic(28)]
-    assert [c.stabilizer for c in x.cells[1]] == [cyclic(3), cyclic(7)]
+    assert stabilizers(x, 0) == [cyclic(15), cyclic(42), cyclic(28)]
+    assert stabilizers(x, 1) == [cyclic(3), cyclic(7)]
     assert x.incidence[0].to_rows() == [[1, 0], [-1, 1], [0, -1]]
 
 
+# One Z4 vertex and one Z2 edge through it, with the one descriptor Z2 <= Z4.
+Z4_Z2 = (cyclic(4), cyclic(2))
+VERTEX_EDGE = ((Cell("v", 0),), (Cell("e", 1),))
+
+
 def test_orbit_complex_validation_catches_bad_descriptors():
-    cells = ((Cell("v", cyclic(4)),), (Cell("e", cyclic(2)),))
-    edge = OrbitComplex(cells, (({0: (1, cyclic_in_cyclic(2, 2))},),))
+    edge = OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), VERTEX_EDGE, (({0: (1, 0)},),))
     assert edge.incidence[0].to_rows() == [[1]]
     with pytest.raises(OrbitComplexError, match="does not land in the face's stabilizer"):
-        OrbitComplex(cells, (({0: (1, cyclic_in_cyclic(2, 3))},),))
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 1),), VERTEX_EDGE, (({0: (1, 0)},),))
     with pytest.raises(OrbitComplexError, match="does not start at the higher cell's stabilizer"):
-        OrbitComplex(cells, (({0: (1, cyclic_in_cyclic(4, 1))},),))
-    for face in ({0: (0, cyclic_in_cyclic(2, 2))}, {1: (1, cyclic_in_cyclic(2, 2))}):
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(4, 1),), VERTEX_EDGE, (({0: (1, 0)},),))
+    for face in ({0: (0, 0)}, {1: (1, 0)}):
         with pytest.raises(OrbitComplexError, match="out of range or has coefficient 0"):
-            OrbitComplex(cells, ((face,),))
+            OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), VERTEX_EDGE, ((face,),))
     # A dump can hold a nonzero entry without a descriptor.
     dump = edge.to_json()
     dump[0]["descriptors"] = []
@@ -78,9 +92,76 @@ def test_orbit_complex_validation_catches_bad_descriptors():
         OrbitComplex.from_json(dump)
 
 
+@pytest.mark.parametrize("index", [1, -1])
+def test_descriptor_index_out_of_range_is_refused(index):
+    with pytest.raises(OrbitComplexError,
+                       match=r"^descriptor index at dim 0 \(0,0\) is out of range$"):
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), VERTEX_EDGE, (({0: (1, index)},),))
+
+
+@pytest.mark.parametrize("index", [2, -1])
+def test_cell_stabilizer_index_out_of_range_is_refused(index):
+    cells = ((Cell("v", 0),), (Cell("e0", 1), Cell("e1", index)))
+    with pytest.raises(OrbitComplexError,
+                       match=r"^stabilizer index of cell 1 at dim 1 is out of range$"):
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), cells, (({0: (1, 0)}, {0: (1, 0)}),))
+
+
+def test_repeated_stabilizer_is_refused():
+    with pytest.raises(OrbitComplexError, match=r"^the stabilizer table repeats Z4$"):
+        OrbitComplex(Z4_Z2 + (cyclic(4),), (cyclic_in_cyclic(2, 2),), VERTEX_EDGE,
+                     (({0: (1, 0)},),))
+
+
+@pytest.mark.parametrize("desc, end", [(trivial_in(cyclic(4)), "1"),
+                                       (cyclic_in_cyclic(2, 3), "Z6")], ids=["sub", "big"])
+def test_descriptor_end_outside_the_stabilizer_table_is_refused(desc, end):
+    # A face that uses the descriptor is named; an unused one is refused
+    # from the table.
+    side = "start at the higher cell's" if end == "1" else "land in the face's"
+    with pytest.raises(OrbitComplexError,
+                       match=rf"^descriptor at dim 0 \(0,0\) does not {side} stabilizer$"):
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2), desc), VERTEX_EDGE, (({0: (1, 1)},),))
+    message = f"^descriptor {re.escape(str(desc))} has an end, {end}, outside the stabilizer table$"
+    with pytest.raises(OrbitComplexError, match=message):
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2), desc), VERTEX_EDGE, (({0: (1, 0)},),))
+
+
 def test_orbit_complex_json_roundtrip():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2, 1), m=(3, 2, 2)))
     assert OrbitComplex.from_json(x.to_json()) == x
+
+
+D_INF_4 = CoxeterMatrix.from_rows([[1 if a == b else 0 if a // 2 == b // 2 else 2
+                                    for b in range(8)] for a in range(8)])
+
+
+@pytest.mark.parametrize("build, sizes", [(build_davis_orbit_complex, (5, 30)),
+                                          (build_bestvina_orbit_complex, (5, 22))],
+                         ids=["davis", "bestvina"])
+def test_dinf4_tables_are_small(build, sizes):
+    # Thousands of faces share a few dozen restriction blocks.
+    x = build(D_INF_4)
+    assert (len(x.stabilizers), len(x.descriptors)) == sizes
+    used = {d for layer in x.faces for faces in layer for _, d in faces.values()}
+    assert used == set(range(len(x.descriptors)))
+    assert {c.stabilizer for cells in x.cells for c in cells} == set(range(len(x.stabilizers)))
+
+
+@pytest.mark.parametrize("x", [
+    build_davis_orbit_complex(CoxeterMatrix.from_rows([[1, 3, 2], [3, 1, 0], [2, 0, 1]])),
+    build_bestvina_orbit_complex(CoxeterMatrix.from_rows([[1, 3, 2], [3, 1, 0], [2, 0, 1]])),
+    build_davis_orbit_complex(D_INF_4),
+    build_bestvina_orbit_complex(D_INF_4),
+    build_amalgam_orbit_complex(AmalgamSpec(r=(3, 7), m=(5, 2, 4))),
+    z3_square(),
+], ids=["davis", "bestvina", "davis-dinf4", "bestvina-dinf4", "amalgam", "z3-square"])
+def test_dump_roundtrip_keeps_the_tables_in_order(x):
+    text = json.dumps(x.to_json())
+    y = OrbitComplex.from_json(json.loads(text))
+    assert json.dumps(y.to_json()) == text
+    assert (y.stabilizers, y.descriptors) == (x.stabilizers, x.descriptors)
+    assert y == x
 
 
 def test_bookkeeping_error_names_the_first_offending_pair():
@@ -151,7 +232,8 @@ def test_boundary_that_does_not_square_to_zero_is_refused(case):
     layer = list(x.faces[p])
     layer[k] = {**layer[k], j: (new, layer[k][j][1])}
     with pytest.raises(OrbitComplexError) as err:
-        OrbitComplex(x.cells, x.faces[:p] + (tuple(layer),) + x.faces[p + 1:])
+        OrbitComplex(x.stabilizers, x.descriptors, x.cells,
+                     x.faces[:p] + (tuple(layer),) + x.faces[p + 1:])
     message = str(err.value)
     assert message in {f"boundary does not square to zero at dimension {q}" for q in (p - 1, p)}
     dump = x.to_json()
