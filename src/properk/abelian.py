@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import compress
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
@@ -125,15 +125,7 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        right = other.data
-        out = []
-        for row in self.data:
-            acc: dict[int, int] = {}
-            for k, a in row.items():
-                for j, b in right[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append({j: x for j, x in acc.items() if x})
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix(self.rows, other.cols, product_rows(self.data, other.data))
 
     def block(self, rows: Sequence[int], cols: Sequence[int]) -> "IntMatrix":
         """The submatrix on the given rows and columns, in their order."""
@@ -150,6 +142,20 @@ class IntMatrix:
                     m |= 1 << j
             bits.append(m)
         return Mod2Matrix(self.rows, self.cols, tuple(bits))
+
+
+def product_rows(left: Sequence[Mapping[int, int]],
+                 right: Sequence[Mapping[int, int]]) -> tuple[dict[int, int], ...]:
+    """The sparse rows of the product of two matrices given by their sparse
+    rows, ``right`` holding one row per column of ``left``."""
+    out = []
+    for row in left:
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            for j, b in right[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: x for j, x in acc.items() if x})
+    return tuple(out)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -578,15 +584,20 @@ class SplitCochainComplex:
     T_p its Z/2 ones reduced mod 2.  Components between the two summands cannot be
     expressed at all; descriptors that would need one are refused
     (``reprings.restriction_ko``).  Construction validates the
-    composability of shapes, F∘F = 0 and T∘T = 0.
+    composability of shapes, F∘F = 0 and T∘T = 0, the last two by matrix
+    products.  ``bredon.assemble_cochain`` alone skips the products, through
+    ``integral``'s private ``_composes``, when it has already proved
+    F∘F = 0 from the orbit complex (``OrbitComplex.coherence``); every other
+    complex, its cuts included, is multiplied out.
     """
 
     free_ranks: tuple[int, ...]
     tor2_ranks: tuple[int, ...]
     free_d: tuple[IntMatrix, ...]
     tor_d: tuple[Mod2Matrix, ...]
+    _composes: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _composes: bool = False):
         n = len(self.free_ranks)
         if n == 0 or len(self.tor2_ranks) != n:
             raise ChainComplexError("rank lists must be nonempty and equal length")
@@ -600,6 +611,8 @@ class SplitCochainComplex:
                 raise ChainComplexError(f"free differential at degree {p} has wrong shape")
             if (t.rows, t.cols) != (self.tor2_ranks[p + 1], self.tor2_ranks[p]):
                 raise ChainComplexError(f"torsion differential at degree {p} has wrong shape")
+        if _composes:
+            return
         for p in range(n - 2):
             if not (self.free_d[p + 1] * self.free_d[p]).is_zero():
                 raise ChainComplexError(f"free differentials do not compose to zero at degree {p}")
@@ -607,10 +620,11 @@ class SplitCochainComplex:
                 raise ChainComplexError(f"torsion differentials do not compose to zero at degree {p}")
 
     @classmethod
-    def integral(cls, free_ranks: Sequence[int], diffs: Sequence[IntMatrix]) -> "SplitCochainComplex":
+    def integral(cls, free_ranks: Sequence[int], diffs: Sequence[IntMatrix],
+                 _composes: bool = False) -> "SplitCochainComplex":
         """Pure integral complex (no torsion summands)."""
         return cls(tuple(free_ranks), (0,) * len(free_ranks), tuple(diffs),
-                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs))
+                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs), _composes)
 
     @property
     def length(self) -> int:

@@ -19,6 +19,7 @@ from .abelian import (
     SplitCochainComplex,
     cohomology,
     factor_integral,
+    product_rows,
 )
 from .orbit import OrbitComplex
 from .reprings import (
@@ -78,6 +79,13 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     written once per face of a higher cell, into that cell's rows.  Any
     other degree is cut from it (``cut_cochain``).  Cell ordering fixes the
     block layout, so assembled matrices are reproducible literals.
+
+    d∘d = 0 is proved rather than multiplied out when the composite
+    restrictions agree (``_composites_agree``); the orbit complex has
+    checked ∂∘∂ = 0, so each block of d_{p+1}·d_p is then (∂∂)_{jl} times
+    one composite, which is zero.  Otherwise ``SplitCochainComplex`` runs
+    its product check, which refuses the complex unless the disagreeing
+    composites cancel.
     """
     size = [sum(count for _, count in coefficient_runs(g, functor.theory))
             for g in complex_.stabilizers]
@@ -102,8 +110,19 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
                         row[src + b] = alpha * v
             rows += cell_rows
         free_d.append(IntMatrix(ranks[p + 1], ranks[p], tuple(rows)))
-    full = SplitCochainComplex.integral(ranks, free_d)
+    full = SplitCochainComplex.integral(ranks, free_d,
+                                        _composes=_composites_agree(complex_, blocks))
     return full if functor.n == 0 else cut_cochain(complex_, full, functor)
+
+
+def _composites_agree(complex_: OrbitComplex, blocks: list[IntMatrix]) -> bool:
+    """Whether the two paths of each entry of ``complex_.coherence`` have
+    one composite restriction block; each distinct (e, d) is composed once,
+    into sparse rows."""
+    coherence = complex_.coherence
+    paths = {path for e0, d0, e, d in coherence for path in ((e0, d0), (e, d))}
+    composite = {(e, d): product_rows(blocks[e].data, blocks[d].data) for e, d in paths}
+    return all(composite[e0, d0] == composite[e, d] for e0, d0, e, d in coherence)
 
 
 def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,

@@ -6,12 +6,16 @@ face one dimension down with the signed incidence integer of the quotient
 CW structure and an inclusion descriptor witnessing that the stabilizer of
 the higher cell embeds in the stabilizer of the face.  Stabilizers and
 descriptors are interned: a model with thousands of faces has a few dozen
-distinct ones, kept in one table each and referred to by index.
+distinct ones, kept in one table each and referred to by index.  Validation
+walks every 2-path of faces once, keyed by these indices: the walk proves
+∂∘∂ = 0 and lists the pairs of composite restrictions whose agreement
+proves that the Bredon cochain complex squares to zero too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .abelian import IntMatrix
 from .groups import GroupClass, InclusionDescriptor, cyclic, cyclic_in_cyclic, json_int
@@ -46,15 +50,26 @@ class OrbitComplex:
     first table.  ``faces[p][k]`` maps each p-cell j in the boundary of
     (p+1)-cell k to (coefficient, descriptor index): the nonzero signed
     coefficient of j in the boundary of k, and the inclusion stab(k) <=
-    stab(j).  ``incidence[p]`` is derived from it: the boundary matrix from
-    (p+1)-cells to p-cells, with entry (j, k) that coefficient.
+    stab(j).
+
+    Validation checks ∂∘∂ = 0 by one walk over the 2-paths l → k → j, l a
+    (p+2)-cell, k a face of l and j a face of k, with β the coefficient and
+    e the descriptor of k in l, α and d those of j in k: the sum of β·α over
+    the paths from l to j is entry (j, l) of ∂_p∂_{p+1}, and must vanish.
+    The walk also records ``coherence``: for each (l, j), every descriptor
+    pair (e, d) unlike the first one seen there, as (e0, d0, e, d), each
+    once, in walk order.  The block from j to l of the Bredon d_{p+1}·d_p
+    is Σ β·α·R_e·R_d over those paths, for restriction blocks R, so where
+    every recorded pair has the composite R_e·R_d of its first pair, the
+    block is (∂∂)_{jl}·R_e0·R_d0 = 0 (``bredon.assemble_cochain``).
     """
 
     stabilizers: tuple[GroupClass, ...]
     descriptors: tuple[InclusionDescriptor, ...]
     cells: tuple[tuple[Cell, ...], ...]
     faces: tuple[tuple[dict[int, tuple[int, int]], ...], ...] = field(hash=False)
-    incidence: tuple[IntMatrix, ...] = field(init=False, repr=False, compare=False)
+    coherence: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = len(self.cells)
@@ -75,10 +90,8 @@ class OrbitComplex:
         # checked by comparing indices; -1 for an end outside the table.
         subs = [position.get(desc.sub, -1) for desc in self.descriptors]
         bigs = [position.get(desc.big, -1) for desc in self.descriptors]
-        incidence = []
         for p, layer in enumerate(self.faces):
             lower, higher = stabs[p], stabs[p + 1]
-            rows: list[dict[int, int]] = [{} for _ in lower]
             for k, faces in enumerate(layer):
                 sub = higher[k]
                 for j, (coeff, d) in faces.items():
@@ -94,8 +107,6 @@ class OrbitComplex:
                     if bigs[d] != lower[j]:
                         raise OrbitComplexError(
                             f"descriptor at dim {p} ({j},{k}) does not land in the face's stabilizer")
-                    rows[j][k] = coeff
-            incidence.append(IntMatrix(len(lower), len(higher), tuple(rows)))
         # A descriptor with an end outside the table fails the checks above
         # at any face that uses it; one that no face uses is refused here.
         for desc, sub, big in zip(self.descriptors, subs, bigs):
@@ -103,10 +114,38 @@ class OrbitComplex:
                 raise OrbitComplexError(
                     f"descriptor {desc} has an end, {desc.sub if sub < 0 else desc.big}, "
                     "outside the stabilizer table")
-        object.__setattr__(self, "incidence", tuple(incidence))
+        coherence: dict[tuple[int, int, int, int], None] = {}
         for p in range(dims - 2):
-            if not (incidence[p] * incidence[p + 1]).is_zero():
-                raise OrbitComplexError(f"boundary does not square to zero at dimension {p}")
+            lower = self.faces[p]
+            for top in self.faces[p + 1]:
+                # Per face j of a face of this cell: (Σ β·α, e0, d0).
+                seen: dict[int, tuple[int, int, int]] = {}
+                for k, (beta, e) in top.items():
+                    for j, (alpha, d) in lower[k].items():
+                        if j in seen:
+                            total, e0, d0 = seen[j]
+                            seen[j] = (total + beta * alpha, e0, d0)
+                            if e0 != e or d0 != d:
+                                coherence[e0, d0, e, d] = None
+                        else:
+                            seen[j] = (beta * alpha, e, d)
+                if any(total for total, _, _ in seen.values()):
+                    raise OrbitComplexError(f"boundary does not square to zero at dimension {p}")
+        object.__setattr__(self, "coherence", tuple(coherence))
+
+    @cached_property
+    def incidence(self) -> tuple[IntMatrix, ...]:
+        """``incidence[p]``, built from ``faces`` when first read: the
+        boundary matrix from (p+1)-cells to p-cells, with entry (j, k) the
+        coefficient of j in the boundary of k."""
+        out = []
+        for lower, layer in zip(self.cells, self.faces):
+            rows: list[dict[int, int]] = [{} for _ in lower]
+            for k, faces in enumerate(layer):
+                for j, (coeff, _) in faces.items():
+                    rows[j][k] = coeff
+            out.append(IntMatrix(len(lower), len(layer), tuple(rows)))
+        return tuple(out)
 
     @property
     def dim(self) -> int:

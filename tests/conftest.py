@@ -73,6 +73,15 @@ def fold_corpus(ra_corpus):
     return out + [z3_square()]
 
 
+# Davis and Bestvina models of dimension >= 2: D_inf^2, a group with labels
+# 2, 3 and infinity, and the polygon family.
+BOUNDARY_MODELS = [
+    build_davis_orbit_complex(CoxeterMatrix.from_rows([[1, 2, 3], [2, 1, 0], [3, 0, 1]])),
+    build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(3)),
+] + [build(CoxeterMatrix.from_rows([[1, 0, 2, 2], [0, 1, 2, 2], [2, 2, 1, 0], [2, 2, 0, 1]]))
+     for build in (build_davis_orbit_complex, build_bestvina_orbit_complex)]
+
+
 def z3_square() -> OrbitComplex:
     """A complex of dimension 2 with complex-type stabilizers: two Z3
     vertices, two Z3 edges a and b each joined to both of them, and one

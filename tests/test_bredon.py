@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -25,9 +26,9 @@ from properk.coxeter import (
     build_davis_orbit_complex,
 )
 from properk.groups import UnsupportedRestrictionError, cyclic_in_cyclic
-from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
+from properk.orbit import AmalgamSpec, OrbitComplex, build_amalgam_orbit_complex
 from properk.reprings import ko_ranks, restriction_ko
-from conftest import fold_corpus, reorient, z3_square
+from conftest import BOUNDARY_MODELS, fold_corpus, reorient, z3_square
 
 
 def test_sl2z_k0_cochain_literal():
@@ -320,6 +321,73 @@ def test_cochain_that_does_not_compose_to_zero_is_refused(breakable_differential
         SplitCochainComplex.integral(c.free_ranks, d[:p] + (broken,) + d[p + 1:])
     assert str(err.value) in {f"free differentials do not compose to zero at degree {q}"
                               for q in (p - 1, p)}
+
+
+D_INF_3 = CoxeterMatrix.from_rows([[1 if a == b else 0 if a // 2 == b // 2 else 2
+                                    for b in range(6)] for a in range(6)])
+
+
+@pytest.fixture(scope="module")
+def proof_models(ra_corpus):
+    """``fold_corpus`` and ``BOUNDARY_MODELS``, and both models of D_inf^3,
+    where a face moved onto another inclusion with the same ends makes the
+    composite restrictions disagree."""
+    return (fold_corpus(ra_corpus) + BOUNDARY_MODELS
+            + [build(D_INF_3) for build in (build_davis_orbit_complex, build_bestvina_orbit_complex)])
+
+
+def rerouted(x: OrbitComplex, p: int, k: int, j: int, d: int) -> OrbitComplex:
+    """``x`` with face j of (p+1)-cell k along descriptor d instead."""
+    layer = list(x.faces[p])
+    layer[k] = {**layer[k], j: (layer[k][j][0], d)}
+    return OrbitComplex(x.stabilizers, x.descriptors, x.cells,
+                        x.faces[:p] + (tuple(layer),) + x.faces[p + 1:])
+
+
+@given(data=st.data())
+def test_composites_that_agree_prove_the_cochain_squares_to_zero(proof_models, data):
+    # Where the proof holds the assembled complex is not multiplied out, and
+    # the product taken here is zero.  Moving a face onto another descriptor
+    # with the same ends keeps the complex valid and ∂∘∂ = 0; where that
+    # breaks the proof, the product check refuses exactly the complexes
+    # whose product is nonzero.
+    x = reorient(data.draw(st.sampled_from(proof_models)),
+                 random.Random(data.draw(st.integers(0, 2**16))))
+    ends = [(desc.sub, desc.big) for desc in x.descriptors]
+    moves = [(p, k, j, other) for p, layer in enumerate(x.faces) for k, faces in enumerate(layer)
+             for j, (_, d) in faces.items()
+             for other, end in enumerate(ends) if other != d and end == ends[d]]
+    if moves and data.draw(st.booleans()):
+        x = rerouted(x, *data.draw(st.sampled_from(moves)))
+    functor = CoefficientFunctor(data.draw(st.sampled_from(["k", "ko"])), 0)
+    if functor.theory == "ko":
+        blocks = [restriction_ko(incl, 0)[0] for incl in x.descriptors]
+    else:
+        blocks = [reprings.restriction_k0(incl) for incl in x.descriptors]
+    with mock.patch.object(bredon, "_composites_agree", return_value=True):
+        d = assemble_cochain(x, functor).free_d
+    nonzero = [p for p in range(len(d) - 1) if not (d[p + 1] * d[p]).is_zero()]
+    if bredon._composites_agree(x, blocks):
+        assert nonzero == []
+    elif nonzero:
+        with pytest.raises(ChainComplexError,
+                           match=f"^free differentials do not compose to zero at degree {nonzero[0]}$"):
+            assemble_cochain(x, functor)
+    else:
+        assert assemble_cochain(x, functor).free_d == d
+
+
+def test_dinf3_pages_multiply_no_matrices(monkeypatch):
+    # ∂∘∂ = 0 is read off the 2-path walk and the cochain d∘d = 0 off the
+    # composite restrictions it lists: neither the boundaries nor the
+    # assembled differentials are multiplied.
+    products = counting(monkeypatch, IntMatrix, "__mul__")
+    for build in (build_davis_orbit_complex, build_bestvina_orbit_complex):
+        x = build(D_INF_3)
+        assert x.dim == 3 and x.coherence
+        for theory in ("k", "ko"):
+            build_e2(x, theory)
+    assert products == []
 
 
 def test_ko_cochains_cut_equal_per_descriptor_assembly(ra_corpus):

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
+from properk.abelian import IntMatrix
 from properk.cli import main
 
 
@@ -412,6 +414,69 @@ def test_emit_cochain_bytes_are_pinned(capsys, argv, k_digest, ko_digest):
         code, out = run(capsys, argv + ["--theory", theory, "--emit", "cochain"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (argv, theory)
+
+
+def parallel_edges_dump(coordinates, signs) -> list[dict]:
+    """Vertices u and w with stabilizer (Z/2)^2; one edge with stabilizer
+    Z/2 and boundary w - u per coordinate, embedded at that coordinate of
+    both vertices; and one 2-cell with stabilizer Z/2 whose boundary is the
+    sum of the edges with the given signs."""
+    z2, v4 = {"cyclic": 2}, {"elem2": 2}
+
+    def along(sub, big, coordinate):
+        return {"kind": "elem2_subset", "sub": sub, "big": big, "extra": [coordinate]}
+
+    edges = range(len(coordinates))
+    return [{"dim": 0,
+             "cells": [{"label": "u", "stabilizer": v4}, {"label": "w", "stabilizer": v4}],
+             "incidence": [[-1 for _ in edges], [1 for _ in edges]],
+             "descriptors": [{"row": j, "col": k, "descriptor": along(z2, v4, coordinates[k])}
+                             for j in (0, 1) for k in edges]},
+            {"dim": 1,
+             "cells": [{"label": f"e{k}", "stabilizer": z2} for k in edges],
+             "incidence": [[sign] for sign in signs],
+             "descriptors": [{"row": k, "col": 0, "descriptor": along(z2, z2, 0)}
+                             for k in edges]},
+            {"dim": 2, "cells": [{"label": "t", "stabilizer": z2}]}]
+
+
+@pytest.mark.parametrize("theory", ["k", "ko"])
+def test_disagreeing_composites_fall_back_to_the_product_check(tmp_path, capsys, theory):
+    # The 2-cell's boundary a - b squares to zero, but the paths t -> a -> u
+    # and t -> b -> u embed Z/2 at different coordinates of (Z/2)^2, so
+    # the cochain block from u to t is R_1 - R_0, which is not zero.
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(parallel_edges_dump((0, 1), (1, -1))))
+    code, out = run(capsys, ["coxeter", "--theory", theory, "--from-complex", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "invalid_input",
+        "message": "free differentials do not compose to zero at degree 0"}
+
+
+@pytest.mark.parametrize("theory, result_digest, e2page_digest", [
+    ("k", "c03f6cd7cba8828d8db2872194f3f834b51e9291ed39bb45ece643ef2d9da504",
+     "47c25bcfdbcc5aa88b9430c75a4960d9ffe8b5bcaddf03dfee8c4f3d6372c728"),
+    ("ko", "d83bd0652d343e98195cd37824d75b4b3c6eb9c17c20065c3b24d96873e94096",
+     "e14841280960cca43547f5bd01857e268a4633b7e0e197f4069a7b4910eef89d"),
+])
+def test_disagreeing_composites_that_cancel_are_accepted(monkeypatch, tmp_path, capsys, theory,
+                                                         result_digest, e2page_digest):
+    # Boundary a - a' + b - b', a and a' at coordinate 0, b and b' at 1:
+    # the composites disagree but cancel in pairs, so the product check
+    # runs and accepts the complex, with the bytes pinned here.
+    monkeypatch.chdir(tmp_path)
+    Path("cancel.json").write_text(json.dumps(parallel_edges_dump((0, 0, 1, 1), (1, -1, 1, -1))))
+    products = []
+    multiply = IntMatrix.__mul__
+    monkeypatch.setattr(IntMatrix, "__mul__",
+                        lambda a, b: products.append(1) or multiply(a, b))
+    argv = ["coxeter", "--theory", theory, "--from-complex", "cancel.json"]
+    for extra, digest in (([], result_digest), (["--emit", "e2page"], e2page_digest)):
+        code, out = run(capsys, argv + extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+    assert products
 
 
 def test_main_builds_no_parser_per_call(monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from properk.abelian import IntMatrix
 from properk.cli import main
 from properk.coxeter import CoxeterMatrix, build_bestvina_orbit_complex, build_davis_orbit_complex
 from properk.groups import cyclic, cyclic_in_cyclic, trivial, trivial_in
@@ -17,7 +18,7 @@ from properk.orbit import (
     OrbitComplexError,
     build_amalgam_orbit_complex,
 )
-from conftest import z3_square
+from conftest import BOUNDARY_MODELS, z3_square
 
 
 def test_amalgam_spec_validation():
@@ -136,16 +137,39 @@ D_INF_4 = CoxeterMatrix.from_rows([[1 if a == b else 0 if a // 2 == b // 2 else 
                                     for b in range(8)] for a in range(8)])
 
 
-@pytest.mark.parametrize("build, sizes", [(build_davis_orbit_complex, (5, 30)),
-                                          (build_bestvina_orbit_complex, (5, 22))],
+@pytest.mark.parametrize("build, sizes", [(build_davis_orbit_complex, (5, 30, 75)),
+                                          (build_bestvina_orbit_complex, (5, 22, 41))],
                          ids=["davis", "bestvina"])
 def test_dinf4_tables_are_small(build, sizes):
-    # Thousands of faces share a few dozen restriction blocks.
+    # Thousands of faces share a few dozen restriction blocks, and tens of
+    # thousands of 2-paths a few dozen pairs of composites to compare.
     x = build(D_INF_4)
-    assert (len(x.stabilizers), len(x.descriptors)) == sizes
+    assert (len(x.stabilizers), len(x.descriptors), len(x.coherence)) == sizes
     used = {d for layer in x.faces for faces in layer for _, d in faces.values()}
     assert used == set(range(len(x.descriptors)))
     assert {c.stabilizer for cells in x.cells for c in cells} == set(range(len(x.stabilizers)))
+
+
+@pytest.mark.parametrize("x", BOUNDARY_MODELS + [z3_square()])
+def test_coherence_pairs_every_path_with_the_first_of_its_ends(x):
+    # For each (p+2)-cell l and p-cell j, every descriptor pair (e, d) of a
+    # path l -> k -> j that differs from the first path's, listed once.
+    expected: dict = {}
+    for p in range(x.dim - 1):
+        for top in x.faces[p + 1]:
+            paths: dict = {}
+            for k, (_, e) in top.items():
+                for j, (_, d) in x.faces[p][k].items():
+                    paths.setdefault(j, []).append((e, d))
+            for first, *rest in paths.values():
+                expected.update(((*first, *path), None) for path in rest if path != first)
+    assert x.coherence == tuple(expected)
+    assert list(x.incidence) == [
+        IntMatrix.from_sparse(len(x.cells[p]), len(layer),
+                              [{k: c for k, faces in enumerate(layer)
+                                for i, (c, _) in faces.items() if i == j}
+                               for j in range(len(x.cells[p]))])
+        for p, layer in enumerate(x.faces)]
 
 
 @pytest.mark.parametrize("x", [
@@ -190,15 +214,6 @@ def test_repeated_descriptor_in_a_dump_is_refused(tmp_path, capsys, first):
     assert json.loads(capsys.readouterr().out)["error"] == {
         "kind": "invalid_input",
         "message": "bad orbit complex JSON: repeated descriptor at dim 0, cell pair (0, 0)"}
-
-
-# Davis and Bestvina models of dimension >= 2: D_inf^2, a group with labels
-# 2, 3 and infinity, and the polygon family.
-BOUNDARY_MODELS = [
-    build_davis_orbit_complex(CoxeterMatrix.from_rows([[1, 2, 3], [2, 1, 0], [3, 0, 1]])),
-    build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(3)),
-] + [build(CoxeterMatrix.from_rows([[1, 0, 2, 2], [0, 1, 2, 2], [2, 2, 1, 0], [2, 2, 0, 1]]))
-     for build in (build_davis_orbit_complex, build_bestvina_orbit_complex)]
 
 
 @st.composite
