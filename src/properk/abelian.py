@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import compress
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
@@ -127,11 +127,16 @@ class IntMatrix:
             raise ValueError("dimension mismatch in matrix product")
         return IntMatrix(self.rows, other.cols, product_rows(self.data, other.data))
 
-    def block(self, rows: Sequence[int], cols: Sequence[int]) -> "IntMatrix":
-        """The submatrix on the given rows and columns, in their order."""
+    def block(self, rows: Sequence[int], cols: Sequence[int],
+              empty: Collection[int] = ()) -> "IntMatrix":
+        """The submatrix on the given rows and columns, in their order; the
+        rows at the positions ``empty`` are left zero, and not read."""
+        if len(empty) == len(rows):
+            return IntMatrix.zero(len(rows), len(cols))
         pos = {j: b for b, j in enumerate(cols)}
         return IntMatrix(len(rows), len(cols), tuple(
-            {pos[j]: x for j, x in self.data[i].items() if j in pos} for i in rows))
+            {} if b in empty else {pos[j]: x for j, x in self.data[i].items() if j in pos}
+            for b, i in enumerate(rows)))
 
     def mod2(self) -> "Mod2Matrix":
         bits = []
@@ -589,6 +594,13 @@ class SplitCochainComplex:
     ``integral``'s private ``_composes``, when it has already proved
     F∘F = 0 from the orbit complex (``OrbitComplex.coherence``); every other
     complex, its cuts included, is multiplied out.
+
+    ``peeled`` lists rows of F_0 that split off as unit pivots, in order,
+    each mapped to its pivot column: the row holds ±1 there, and every other
+    row of F_0 not listed before it holds 0.  Its builder vouches for it
+    (``bredon.assemble_cochain`` reads it off the orbit complex), nothing
+    here checks it, and only ``factor_integral`` uses it, reading none of
+    those rows' entries.  It is not part of the complex's identity.
     """
 
     free_ranks: tuple[int, ...]
@@ -596,6 +608,7 @@ class SplitCochainComplex:
     free_d: tuple[IntMatrix, ...]
     tor_d: tuple[Mod2Matrix, ...]
     _composes: InitVar[bool] = False
+    peeled: Mapping[int, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self, _composes: bool = False):
         n = len(self.free_ranks)
@@ -621,10 +634,11 @@ class SplitCochainComplex:
 
     @classmethod
     def integral(cls, free_ranks: Sequence[int], diffs: Sequence[IntMatrix],
-                 _composes: bool = False) -> "SplitCochainComplex":
+                 _composes: bool = False,
+                 peeled: Mapping[int, int] | None = None) -> "SplitCochainComplex":
         """Pure integral complex (no torsion summands)."""
         return cls(tuple(free_ranks), (0,) * len(free_ranks), tuple(diffs),
-                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs), _composes)
+                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs), _composes, peeled or {})
 
     @property
     def length(self) -> int:
@@ -687,31 +701,48 @@ def factor_integral(complex_: SplitCochainComplex) -> Factorization:
     coordinates is injective on ker d_{p+1}, with a saturated image; as
     im d_p ⊆ ker d_{p+1}, the rest of d_p has the rank and the invariant
     factors > 1 of d_p.
+
+    The rows ``complex_.peeled`` of d_0 are split off before any
+    elimination, one invariant factor 1 each (``_top_down``).
     """
     if not complex_.is_pure_integral():
         raise ChainComplexError("factor_integral requires a pure integral complex")
-    return Factorization(complex_.free_ranks, _top_down(complex_.free_d))
+    return Factorization(complex_.free_ranks, _top_down(complex_.free_d, complex_.peeled))
 
 
-def _top_down(diffs: Sequence[IntMatrix]) -> tuple[tuple[int, ...], ...]:
+def _top_down(diffs: Sequence[IntMatrix],
+              peeled: Collection[int] = ()) -> tuple[tuple[int, ...], ...]:
     """The invariant factors of d_p for p = L-1 down to 0, each d_p without
     the rows at the unit pivot columns of d_{p+1}; index p + 1 holds d_p's,
-    and () stands for the zero maps at either end."""
+    and () stands for the zero maps at either end.
+
+    The ``peeled`` rows of d_0 join its skip set, each adding a factor 1.
+    In order, each is a unit pivot at a column that every other row not
+    peeled before it leaves zero (``SplitCochainComplex.peeled``), so d_0
+    is I ⊕ (the rest of d_0) up to unimodular row and column operations.  That holds for d_0 alone: its
+    pivot columns index the rows of no further differential, while peeling
+    d_p for p ≥ 1 would change the pivot columns handed on to d_{p-1}.
+    None of them is in d_0's skip set: the orbit complex peels only edges
+    that bound no 2-cell, whose columns in d_1 are zero.
+    """
     out = [()] * (len(diffs) + 2)
     skip = set()
     for p in reversed(range(len(diffs))):
-        # d_0's pivots would index the rows of no further differential.
-        pivots = set() if p else None
-        out[p + 1] = invariant_factors(diffs[p], skip, pivots)
-        skip = pivots
+        if p:
+            pivots = set()
+            out[p + 1] = invariant_factors(diffs[p], skip, pivots)
+            skip = pivots
+        else:
+            skip.update(peeled)
+            out[1] = (1,) * len(peeled) + invariant_factors(diffs[0], skip)
     return tuple(out)
 
 
 def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
     """ker(d_p)/im(d_{p-1}) of a split cochain complex for p = 0..length:
     the cohomology of the free blocks, factored top-down as in
-    ``factor_integral``, beside that of the torsion blocks, each ranked
-    whole over GF(2)."""
+    ``factor_integral`` but with no row peeled, beside that of the torsion
+    blocks, each ranked whole over GF(2)."""
     free = Factorization(complex_.free_ranks, _top_down(complex_.free_d)).groups()
     ranks2 = (0, *(t.rank2() for t in complex_.tor_d), 0)
     return tuple(h.direct_sum(AbGroup.elementary_2(t - ranks2[p + 1] - ranks2[p]))

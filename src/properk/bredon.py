@@ -9,8 +9,10 @@ shape of the cellular boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Mapping
 
 from .abelian import (
     AbGroup,
@@ -86,6 +88,10 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     one composite, which is zero.  Otherwise ``SplitCochainComplex`` runs
     its product check, which refuses the complex unless the disagreeing
     composites cancel.
+
+    The rows of d_0 that the free edges of the orbit complex split off
+    (``_peel``) are recorded as the complex's ``peeled`` rows, for
+    ``factor_integral``; the matrices keep every row.
     """
     size = [sum(count for _, count in coefficient_runs(g, functor.theory))
             for g in complex_.stabilizers]
@@ -111,8 +117,74 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
             rows += cell_rows
         free_d.append(IntMatrix(ranks[p + 1], ranks[p], tuple(rows)))
     full = SplitCochainComplex.integral(ranks, free_d,
-                                        _composes=_composites_agree(complex_, blocks))
+                                        _composes=_composites_agree(complex_, blocks),
+                                        peeled=_peel(complex_, blocks, offsets))
     return full if functor.n == 0 else cut_cochain(complex_, full, functor)
+
+
+def _peel(complex_: OrbitComplex, blocks: list[IntMatrix],
+          offsets: list[list[int]]) -> dict[int, int]:
+    """The rows of d_0 split off by peeling the free edges of the orbit
+    complex, in order, each mapped to its pivot column.
+
+    A vertex j whose only edge left is k is free when its incidence is ±1
+    and every row of k's restriction block has a ±1 in a column that no
+    other row of the block meets (``_unit_columns``): j's columns of d_0
+    meet the rows of k alone, so each row of k is a unit pivot at its
+    column of j.  k is dropped and the peel goes on, so a tree collapses
+    completely.  A vertex's last edge is the sum of the indices of the edges
+    it has left, so the peel costs a few integers per edge, and each
+    descriptor is looked at once, when a free vertex first reaches it.
+    Only d_0 is peeled (``abelian._top_down`` says why).
+    """
+    if not complex_.faces:
+        return {}
+    layer = complex_.faces[0]
+    degree = [0] * len(complex_.cells[0])
+    edges = [0] * len(degree)  # per vertex, the sum of its edges left
+    for k, faces in enumerate(layer):
+        for j in faces:
+            degree[j] += 1
+            edges[j] += k
+    leaves = [j for j, n in enumerate(degree) if n == 1]
+    units: dict[int, tuple[int, ...] | None] = {}  # per descriptor
+    peeled: dict[int, int] = {}
+    while leaves:
+        j = leaves.pop()
+        if degree[j] != 1:  # its edge went from the other end
+            continue
+        k = edges[j]
+        alpha, d = layer[k][j]
+        if alpha * alpha != 1:
+            continue
+        if d not in units:
+            units[d] = _unit_columns(blocks[d])
+        if units[d] is None:
+            continue
+        for row, c in enumerate(units[d], offsets[1][k]):
+            peeled[row] = offsets[0][j] + c
+        for i in layer[k]:
+            degree[i] -= 1
+            edges[i] -= k
+            if degree[i] == 1:
+                leaves.append(i)
+    return peeled
+
+
+def _unit_columns(block: IntMatrix) -> tuple[int, ...] | None:
+    """Per row of a restriction block, the column of its first ±1 entry, if
+    those columns meet no other row; else None."""
+    firsts: dict[int, int] = {}
+    for i, row in enumerate(block.data):
+        c = next((c for c, x in row.items() if x == 1 or x == -1), None)
+        if c is None:
+            return None
+        firsts[c] = i
+    # Each row meets its own column; a second one in it is another row's.
+    if len(firsts) < block.rows or any(len(firsts.keys() & row.keys()) > 1
+                                       for row in block.data):
+        return None
+    return tuple(firsts)
 
 
 def _composites_agree(complex_: OrbitComplex, blocks: list[IntMatrix]) -> bool:
@@ -162,7 +234,8 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
     Whether the cut keeps every generator or none is decided per distinct
     stabilizer, with no pass over the cells: keeping every one gives
     ``full`` back, whose factorization is reused, and keeping none gives
-    the zero complex.
+    the zero complex.  Otherwise the cut keeps the peel of ``full``
+    (``_cut_peel``), and its d_0 is built without the peeled rows.
     """
     runs = [coefficient_runs(g, "ko") for g in complex_.stabilizers]
     kept = [len(cut_indices(r, n)[part]) for r in runs]
@@ -171,8 +244,32 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
     if not any(kept):
         return Factorization((0,) * len(full.free_ranks), ((),) * (len(full.free_ranks) + 1))
     keep = [parts[part] for parts in _cut_parts(complex_, CoefficientFunctor.ko(n))]
+    peeled = _cut_peel(full.peeled, keep[1], keep[0]) if complex_.dim else {}
     return factor_integral(SplitCochainComplex.integral(
-        [len(k) for k in keep], [d.block(keep[p + 1], keep[p]) for p, d in enumerate(full.free_d)]))
+        [len(k) for k in keep],
+        [d.block(keep[p + 1], keep[p], () if p else peeled) for p, d in enumerate(full.free_d)],
+        peeled=peeled))
+
+
+def _cut_peel(peeled: Mapping[int, int], rows: list[int], cols: list[int]) -> dict[int, int]:
+    """The peeled rows of d_0 that its cut on ``rows`` and ``cols`` (both
+    ascending) keeps, renumbered, each with its pivot column.
+
+    The cut stays peeled when every kept row's pivot column is also kept:
+    each is then a unit pivot at a column that no row of the cut after it
+    meets.  Otherwise no row is peeled.  Along every inclusion in the
+    catalogue a kept row's column is kept: a real-type row has its unit at
+    a real-type generator and a complex-type row at a complex-type one.
+    """
+    out = {}
+    for r, c in peeled.items():
+        i = bisect_left(rows, r)
+        if i < len(rows) and rows[i] == r:
+            b = bisect_left(cols, c)
+            if b == len(cols) or cols[b] != c:
+                return {}
+            out[i] = b
+    return out
 
 
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
@@ -208,6 +305,17 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     big group to a C-type one of the subgroup: d_CR = 0.  So the R-to-R
     block of d∘d = 0 reads d_RR² = -d_RC·d_CR = 0 and the C-to-C block
     d_CC² = -d_CR·d_RC = 0, over Z and not only mod 2.
+
+    Before any elimination, d_0 is peeled (``_peel``): an edge that is the
+    last one left at a vertex, meets it with incidence ±1 and has a unit
+    in each row of its restriction block at a column no other row meets
+    splits off as factors 1.  A tree, such as the orbit complex of an
+    amalgam, splits off the whole of d_0, so its page eliminates no row of
+    it.  The cuts keep the peel (``_cut_peel``) and build no rows for it.
+    Only d_0 is peeled: its pivot columns feed no further differential,
+    while peeling d_p for p ≥ 1 would change the pivot columns that d_{p-1}
+    skips, and on a Davis top differential that made the next elimination
+    slower.
 
     Any free-to-torsion term is left out.
     ``reprings.restriction_ko`` refuses one where a C-type generator

@@ -160,7 +160,10 @@ def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
     mc = restriction_k0(incl)
     big_gens = real_structure(incl.big)
     # Complex irrep index -> the real generator of the big group holding it.
-    owner = {v: g for g, (_, members) in enumerate(big_gens) for v in members}
+    owner = [0] * mc.cols
+    for g, (_, members) in enumerate(big_gens):
+        for v in members:
+            owner[v] = g
     rows = []
     for _, w_members in real_structure(incl.sub):
         row: dict[int, int] = {}
@@ -168,7 +171,8 @@ def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
             g = owner[v]
             row[g] = row.get(g, 0) + x
         rows.append(row)
-    return IntMatrix.from_sparse(len(rows), len(big_gens), rows)
+    # Each entry sums positive multiplicities, so none is zero.
+    return IntMatrix(len(rows), len(big_gens), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

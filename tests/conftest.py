@@ -97,6 +97,35 @@ def z3_square() -> OrbitComplex:
                         cells, faces)
 
 
+def cyclic_tree_dump(vertices, edges) -> list[dict]:
+    """A ``--from-complex`` dump of dimension 1: vertices with the given
+    cyclic orders and, per edge, (order, {vertex: incidence}), the edge
+    group embedded in each of its vertex groups."""
+    def embed(r, s):
+        return {"kind": "cyclic_in_cyclic", "sub": {"cyclic": r}, "big": {"cyclic": s},
+                "extra": [r, s // r]}
+
+    return [{"dim": 0,
+             "cells": [{"label": f"v{j}", "stabilizer": {"cyclic": s}}
+                       for j, s in enumerate(vertices)],
+             "incidence": [[ends.get(j, 0) for _, ends in edges] for j in range(len(vertices))],
+             "descriptors": [{"row": j, "col": k, "descriptor": embed(r, vertices[j])}
+                             for j in range(len(vertices))
+                             for k, (r, ends) in enumerate(edges) if j in ends]},
+            {"dim": 1, "cells": [{"label": f"e{k}", "stabilizer": {"cyclic": r}}
+                                 for k, (r, _) in enumerate(edges)]}]
+
+
+# Trees with a leaf edge of incidence 2 or 3 at its leaf.  The star and the
+# pair peel no edge; the path peels both, the one of incidence 2 from its
+# other end.
+TREE_DUMPS = {
+    "star": cyclic_tree_dump([15, 21, 9], [(3, {0: -1, 1: 2}), (3, {0: -1, 2: 3})]),
+    "pair": cyclic_tree_dump([15, 21], [(3, {0: 2, 1: -3})]),
+    "path": cyclic_tree_dump([21, 15, 35], [(3, {0: 2, 1: -1}), (5, {1: 1, 2: -1})]),
+}
+
+
 def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:
     """Flip the orientation of a random set of cells.
 

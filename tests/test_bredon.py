@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from unittest import mock
@@ -10,6 +11,7 @@ from properk import abelian, bredon, reprings
 from properk.abelian import (
     AbGroup,
     ChainComplexError,
+    Factorization,
     IntMatrix,
     Mod2Matrix,
     SplitCochainComplex,
@@ -28,7 +30,7 @@ from properk.coxeter import (
 from properk.groups import UnsupportedRestrictionError, cyclic_in_cyclic
 from properk.orbit import AmalgamSpec, OrbitComplex, build_amalgam_orbit_complex
 from properk.reprings import ko_ranks, restriction_ko
-from conftest import BOUNDARY_MODELS, fold_corpus, reorient, z3_square
+from conftest import BOUNDARY_MODELS, TREE_DUMPS, fold_corpus, reorient, z3_square
 
 
 def test_sl2z_k0_cochain_literal():
@@ -483,8 +485,15 @@ def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
     assert whole == full
     # Z15 and Z21 have one R-type and 7 and 10 C-type generators, Z3 one of each.
     assert (r_to_r.free_ranks, c_to_c.free_ranks) == ((2, 1), (17, 1))
-    assert tuple(d.mod2() for d in r_to_r.free_d) == split[1].tor_d
-    assert c_to_c.free_d == split[6].free_d
+    # The edge is free, so each cut peels its whole d_0 and builds none of
+    # it: every row is a unit of the printed block at a column that no
+    # other row meets.
+    for cut, printed in ((r_to_r, split[1].tor_d[0]), (c_to_c, split[6].free_d[0])):
+        (d0,) = cut.free_d
+        assert d0.is_zero() and sorted(cut.peeled) == list(range(d0.rows))
+        for i, c in cut.peeled.items():
+            column = [printed.entry(o, c) for o in range(d0.rows)]
+            assert abs(column[i]) == 1 and column.count(0) == d0.rows - 1
 
 
 def test_dimension_two_complex_type_rows(tmp_path, capsys):
@@ -524,3 +533,121 @@ def test_real_type_route_keeps_the_even_cyclic_refusal(tmp_path, monkeypatch, ca
         "kind": "unsupported_restriction",
         "message": "KO^-1 restriction for an even-order cyclic subgroup Z2 is not determined "
                    "by the supported theory; odd edge orders only"}
+
+
+def page_factorizations(x, theory):
+    """Each complex a page factors, K^0 or the real complex and its R-to-R
+    and C-to-C cuts, as (its factorization on the page, that of the whole
+    complex with no row peeled)."""
+    full = assemble_cochain(x, CoefficientFunctor(theory, 0))
+    factored = abelian.factor_integral(full)
+    out = [(factored, Factorization(full.free_ranks, abelian._top_down(full.free_d)))]
+    if theory == "ko":
+        for n, part in ((1, 1), (6, 0)):
+            keep = [parts[part] for parts in bredon._cut_parts(x, CoefficientFunctor.ko(n))]
+            whole = [d.block(keep[p + 1], keep[p]) for p, d in enumerate(full.free_d)]
+            out.append((bredon._factor_cut(x, full, factored, n, part),
+                        Factorization(tuple(map(len, keep)), abelian._top_down(whole))))
+    return out
+
+
+@pytest.fixture(scope="module")
+def peel_models(ra_corpus):
+    """``fold_corpus`` and the Bestvina models of the path family, which
+    are trees."""
+    return fold_corpus(ra_corpus) + [build_bestvina_orbit_complex(CoxeterMatrix.path_family(n))
+                                     for n in range(1, 6)]
+
+
+@given(data=st.data())
+def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
+    theory = data.draw(st.sampled_from(["k", "ko"]))
+    if data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(peel_models))
+    else:
+        k = data.draw(st.integers(0, 4))
+        edge = st.integers(1, 9) if theory == "k" else st.sampled_from([1, 3, 5, 7, 9])
+        r = tuple(data.draw(edge) for _ in range(k))
+        x = build_amalgam_orbit_complex(
+            AmalgamSpec(r, tuple(data.draw(st.integers(2, 6)) for _ in range(k + 1))))
+    x = reorient(x, random.Random(data.draw(st.integers(0, 2**16))))
+    for reduced, whole in page_factorizations(x, theory):
+        assert reduced == whole
+    # A peeled edge bounds no 2-cell, so no unit pivot of d_1 skips its rows.
+    full = assemble_cochain(x, CoefficientFunctor(theory, 0))
+    if full.length >= 2:
+        assert not set(full.peeled) & {j for row in full.free_d[1].data for j in row}
+
+
+def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
+    # The orbit complex is a tree, so d_0 is peeled whole, on the K page,
+    # the real complex and both of its cuts: invariant_factors, still
+    # called by name, gets no nonzero row to eliminate.
+    x = build_amalgam_orbit_complex(AmalgamSpec(r=(3, 5), m=(5, 7, 4)))
+    factored = counting(monkeypatch, abelian, "invariant_factors")
+    for theory, calls in (("k", 1), ("ko", 3)):
+        factored.clear()
+        build_e2(x, theory)
+        assert len(factored) == calls
+        for m, skip in factored:
+            assert m.rows and all(i in skip for i, row in enumerate(m.data) if row)
+
+
+@pytest.mark.parametrize("name, peeled", [("star", False), ("pair", False), ("path", True)])
+def test_leaf_edges_of_incidence_two_or_three_are_not_peeled_from_the_leaf(name, peeled):
+    # The star's and the pair's leaves meet their edges with incidence 2 or
+    # 3, and their centre never becomes a leaf; the path's leaf edge of
+    # incidence 2 goes from its other end once the unit edge is peeled.
+    x = OrbitComplex.from_json(TREE_DUMPS[name])
+    for theory in ("k", "ko"):
+        full = assemble_cochain(x, CoefficientFunctor(theory, 0))
+        assert len(full.peeled) == (full.free_ranks[1] if peeled else 0)
+        for reduced, whole in page_factorizations(x, theory):
+            assert reduced == whole
+
+
+# SHA-256 of the JSON list of [rows, cols, sorted skip, sorted pivot columns]
+# of every invariant_factors call at p >= 1 on the K and KO pages of each
+# D_inf^3 model, recorded before d_0 was peeled.
+DINF3_TOP_DOWN = {
+    build_davis_orbit_complex: "abf00ef3ac9f52963ee81162d33c7d5307fdc10e343f0bf6e0852d56bec22072",
+    build_bestvina_orbit_complex: "ccb20b8330fb5a4e6a6c138c98cdcbd009f78bddfad4ab95bf7ff1ff5d8bebd9",
+}
+
+
+@pytest.mark.parametrize("build", list(DINF3_TOP_DOWN), ids=["davis", "bestvina"])
+def test_dinf3_pages_factor_above_d0_as_before(monkeypatch, build):
+    original = abelian.invariant_factors
+    calls = []
+
+    def recording(m, skip=(), pivot_cols=None):
+        result = original(m, skip, pivot_cols)
+        if pivot_cols is not None:
+            calls.append([m.rows, m.cols, sorted(skip), sorted(pivot_cols)])
+        return result
+
+    monkeypatch.setattr(abelian, "invariant_factors", recording)
+    x = build(D_INF_3)
+    for theory in ("k", "ko"):
+        calls.clear()
+        build_e2(x, theory)
+        assert len(calls) == x.dim - 1 == 2
+        assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == DINF3_TOP_DOWN[build]
+
+
+@pytest.mark.parametrize("rows, units", [
+    ([[1, 0, 1, 1], [0, 1, 1, 1]], (0, 1)),  # a reflection in D_7
+    ([[0, 2, 1], [-1, 3, 0]], (2, 0)),  # the first ±1 of each row
+    ([[1, 1], [0, 1]], None),  # row 1's column meets row 0
+    ([[1, 1], [1, 1]], None),  # one column for both rows
+    ([[1, 0], [0, 2]], None),  # row 1 has no ±1
+])
+def test_unit_columns_meet_no_other_row(rows, units):
+    assert bredon._unit_columns(IntMatrix.from_rows(rows)) == units
+
+
+def test_a_cut_peels_only_when_it_keeps_every_kept_rows_column():
+    peeled = {4: 10, 2: 7, 5: 12}
+    assert bredon._cut_peel(peeled, [2, 3, 4], [7, 10, 11]) == {2: 1, 0: 0}
+    assert bredon._cut_peel(peeled, [2, 4, 5], [7, 10]) == {}
+    assert bredon._cut_peel(peeled, [3], [0]) == {}

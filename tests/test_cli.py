@@ -7,6 +7,7 @@ import pytest
 
 from properk.abelian import IntMatrix
 from properk.cli import main
+from conftest import TREE_DUMPS
 
 
 def run(capsys, argv):
@@ -709,3 +710,46 @@ def test_rotation_in_dihedral_dump_is_invalid_input(tmp_path, capsys, command, t
     assert json.loads(out)["error"] == {
         "kind": "invalid_input",
         "message": "bad orbit complex JSON: unrecognized inclusion kind: 'rotation_in_dihedral'"}
+
+
+@pytest.mark.parametrize("theory, digest", [
+    ("k", "837774e2e2e870c7b2a27fff4a2f548a7bbc8711eeb81b0243784778bfdedccb"),
+    ("ko", "fe2fe583e00d2bb5df105aa88693e63ba46256f6724f74502a57e2b16352d753"),
+])
+def test_wide_amalgam_reports_are_pinned(capsys, theory, digest):
+    # Vertex orders 100,005 and one Z15 edge: d_0 has 100,005 columns per
+    # vertex, all of it peeled.  The bytes were recorded before the peel.
+    code, out = run(capsys, ["amalgam", "--r", "15", "--m", "6667,6667",
+                             "--theory", theory, "--check"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the result and --emit e2page reports of each TREE_DUMPS entry,
+# recorded before d_0 was peeled.
+TREE_DIGESTS = {
+    ("star", "k"): ("04d357ba0893f795121dfd0bc527b29f17765e186e1acd94c30848acd9b3e3e4",
+                    "f185ee0bcbb1fc7cefc0b53b407df3dbda5775df076c5440206c2e38be03f766"),
+    ("star", "ko"): ("46235ae12389a0fd621c907ac8c21eaa5c73c873fe45aa804f9cb75b8e926d37",
+                     "aa7d4b4dc0f1a36269d9a0ef91b4b99161780f8c2c2259f98ccfebf01d1c1de2"),
+    ("pair", "k"): ("bffce95bd5ee8ce5a02904bb70d1591679ff8c22c2f568da3cc7a010bdc59ef0",
+                    "6cfd901b27165bb3b66cfeb7b0afb47e43972b47ee21033cd89d2a57b6a6daf1"),
+    ("pair", "ko"): ("fa3a4514dc489629d0427b3f637803fb8f0f7adda7a1f4af567ed7dfad867718",
+                     "fe8c849cf2e71176d735c02a3f601653a7575690a16f62866dc9a783b29a3587"),
+    ("path", "k"): ("7c7292ebb74d17534a34bd73717852e86535aaaa77b95bd013c91008c90ce78a",
+                    "bf8e3e177b79e28ad9dc9eeae4b9f87c60e458236711e03796cc5fa4d038c9e5"),
+    ("path", "ko"): ("c69c5849f0d18d65172b40349a4d6661d6d8535d057ec08a99b3b12dead1a21e",
+                     "2f7a168fdb1640f4356ecec0914bbaa287d50412c1f8a722b8eb3b58e84ad54d"),
+}
+
+
+@pytest.mark.parametrize("name, theory", sorted(TREE_DIGESTS))
+def test_tree_dumps_with_non_unit_leaf_edges_keep_their_bytes(monkeypatch, tmp_path, capsys,
+                                                               name, theory):
+    monkeypatch.chdir(tmp_path)
+    Path("tree.json").write_text(json.dumps(TREE_DUMPS[name]))
+    argv = ["amalgam", "--theory", theory, "--from-complex", "tree.json"]
+    for extra, digest in zip(([], ["--emit", "e2page"]), TREE_DIGESTS[name, theory]):
+        code, out = run(capsys, argv + extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
