@@ -60,7 +60,6 @@ from .groups import (
 )
 from .orbit import (
     AmalgamSpec,
-    Cell,
     OrbitComplex,
     build_amalgam_orbit_complex,
 )

@@ -79,8 +79,8 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     degree 0).  Its blocks are written straight into sparse rows, each
     restriction computed once per distinct inclusion descriptor and
     written once per face of a higher cell, into that cell's rows.  Any
-    other degree is cut from it (``cut_cochain``).  Cell ordering fixes the
-    block layout, so assembled matrices are reproducible literals.
+    other degree is cut from it (``cut_cochain``).  The order of the cells
+    fixes the block layout, so assembled matrices are reproducible literals.
 
     d∘d = 0 is proved rather than multiplied out when the composite
     restrictions agree (``_composites_agree``); the orbit complex has
@@ -95,7 +95,7 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     """
     size = [sum(count for _, count in coefficient_runs(g, functor.theory))
             for g in complex_.stabilizers]
-    offsets = [list(accumulate((size[cell.stabilizer] for cell in cells), initial=0))
+    offsets = [list(accumulate((size[s] for s in cells), initial=0))
                for cells in complex_.cells]  # per dim and cell
     ranks = [offs.pop() for offs in offsets]
 
@@ -106,9 +106,9 @@ def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> Spl
     free_d = []
     for p, layer in enumerate(complex_.faces):
         rows: list[dict[int, int]] = []
-        for cell, faces in zip(complex_.cells[p + 1], layer):
+        for s, faces in zip(complex_.cells[p + 1], layer):
             # A cell's faces are distinct, so their blocks never overlap.
-            cell_rows: list[dict[int, int]] = [{} for _ in range(size[cell.stabilizer])]
+            cell_rows: list[dict[int, int]] = [{} for _ in range(size[s])]
             for j, (alpha, d) in faces.items():
                 src = offsets[p][j]
                 for row, r_row in zip(cell_rows, blocks[d].data):
@@ -221,7 +221,7 @@ def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,
 def _cut_parts(complex_: OrbitComplex, functor: CoefficientFunctor):
     """Per dimension, the ``cut_indices`` of the generators of its cells."""
     runs = [coefficient_runs(g, functor.theory) for g in complex_.stabilizers]
-    return [cut_indices((run for cell in cells for run in runs[cell.stabilizer]), functor.n)
+    return [cut_indices((run for s in cells for run in runs[s]), functor.n)
             for cells in complex_.cells]
 
 

@@ -84,7 +84,7 @@ def _cochain_entries(complex_: OrbitComplex, theory: str) -> int:
     stabilizer alone: in every coefficient degree, each differential's
     free, tor2 and cross blocks, sized by the cut that
     ``bredon.cut_cochain`` makes."""
-    layers = [Counter(cell.stabilizer for cell in cells).items() for cells in complex_.cells]
+    layers = [Counter(cells).items() for cells in complex_.cells]
     runs = [coefficient_runs(g, theory) for g in complex_.stabilizers]
     total = 0
     for n in range(CoefficientFunctor(theory, 0).period):
@@ -285,7 +285,7 @@ def _run_amalgam(args) -> tuple[dict, int]:
     if args.emit == "complex":
         return {"group": description, "complex": _complex_payload(complex_)}, 0
     # The edge orders r_i are the orders of the 1-cell stabilizers.
-    edge_orders = ([complex_.stabilizers[c.stabilizer].order for c in complex_.cells[1]]
+    edge_orders = ([complex_.stabilizers[s].order for s in complex_.cells[1]]
                    if complex_.dim >= 1 else [])
     if args.theory == "ko" and any(r % 2 == 0 for r in edge_orders):
         raise UnsupportedRestrictionError(

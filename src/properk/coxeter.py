@@ -26,7 +26,7 @@ from .groups import (
     reflection_in_dihedral,
     trivial_in,
 )
-from .orbit import Cell, OrbitComplex, intern
+from .orbit import OrbitComplex, intern
 
 INFINITY = 0  # Coxeter matrix entries use 0 to encode the label infinity.
 
@@ -416,9 +416,9 @@ class _Tables:
     def inclusion(self, sub: tuple[int, ...], big: tuple[int, ...]) -> int:
         return intern(self._descriptors, self.poset.inclusion_position(sub, big))
 
-    def complex(self, cells, faces) -> OrbitComplex:
+    def complex(self, cells, labels, faces) -> OrbitComplex:
         descriptors = tuple(self.poset.descriptors[i] for i in self._descriptors)
-        return OrbitComplex(tuple(self._stabilizers), descriptors, cells, faces)
+        return OrbitComplex(tuple(self._stabilizers), descriptors, cells, labels, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +469,8 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     # The vertices are the members in order, so this meets the stabilizers
     # in the order of the cells.
     stabilizer_of = {j: tables.stabilizer(j) for j in poset.members}
-    cells = tuple(tuple(Cell("<".join([names[j] for j in c]), stabilizer_of[c[0]])
-                        for c in chains) for chains in per_dim)
+    cells = tuple(tuple(stabilizer_of[c[0]] for c in chains) for chains in per_dim)
+    labels = tuple(tuple("<".join([names[j] for j in c]) for c in chains) for chains in per_dim)
     # (J_0, J_1) -> (coefficient, descriptor index) of the face that drops
     # entry i of a chain starting J_0 < J_1, for every i.
     face_values: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
@@ -483,19 +483,18 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
             values = face_values.get(chain[:2])
             if values is None:
                 low, up = chain[:2]
-                # Only the face dropping J_0 changes the stabilizer.  This is
-                # the first chain starting J_0 < J_1, so the two inclusions
-                # are asked for in the order of its faces.
-                if js[0] < min(js[1:]):
-                    changed, kept = tables.inclusion(low, up), tables.inclusion(low, low)
-                else:
-                    kept, changed = tables.inclusion(low, low), tables.inclusion(low, up)
+                # Only the face dropping J_0 changes the stabilizer.  The
+                # first chain starting J_0 < J_1 is that edge, at p = 0, and
+                # the vertices are the members in order, size first, so its
+                # face J_0 comes before J_1: the inclusion that keeps the
+                # stabilizer is asked for first, in the order of its faces.
+                kept, changed = tables.inclusion(low, low), tables.inclusion(low, up)
                 values = face_values[low, up] = (
                     ((1, changed),) + ((-1, kept), (1, kept)) * (len(per_dim) // 2))
             # The faces of a chain are distinct, so no coefficient cancels.
             layer.append(dict(zip(js, values)))
         faces.append(tuple(layer))
-    return tables.complex(cells, tuple(faces))
+    return tables.complex(cells, labels, tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +580,14 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
 
     panel = builder.cells
     tables = _Tables(poset)
-    cells = tuple(
-        tuple(Cell(f"B{_subset_label(label)}#{i}", tables.stabilizer(label))
-              for i, (label, _) in enumerate(layer))
-        for layer in panel)
+    cells = tuple(tuple(tables.stabilizer(label) for label, _ in layer) for layer in panel)
+    labels = tuple(tuple(f"B{_subset_label(label)}#{i}" for i, (label, _) in enumerate(layer))
+                   for layer in panel)
     faces = tuple(
         tuple({j: (coeff, tables.inclusion(label, panel[p][j][0])) for j, coeff in sorted(boundary)}
               for label, boundary in panel[p + 1])
         for p in range(len(panel) - 1))
-    return tables.complex(cells, faces)
+    return tables.complex(cells, labels, faces)
 
 
 def _collect_cells(builder: _PanelBuilder, j_set: tuple[int, ...]) -> list[list[int]]:

@@ -1,7 +1,7 @@
 """Quotient cell structures of proper G-CW models, and Bass-Serre path models.
 
-An OrbitComplex records, per dimension, the orbit cells with their
-stabilizer classes and, per cell of positive dimension, its faces: each
+An OrbitComplex records, per dimension, the orbit cells as the indices of
+their stabilizer classes and, per cell of positive dimension, its faces: each
 face one dimension down with the signed incidence integer of the quotient
 CW structure and an inclusion descriptor witnessing that the stabilizer of
 the higher cell embeds in the stabilizer of the face.  Stabilizers and
@@ -22,15 +22,7 @@ from .groups import GroupClass, InclusionDescriptor, cyclic, cyclic_in_cyclic, j
 
 
 class OrbitComplexError(ValueError):
-    """Cell data that is not a valid quotient CW structure."""
-
-
-@dataclass(frozen=True)
-class Cell:
-    """An orbit cell; ``stabilizer`` indexes its complex's stabilizer table."""
-
-    label: str
-    stabilizer: int
+    """Cells and faces that are not a valid quotient CW structure."""
 
 
 def intern(table: dict, item) -> int:
@@ -46,8 +38,9 @@ class OrbitComplex:
     ``stabilizers`` and ``descriptors`` hold each distinct stabilizer and
     inclusion descriptor once, in order of first occurrence: stabilizers
     over the cells by dimension, descriptors over the faces by dimension,
-    higher cell and face index.  A cell's ``stabilizer`` is an index into the
-    first table.  ``faces[p][k]`` maps each p-cell j in the boundary of
+    higher cell and face index.  ``cells[p][j]`` is the index of p-cell j's
+    stabilizer in the first table, and ``labels[p][j]`` its name, which
+    only the dump reads.  ``faces[p][k]`` maps each p-cell j in the boundary of
     (p+1)-cell k to (coefficient, descriptor index): the nonzero signed
     coefficient of j in the boundary of k, and the inclusion stab(k) <=
     stab(j).
@@ -66,7 +59,8 @@ class OrbitComplex:
 
     stabilizers: tuple[GroupClass, ...]
     descriptors: tuple[InclusionDescriptor, ...]
-    cells: tuple[tuple[Cell, ...], ...]
+    cells: tuple[tuple[int, ...], ...]
+    labels: tuple[tuple[str, ...], ...]
     faces: tuple[tuple[dict[int, tuple[int, int]], ...], ...] = field(hash=False)
     coherence: tuple[tuple[int, int, int, int], ...] = field(
         init=False, repr=False, compare=False)
@@ -77,12 +71,13 @@ class OrbitComplex:
             raise OrbitComplexError("a complex needs at least dimension 0")
         if list(map(len, self.faces)) != list(map(len, self.cells[1:])):
             raise OrbitComplexError("need one face table per cell of positive dimension")
+        if list(map(len, self.labels)) != list(map(len, self.cells)):
+            raise OrbitComplexError("need one label per cell")
         position = {g: i for i, g in enumerate(self.stabilizers)}
         if len(position) != len(self.stabilizers):
             repeated = next(g for i, g in enumerate(self.stabilizers) if position[g] != i)
             raise OrbitComplexError(f"the stabilizer table repeats {repeated}")
-        stabs = [[cell.stabilizer for cell in cells] for cells in self.cells]
-        for p, indices in enumerate(stabs):
+        for p, indices in enumerate(self.cells):
             if indices and not (min(indices) >= 0 and max(indices) < len(position)):
                 i = next(i for i, s in enumerate(indices) if not 0 <= s < len(position))
                 raise OrbitComplexError(f"stabilizer index of cell {i} at dim {p} is out of range")
@@ -91,7 +86,7 @@ class OrbitComplex:
         subs = [position.get(desc.sub, -1) for desc in self.descriptors]
         bigs = [position.get(desc.big, -1) for desc in self.descriptors]
         for p, layer in enumerate(self.faces):
-            lower, higher = stabs[p], stabs[p + 1]
+            lower, higher = self.cells[p], self.cells[p + 1]
             for k, faces in enumerate(layer):
                 sub = higher[k]
                 for j, (coeff, d) in faces.items():
@@ -162,11 +157,11 @@ class OrbitComplex:
 
     def to_json(self) -> list[dict]:
         out = []
-        for p, cells in enumerate(self.cells):
+        for p, (cells, labels) in enumerate(zip(self.cells, self.labels)):
             entry: dict = {
                 "dim": p,
-                "cells": [{"label": c.label, "stabilizer": self.stabilizers[c.stabilizer].to_json()}
-                          for c in cells],
+                "cells": [{"label": label, "stabilizer": self.stabilizers[s].to_json()}
+                          for s, label in zip(cells, labels)],
             }
             if p < self.dim:
                 entry["incidence"] = self.incidence[p].to_rows()
@@ -181,14 +176,17 @@ class OrbitComplex:
         for each nonzero entry (row, col) and none repeated.  Stabilizers
         and descriptors are interned in the order the tables keep."""
         stabilizers: dict[GroupClass, int] = {}
-        cells = []
+        cells, labels = [], []
         layers = sorted(data, key=lambda e: json_int(e["dim"]))
         for p, entry in enumerate(layers):
             if entry["dim"] != p:
                 raise OrbitComplexError("dimensions must be contiguous from 0")
-            cells.append(tuple(
-                Cell(c["label"], intern(stabilizers, GroupClass.from_json(c["stabilizer"])))
-                for c in entry["cells"]))
+            pairs = [(c["label"], GroupClass.from_json(c["stabilizer"])) for c in entry["cells"]]
+            for i, (label, _) in enumerate(pairs):
+                if not isinstance(label, str):
+                    raise OrbitComplexError(f"label of cell {i} at dim {p} is not a string")
+            labels.append(tuple(label for label, _ in pairs))
+            cells.append(tuple(intern(stabilizers, g) for _, g in pairs))
         descriptors: dict[InclusionDescriptor, int] = {}
         faces = []
         for p, entry in enumerate(layers[:-1]):
@@ -212,7 +210,8 @@ class OrbitComplex:
             for (j, k) in sorted(listed, key=lambda pair: pair[::-1]):
                 layer[k][j] = (matrix.data[j][k], intern(descriptors, listed[j, k]))
             faces.append(tuple(layer))
-        return cls(tuple(stabilizers), tuple(descriptors), tuple(cells), tuple(faces))
+        return cls(tuple(stabilizers), tuple(descriptors), tuple(cells), tuple(labels),
+                   tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +275,10 @@ def build_amalgam_orbit_complex(spec: AmalgamSpec) -> OrbitComplex:
     positive sign.
     """
     stabilizers: dict[GroupClass, int] = {}
-    vertices = tuple(Cell(f"v{i}", intern(stabilizers, cyclic(spec.vertex_order(i))))
-                     for i in range(spec.k + 1))
-    edges = tuple(Cell(f"e{i}", intern(stabilizers, cyclic(spec.edge_order(i))))
-                  for i in range(1, spec.k + 1))
+    vertices, edges = range(spec.k + 1), range(1, spec.k + 1)
+    cells = (tuple(intern(stabilizers, cyclic(spec.vertex_order(i))) for i in vertices),
+             tuple(intern(stabilizers, cyclic(spec.edge_order(i))) for i in edges))
+    labels = (tuple(f"v{i}" for i in vertices), tuple(f"e{i}" for i in edges))
     descriptors: dict[InclusionDescriptor, int] = {}
     faces = []
     for i in range(1, spec.k + 1):
@@ -287,6 +286,6 @@ def build_amalgam_orbit_complex(spec: AmalgamSpec) -> OrbitComplex:
         faces.append(
             {i - 1: (1, intern(descriptors, cyclic_in_cyclic(r, spec.vertex_order(i - 1) // r))),
              i: (-1, intern(descriptors, cyclic_in_cyclic(r, spec.vertex_order(i) // r)))})
-    cells = (vertices, edges) if spec.k else (vertices,)
-    return OrbitComplex(tuple(stabilizers), tuple(descriptors), cells,
-                        (tuple(faces),) if spec.k else ())
+    dims = 2 if spec.k else 1
+    return OrbitComplex(tuple(stabilizers), tuple(descriptors), cells[:dims], labels[:dims],
+                        (tuple(faces),)[:dims - 1])

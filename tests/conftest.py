@@ -11,7 +11,7 @@ from hypothesis import settings
 from properk import CoxeterMatrix, IntMatrix, OrbitComplex
 from properk.coxeter import INFINITY, build_bestvina_orbit_complex, build_davis_orbit_complex
 from properk.groups import cyclic, cyclic_in_cyclic, trivial, trivial_in
-from properk.orbit import AmalgamSpec, Cell, build_amalgam_orbit_complex
+from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
 
 # Property tests draw the same examples on every run, and no example fails
 # for being slow on a loaded machine.
@@ -88,13 +88,13 @@ def z3_square() -> OrbitComplex:
     free 2-cell with boundary a - b."""
     z3, free = 0, 1  # stabilizer table indices
     vertex_edge, edge_face = 0, 1  # descriptor table indices
-    cells = ((Cell("v0", z3), Cell("v1", z3)), (Cell("a", z3), Cell("b", z3)),
-             (Cell("f", free),))
+    cells = ((z3, z3), (z3, z3), (free,))
+    labels = (("v0", "v1"), ("a", "b"), ("f",))
     faces = (({0: (1, vertex_edge), 1: (-1, vertex_edge)},   # a
               {0: (1, vertex_edge), 1: (-1, vertex_edge)}),  # b
              ({0: (1, edge_face), 1: (-1, edge_face)},))     # f
     return OrbitComplex((cyclic(3), trivial()), (cyclic_in_cyclic(3, 1), trivial_in(cyclic(3))),
-                        cells, faces)
+                        cells, labels, faces)
 
 
 def cyclic_tree_dump(vertices, edges) -> list[dict]:
@@ -134,7 +134,8 @@ def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:
     is again a valid quotient CW structure with the same cohomology.
     """
     signs = [[rng.choice((1, -1)) for _ in layer] for layer in complex_.cells]
-    return OrbitComplex(complex_.stabilizers, complex_.descriptors, complex_.cells, tuple(
+    return OrbitComplex(complex_.stabilizers, complex_.descriptors, complex_.cells,
+                        complex_.labels, tuple(
         tuple({j: (coeff * signs[p][j] * signs[p + 1][k], desc)
                for j, (coeff, desc) in faces.items()}
               for k, faces in enumerate(layer))

@@ -10,6 +10,7 @@ from properk.ahss import (
     ClosedForm,
     E2Page,
     ExtensionProblem,
+    _is_admissible_extension,
     assemble_abutment,
     build_e2,
     closed_form_amalgam,
@@ -247,6 +248,48 @@ def test_compare_mismatched_extension_pieces():
         ExtensionProblem(((0, Z2(2)), (1, Z2(1)))) if n == 0 else ZERO
         for n in range(8)))
     assert compare(reports, matching)[0].verdict == MATCH_UP_TO_EXTENSION
+
+
+def test_compare_resolved_report_against_a_closed_form_extension():
+    # Two free pieces resolve to their sum, which realizes the closed-form
+    # extension of the same pieces and no extension with other pieces.
+    reports = assemble_abutment(synthetic_page(2, {(0, 0): Z(1), (1, 1): Z(2)}))
+    assert reports[0].resolved == Z(3) and not reports[0].extension_ambiguous
+
+    def closed(pieces):
+        return ClosedForm("k", 2, (ExtensionProblem(pieces), ZERO))
+
+    same = compare(reports, closed(((0, Z(1)), (1, Z(2)))))
+    assert [v.verdict for v in same] == [MATCH_UP_TO_EXTENSION, EXACT_MATCH]
+    assert same[0].detail == "computed Z^3 realizes the closed-form extension"
+    other = compare(reports, closed(((0, Z2(1)), (1, Z(2)))))[0]
+    assert other.verdict == MISMATCH
+    assert other.detail == ("computed Z^3 cannot realize the closed-form extension "
+                            "[p=0: Z/2, p=1: Z^2]")
+
+
+def test_compare_closed_form_that_is_no_admissible_extension_is_a_mismatch():
+    # An ambiguous degree with pieces (Z/2)^2 and Z/2 admits the split
+    # extension (Z/2)^3 but not Z/2 + Z/4, which the recognizer refuses.
+    reports = assemble_abutment(synthetic_page(8, {(0, 0): Z2(2), (1, 1): Z2(1)}))
+    assert reports[0].extension_ambiguous
+
+    def closed(group):
+        return ClosedForm("ko", 8, tuple(group if n == 0 else ZERO for n in range(8)))
+
+    assert compare(reports, closed(Z2(3)))[0].verdict == MATCH_UP_TO_EXTENSION
+    verdict = compare(reports, closed(AbGroup.from_divisors(0, [4, 2])))[0]
+    assert verdict.verdict == MISMATCH
+    assert verdict.detail == ("closed form Z/2 (+) Z/4 is not an admissible extension "
+                              "of [p=0: Z/2 (+) Z/2, p=1: Z/2]")
+
+
+def test_admissible_extension_of_no_piece_and_of_one_piece():
+    assert _is_admissible_extension(ZERO, ())
+    assert not _is_admissible_extension(Z2(1), ())
+    assert _is_admissible_extension(Z2(1), ((3, Z2(1)),))
+    assert not _is_admissible_extension(Z(1), ((3, Z2(1)),))
+    assert not _is_admissible_extension(Z2(2), ((3, Z2(1)),))
 
 
 def test_mixed_stabilizer_group_outside_all_closed_forms():

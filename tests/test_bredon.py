@@ -267,9 +267,9 @@ def per_descriptor_cochain(x, n):
     free_ranks, tor_ranks, offsets = [], [], []
     for cells in x.cells:
         offs, f_total, t_total = [], 0, 0
-        for cell in cells:
+        for s in cells:
             offs.append((f_total, t_total))
-            f, t = ko_ranks(x.stabilizers[cell.stabilizer], n)
+            f, t = ko_ranks(x.stabilizers[s], n)
             f_total, t_total = f_total + f, t_total + t
         free_ranks.append(f_total)
         tor_ranks.append(t_total)
@@ -342,7 +342,7 @@ def rerouted(x: OrbitComplex, p: int, k: int, j: int, d: int) -> OrbitComplex:
     """``x`` with face j of (p+1)-cell k along descriptor d instead."""
     layer = list(x.faces[p])
     layer[k] = {**layer[k], j: (layer[k][j][0], d)}
-    return OrbitComplex(x.stabilizers, x.descriptors, x.cells,
+    return OrbitComplex(x.stabilizers, x.descriptors, x.cells, x.labels,
                         x.faces[:p] + (tuple(layer),) + x.faces[p + 1:])
 
 

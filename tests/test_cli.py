@@ -343,18 +343,27 @@ EDGE = [{"dim": 0, "cells": [{"label": "v", "stabilizer": "trivial"}],
         {"dim": 1, "cells": [{"label": "e", "stabilizer": "trivial"}]}]
 
 
+# A cell whose label is not a JSON string, the second 0-cell.
+ODD_LABEL = [{"dim": 0, "cells": [{"label": "v", "stabilizer": "trivial"},
+                                  {"label": {"weird": [1, 2]}, "stabilizer": "trivial"}]}]
+
+
 @pytest.mark.parametrize("command", ["amalgam", "coxeter"])
-@pytest.mark.parametrize("dump", [[{"cells": []}], {"dim": 0}, EDGE],
-                         ids=["no-dim", "not-a-list", "descriptor-without-extra"])
+@pytest.mark.parametrize("dump", [[{"cells": []}], {"dim": 0}, EDGE, ODD_LABEL],
+                         ids=["no-dim", "not-a-list", "descriptor-without-extra",
+                              "label-not-a-string"])
 def test_malformed_complex_dump_is_invalid_input(tmp_path, capsys, command, dump):
     # A cell layer without "dim" (KeyError), an object instead of a list of
-    # layers (TypeError) and a descriptor without its parameters
-    # (IndexError) are refused like any other bad input.
+    # layers (TypeError), a descriptor without its parameters (IndexError)
+    # and a label that is not a string are refused like any other bad input.
     path = tmp_path / "dump.json"
     path.write_text(json.dumps(dump))
     code, out = run(capsys, [command, "--theory", "k", "--from-complex", str(path)])
     assert code == 1
-    assert json.loads(out)["error"]["kind"] == "invalid_input"
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid_input"
+    if dump is ODD_LABEL:
+        assert error["message"] == "bad orbit complex JSON: label of cell 1 at dim 0 is not a string"
 
 
 def one_edge_dump(vertex, edge, descriptor) -> list[dict]:

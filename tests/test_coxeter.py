@@ -171,18 +171,53 @@ def test_families_at_scale(monkeypatch):
     assert build_bestvina_orbit_complex(polygon).counts() == (n + 1, n + 1, 1)
 
 
+def simply_laced(size: int, edges: list[tuple[int, int]]) -> CoxeterMatrix:
+    """The Coxeter matrix of a diagram whose edges all carry the label 3."""
+    rows = [[1 if i == j else 2 for j in range(size)] for i in range(size)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = 3
+    return CoxeterMatrix.from_rows(rows)
+
+
+def branched(*arms: int) -> CoxeterMatrix:
+    """A star diagram: node 0 with three arms of the given lengths."""
+    edges, size = [], 1
+    for length in arms:
+        edges += [(0 if i == 0 else size + i - 1, size + i) for i in range(length)]
+        size += length
+    return simply_laced(size, edges)
+
+
+# Diagrams with one or two branch nodes and arms longer than one node, and
+# whether each is of finite type: the D and E decisions of the classification.
+BRANCHED = {
+    "D5": (branched(1, 1, 2), True),
+    "E6": (branched(1, 2, 2), True),
+    "E7": (branched(1, 2, 3), True),
+    "E8": (branched(1, 2, 4), True),
+    "affine E6": (branched(2, 2, 2), False),
+    "affine E7": (branched(1, 3, 3), False),
+    "affine E8": (branched(1, 2, 5), False),
+    "affine D5": (simply_laced(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]), False),
+}
+
+
 def test_classification_against_gram_criterion():
     # Exact diagram classification vs. positive definiteness of the cosine
-    # Gram matrix (floating point, tolerance 1e-9), labels <= 6.
+    # Gram matrix (floating point, tolerance 1e-9), labels <= 6, on random
+    # matrices and on every subset of the branched diagrams.
     rng = random.Random(9)
     labels = [2, 3, 4, 5, 6, INFINITY]
+    matrices = []
     for _ in range(40):
         size = rng.randint(1, 5)
         rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
                 rows[i][j] = rows[j][i] = rng.choice(labels)
-        matrix = CoxeterMatrix.from_rows(rows)
+        matrices.append(CoxeterMatrix.from_rows(rows))
+    for matrix in matrices + [matrix for matrix, _ in BRANCHED.values()]:
+        size = matrix.size
         for bits in range(2 ** size):
             subset = tuple(i for i in range(size) if (bits >> i) & 1)
             assert is_spherical(matrix, subset) == gram_positive_definite(matrix, subset), (
@@ -218,6 +253,8 @@ def test_classification_named_types():
         [3, 2, 2, 1, 2],
         [3, 2, 2, 2, 1]])
     assert not is_spherical(star5, (0, 1, 2, 3, 4))
+    for name, (matrix, finite) in BRANCHED.items():
+        assert is_spherical(matrix, full(matrix)) == finite, name
 
 
 def test_group_class_catalogue():
@@ -266,9 +303,9 @@ def test_davis_two_generators_infinity():
     m = CoxeterMatrix.from_rows([[1, INFINITY], [INFINITY, 1]])
     x = build_davis_orbit_complex(m)
     assert x.counts() == (3, 2)
-    stabs = sorted(str(x.stabilizers[c.stabilizer]) for c in x.cells[0])
+    stabs = sorted(str(x.stabilizers[s]) for s in x.cells[0])
     assert stabs == ["1", "Z2", "Z2"]
-    assert all(x.stabilizers[c.stabilizer] == trivial() for c in x.cells[1])
+    assert all(x.stabilizers[s] == trivial() for s in x.cells[1])
 
 
 def test_davis_two_generators_braid():
@@ -276,23 +313,23 @@ def test_davis_two_generators_braid():
     m = CoxeterMatrix.from_rows([[1, 3], [3, 1]])
     x = build_davis_orbit_complex(m)
     assert x.counts() == (4, 5, 2)
-    top = [c for c in x.cells[0] if x.stabilizers[c.stabilizer] == dihedral_odd(3)]
+    top = [s for s in x.cells[0] if x.stabilizers[s] == dihedral_odd(3)]
     assert len(top) == 1
 
 
 def test_davis_single_generator_segment():
     x = build_davis_orbit_complex(CoxeterMatrix.from_rows([[1]]))
     assert x.counts() == (2, 1)
-    assert sorted(str(x.stabilizers[c.stabilizer]) for c in x.cells[0]) == ["1", "Z2"]
-    assert x.stabilizers[x.cells[1][0].stabilizer] == trivial()
+    assert sorted(str(x.stabilizers[s]) for s in x.cells[0]) == ["1", "Z2"]
+    assert x.stabilizers[x.cells[1][0]] == trivial()
 
 
 def test_davis_descriptor_direction():
     x = build_davis_orbit_complex(CoxeterMatrix.path_family(2))
     for p in range(x.dim):
         for j, k, _, desc in x.sorted_faces(p):
-            assert desc.sub == x.stabilizers[x.cells[p + 1][k].stabilizer]
-            assert desc.big == x.stabilizers[x.cells[p][j].stabilizer]
+            assert desc.sub == x.stabilizers[x.cells[p + 1][k]]
+            assert desc.big == x.stabilizers[x.cells[p][j]]
             assert desc.sub.order <= desc.big.order
 
 
@@ -300,9 +337,9 @@ def test_davis_descriptor_direction():
 # Bestvina complex
 
 
-def panel_label(cell) -> tuple[int, ...]:
+def panel_label(label: str) -> tuple[int, ...]:
     """The spherical subset J of a Bestvina cell labelled B{s_j,...}#i."""
-    inside = cell.label[cell.label.index("{") + 1:cell.label.index("}")]
+    inside = label[label.index("{") + 1:label.index("}")]
     return tuple(int(s[1:]) for s in inside.split(",") if s)
 
 
@@ -310,9 +347,9 @@ def test_bestvina_path_family_is_a_path():
     n = 5
     b = build_bestvina_orbit_complex(CoxeterMatrix.path_family(n))
     assert b.counts() == (n, n - 1)
-    vertex_labels = [panel_label(c) for c in b.cells[0]]
+    vertex_labels = [panel_label(c) for c in b.labels[0]]
     assert sorted(vertex_labels) == sorted((i, i + 1) for i in range(n))
-    edge_labels = sorted(panel_label(c) for c in b.cells[1])
+    edge_labels = sorted(panel_label(c) for c in b.labels[1])
     assert edge_labels == [(i,) for i in range(1, n)]
 
 
@@ -320,7 +357,7 @@ def test_bestvina_polygon_family_is_a_polygon():
     n = 5
     b = build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(n))
     assert b.counts() == (n + 1, n + 1, 1)
-    assert panel_label(b.cells[2][0]) == ()
+    assert panel_label(b.labels[2][0]) == ()
     # the 2-cell runs over every edge exactly once
     coeffs = {j: b.incidence[1].entry(j, 0) for j in range(len(b.cells[1]))
               if b.incidence[1].entry(j, 0)}
@@ -338,8 +375,8 @@ def test_bestvina_polygon_incidence_is_the_cyclic_circulant():
     m = CoxeterMatrix.polygon_family(n)
     x = build_bestvina_orbit_complex(m)
     assert x.counts() == (n + 1, n + 1, 1)
-    vertex_pos = {panel_label(c): i for i, c in enumerate(x.cells[0])}
-    edge_pos = {panel_label(c): i for i, c in enumerate(x.cells[1])}
+    vertex_pos = {panel_label(c): i for i, c in enumerate(x.labels[0])}
+    edge_pos = {panel_label(c): i for i, c in enumerate(x.labels[1])}
 
     def pair(i):
         return tuple(sorted((i % (n + 1), (i + 1) % (n + 1))))
@@ -358,7 +395,7 @@ def test_bestvina_polygon_incidence_is_the_cyclic_circulant():
 def test_bestvina_finite_group_is_a_point():
     b = build_bestvina_orbit_complex(CoxeterMatrix.from_rows([[1, 3], [3, 1]]))
     assert b.counts() == (1,)
-    assert panel_label(b.cells[0][0]) == (0, 1)
+    assert panel_label(b.labels[0][0]) == (0, 1)
 
 
 def test_bestvina_pentagon_is_a_disk():
@@ -373,7 +410,7 @@ def test_bestvina_cone_fallback_star():
             [2, INFINITY, 1, INFINITY], [2, INFINITY, INFINITY, 1]]
     b = build_bestvina_orbit_complex(CoxeterMatrix.from_rows(rows))
     assert b.counts() == (4, 3)
-    apex = [c for c in b.cells[0] if panel_label(c) == (0,)]
+    apex = [c for c in b.labels[0] if panel_label(c) == (0,)]
     assert len(apex) == 1
 
 
@@ -395,7 +432,7 @@ def test_orbit_complex_from_panel_single_point():
     m = CoxeterMatrix.from_rows([[1, 3], [3, 1]])
     x = build_bestvina_orbit_complex(m)
     assert x.counts() == (1,)
-    assert x.stabilizers[x.cells[0][0].stabilizer] == dihedral_odd(3)
+    assert x.stabilizers[x.cells[0][0]] == dihedral_odd(3)
 
 
 def test_orbit_complex_from_panel_descriptors():

@@ -13,7 +13,6 @@ from properk.coxeter import CoxeterMatrix, build_bestvina_orbit_complex, build_d
 from properk.groups import cyclic, cyclic_in_cyclic, trivial, trivial_in
 from properk.orbit import (
     AmalgamSpec,
-    Cell,
     OrbitComplex,
     OrbitComplexError,
     build_amalgam_orbit_complex,
@@ -32,7 +31,7 @@ def test_amalgam_spec_validation():
 
 def stabilizers(x, p):
     """The stabilizers of the p-cells of x, read off its table."""
-    return [x.stabilizers[c.stabilizer] for c in x.cells[p]]
+    return [x.stabilizers[s] for s in x.cells[p]]
 
 
 def test_infinite_dihedral_path():
@@ -40,7 +39,8 @@ def test_infinite_dihedral_path():
     x = build_amalgam_orbit_complex(spec)
     assert x.counts() == (2, 1)
     assert x.stabilizers == (cyclic(2), trivial())
-    assert [c.stabilizer for c in x.cells[0]] == [0, 0]
+    assert x.cells == ((0, 0), (1,))
+    assert x.labels == (("v0", "v1"), ("e1",))
     assert stabilizers(x, 1) == [trivial()]
     assert x.incidence[0].to_rows() == [[1], [-1]]
 
@@ -59,7 +59,7 @@ def test_single_vertex_amalgam():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(), m=(5,)))
     assert x.counts() == (1,)
     assert (x.stabilizers, x.descriptors) == ((cyclic(5),), ())
-    assert x.cells[0][0].stabilizer == 0
+    assert (x.cells, x.labels) == (((0,),), (("v0",),))
 
 
 def test_longer_amalgam_stabilizers():
@@ -71,21 +71,22 @@ def test_longer_amalgam_stabilizers():
     assert x.incidence[0].to_rows() == [[1, 0], [-1, 1], [0, -1]]
 
 
-# One Z4 vertex and one Z2 edge through it, with the one descriptor Z2 <= Z4.
+# One Z4 vertex and one Z2 edge through it, with the one descriptor Z2 <= Z4:
+# the cells, then their labels.
 Z4_Z2 = (cyclic(4), cyclic(2))
-VERTEX_EDGE = ((Cell("v", 0),), (Cell("e", 1),))
+VERTEX_EDGE = (((0,), (1,)), (("v",), ("e",)))
 
 
 def test_orbit_complex_validation_catches_bad_descriptors():
-    edge = OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), VERTEX_EDGE, (({0: (1, 0)},),))
+    edge = OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), *VERTEX_EDGE, (({0: (1, 0)},),))
     assert edge.incidence[0].to_rows() == [[1]]
     with pytest.raises(OrbitComplexError, match="does not land in the face's stabilizer"):
-        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 1),), VERTEX_EDGE, (({0: (1, 0)},),))
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 1),), *VERTEX_EDGE, (({0: (1, 0)},),))
     with pytest.raises(OrbitComplexError, match="does not start at the higher cell's stabilizer"):
-        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(4, 1),), VERTEX_EDGE, (({0: (1, 0)},),))
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(4, 1),), *VERTEX_EDGE, (({0: (1, 0)},),))
     for face in ({0: (0, 0)}, {1: (1, 0)}):
         with pytest.raises(OrbitComplexError, match="out of range or has coefficient 0"):
-            OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), VERTEX_EDGE, ((face,),))
+            OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), *VERTEX_EDGE, ((face,),))
     # A dump can hold a nonzero entry without a descriptor.
     dump = edge.to_json()
     dump[0]["descriptors"] = []
@@ -97,20 +98,29 @@ def test_orbit_complex_validation_catches_bad_descriptors():
 def test_descriptor_index_out_of_range_is_refused(index):
     with pytest.raises(OrbitComplexError,
                        match=r"^descriptor index at dim 0 \(0,0\) is out of range$"):
-        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), VERTEX_EDGE, (({0: (1, index)},),))
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), *VERTEX_EDGE, (({0: (1, index)},),))
 
 
 @pytest.mark.parametrize("index", [2, -1])
 def test_cell_stabilizer_index_out_of_range_is_refused(index):
-    cells = ((Cell("v", 0),), (Cell("e0", 1), Cell("e1", index)))
+    cells, labels = ((0,), (1, index)), (("v",), ("e0", "e1"))
     with pytest.raises(OrbitComplexError,
                        match=r"^stabilizer index of cell 1 at dim 1 is out of range$"):
-        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), cells, (({0: (1, 0)}, {0: (1, 0)}),))
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), cells, labels,
+                     (({0: (1, 0)}, {0: (1, 0)}),))
+
+
+@pytest.mark.parametrize("labels", [(("v",), ()), (("v",), ("e", "f")), (("v",),)],
+                         ids=["missing", "extra", "no-layer"])
+def test_one_label_per_cell_is_required(labels):
+    with pytest.raises(OrbitComplexError, match=r"^need one label per cell$"):
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2),), VERTEX_EDGE[0], labels,
+                     (({0: (1, 0)},),))
 
 
 def test_repeated_stabilizer_is_refused():
     with pytest.raises(OrbitComplexError, match=r"^the stabilizer table repeats Z4$"):
-        OrbitComplex(Z4_Z2 + (cyclic(4),), (cyclic_in_cyclic(2, 2),), VERTEX_EDGE,
+        OrbitComplex(Z4_Z2 + (cyclic(4),), (cyclic_in_cyclic(2, 2),), *VERTEX_EDGE,
                      (({0: (1, 0)},),))
 
 
@@ -122,10 +132,10 @@ def test_descriptor_end_outside_the_stabilizer_table_is_refused(desc, end):
     side = "start at the higher cell's" if end == "1" else "land in the face's"
     with pytest.raises(OrbitComplexError,
                        match=rf"^descriptor at dim 0 \(0,0\) does not {side} stabilizer$"):
-        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2), desc), VERTEX_EDGE, (({0: (1, 1)},),))
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2), desc), *VERTEX_EDGE, (({0: (1, 1)},),))
     message = f"^descriptor {re.escape(str(desc))} has an end, {end}, outside the stabilizer table$"
     with pytest.raises(OrbitComplexError, match=message):
-        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2), desc), VERTEX_EDGE, (({0: (1, 0)},),))
+        OrbitComplex(Z4_Z2, (cyclic_in_cyclic(2, 2), desc), *VERTEX_EDGE, (({0: (1, 0)},),))
 
 
 def test_orbit_complex_json_roundtrip():
@@ -147,7 +157,7 @@ def test_dinf4_tables_are_small(build, sizes):
     assert (len(x.stabilizers), len(x.descriptors), len(x.coherence)) == sizes
     used = {d for layer in x.faces for faces in layer for _, d in faces.values()}
     assert used == set(range(len(x.descriptors)))
-    assert {c.stabilizer for cells in x.cells for c in cells} == set(range(len(x.stabilizers)))
+    assert {s for cells in x.cells for s in cells} == set(range(len(x.stabilizers)))
 
 
 @pytest.mark.parametrize("x", BOUNDARY_MODELS + [z3_square()])
@@ -247,7 +257,7 @@ def test_boundary_that_does_not_square_to_zero_is_refused(case):
     layer = list(x.faces[p])
     layer[k] = {**layer[k], j: (new, layer[k][j][1])}
     with pytest.raises(OrbitComplexError) as err:
-        OrbitComplex(x.stabilizers, x.descriptors, x.cells,
+        OrbitComplex(x.stabilizers, x.descriptors, x.cells, x.labels,
                      x.faces[:p] + (tuple(layer),) + x.faces[p + 1:])
     message = str(err.value)
     assert message in {f"boundary does not square to zero at dimension {q}" for q in (p - 1, p)}
