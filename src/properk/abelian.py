@@ -71,7 +71,7 @@ class IntMatrix:
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple({j: int(x) for j, x in enumerate(row) if x} for row in rows))
+        return cls(r, c, tuple({j: int(row[j]) for j in compress(range(c), row)} for row in rows))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import Iterable
 
 from .groups import (
     GroupClass,
@@ -50,9 +51,10 @@ class CoxeterMatrix:
     def __post_init__(self):
         if self.size < 0 or len(self.entries) != self.size:
             raise ValueError("matrix size mismatch")
+        # Every row's length first: the symmetry check reads later rows.
+        if any(len(row) != self.size for row in self.entries):
+            raise ValueError("matrix must be square")
         for i, row in enumerate(self.entries):
-            if len(row) != self.size:
-                raise ValueError("matrix must be square")
             if row[i] != 1:
                 raise ValueError("diagonal entries must be 1")
             for j, x in enumerate(row):
@@ -131,7 +133,7 @@ class CoxeterMatrix:
         for i, j in threes:
             degree[i] += 1
             degree[j] += 1
-        if not _connected_on(size, threes):
+        if len(_components(range(size), threes)) != 1:
             return None
         if len(threes) == size - 1 and all(d <= 2 for d in degree):
             return ("path", size - 1)
@@ -140,45 +142,35 @@ class CoxeterMatrix:
         return None
 
 
-def _connected_on(size: int, edges: list[tuple[int, int]]) -> bool:
-    if size == 0:
-        return True
-    adj: dict[int, list[int]] = {}
-    for i, j in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == size
+def _components(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on ``vertices`` with ``edges``,
+    each sorted, in order of their first vertex."""
+    adjacent: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(adjacent):
+        if start not in seen:
+            seen.add(start)
+            comp = [start]
+            for v in comp:
+                for w in adjacent[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            comps.append(sorted(comp))
+    return comps
 
 
 # ---------------------------------------------------------------------------
 # Finite-type classification
 
 
-def _components(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> list[list[int]]:
+def _diagram_components(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> list[list[int]]:
     """Connected components of the induced diagram (edges where m >= 3 or m = oo)."""
-    remaining = set(subset)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in list(remaining - comp):
-                if matrix.m(v, w) != 2:
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-        remaining -= comp
-    return comps
+    return _components(subset, [(a, b) for a, b in combinations(subset, 2) if matrix.m(a, b) != 2])
 
 
 def _connected_component_is_finite(matrix: CoxeterMatrix, comp: list[int]) -> bool:
@@ -255,7 +247,7 @@ def _branch_length(adj: dict[int, list[int]], center: int, first: int) -> int:
 
 def is_spherical(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> bool:
     return all(_connected_component_is_finite(matrix, comp)
-               for comp in _components(matrix, subset))
+               for comp in _diagram_components(matrix, subset))
 
 
 @dataclass(frozen=True)
@@ -346,7 +338,7 @@ def group_class_of(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> GroupClass
     even-label I2, and any product mixing a dihedral with more factors) has
     no representation-ring support and is refused by name.
     """
-    comps = _components(matrix, subset)
+    comps = _diagram_components(matrix, subset)
     if all(len(c) == 1 for c in comps):
         return elem2(len(subset))
     if len(comps) == 1 and len(comps[0]) == 2:
@@ -507,7 +499,8 @@ class _PanelBuilder:
     Per dimension, ``cells`` holds the cells as (panel label, boundary)
     pairs, the boundary listing distinct faces one dimension down as
     (index, coefficient ±1), and ``by_label`` the indices of the cells of
-    each label.  ``covers[J]`` lists the members J ∪ {s} of the poset as
+    each label.  An edge's boundary is head - tail, stored as ((head, 1),
+    (tail, -1)).  ``covers[J]`` lists the members J ∪ {s} of the poset as
     (s, J ∪ {s}).
     """
 
@@ -537,19 +530,23 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     subsets as labels.  The panel B_J is the subcomplex of cells whose label
     contains J; panels shrink as J grows.  Processing subsets J by
     decreasing size, B_J must be a compact contractible complex containing
-    U = union of the B_I for I > J:
+    U = union of the B_I for I > J.  With V vertices, E edges and no cell
+    above dimension 1 in U:
 
-      * no I > J: B_J is a new vertex;
-      * U a single vertex or a tree: B_J = U, nothing new;
-      * U two isolated vertices: join them by one new edge;
-      * U a single closed edge cycle: fill it with one new 2-cell;
-      * anything else: cone, with a fresh apex vertex.
+      * one connected component and E = V - 1, a tree (a single vertex
+        included): B_J = U, nothing new;
+      * V = 2 and E = 0: join the two vertices by one new edge;
+      * one connected component with every vertex on exactly two edges
+        (so E = V), a cycle: fill it with one new 2-cell;
+      * anything else, and any U with a cell above dimension 1: cone,
+        with a fresh apex vertex.  When V = 0 (no I > J), B_J is the
+        cone over nothing: a new vertex.
 
-    The first four cases reproduce the minimal complexes of the worked
-    families (paths of braid-linked generators, and their polygon closures);
-    the cone fallback is deliberately conservative and can exceed the
-    minimal dimension without hurting correctness, since the basic
-    construction only needs contractible panels.
+    The first three cases and the new vertex reproduce the minimal
+    complexes of the worked families (paths of braid-linked generators, and
+    their polygon closures); the cone fallback is deliberately conservative
+    and can exceed the minimal dimension without hurting correctness, since
+    the basic construction only needs contractible panels.
 
     Cells and incidence numbers of the quotient are those of the panel
     complex; the stabilizer of a cell is W of its label, and every face
@@ -559,24 +556,7 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     poset = matrix.poset
     builder = _PanelBuilder(poset)
     for j_set in sorted(poset.members, key=lambda s: (-len(s), s)):
-        cell_idx = _collect_cells(builder, j_set)
-        n_vertices = len(cell_idx[0])
-        n_edges = len(cell_idx[1]) if len(cell_idx) > 1 else 0
-        higher = sum(len(layer) for layer in cell_idx[2:])
-        if n_vertices == 0:
-            builder.add(0, j_set, [])
-            continue
-        if higher == 0 and _is_tree(builder, cell_idx):
-            continue  # contractible already; B_J = U
-        if higher == 0 and n_edges == 0 and n_vertices == 2:
-            a, b = cell_idx[0]
-            builder.add(1, j_set, [(max(a, b), 1), (min(a, b), -1)])
-            continue
-        cycle = _as_single_cycle(builder, cell_idx) if higher == 0 else None
-        if cycle is not None:
-            builder.add(2, j_set, cycle)
-            continue
-        _cone(builder, j_set, cell_idx)
+        _add_panel(builder, j_set, _collect_cells(builder, j_set))
 
     panel = builder.cells
     tables = _Tables(poset)
@@ -615,72 +595,47 @@ def _collect_cells(builder: _PanelBuilder, j_set: tuple[int, ...]) -> list[list[
     return out or [[]]
 
 
-def _is_tree(builder: _PanelBuilder, cell_idx: list[list[int]]) -> bool:
+def _add_panel(builder: _PanelBuilder, j_set: tuple[int, ...], cell_idx: list[list[int]]) -> None:
+    """Complete B_J from U, whose cells are ``cell_idx``, by the cases of
+    ``build_bestvina_orbit_complex``."""
     vertices = cell_idx[0]
-    edges = cell_idx[1] if len(cell_idx) > 1 else []
-    if len(edges) != len(vertices) - 1:
-        return False
-    parent = {v: v for v in vertices}
+    if len(cell_idx) <= 2:  # U has no cell above dimension 1
+        ends: dict[int, tuple[int, int]] = {}  # edge -> (tail, head)
+        for e in cell_idx[1] if len(cell_idx) > 1 else ():
+            (head, _), (tail, _) = builder.cells[1][e][1]
+            ends[e] = (tail, head)
+        if len(vertices) == 2 and not ends:
+            builder.add(1, j_set, [(vertices[1], 1), (vertices[0], -1)])
+            return
+        if len(_components(vertices, ends.values())) == 1:
+            if len(ends) == len(vertices) - 1:
+                return  # a tree: B_J = U
+            incident: dict[int, list[int]] = {v: [] for v in vertices}
+            for e, (tail, head) in ends.items():
+                incident[tail].append(e)
+                incident[head].append(e)
+            if all(len(es) == 2 for es in incident.values()):
+                builder.add(2, j_set, _cycle_boundary(ends, incident, vertices[0]))
+                return
+    _cone(builder, j_set, cell_idx)
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
-    for e in edges:
-        endpoints = [j for j, _ in builder.cells[1][e][1]]
-        a, b = find(endpoints[0]), find(endpoints[1])
-        if a == b:
-            return False
-        parent[a] = b
-    return True
-
-
-def _as_single_cycle(builder: _PanelBuilder, cell_idx: list[list[int]]) -> list[tuple[int, int]] | None:
-    """If the 1-complex is one closed cycle, return 2-cell boundary coefficients.
-
-    The cycle is traversed once, starting at its smallest vertex toward its
-    smallest neighbor; each edge contributes +1 when crossed from tail to
-    head (the stored boundary being head - tail) and -1 otherwise.
-    """
-    vertices = cell_idx[0]
-    edges = cell_idx[1] if len(cell_idx) > 1 else []
-    if not vertices or len(edges) != len(vertices):
-        return None
-    incident: dict[int, list[int]] = {v: [] for v in vertices}
-    ends = {}
-    for e in edges:
-        bd = builder.cells[1][e][1]
-        head = next(j for j, c in bd if c == 1)
-        tail = next(j for j, c in bd if c == -1)
-        if head not in incident or tail not in incident:
-            return None
-        incident[head].append(e)
-        incident[tail].append(e)
-        ends[e] = (tail, head)
-    if any(len(es) != 2 for es in incident.values()):
-        return None
-    start = min(vertices)
-    coeffs = []
-    visited_edges = set()
-    v = start
-    prev_edge = None
+def _cycle_boundary(ends: dict[int, tuple[int, int]], incident: dict[int, list[int]],
+                    start: int) -> list[tuple[int, int]]:
+    """The boundary of a 2-cell filling a cycle of edges, each edge with
+    its (tail, head) in ``ends`` and each vertex on the two edges of
+    ``incident``: the cycle is walked once, from ``start`` along its
+    smallest edge, and an edge crossed from tail to head counts +1, one
+    crossed the other way -1."""
+    boundary = []
+    v, e = start, min(incident[start])
     while True:
-        candidates = [e for e in incident[v] if e != prev_edge]
-        e = min(candidates) if prev_edge is None else candidates[0]
-        if e in visited_edges:
-            return None
-        visited_edges.add(e)
         tail, head = ends[e]
-        coeffs.append((e, 1 if v == tail else -1))
+        boundary.append((e, 1 if v == tail else -1))
         v = head if v == tail else tail
-        prev_edge = e
         if v == start:
-            break
-    if len(visited_edges) != len(edges):
-        return None  # more than one cycle component
-    return coeffs
+            return boundary
+        e = next(f for f in incident[v] if f != e)
 
 
 def _cone(builder: _PanelBuilder, j_set: tuple[int, ...], cell_idx: list[list[int]]) -> None:

@@ -190,7 +190,10 @@ class OrbitComplex:
         descriptors: dict[InclusionDescriptor, int] = {}
         faces = []
         for p, entry in enumerate(layers[:-1]):
-            rows = [list(map(json_int, row)) for row in entry.get("incidence", [])]
+            rows = list(entry.get("incidence", []))
+            for row in rows:  # one type check per row, not one call per entry
+                if not {*map(type, row)} <= {int}:
+                    list(map(json_int, row))  # raises, naming the first non-integer
             matrix = IntMatrix.from_rows(rows, cols=len(cells[p + 1]))
             listed: dict[tuple[int, int], InclusionDescriptor] = {}
             for d in entry.get("descriptors", []):

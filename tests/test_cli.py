@@ -199,6 +199,21 @@ def test_invalid_input_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("source", ["matrix", "file"])
+def test_ragged_coxeter_matrix_is_invalid_input(tmp_path, capsys, source):
+    # The last row is short; the symmetry check of the first row reads it.
+    if source == "matrix":
+        argv, where = ["--matrix", "1,2,2;2,1,2;2"], "bad inline matrix"
+    else:
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"size": 3, "m": [[1, 2, 2], [2, 1, 2], [2]]}))
+        argv, where = ["--file", str(path)], "bad Coxeter JSON"
+    code, out = run(capsys, ["coxeter"] + argv + ["--theory", "k"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "invalid_input", "message": f"{where}: matrix must be square"}
+
+
 def test_check_without_closed_form_errors(capsys):
     # braid star: neither right-angled nor a recognized family
     code, out = run(capsys, ["coxeter", "--matrix", "1,3,3,3;3,1,0,0;3,0,1,0;3,0,0,1",
@@ -682,12 +697,17 @@ NON_INTEGER_INPUTS = [
     (["coxeter", "--file"], '{"size": 1e400, "m": []}', "inf"),
     (["amalgam", "--from-complex"], _vertex_edge_dump('{"cyclic": 1e400}'), "inf"),
     (["coxeter", "--from-complex"], _vertex_edge_dump('"trivial"', "1.0"), "1.0"),
+    # At a zero position of the incidence, where a read that only looks at
+    # the nonzeros would take them for 0.
+    (["coxeter", "--from-complex"], _vertex_edge_dump('"trivial"', "1, false"), "False"),
+    (["amalgam", "--from-complex"], _vertex_edge_dump('"trivial"', "1, 0.0"), "0.0"),
 ]
 
 
 @pytest.mark.parametrize("flag, text, shown", NON_INTEGER_INPUTS,
                          ids=["string-r", "float-r", "float-label", "bool-r", "huge-r",
-                              "huge-size", "huge-stabilizer", "float-incidence"])
+                              "huge-size", "huge-stabilizer", "float-incidence",
+                              "false-incidence-zero", "float-incidence-zero"])
 def test_non_integer_json_numbers_are_invalid_input(tmp_path, capsys, flag, text, shown):
     path = tmp_path / "input.json"
     path.write_text(text)

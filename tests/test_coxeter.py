@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from properk import coxeter
 from properk.abelian import AbGroup
 from properk.ahss import NoCollapseError, assemble_abutment, build_e2
 from properk.coxeter import (
@@ -146,15 +147,13 @@ def test_families_at_scale(monkeypatch):
     # Exact sizes for n = 640 (641 generators): the spherical subsets
     # are the empty set, the singletons and the label-3 pairs.  The
     # enumeration classifies no pair, and no larger candidate arises.
-    from properk import coxeter
-
     n = 640
     components = []
     components_of = coxeter._components
 
-    def counting_components(matrix, subset):
-        components.append(subset)
-        return components_of(matrix, subset)
+    def counting_components(vertices, edges):
+        components.append(vertices)
+        return components_of(vertices, edges)
 
     monkeypatch.setattr(coxeter, "_components", counting_components)
     polygon = CoxeterMatrix.polygon_family(n)
@@ -493,6 +492,45 @@ def test_octahedral_graph_exercises_higher_cones():
     homology = cw_homology(list(b.incidence), list(b.counts()))
     assert homology[0] == AbGroup.free(1)
     assert all(h.is_zero for h in homology[1:])
+
+
+def test_components_keep_isolated_vertices_in_order_of_first_vertex():
+    assert coxeter._components([5, 0, 3, 2, 4, 1], [(4, 0), (5, 3)]) == [
+        [0, 4], [1], [2], [3, 5]]
+    assert coxeter._components([], []) == []
+
+
+def hand_built_graph(n_vertices: int, edges: list[tuple[int, int]]):
+    """A panel builder holding only the graph U: vertices 0..n-1 and the
+    given (tail, head) edges, with the cell indices U's collection lists."""
+    builder = coxeter._PanelBuilder(CoxeterMatrix.from_rows([]).poset)
+    for _ in range(n_vertices):
+        builder.add(0, (0,), [])
+    for tail, head in edges:
+        builder.add(1, (0, 1), [(head, 1), (tail, -1)])
+    return builder, [list(range(n_vertices)), list(range(len(edges)))]
+
+
+@pytest.mark.parametrize("n_vertices, edges", [
+    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    (4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+], ids=["two-disjoint-cycles", "triangle-with-pendant-edge"])
+def test_panel_graphs_that_are_no_tree_pair_or_cycle_are_coned(n_vertices, edges):
+    # No model input reaches these U's: both fall through to the cone,
+    # a new apex with one edge per vertex and one 2-cell per edge.
+    builder, cell_idx = hand_built_graph(n_vertices, edges)
+    coxeter._add_panel(builder, (), cell_idx)
+    assert list(map(len, builder.cells)) == [n_vertices + 1, 2 * len(edges), len(edges)]
+    assert builder.cells[0][-1] == ((), ())
+
+
+def test_panel_square_gets_one_two_cell_walked_from_its_smallest_vertex():
+    # From vertex 0 along edge 0 (3 -> 0, crossed backwards), then edges 3
+    # (2 -> 3, backwards), 2 (2 -> 1, forwards) and 1 (0 -> 1, backwards).
+    builder, cell_idx = hand_built_graph(4, [(3, 0), (0, 1), (2, 1), (2, 3)])
+    coxeter._add_panel(builder, (), cell_idx)
+    assert list(map(len, builder.cells)) == [4, 4, 1]
+    assert builder.cells[2][0] == ((), ((0, -1), (3, -1), (2, 1), (1, -1)))
 
 
 def test_zero_generator_matrix():
