@@ -36,7 +36,13 @@ from .ahss import (
     compare,
     detect_collapse,
 )
-from .bredon import CoefficientFunctor, assemble_cochain, bredon_cohomology, bredon_rows
+from .bredon import (
+    CoefficientFunctor,
+    assemble_cochain,
+    bredon_cochain,
+    bredon_cohomology,
+    bredon_rows,
+)
 from .coxeter import (
     CoxeterMatrix,
     SphericalPoset,

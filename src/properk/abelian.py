@@ -97,11 +97,16 @@ class IntMatrix:
         return self.data[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        get = self.data[i].get
-        return tuple(get(j, 0) for j in range(self.cols))
+        return tuple(self._dense(self.data[i]))
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [self._dense(row) for row in self.data]
+
+    def _dense(self, row: Mapping[int, int]) -> list[int]:
+        out = [0] * self.cols
+        for j, x in row.items():
+            out[j] = x
+        return out
 
     def transpose(self) -> "IntMatrix":
         out: list[dict[int, int]] = [{} for _ in range(self.cols)]
@@ -590,17 +595,21 @@ class SplitCochainComplex:
     expressed at all; descriptors that would need one are refused
     (``reprings.restriction_ko``).  Construction validates the
     composability of shapes, F∘F = 0 and T∘T = 0, the last two by matrix
-    products.  ``bredon.assemble_cochain`` alone skips the products, through
-    ``integral``'s private ``_composes``, when it has already proved
-    F∘F = 0 from the orbit complex (``OrbitComplex.coherence``); every other
+    products.  Only ``bredon`` skips the products, through ``integral``'s
+    private ``_composes``: ``assemble_cochain`` when it has already proved
+    F∘F = 0 from the orbit complex (``OrbitComplex.coherence``), and
+    ``fill_peeled``, whose rows meet only zero columns of F_1; every other
     complex, its cuts included, is multiplied out.
 
     ``peeled`` lists rows of F_0 that split off as unit pivots, in order,
     each mapped to its pivot column: the row holds ±1 there, and every other
     row of F_0 not listed before it holds 0.  Its builder vouches for it
-    (``bredon.assemble_cochain`` reads it off the orbit complex), nothing
-    here checks it, and only ``factor_integral`` uses it, reading none of
-    those rows' entries.  It is not part of the complex's identity.
+    (``bredon.assemble_cochain`` decides it from the orbit complex before
+    building any block), nothing here checks it, and only
+    ``factor_integral`` uses it, reading none of those rows' entries.  So
+    the page's complex does not store them: they are empty rows until
+    ``bredon.fill_peeled`` writes them in.  It is not part of the complex's
+    identity.
     """
 
     free_ranks: tuple[int, ...]

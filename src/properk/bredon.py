@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .abelian import (
     AbGroup,
@@ -31,6 +31,7 @@ from .reprings import (
     refuse_even_cyclic,
     restriction_k0,
     restriction_ko,
+    unit_columns,
 )
 
 
@@ -70,72 +71,121 @@ class CoefficientFunctor:
         return self.n in ((1,) if self.theory == "k" else (3, 5, 7))
 
 
-def assemble_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> SplitCochainComplex:
-    """Bredon cochain complex of an orbit complex, in split (Z ⊕ Z/2) form.
+def assemble_cochain(complex_: OrbitComplex, theory: str) -> SplitCochainComplex:
+    """The Bredon cochain complex that a page of ``theory`` factors, in
+    split (Z ⊕ Z/2) form, without the rows of d_0 that its peel splits off.
 
     One integral complex is assembled per theory: K^0 from the complex
     restriction matrices (``restriction_k0``), or for KO the real complex,
     which is KO^0 and KO^{-4}, from the real ones (``restriction_ko`` in
-    degree 0).  Its blocks are written straight into sparse rows, each
-    restriction computed once per distinct inclusion descriptor and
-    written once per face of a higher cell, into that cell's rows.  Any
-    other degree is cut from it (``cut_cochain``).  The order of the cells
-    fixes the block layout, so assembled matrices are reproducible literals.
+    degree 0).  The peel of d_0 is decided first, before any block, from
+    the face table, the incidence coefficients and the descriptors' kinds
+    (``_peel``).  Its rows are the complex's ``peeled`` rows, for
+    ``factor_integral``, and are not stored: they are left empty.  Every
+    other block is written straight into sparse rows, each restriction
+    computed once per distinct descriptor, when a written face first reads
+    it, so a descriptor that only peeled faces use is never restricted.
+    ``fill_peeled`` writes the peeled rows back in, and ``bredon_cochain``
+    cuts any other degree from that.  The order of the cells fixes the
+    block layout, so assembled matrices are reproducible literals.
 
     d∘d = 0 is proved rather than multiplied out when the composite
     restrictions agree (``_composites_agree``); the orbit complex has
     checked ∂∘∂ = 0, so each block of d_{p+1}·d_p is then (∂∂)_{jl} times
     one composite, which is zero.  Otherwise ``SplitCochainComplex`` runs
     its product check, which refuses the complex unless the disagreeing
-    composites cancel.
-
-    The rows of d_0 that the free edges of the orbit complex split off
-    (``_peel``) are recorded as the complex's ``peeled`` rows, for
-    ``factor_integral``; the matrices keep every row.
+    composites cancel.  A peeled edge bounds no 2-cell, so no coherence
+    pair reads a block that only peeled faces use, and d_1 is zero at every
+    peeled row: leaving those rows empty changes no block of d_1·d_0.
     """
-    size = [sum(count for _, count in coefficient_runs(g, functor.theory))
-            for g in complex_.stabilizers]
-    offsets = [list(accumulate((size[s] for s in cells), initial=0))
-               for cells in complex_.cells]  # per dim and cell
-    ranks = [offs.pop() for offs in offsets]
-
-    if functor.theory == "ko":
-        blocks = [restriction_ko(incl, 0)[0] for incl in complex_.descriptors]
-    else:
-        blocks = [restriction_k0(incl) for incl in complex_.descriptors]
+    offsets = _offsets(complex_, theory)
+    peeled = _peel(complex_, offsets, theory)
+    blocks: list[IntMatrix | None] = [None] * len(complex_.descriptors)
     free_d = []
     for p, layer in enumerate(complex_.faces):
-        rows: list[dict[int, int]] = []
-        for s, faces in zip(complex_.cells[p + 1], layer):
-            # A cell's faces are distinct, so their blocks never overlap.
-            cell_rows: list[dict[int, int]] = [{} for _ in range(size[s])]
-            for j, (alpha, d) in faces.items():
-                src = offsets[p][j]
-                for row, r_row in zip(cell_rows, blocks[d].data):
-                    for b, v in r_row.items():
-                        row[src + b] = alpha * v
-            rows += cell_rows
-        free_d.append(IntMatrix(ranks[p + 1], ranks[p], tuple(rows)))
-    full = SplitCochainComplex.integral(ranks, free_d,
+        rows: list[dict[int, int]] = [{} for _ in range(offsets[p + 1][-1])]
+        cells = range(len(layer))
+        if p == 0:
+            cells = [k for k in cells if offsets[1][k] not in peeled]
+        _write(rows, complex_, theory, blocks, p, offsets, cells)
+        free_d.append(IntMatrix(len(rows), offsets[p][-1], tuple(rows)))
+    return SplitCochainComplex.integral([offs[-1] for offs in offsets], free_d,
                                         _composes=_composites_agree(complex_, blocks),
-                                        peeled=_peel(complex_, blocks, offsets))
-    return full if functor.n == 0 else cut_cochain(complex_, full, functor)
+                                        peeled=peeled)
 
 
-def _peel(complex_: OrbitComplex, blocks: list[IntMatrix],
-          offsets: list[list[int]]) -> dict[int, int]:
+def fill_peeled(complex_: OrbitComplex, theory: str,
+                page: SplitCochainComplex) -> SplitCochainComplex:
+    """``page``, the complex ``assemble_cochain(complex_, theory)`` returns,
+    with its peeled rows of d_0 written back in: the whole Bredon cochain
+    complex, which ``--emit cochain`` prints and the tests' unpeeled
+    reference cohomology reads.
+
+    d∘d = 0 is not checked again: the page proved it or multiplied it out,
+    and the rows written here meet only zero columns of d_1.
+    """
+    if not page.peeled:
+        return page
+    offsets = _offsets(complex_, theory)
+    d0 = page.free_d[0]
+    # Fresh rows: the page's empty ones belong to its matrix.
+    rows = [{} if i in page.peeled else row for i, row in enumerate(d0.data)]
+    edges = [k for k in range(len(complex_.cells[1])) if offsets[1][k] in page.peeled]
+    _write(rows, complex_, theory, [None] * len(complex_.descriptors), 0, offsets, edges)
+    return SplitCochainComplex.integral(
+        page.free_ranks, (IntMatrix(d0.rows, d0.cols, tuple(rows)),) + page.free_d[1:],
+        _composes=True, peeled=page.peeled)
+
+
+def _offsets(complex_: OrbitComplex, theory: str) -> list[list[int]]:
+    """Per dimension, the first generator of each cell in the degree-0
+    cochain group of ``theory``, and last the group's rank."""
+    size = [sum(count for _, count in coefficient_runs(g, theory)) for g in complex_.stabilizers]
+    return [list(accumulate((size[s] for s in cells), initial=0)) for cells in complex_.cells]
+
+
+def _write(rows: list[dict[int, int]], complex_: OrbitComplex, theory: str,
+           blocks: list[IntMatrix | None], p: int, offsets: list[list[int]],
+           cells: Iterable[int]) -> None:
+    """Write the blocks of d_p at the (p+1)-cells ``cells`` into ``rows``, the
+    rows of d_p: each face's restriction block times its coefficient, at
+    the face's columns.  A block is restricted when a face first reads it,
+    and kept in ``blocks``, one entry per descriptor."""
+    layer, lower, higher = complex_.faces[p], offsets[p], offsets[p + 1]
+    for k in cells:
+        cell_rows = rows[higher[k]:higher[k + 1]]
+        # A cell's faces are distinct, so their blocks never overlap.
+        for j, (alpha, d) in layer[k].items():
+            block = blocks[d]
+            if block is None:
+                incl = complex_.descriptors[d]
+                block = blocks[d] = (restriction_k0(incl) if theory == "k"
+                                     else restriction_ko(incl, 0)[0])
+            src = lower[j]
+            for row, r_row in zip(cell_rows, block.data):
+                for b, v in r_row.items():
+                    row[src + b] = alpha * v
+
+
+def _peel(complex_: OrbitComplex, offsets: list[list[int]], theory: str) -> dict[int, int]:
     """The rows of d_0 split off by peeling the free edges of the orbit
-    complex, in order, each mapped to its pivot column.
+    complex, in order, each mapped to its pivot column; decided before any
+    block is built.
 
     A vertex j whose only edge left is k is free when its incidence is ±1
     and every row of k's restriction block has a ±1 in a column that no
-    other row of the block meets (``_unit_columns``): j's columns of d_0
+    other row of the block meets: ``reprings.unit_columns`` reads those
+    columns off the descriptor's kind and parameters.  j's columns of d_0
     meet the rows of k alone, so each row of k is a unit pivot at its
     column of j.  k is dropped and the peel goes on, so a tree collapses
     completely.  A vertex's last edge is the sum of the indices of the edges
     it has left, so the peel costs a few integers per edge, and each
     descriptor is looked at once, when a free vertex first reaches it.
-    Only d_0 is peeled (``abelian._top_down`` says why).
+
+    A peeled edge k bounds no 2-cell.  Every other edge of its free vertex
+    j was peeled before it and, by induction, bounds none, so for a 2-cell
+    l, 0 = (∂∂l)_j = ±(∂l)_k.  Only d_0 is peeled (``abelian._top_down``
+    says why).
     """
     if not complex_.faces:
         return {}
@@ -158,7 +208,7 @@ def _peel(complex_: OrbitComplex, blocks: list[IntMatrix],
         if alpha * alpha != 1:
             continue
         if d not in units:
-            units[d] = _unit_columns(blocks[d])
+            units[d] = unit_columns(complex_.descriptors[d], theory)
         if units[d] is None:
             continue
         for row, c in enumerate(units[d], offsets[1][k]):
@@ -171,26 +221,11 @@ def _peel(complex_: OrbitComplex, blocks: list[IntMatrix],
     return peeled
 
 
-def _unit_columns(block: IntMatrix) -> tuple[int, ...] | None:
-    """Per row of a restriction block, the column of its first ±1 entry, if
-    those columns meet no other row; else None."""
-    firsts: dict[int, int] = {}
-    for i, row in enumerate(block.data):
-        c = next((c for c, x in row.items() if x == 1 or x == -1), None)
-        if c is None:
-            return None
-        firsts[c] = i
-    # Each row meets its own column; a second one in it is another row's.
-    if len(firsts) < block.rows or any(len(firsts.keys() & row.keys()) > 1
-                                       for row in block.data):
-        return None
-    return tuple(firsts)
-
-
 def _composites_agree(complex_: OrbitComplex, blocks: list[IntMatrix]) -> bool:
     """Whether the two paths of each entry of ``complex_.coherence`` have
     one composite restriction block; each distinct (e, d) is composed once,
-    into sparse rows."""
+    into sparse rows.  ``blocks`` holds, per descriptor, its block, or
+    None where no written face reads it, which no coherence pair does."""
     coherence = complex_.coherence
     paths = {path for e0, d0, e, d in coherence for path in ((e0, d0), (e, d))}
     composite = {(e, d): product_rows(blocks[e].data, blocks[d].data) for e, d in paths}
@@ -235,7 +270,8 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
     stabilizer, with no pass over the cells: keeping every one gives
     ``full`` back, whose factorization is reused, and keeping none gives
     the zero complex.  Otherwise the cut keeps the peel of ``full``
-    (``_cut_peel``), and its d_0 is built without the peeled rows.
+    (``_cut_peel``), and its d_0 is built without the peeled rows, which
+    ``full``, the page's complex, does not store.
     """
     runs = [coefficient_runs(g, "ko") for g in complex_.stabilizers]
     kept = [len(cut_indices(r, n)[part]) for r in runs]
@@ -259,7 +295,9 @@ def _cut_peel(peeled: Mapping[int, int], rows: list[int], cols: list[int]) -> di
     each is then a unit pivot at a column that no row of the cut after it
     meets.  Otherwise no row is peeled.  Along every inclusion in the
     catalogue a kept row's column is kept: a real-type row has its unit at
-    a real-type generator and a complex-type row at a complex-type one.
+    a real-type generator and a complex-type row at a complex-type one
+    (``reprings.unit_columns``).  So a cut of the page's complex, which
+    stores no peeled row, reads none.
     """
     out = {}
     for r, c in peeled.items():
@@ -272,28 +310,39 @@ def _cut_peel(peeled: Mapping[int, int], rows: list[int], cols: list[int]) -> di
     return out
 
 
+def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> SplitCochainComplex:
+    """The functor's whole cochain complex: the page's complex of its
+    theory with the peeled rows filled back in (``fill_peeled``), cut to
+    degree -n (``cut_cochain``)."""
+    full = fill_peeled(complex_, functor.theory, assemble_cochain(complex_, functor.theory))
+    return full if functor.n == 0 else cut_cochain(complex_, full, functor)
+
+
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
-    """Graded Bredon cohomology of the orbit complex, degrees 0..dim.
+    """Graded Bredon cohomology of the orbit complex, degrees 0..dim, from
+    the functor's whole cochain complex with no row peeled: the per-functor
+    reference that tests hold the page against.
 
     A zero functor has zero cohomology; nothing is assembled for it.
     """
     if functor.is_zero_functor:
         return (AbGroup.zero(),) * (complex_.dim + 1)
-    return cohomology(assemble_cochain(complex_, functor))
+    return cohomology(bredon_cochain(complex_, functor))
 
 
 def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...], ...]:
     """Bredon cohomology for the coefficient degrees -n, n = 0..period-1.
 
-    One cochain complex is assembled and factored (``factor_integral``) per
-    page.  For K that is K^0, whose cohomology the factorization gives;
-    K^{-1} is a zero functor.  For KO it is the real complex C, which is
-    KO^0 and KO^{-4}; KO^{-3}, KO^{-5} and KO^{-7} are zero functors.  Segal's
-    decomposition makes two more rows distinct, both read off integral
-    factorizations: KO^{-1} is the cohomology mod 2 of the R-to-R cut of C
-    (its real-type generators), read off the parity of that cut's
-    invariant factors (``Factorization.mod2``), and KO^{-6} is the
-    cohomology of its C-to-C cut.  KO^{-2} is the KO^{-6} free block beside
+    One cochain complex is assembled (``assemble_cochain``) and factored
+    (``factor_integral``) per page.  For K that is K^0, whose cohomology
+    the factorization gives; K^{-1} is a zero functor.  For KO it is the
+    real complex C, which is KO^0 and KO^{-4}; KO^{-3}, KO^{-5} and KO^{-7}
+    are zero functors.  Segal's decomposition makes two more rows
+    distinct, both read off integral factorizations: KO^{-1} is the
+    cohomology mod 2 of the R-to-R cut of C (its real-type generators),
+    read off the parity of that cut's invariant factors
+    (``Factorization.mod2``), and KO^{-6} is the cohomology of its C-to-C
+    cut.  KO^{-2} is the KO^{-6} free block beside
     the KO^{-1} torsion block, so its cohomology is their direct sum degree
     by degree.  C is factored once.  A cut that keeps every generator is C
     and reuses that factorization, as the R-to-R cut does when no
@@ -306,23 +355,26 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     block of d∘d = 0 reads d_RR² = -d_RC·d_CR = 0 and the C-to-C block
     d_CC² = -d_CR·d_RC = 0, over Z and not only mod 2.
 
-    Before any elimination, d_0 is peeled (``_peel``): an edge that is the
-    last one left at a vertex, meets it with incidence ±1 and has a unit
-    in each row of its restriction block at a column no other row meets
-    splits off as factors 1.  A tree, such as the orbit complex of an
-    amalgam, splits off the whole of d_0, so its page eliminates no row of
-    it.  The cuts keep the peel (``_cut_peel``) and build no rows for it.
+    d_0 is peeled before any block is built (``_peel``): an edge that is
+    the last one left at a vertex, meets it with incidence ±1 and has a
+    unit in each row of its restriction block at a column no other row
+    meets, read off the descriptor's kind, splits off as factors 1.  Its
+    rows are not stored, and a descriptor that only peeled faces use is
+    not restricted.  A tree, such as the orbit complex of an amalgam,
+    splits off the whole of d_0, so its page restricts nothing, stores no
+    entry of d_0 and eliminates no row of it: each row is a rank count.
+    The cuts keep the peel (``_cut_peel``) and build no rows for it.
     Only d_0 is peeled: its pivot columns feed no further differential,
     while peeling d_p for p ≥ 1 would change the pivot columns that d_{p-1}
     skips, and on a Davis top differential that made the next elimination
     slower.
 
-    Any free-to-torsion term is left out.
-    ``reprings.restriction_ko`` refuses one where a C-type generator
-    restricts onto an R-type one with odd multiplicity, but that
+    Any free-to-torsion term is left out.  For each descriptor the page
+    restricts, ``reprings.restriction_ko`` refuses one where a C-type
+    generator restricts onto an R-type one with odd multiplicity, but that
     multiplicity is always even; item 1 of ROADMAP.md is to settle the term.
     """
-    full = assemble_cochain(complex_, CoefficientFunctor(theory, 0))
+    full = assemble_cochain(complex_, theory)
     zero = (AbGroup.zero(),) * (complex_.dim + 1)
     if theory == "k":
         return factor_integral(full).groups(), zero

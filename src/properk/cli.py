@@ -39,7 +39,7 @@ from .ahss import (
     closed_form_right_angled,
     compare,
 )
-from .bredon import CoefficientFunctor, assemble_cochain, cut_cochain
+from .bredon import CoefficientFunctor, assemble_cochain, cut_cochain, fill_peeled
 from .coxeter import (
     CoxeterMatrix,
     UnsupportedStabilizerError,
@@ -242,15 +242,14 @@ def _complex_payload(complex_: OrbitComplex) -> list[dict]:
 
 def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
     _refuse_dense("cochain", _cochain_entries(complex_, theory))
-    degree0 = CoefficientFunctor(theory, 0)
-    full = assemble_cochain(complex_, degree0)
+    full = fill_peeled(complex_, theory, assemble_cochain(complex_, theory))
     provenance = [
         [{"from_cell": j, "to_cell": k, "alpha": alpha, "descriptor": str(desc)}
          for j, k, alpha, desc in complex_.sorted_faces(p)]
         for p in range(complex_.dim)
     ]
     out = []
-    for n in range(degree0.period):
+    for n in range(CoefficientFunctor(theory, 0).period):
         cochain = cut_cochain(complex_, full, CoefficientFunctor(theory, n))
         out.append({
             "coefficient_degree": _degree_key(n),

@@ -174,7 +174,9 @@ class OrbitComplex:
     def from_json(cls, data: list[dict]) -> "OrbitComplex":
         """Faces from a dump's incidence matrices and its descriptors, one
         for each nonzero entry (row, col) and none repeated.  Stabilizers
-        and descriptors are interned in the order the tables keep."""
+        and descriptors are interned in the order the tables keep.  Each
+        distinct descriptor object is parsed once: objects with one
+        ``repr`` are the same JSON value, types of numbers included."""
         stabilizers: dict[GroupClass, int] = {}
         cells, labels = [], []
         layers = sorted(data, key=lambda e: json_int(e["dim"]))
@@ -188,6 +190,7 @@ class OrbitComplex:
             labels.append(tuple(label for label, _ in pairs))
             cells.append(tuple(intern(stabilizers, g) for _, g in pairs))
         descriptors: dict[InclusionDescriptor, int] = {}
+        parsed: dict[str, InclusionDescriptor] = {}  # per repr of a descriptor object
         faces = []
         for p, entry in enumerate(layers[:-1]):
             rows = list(entry.get("incidence", []))
@@ -200,7 +203,11 @@ class OrbitComplex:
                 pair = json_int(d["row"]), json_int(d["col"])
                 if pair in listed:
                     raise OrbitComplexError(f"repeated descriptor at dim {p}, cell pair {pair}")
-                listed[pair] = InclusionDescriptor.from_json(d["descriptor"])
+                obj = d["descriptor"]
+                key = repr(obj)
+                if key not in parsed:
+                    parsed[key] = InclusionDescriptor.from_json(obj)
+                listed[pair] = parsed[key]
             if (matrix.rows, matrix.cols) != (len(cells[p]), len(cells[p + 1])):
                 raise OrbitComplexError(f"incidence matrix at dimension {p} has wrong shape")
             nonzero = {(j, k) for j, row in enumerate(matrix.data) for k in row}

@@ -94,6 +94,49 @@ def restriction_k0(incl: InclusionDescriptor) -> IntMatrix:
     raise UnsupportedRestrictionError(f"unsupported inclusion kind {incl.kind!r}")
 
 
+def unit_columns(incl: InclusionDescriptor, theory: str) -> tuple[int, ...] | None:
+    """Per row of the degree-0 restriction block along ``incl``
+    (``restriction_k0`` for K, ``real_restriction`` for KO), the column of
+    its first ±1 entry, if those columns meet no other row; else None.
+    Read off the kind and its parameters, with no block built:
+
+    * ``cyclic_in_cyclic`` Z/r <= Z/(m·r), for K: row t is 1 at the columns
+      t + r·i, so its unit is column t and meets no other row.  For KO the
+      trivial row has its unit at the trivial generator.  A C-type row, the
+      pair {t, r-t}, is 1 at the m distinct C-type generators of the big
+      group holding a character t + r·i, the first of them t + s, for s the
+      number of R-type generators after the trivial one (1 if r·m is even,
+      else 0).  For r even, the R-type row of chi_{r/2} has a ±1 only at
+      chi_{rm/2}, which it restricts onto once when m is odd (column 1),
+      and twice to every C-type generator it meets when m is even, so then
+      it has none.
+    * ``trivial_in_anything``: one row, whose trivial character is 1.
+    * ``reflection_in_dihedral``: trivial and sign each restrict onto
+      themselves once, every 2-dimensional rho onto both.
+    * ``elem2_subset``: row t is 1 at each character restricting onto t,
+      first at t spread onto the injection's coordinates, the rest zero.
+
+    Every unit column of a KO block is of the type of its row: R-type rows
+    have their units at R-type generators, C-type rows at C-type ones.
+    """
+    if incl.kind == CYCLIC_IN_CYCLIC:
+        r, m = incl.extra
+        if theory == "k":
+            return tuple(range(r))
+        if r % 2:
+            s = 1 - r * m % 2
+            return (0, *range(1 + s, (r + 1) // 2 + s))
+        return tuple(range(r // 2 + 1)) if m % 2 else None
+    if incl.kind == TRIVIAL_IN_ANYTHING:
+        return (0,)
+    if incl.kind == REFLECTION_IN_DIHEDRAL:
+        return (0, 1)
+    if incl.kind == ELEM2_SUBSET:
+        return tuple(sum(1 << coord for i, coord in enumerate(incl.extra) if t >> i & 1)
+                     for t in range(2 ** len(incl.extra)))
+    raise UnsupportedRestrictionError(f"unsupported inclusion kind {incl.kind!r}")
+
+
 def _elem2_rank(g: GroupClass) -> int:
     from .groups import elem2_exponent
 

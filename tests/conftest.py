@@ -126,6 +126,24 @@ TREE_DUMPS = {
 }
 
 
+def unit_columns_of_block(block: IntMatrix) -> tuple[int, ...] | None:
+    """Per row of a restriction block, the column of its first ±1 entry, if
+    those columns meet no other row; else None.  The oracle that
+    ``reprings.unit_columns`` reads off a descriptor's kind without the
+    block."""
+    firsts: dict[int, int] = {}
+    for i, row in enumerate(block.data):
+        c = next((c for c, x in row.items() if x == 1 or x == -1), None)
+        if c is None:
+            return None
+        firsts[c] = i
+    # Each row meets its own column; a second one in it is another row's.
+    if len(firsts) < block.rows or any(len(firsts.keys() & row.keys()) > 1
+                                       for row in block.data):
+        return None
+    return tuple(firsts)
+
+
 def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:
     """Flip the orientation of a random set of cells.
 

@@ -19,7 +19,7 @@ from properk.abelian import (
     tensor_mod2,
     uct_verify,
 )
-from properk.bredon import CoefficientFunctor, assemble_cochain
+from properk.bredon import CoefficientFunctor, bredon_cochain
 from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
 from conftest import fold_corpus, random_int_matrix
 
@@ -345,5 +345,5 @@ def test_cohomology_matches_the_per_differential_route_on_models(ra_corpus):
     for x in fold_corpus(ra_corpus) + amalgams:
         for functor in (CoefficientFunctor.k(0), CoefficientFunctor.ko(0),
                         CoefficientFunctor.ko(1), CoefficientFunctor.ko(6)):
-            c = assemble_cochain(x, functor)
+            c = bredon_cochain(x, functor)
             assert cohomology(c) == per_differential_cohomology(c), (x.counts(), functor)

@@ -18,7 +18,7 @@ from properk import (
     CoefficientFunctor,
     CoxeterMatrix,
     assemble_abutment,
-    assemble_cochain,
+    bredon_cochain,
     bredon_cohomology,
     build_amalgam_orbit_complex,
     build_bestvina_orbit_complex,
@@ -233,7 +233,7 @@ def test_criterion_8_structural_suites(ra_corpus):
     for x in sample:
         for p in range(x.dim - 1):
             assert (x.incidence[p] * x.incidence[p + 1]).is_zero()
-        c = assemble_cochain(x, CoefficientFunctor.k(0))
+        c = bredon_cochain(x, CoefficientFunctor.k(0))
         for p in range(c.length - 1):
             assert (c.free_d[p + 1] * c.free_d[p]).is_zero()
 
@@ -249,7 +249,7 @@ def test_criterion_8_structural_suites(ra_corpus):
 
     # (c) universal coefficients on every K^0 cochain complex produced.
     for x in sample:
-        assert uct_verify(assemble_cochain(x, CoefficientFunctor.k(0)))
+        assert uct_verify(bredon_cochain(x, CoefficientFunctor.k(0)))
 
     # (d) cohomology is invariant under random reorientation of cells.
     for x in sample[:6]:

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import math
 import random
 from unittest import mock
 
@@ -20,7 +22,12 @@ from properk.abelian import (
     uct_verify,
 )
 from properk.ahss import build_e2
-from properk.bredon import CoefficientFunctor, assemble_cochain, bredon_cohomology
+from properk.bredon import (
+    CoefficientFunctor,
+    assemble_cochain,
+    bredon_cochain,
+    bredon_cohomology,
+)
 from properk.cli import main
 from properk.coxeter import (
     CoxeterMatrix,
@@ -30,13 +37,21 @@ from properk.coxeter import (
 from properk.groups import UnsupportedRestrictionError, cyclic_in_cyclic
 from properk.orbit import AmalgamSpec, OrbitComplex, build_amalgam_orbit_complex
 from properk.reprings import ko_ranks, restriction_ko
-from conftest import BOUNDARY_MODELS, TREE_DUMPS, fold_corpus, reorient, z3_square
+from conftest import (
+    BOUNDARY_MODELS,
+    TREE_DUMPS,
+    cyclic_tree_dump,
+    fold_corpus,
+    reorient,
+    unit_columns_of_block,
+    z3_square,
+)
 
 
 def test_sl2z_k0_cochain_literal():
     # R(Z6) + R(Z4) -> R(Z2), blocks phi_{3,2} and -phi_{2,2}
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2,), m=(3, 2)))
-    c = assemble_cochain(x, CoefficientFunctor.k(0))
+    c = bredon_cochain(x, CoefficientFunctor.k(0))
     assert c.free_ranks == (10, 2)
     assert c.free_d[0].to_rows() == [
         [1, 0, 1, 0, 1, 0, -1, 0, -1, 0],
@@ -49,7 +64,7 @@ def test_path_family_k0_cochain_blocks():
     # with f(a, b, c) = (a+c, b+c).
     n = 3
     x = build_bestvina_orbit_complex(CoxeterMatrix.path_family(n))
-    c = assemble_cochain(x, CoefficientFunctor.k(0))
+    c = bredon_cochain(x, CoefficientFunctor.k(0))
     assert c.free_ranks == (3 * n, 2 * (n - 1))
     f = [[1, 0, 1], [0, 1, 1]]
     zero = [[0, 0, 0], [0, 0, 0]]
@@ -63,7 +78,7 @@ def test_path_family_k0_cochain_blocks():
 
 def test_k1_is_the_zero_functor():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2,), m=(3, 2)))
-    c = assemble_cochain(x, CoefficientFunctor.k(1))
+    c = bredon_cochain(x, CoefficientFunctor.k(1))
     assert c.free_ranks == (0, 0)
     assert c.tor2_ranks == (0, 0)
     assert bredon_cohomology(x, CoefficientFunctor.k(1)) == (AbGroup.zero(), AbGroup.zero())
@@ -96,7 +111,7 @@ def test_right_angled_ko_rows_are_mod2_reductions(ra_corpus):
     # the K^0 one; cohomology must match the tensor route degreewise.
     for matrix in ra_corpus[:8]:
         x = build_bestvina_orbit_complex(matrix)
-        k0 = assemble_cochain(x, CoefficientFunctor.k(0))
+        k0 = bredon_cochain(x, CoefficientFunctor.k(0))
         reduced = tensor_mod2(k0)
         for n in (1, 2):
             ko = bredon_cohomology(x, CoefficientFunctor.ko(n))
@@ -106,10 +121,10 @@ def test_right_angled_ko_rows_are_mod2_reductions(ra_corpus):
 
 def test_uct_holds_on_produced_complexes(ra_corpus):
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(2, 2)))
-    assert uct_verify(assemble_cochain(x, CoefficientFunctor.k(0)))
+    assert uct_verify(bredon_cochain(x, CoefficientFunctor.k(0)))
     for matrix in ra_corpus[:8]:
         for builder in (build_bestvina_orbit_complex, build_davis_orbit_complex):
-            c = assemble_cochain(builder(matrix), CoefficientFunctor.k(0))
+            c = bredon_cochain(builder(matrix), CoefficientFunctor.k(0))
             assert uct_verify(c)
 
 
@@ -157,7 +172,7 @@ def test_ko_cochain_cross_blocks_vanish_in_scope():
     for x in (build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(3, 4))),
               build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(4))):
         for n in range(8):
-            c = assemble_cochain(x, CoefficientFunctor.ko(n))
+            c = bredon_cochain(x, CoefficientFunctor.ko(n))
             assert len(c.cross_d) == c.length
             for p, xb in enumerate(c.cross_d):
                 assert xb.is_zero()
@@ -172,7 +187,7 @@ def test_e2_rows_match_unfolded_cochains(ra_corpus):
             page = build_e2(x, theory)
             assert len(page.rows) == period
             for n in range(period):
-                unfolded = cohomology(assemble_cochain(x, CoefficientFunctor(theory, n)))
+                unfolded = cohomology(bredon_cochain(x, CoefficientFunctor(theory, n)))
                 assert page.rows[n] == unfolded, (x.counts(), theory, n)
 
 
@@ -192,7 +207,7 @@ def test_cohomology_factors_each_differential_once(monkeypatch):
         return count
 
     for functor in (CoefficientFunctor.k(0), CoefficientFunctor.ko(1), CoefficientFunctor.ko(2)):
-        c = assemble_cochain(x, functor)
+        c = bredon_cochain(x, functor)
         assert c.length == x.dim == 3
         factored.clear()
         ranked.clear()
@@ -212,10 +227,13 @@ def test_cohomology_factors_each_differential_once(monkeypatch):
         assert sum(eliminated) < sum(d.rows for d in c.free_d) or not any(c.free_ranks)
 
 
-def test_ko_cross_rejection_fires_through_build_e2(monkeypatch, capsys):
+def test_ko_cross_rejection_fires_through_build_e2(monkeypatch, tmp_path, capsys):
     # Make one C-type generator of Z15 restrict onto the trivial (R-type)
     # generator of Z3 with odd multiplicity: the KO^-2 cross block is then
-    # nonzero, although the page never assembles the KO^-2 complex.
+    # nonzero, although the page never assembles the KO^-2 complex.  The
+    # page restricts a descriptor only where a row it keeps reads the block,
+    # so the complex is a cycle, which peels no edge: two Z3 edges between
+    # a Z15 and a Z21 vertex.
     target = cyclic_in_cyclic(3, 5)
     real_restriction = reprings.real_restriction
 
@@ -234,14 +252,22 @@ def test_ko_cross_rejection_fires_through_build_e2(monkeypatch, capsys):
     with pytest.raises(UnsupportedRestrictionError) as err:
         reprings.restriction_ko(target, 2)
     assert str(err.value) == message
-    x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7)))
+    dump = cyclic_tree_dump([15, 21], [(3, {0: 1, 1: -1}), (3, {0: 1, 1: -1})])
+    x = OrbitComplex.from_json(dump)
     with pytest.raises(UnsupportedRestrictionError) as err:
         build_e2(x, "ko")
     assert str(err.value) == message
     assert build_e2(x, "k").rows[0][0].rank > 0  # K never looks at real structure
-    assert main(["amalgam", "--r", "3", "--m", "5,7", "--theory", "ko"]) == 1
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(dump))
+    assert main(["amalgam", "--theory", "ko", "--from-complex", str(path)]) == 1
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"kind": "unsupported_restriction", "message": message}
+    # The amalgam Z15 *_Z3 Z21 is a tree, which peels every face: its page
+    # reads no block, so the faked one is never restricted.
+    restricted = counting(monkeypatch, bredon, "restriction_ko")
+    build_e2(build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7))), "ko")
+    assert restricted == []
 
 
 def test_zero_functors_assemble_nothing(monkeypatch):
@@ -300,7 +326,7 @@ def per_descriptor_cochain(x, n):
 def breakable_differentials(ra_corpus):
     """(complex, p) for the assembled K^0 and real complexes of
     ``fold_corpus`` where d_{p+1} is nonzero."""
-    cochains = (assemble_cochain(x, CoefficientFunctor(theory, 0))
+    cochains = (assemble_cochain(x, theory)
                 for x in fold_corpus(ra_corpus) for theory in ("k", "ko"))
     return [(c, p) for c in cochains for p in range(c.length - 1)
             if c.free_ranks[p] and not c.free_d[p + 1].is_zero()]
@@ -361,22 +387,22 @@ def test_composites_that_agree_prove_the_cochain_squares_to_zero(proof_models, d
              for other, end in enumerate(ends) if other != d and end == ends[d]]
     if moves and data.draw(st.booleans()):
         x = rerouted(x, *data.draw(st.sampled_from(moves)))
-    functor = CoefficientFunctor(data.draw(st.sampled_from(["k", "ko"])), 0)
-    if functor.theory == "ko":
+    theory = data.draw(st.sampled_from(["k", "ko"]))
+    if theory == "ko":
         blocks = [restriction_ko(incl, 0)[0] for incl in x.descriptors]
     else:
         blocks = [reprings.restriction_k0(incl) for incl in x.descriptors]
     with mock.patch.object(bredon, "_composites_agree", return_value=True):
-        d = assemble_cochain(x, functor).free_d
+        d = assemble_cochain(x, theory).free_d
     nonzero = [p for p in range(len(d) - 1) if not (d[p + 1] * d[p]).is_zero()]
     if bredon._composites_agree(x, blocks):
         assert nonzero == []
     elif nonzero:
         with pytest.raises(ChainComplexError,
                            match=f"^free differentials do not compose to zero at degree {nonzero[0]}$"):
-            assemble_cochain(x, functor)
+            assemble_cochain(x, theory)
     else:
-        assert assemble_cochain(x, functor).free_d == d
+        assert assemble_cochain(x, theory).free_d == d
 
 
 def test_dinf3_pages_multiply_no_matrices(monkeypatch):
@@ -400,7 +426,7 @@ def test_ko_cochains_cut_equal_per_descriptor_assembly(ra_corpus):
     for base in fold_corpus(ra_corpus):
         for x in (base, reorient(base, rng)):
             for n in range(8):
-                c = assemble_cochain(x, CoefficientFunctor.ko(n))
+                c = bredon_cochain(x, CoefficientFunctor.ko(n))
                 free_ranks, tor_ranks, free_d, tor_d = per_descriptor_cochain(x, n)
                 assert (c.free_ranks, c.tor2_ranks) == (free_ranks, tor_ranks), (x.counts(), n)
                 assert c.free_d == free_d, (x.counts(), n)
@@ -422,15 +448,26 @@ def counting(monkeypatch, module, name):
 
 def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
     # KO^-1 and KO^-6 are cut from the real complex: one assembly per page,
-    # one real restriction per distinct descriptor.
+    # and one real restriction for each descriptor that a face of an
+    # unpeeled row, or a coherence pair, reads.  A descriptor that only
+    # peeled faces use is not restricted.
     assembled = counting(monkeypatch, bredon, "assemble_cochain")
     restricted = counting(monkeypatch, bredon, "restriction_ko")
+    peels = 0
     for x in fold_corpus(ra_corpus):
+        offsets = bredon._offsets(x, "ko")
+        peeled = bredon._peel(x, offsets, "ko")
+        read = {d for p, layer in enumerate(x.faces) for k, faces in enumerate(layer)
+                if p or offsets[1][k] not in peeled for _, d in faces.values()}
+        read.update(d for pair in x.coherence for d in pair)
+        peels += len(read) < len(x.descriptors)
         assembled.clear()
         restricted.clear()
         build_e2(x, "ko")
-        assert assembled == [(x, CoefficientFunctor.ko(0))]
-        assert restricted == [(incl, 0) for incl in x.descriptors]
+        assert assembled == [(x, "ko")]
+        assert sorted(restricted, key=lambda args: x.descriptors.index(args[0])) == [
+            (x.descriptors[d], 0) for d in sorted(read)]
+    assert peels  # some page leaves a descriptor unrestricted
 
 
 def refuse_gf2_elimination(monkeypatch):
@@ -473,8 +510,8 @@ def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
     # 2 for KO^-1) and C-to-C (KO^-6), and still builds and ranks no split
     # cut.  The integral cuts are the blocks that --emit cochain prints.
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7)))
-    full = assemble_cochain(x, CoefficientFunctor.ko(0))
-    split = {n: bredon.cut_cochain(x, full, CoefficientFunctor.ko(n)) for n in (1, 6)}
+    full = assemble_cochain(x, "ko")
+    split = {n: bredon_cochain(x, CoefficientFunctor.ko(n)) for n in (1, 6)}
     expected = tuple(bredon_cohomology(x, CoefficientFunctor.ko(n)) for n in range(8))
     factored = counting(monkeypatch, bredon, "factor_integral")
     refuse_gf2_elimination(monkeypatch)
@@ -539,14 +576,15 @@ def page_factorizations(x, theory):
     """Each complex a page factors, K^0 or the real complex and its R-to-R
     and C-to-C cuts, as (its factorization on the page, that of the whole
     complex with no row peeled)."""
-    full = assemble_cochain(x, CoefficientFunctor(theory, 0))
-    factored = abelian.factor_integral(full)
+    page = assemble_cochain(x, theory)
+    full = bredon.fill_peeled(x, theory, page)
+    factored = abelian.factor_integral(page)
     out = [(factored, Factorization(full.free_ranks, abelian._top_down(full.free_d)))]
     if theory == "ko":
         for n, part in ((1, 1), (6, 0)):
             keep = [parts[part] for parts in bredon._cut_parts(x, CoefficientFunctor.ko(n))]
             whole = [d.block(keep[p + 1], keep[p]) for p, d in enumerate(full.free_d)]
-            out.append((bredon._factor_cut(x, full, factored, n, part),
+            out.append((bredon._factor_cut(x, page, factored, n, part),
                         Factorization(tuple(map(len, keep)), abelian._top_down(whole))))
     return out
 
@@ -574,23 +612,81 @@ def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
     for reduced, whole in page_factorizations(x, theory):
         assert reduced == whole
     # A peeled edge bounds no 2-cell, so no unit pivot of d_1 skips its rows.
-    full = assemble_cochain(x, CoefficientFunctor(theory, 0))
+    full = assemble_cochain(x, theory)
     if full.length >= 2:
         assert not set(full.peeled) & {j for row in full.free_d[1].data for j in row}
 
 
 def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
     # The orbit complex is a tree, so d_0 is peeled whole, on the K page,
-    # the real complex and both of its cuts: invariant_factors, still
-    # called by name, gets no nonzero row to eliminate.
-    x = build_amalgam_orbit_complex(AmalgamSpec(r=(3, 5), m=(5, 7, 4)))
+    # the real complex and both of its cuts, before any block is built: the
+    # page restricts nothing and stores no entry of d_0, and
+    # invariant_factors, still called by name, gets no nonzero row to
+    # eliminate.
     factored = counting(monkeypatch, abelian, "invariant_factors")
-    for theory, calls in (("k", 1), ("ko", 3)):
-        factored.clear()
-        build_e2(x, theory)
-        assert len(factored) == calls
-        for m, skip in factored:
-            assert m.rows and all(i in skip for i, row in enumerate(m.data) if row)
+    restricted = [counting(monkeypatch, bredon, name)
+                  for name in ("restriction_k0", "restriction_ko")]
+    pages = []
+    assemble = bredon.assemble_cochain
+    monkeypatch.setattr(bredon, "assemble_cochain",
+                        lambda *args: pages.append(assemble(*args)) or pages[-1])
+    for r, m in (((3, 5), (5, 7, 4)), ((1, 7, 3), (2, 3, 5, 4)), ((9,), (2, 3))):
+        x = build_amalgam_orbit_complex(AmalgamSpec(r=r, m=m))
+        for theory, calls in (("k", 1), ("ko", 3)):
+            factored.clear()
+            pages.clear()
+            build_e2(x, theory)
+            assert restricted == [[], []]
+            (page,) = pages
+            assert page.free_d[0].is_zero() and len(page.peeled) == page.free_ranks[1]
+            assert len(factored) == calls
+            for d, skip in factored:
+                assert d.rows and all(i in skip for i, row in enumerate(d.data) if row)
+
+
+def peel_from_blocks(x, theory):
+    """The peel of d_0, in order, with each descriptor's unit columns read
+    off its restriction block by the test oracle instead of off its kind."""
+    def from_block(incl, theory):
+        block = reprings.restriction_k0(incl) if theory == "k" else restriction_ko(incl, 0)[0]
+        return unit_columns_of_block(block)
+
+    with mock.patch.object(bredon, "unit_columns", from_block):
+        return list(bredon._peel(x, bredon._offsets(x, theory), theory).items())
+
+
+def random_cyclic_graph_dump(rng):
+    """A ``--from-complex`` dump of a random graph of cyclic groups: a
+    spanning tree, then maybe more edges, of orders 1 to 6, each end
+    meeting its vertex with incidence ±1, 2 or -3."""
+    n = rng.randint(2, 6)
+    edges = []
+    for k in range(rng.randint(n - 1, n + 2)):
+        ends = (k + 1, rng.randrange(k + 1)) if k < n - 1 else rng.sample(range(n), 2)
+        edges.append((rng.randint(1, 6), {j: rng.choice((1, -1, 1, -1, 2, -3)) for j in ends}))
+    orders = [math.lcm(*(r for r, ends in edges if j in ends)) * rng.randint(1, 3)
+              for j in range(n)]
+    return cyclic_tree_dump(orders, edges)
+
+
+def test_the_peel_read_off_kinds_is_the_peel_read_off_blocks(ra_corpus):
+    # The amalgam grid (even edge orders included: KO peels no edge of
+    # even order into a vertex of even index), both models of the
+    # right-angled corpus and random graphs of cyclic groups.
+    rng = random.Random(18)
+    grid = [AmalgamSpec(r, m) for k in range(3) for r in itertools.product(range(1, 7), repeat=k)
+            for m in itertools.product((2, 3, 4), repeat=k + 1)]
+    models = ([build_amalgam_orbit_complex(spec) for spec in rng.sample(grid, 150)]
+              + [build(matrix) for matrix in ra_corpus
+                 for build in (build_davis_orbit_complex, build_bestvina_orbit_complex)]
+              + [OrbitComplex.from_json(random_cyclic_graph_dump(rng)) for _ in range(150)])
+    peels = 0
+    for x in models:
+        for theory in ("k", "ko"):
+            peel = list(bredon._peel(x, bredon._offsets(x, theory), theory).items())
+            assert peel == peel_from_blocks(x, theory), (x.counts(), theory)
+            peels += bool(peel)
+    assert peels > len(models)
 
 
 @pytest.mark.parametrize("name, peeled", [("star", False), ("pair", False), ("path", True)])
@@ -600,7 +696,7 @@ def test_leaf_edges_of_incidence_two_or_three_are_not_peeled_from_the_leaf(name,
     # incidence 2 goes from its other end once the unit edge is peeled.
     x = OrbitComplex.from_json(TREE_DUMPS[name])
     for theory in ("k", "ko"):
-        full = assemble_cochain(x, CoefficientFunctor(theory, 0))
+        full = assemble_cochain(x, theory)
         assert len(full.peeled) == (full.free_ranks[1] if peeled else 0)
         for reduced, whole in page_factorizations(x, theory):
             assert reduced == whole
@@ -643,7 +739,7 @@ def test_dinf3_pages_factor_above_d0_as_before(monkeypatch, build):
     ([[1, 0], [0, 2]], None),  # row 1 has no ±1
 ])
 def test_unit_columns_meet_no_other_row(rows, units):
-    assert bredon._unit_columns(IntMatrix.from_rows(rows)) == units
+    assert unit_columns_of_block(IntMatrix.from_rows(rows)) == units
 
 
 def test_a_cut_peels_only_when_it_keeps_every_kept_rows_column():

@@ -675,6 +675,33 @@ def test_large_dense_emit_is_refused_quickly(capsys):
     assert elapsed < 2
 
 
+def test_amalgam_with_a_vertex_of_order_1e8_runs_in_little_memory():
+    # Vertex orders 3·10^8 and 6: the tree peels the whole of d_0 before any
+    # restriction block is built, so the K page is a rank count.  Building
+    # the blocks once ended in a MemoryError under this cap.
+    import os
+    import subprocess
+    import sys
+
+    import properk
+
+    argv = ["amalgam", "--r", "3", "--m", "100000000,2", "--theory", "k", "--check"]
+    child = ("import json, resource, sys, time\n"
+             "cap = 1536 << 20\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+             "from properk.cli import main\n"
+             "start = time.perf_counter()\n"
+             f"code = main({argv!r})\n"
+             "print(json.dumps(time.perf_counter() - start), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    src = str(Path(properk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert [v["verdict"] for v in json.loads(proc.stdout)["verdicts"]] == ["EXACT_MATCH"] * 2
+    assert json.loads(proc.stderr.splitlines()[-1]) < 1
+
+
 def _vertex_edge_dump(stabilizer: str, incidence: str = "1") -> str:
     """A one-vertex, one-edge dump as JSON text, so that numbers like 1e400
     reach the loader as written."""

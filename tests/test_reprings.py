@@ -24,7 +24,9 @@ from properk.reprings import (
     real_type_counts,
     restriction_k0,
     restriction_ko,
+    unit_columns,
 )
+from conftest import unit_columns_of_block
 
 
 def test_group_canonicalization():
@@ -309,3 +311,48 @@ def test_real_type_never_restricts_onto_complex_type(incl):
     sub_c = [w for w, (kind, _) in enumerate(real_structure(incl.sub)) if kind == "C"]
     big_r = [v for v, (kind, _) in enumerate(real_structure(incl.big)) if kind == "R"]
     assert all(m.entry(w, v) == 0 for w in sub_c for v in big_r), incl
+
+
+def small_descriptors():
+    """Every descriptor of the catalogue over small parameters."""
+    yield from (cyclic_in_cyclic(r, m) for r in range(1, 25) for m in range(1, 25))
+    groups = [trivial(), *map(cyclic, range(2, 16)), *map(elem2, range(2, 5)),
+              *map(dihedral_odd, range(3, 16, 2))]
+    yield from map(trivial_in, groups)
+    yield from map(reflection_in_dihedral, range(3, 24, 2))
+    for big in range(5):
+        for sub in range(big + 1):
+            for injection in itertools.permutations(range(big), sub):
+                yield elem2_subset(sub, big, injection)
+
+
+def check_unit_columns(incl, theory):
+    """``unit_columns`` read off the kind against the oracle read off the
+    degree-0 block; for KO, each unit column has its row's type."""
+    block = restriction_k0(incl) if theory == "k" else restriction_ko(incl, 0)[0]
+    units = unit_columns(incl, theory)
+    assert units == unit_columns_of_block(block), (incl, theory)
+    if theory == "ko" and units is not None:
+        sub, big = real_structure(incl.sub), real_structure(incl.big)
+        assert [kind for kind, _ in sub] == [big[c][0] for c in units], incl
+    return units
+
+
+@pytest.mark.parametrize("theory", ["k", "ko"])
+def test_unit_columns_are_read_off_the_kind(theory):
+    # Exhaustive over small parameters.  The only block with no unit
+    # columns is KO's Z/r <= Z/(m·r) with r and m even: chi_{r/2} then
+    # restricts onto every generator it meets twice.
+    nones = [incl for incl in small_descriptors() if check_unit_columns(incl, theory) is None]
+    assert nones == ([] if theory == "k" else
+                     [cyclic_in_cyclic(r, m) for r in range(2, 25, 2) for m in range(2, 25, 2)])
+
+
+@given(st.one_of(inclusion_descriptors(),
+                 st.builds(cyclic_in_cyclic, st.integers(1, 80), st.integers(1, 120))),
+       st.sampled_from(["k", "ko"]))
+@example(cyclic_in_cyclic(39, 59), "ko")
+@example(cyclic_in_cyclic(38, 4), "ko")
+@example(cyclic_in_cyclic(38, 5), "ko")
+def test_unit_columns_match_the_block_oracle(incl, theory):
+    check_unit_columns(incl, theory)
