@@ -9,10 +9,10 @@ shape of the cellular boundary.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .abelian import (
     AbGroup,
@@ -28,6 +28,7 @@ from .reprings import (
     coefficient_runs,
     cut,
     cut_indices,
+    cut_spans,
     refuse_even_cyclic,
     restriction_k0,
     restriction_ko,
@@ -266,48 +267,102 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
     ``full`` on the generators whose KO^{-n} point value is Z (``part`` 0)
     or Z/2 (``part`` 1); ``factored`` is that of ``full``.
 
-    Whether the cut keeps every generator or none is decided per distinct
-    stabilizer, with no pass over the cells: keeping every one gives
-    ``full`` back, whose factorization is reused, and keeping none gives
-    the zero complex.  Otherwise the cut keeps the peel of ``full``
-    (``_cut_peel``), and its d_0 is built without the peeled rows, which
-    ``full``, the page's complex, does not store.
+    The cut keeps or drops whole coefficient runs, a stabilizer's R-type
+    generators and its C-type ones (``reprings.cut_spans``), so it is
+    decided per distinct stabilizer, with no pass over the cells and no
+    generator listed.  Keeping every generator gives ``full`` back, whose
+    factorization is reused, and keeping none gives the zero complex.
+    Otherwise each degree is numbered by runs (``_CutNumbering``): the cut
+    translates the peel of ``full`` row by row, and its d_p are the rows
+    of ``full`` that it keeps, their columns renumbered.  ``full``, the
+    page's complex, stores no peeled row, and the cut reads none.
     """
     runs = [coefficient_runs(g, "ko") for g in complex_.stabilizers]
-    kept = [len(cut_indices(r, n)[part]) for r in runs]
-    if all(k == sum(count for _, count in r) for k, r in zip(kept, runs)):
+    spans = [cut_spans(r, n)[part] for r in runs]
+    kept = [sum(count for _, count in s) for s in spans]
+    size = [sum(count for _, count in r) for r in runs]
+    if kept == size:
         return factored
     if not any(kept):
         return Factorization((0,) * len(full.free_ranks), ((),) * (len(full.free_ranks) + 1))
-    keep = [parts[part] for parts in _cut_parts(complex_, CoefficientFunctor.ko(n))]
-    peeled = _cut_peel(full.peeled, keep[1], keep[0]) if complex_.dim else {}
+    cuts = [_CutNumbering(cells, size, spans) for cells in complex_.cells]
+    peeled = cuts[1].peel(full.peeled, cuts[0]) if complex_.dim else {}
     return factor_integral(SplitCochainComplex.integral(
-        [len(k) for k in keep],
-        [d.block(keep[p + 1], keep[p], () if p else peeled) for p, d in enumerate(full.free_d)],
+        [c.rank for c in cuts], [cuts[p + 1].block(d, cuts[p]) for p, d in enumerate(full.free_d)],
         peeled=peeled))
 
 
-def _cut_peel(peeled: Mapping[int, int], rows: list[int], cols: list[int]) -> dict[int, int]:
-    """The peeled rows of d_0 that its cut on ``rows`` and ``cols`` (both
-    ascending) keeps, renumbered, each with its pivot column.
+class _CutNumbering:
+    """The generators that a cut keeps in one degree, numbered by runs.
 
-    The cut stays peeled when every kept row's pivot column is also kept:
-    each is then a unit pivot at a column that no row of the cut after it
-    meets.  Otherwise no row is peeled.  Along every inclusion in the
-    catalogue a kept row's column is kept: a real-type row has its unit at
-    a real-type generator and a complex-type row at a complex-type one
-    (``reprings.unit_columns``).  So a cut of the page's complex, which
-    stores no peeled row, reads none.
+    ``cells`` holds the degree's cells as stabilizer indices; per
+    stabilizer, ``size`` is its number of generators and ``spans`` the
+    (first index, count) of each run the cut keeps, in order.  A cell's
+    kept generators come in order after its cut offset, the number kept by
+    the cells before it, so a generator's cut index is that offset plus its
+    position inside the kept runs: no generator is listed.
     """
-    out = {}
-    for r, c in peeled.items():
-        i = bisect_left(rows, r)
-        if i < len(rows) and rows[i] == r:
-            b = bisect_left(cols, c)
-            if b == len(cols) or cols[b] != c:
-                return {}
-            out[i] = b
-    return out
+
+    def __init__(self, cells: tuple[int, ...], size: list[int],
+                 spans: list[list[tuple[int, int]]]):
+        self.cells = cells
+        self.spans = spans
+        self.offsets = list(accumulate((size[s] for s in self.cells), initial=0))
+        self.cut_offsets = list(accumulate(
+            (sum(count for _, count in spans[s]) for s in self.cells), initial=0))
+        self.rank = self.cut_offsets[-1]
+
+    def index(self, g: int) -> int | None:
+        """The cut index of generator ``g`` of the degree, or None if the cut
+        drops it."""
+        cell = bisect_right(self.offsets, g) - 1
+        i = g - self.offsets[cell]
+        at = self.cut_offsets[cell]
+        for start, count in self.spans[self.cells[cell]]:
+            if i < start:
+                return None
+            if i < start + count:
+                return at + i - start
+            at += count
+        return None
+
+    def kept(self) -> Iterator[int]:
+        """The generators the cut keeps, in order."""
+        for s, first in zip(self.cells, self.offsets):
+            for start, count in self.spans[s]:
+                yield from range(first + start, first + start + count)
+
+    def block(self, d: IntMatrix, cols: "_CutNumbering") -> IntMatrix:
+        """The cut of ``d``, whose rows are numbered by this degree and its
+        columns by ``cols``: its kept rows, each entry at a kept column
+        moved to that column's cut index."""
+        index = cols.index
+        return IntMatrix(self.rank, cols.rank, tuple(
+            {b: x for j, x in d.data[g].items() if (b := index(j)) is not None}
+            for g in self.kept()))
+
+    def peel(self, peeled: Mapping[int, int], cols: "_CutNumbering") -> dict[int, int]:
+        """The rows of ``peeled``, a peel of d_0 whose rows this degree
+        numbers and whose pivot columns ``cols`` does, that the cut keeps,
+        renumbered, each with its pivot column; one lookup per row.
+
+        The cut stays peeled when every kept row's pivot column is also kept:
+        each is then a unit pivot at a column that no row of the cut after it
+        meets.  Otherwise no row is peeled.  Along every inclusion in the
+        catalogue a kept row's column is kept: a real-type row has its unit
+        at a real-type generator and a complex-type row at a complex-type one
+        (``reprings.unit_columns``), and a cut keeps whole types.  So a cut
+        of the page's complex, which stores no peeled row, reads none.
+        """
+        out = {}
+        for r, c in peeled.items():
+            i = self.index(r)
+            if i is not None:
+                b = cols.index(c)
+                if b is None:
+                    return {}
+                out[i] = b
+        return out
 
 
 def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> SplitCochainComplex:
@@ -363,7 +418,10 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     not restricted.  A tree, such as the orbit complex of an amalgam,
     splits off the whole of d_0, so its page restricts nothing, stores no
     entry of d_0 and eliminates no row of it: each row is a rank count.
-    The cuts keep the peel (``_cut_peel``) and build no rows for it.
+    The cuts translate the peel row by row and build no rows for it
+    (``_factor_cut``): each keeps or drops a stabilizer's whole R-type and
+    C-type runs, so its ranks, its peel and the columns of its rows are
+    arithmetic on those runs, and it lists no generator.
     Only d_0 is peeled: its pivot columns feed no further differential,
     while peeling d_p for p ≥ 1 would change the pivot columns that d_{p-1}
     skips, and on a Davis top differential that made the next elimination

@@ -48,7 +48,7 @@ from .coxeter import (
 )
 from .groups import UnsupportedRestrictionError
 from .orbit import AmalgamSpec, OrbitComplex, OrbitComplexError, build_amalgam_orbit_complex
-from .reprings import coefficient_runs, cut_indices
+from .reprings import coefficient_runs, cut_ranks
 
 # Most dense matrix entries an --emit complex or --emit cochain report may
 # write.  Each costs about 17 bytes of output and 115 bytes of peak memory
@@ -83,13 +83,15 @@ def _cochain_entries(complex_: OrbitComplex, theory: str) -> int:
     """Dense entries of --emit cochain, from the number of cells with each
     stabilizer alone: in every coefficient degree, each differential's
     free, tor2 and cross blocks, sized by the cut that
-    ``bredon.cut_cochain`` makes."""
+    ``bredon.cut_cochain`` makes, counted per coefficient run
+    (``reprings.cut_ranks``) with no generator listed."""
     layers = [Counter(cells).items() for cells in complex_.cells]
     runs = [coefficient_runs(g, theory) for g in complex_.stabilizers]
     total = 0
     for n in range(CoefficientFunctor(theory, 0).period):
-        ranks = [[sum(count * len(cut_indices(runs[stabilizer], n)[part])
-                      for stabilizer, count in layer) for part in (0, 1)]
+        kept = [cut_ranks(r, n) for r in runs]
+        ranks = [[sum(count * kept[stabilizer][part] for stabilizer, count in layer)
+                  for part in (0, 1)]
                  for layer in layers]  # (free, tor) per dimension
         total += sum(f1 * f0 + t1 * (t0 + f0) for (f0, t0), (f1, t1) in zip(ranks, ranks[1:]))
     return total

@@ -240,19 +240,39 @@ def coefficient_runs(g: GroupClass, theory: str) -> tuple[tuple[tuple[tuple[int,
     return ((KO_POINT, counts.n_r), (KU_POINT, counts.n_c))
 
 
-def cut_indices(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
-                n: int) -> tuple[list[int], list[int]]:
-    """Indices of the generators whose point value in degree -n is Z, then
-    of those whose value is Z/2; ``runs`` lists the generators in order."""
+def cut_spans(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
+              n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The generators whose point value in degree -n is Z, then those whose
+    value is Z/2, each as (first index, count) per run that holds them;
+    ``runs`` lists the generators in order.  A run's generators share one
+    point table, so a cut keeps or drops whole runs."""
     free, tor = [], []
     start = 0
     for table, count in runs:
         f, t = table[n % len(table)]
         if f:
-            free.extend(range(start, start + count))
+            free.append((start, count))
         elif t:
-            tor.extend(range(start, start + count))
+            tor.append((start, count))
         start += count
+    return free, tor
+
+
+def cut_ranks(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
+              n: int) -> tuple[int, int]:
+    """How many generators ``cut_spans`` keeps in each part, without
+    listing them."""
+    return tuple(sum(count for _, count in spans) for spans in cut_spans(runs, n))
+
+
+def cut_indices(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
+                n: int) -> tuple[list[int], list[int]]:
+    """The generators of ``cut_spans``, listed: indices of those whose point
+    value in degree -n is Z, then of those whose value is Z/2."""
+    free, tor = [], []
+    for spans, listed in zip(cut_spans(runs, n), (free, tor)):
+        for start, count in spans:
+            listed.extend(range(start, start + count))
     return free, tor
 
 

@@ -63,14 +63,15 @@ def fold_corpus(ra_corpus):
     """Davis and Bestvina complexes (right-angled, path family, an odd
     dihedral label), odd-edge amalgams, whose cyclic stabilizers bring the
     C-type generators that only the KO^{-2} and KO^{-6} rows see, and
-    ``z3_square``, which brings them in dimension 2."""
+    ``z3_square``, which brings them in dimension 2, with and without a
+    pendant edge."""
     dihedral = CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 0], [2, 0, 1]])
     out = []
     for matrix in ra_corpus[:3] + [CoxeterMatrix.path_family(3), dihedral]:
         out += [build_davis_orbit_complex(matrix), build_bestvina_orbit_complex(matrix)]
     for r, m in (((3,), (5, 7)), ((1, 3), (2, 3, 4)), ((5,), (3, 2))):
         out.append(build_amalgam_orbit_complex(AmalgamSpec(r=r, m=m)))
-    return out + [z3_square()]
+    return out + [z3_square(), z3_square(pendant=True)]
 
 
 # Davis and Bestvina models of dimension >= 2: D_inf^2, a group with labels
@@ -82,17 +83,27 @@ BOUNDARY_MODELS = [
      for build in (build_davis_orbit_complex, build_bestvina_orbit_complex)]
 
 
-def z3_square() -> OrbitComplex:
+def z3_square(pendant: bool = False) -> OrbitComplex:
     """A complex of dimension 2 with complex-type stabilizers: two Z3
     vertices, two Z3 edges a and b each joined to both of them, and one
-    free 2-cell with boundary a - b."""
+    free 2-cell with boundary a - b.
+
+    With ``pendant``, a third Z3 vertex hangs off v1 by a Z3 edge c.  The
+    peel of d_0 splits off c's rows alone, so each cut of the real complex
+    holds peeled rows beside stored ones."""
     z3, free = 0, 1  # stabilizer table indices
     vertex_edge, edge_face = 0, 1  # descriptor table indices
-    cells = ((z3, z3), (z3, z3), (free,))
-    labels = (("v0", "v1"), ("a", "b"), ("f",))
-    faces = (({0: (1, vertex_edge), 1: (-1, vertex_edge)},   # a
-              {0: (1, vertex_edge), 1: (-1, vertex_edge)}),  # b
-             ({0: (1, edge_face), 1: (-1, edge_face)},))     # f
+    square = ({0: (1, vertex_edge), 1: (-1, vertex_edge)},   # a
+              {0: (1, vertex_edge), 1: (-1, vertex_edge)})   # b
+    if pendant:
+        cells = ((z3, z3, z3), (z3, z3, z3), (free,))
+        labels = (("v0", "v1", "v2"), ("a", "b", "c"), ("f",))
+        edges = square + ({1: (1, vertex_edge), 2: (-1, vertex_edge)},)  # c
+    else:
+        cells = ((z3, z3), (z3, z3), (free,))
+        labels = (("v0", "v1"), ("a", "b"), ("f",))
+        edges = square
+    faces = (edges, ({0: (1, edge_face), 1: (-1, edge_face)},))  # f
     return OrbitComplex((cyclic(3), trivial()), (cyclic_in_cyclic(3, 1), trivial_in(cyclic(3))),
                         cells, labels, faces)
 

@@ -617,6 +617,24 @@ def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
         assert not set(full.peeled) & {j for row in full.free_d[1].data for j in row}
 
 
+def test_a_partial_cut_holds_peeled_and_stored_rows():
+    # The pendant edge c is peeled and the square's edges a and b are not,
+    # so each cut of the real complex keeps rows of both kinds.
+    x = z3_square(pendant=True)
+    page = assemble_cochain(x, "ko")
+    size = [2, 1]  # Z3 has one R-type and one C-type generator
+    for n, part in ((1, 1), (6, 0)):
+        spans = [reprings.cut_spans(reprings.coefficient_runs(g, "ko"), n)[part]
+                 for g in x.stabilizers]
+        cols, rows = (bredon._CutNumbering(cells, size, spans) for cells in x.cells[:2])
+        peeled = rows.peel(page.peeled, cols)
+        d0 = rows.block(page.free_d[0], cols)
+        assert list(peeled) == [2]  # c's row, after a's and b's
+        assert [i for i, row in enumerate(d0.data) if row] == [0, 1]
+    for reduced, whole in page_factorizations(x, "ko"):
+        assert reduced == whole
+
+
 def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
     # The orbit complex is a tree, so d_0 is peeled whole, on the K page,
     # the real complex and both of its cuts, before any block is built: the
@@ -743,7 +761,21 @@ def test_unit_columns_meet_no_other_row(rows, units):
 
 
 def test_a_cut_peels_only_when_it_keeps_every_kept_rows_column():
+    # Two cells per degree, stabilizers 0 and 1: edges of 3 generators each
+    # and vertices of 8 and 5, each cut given by the runs it keeps.
+    def numbering(size, spans):
+        return bredon._CutNumbering((0, 1), size, spans)
+
     peeled = {4: 10, 2: 7, 5: 12}
-    assert bredon._cut_peel(peeled, [2, 3, 4], [7, 10, 11]) == {2: 1, 0: 0}
-    assert bredon._cut_peel(peeled, [2, 4, 5], [7, 10]) == {}
-    assert bredon._cut_peel(peeled, [3], [0]) == {}
+    rows = numbering([3, 3], [[(2, 1)], [(0, 2)]])  # keeps 2, 3, 4
+    cols = numbering([8, 5], [[(7, 1)], [(2, 2)]])  # keeps 7, 10, 11
+    assert list(rows.kept()) == [2, 3, 4] and list(cols.kept()) == [7, 10, 11]
+    assert rows.peel(peeled, cols) == {2: 1, 0: 0}
+    # Row 5 is kept and its column 12 is not.
+    rows = numbering([3, 3], [[(2, 1)], [(1, 2)]])  # keeps 2, 4, 5
+    cols = numbering([8, 5], [[(7, 1)], [(2, 1)]])  # keeps 7, 10
+    assert rows.peel(peeled, cols) == {}
+    # No peeled row is kept.
+    rows = numbering([3, 3], [[], [(0, 1)]])  # keeps 3
+    cols = numbering([8, 5], [[(0, 1)], []])  # keeps 0
+    assert rows.peel(peeled, cols) == {}

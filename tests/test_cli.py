@@ -675,31 +675,70 @@ def test_large_dense_emit_is_refused_quickly(capsys):
     assert elapsed < 2
 
 
-def test_amalgam_with_a_vertex_of_order_1e8_runs_in_little_memory():
-    # Vertex orders 3·10^8 and 6: the tree peels the whole of d_0 before any
-    # restriction block is built, so the K page is a rank count.  Building
-    # the blocks once ended in a MemoryError under this cap.
+def _run_capped(argv):
+    """Run ``main(argv)`` in a child under a 1.5 GiB address-space cap, so a
+    regression ends in a MemoryError there rather than exhausting the
+    host's memory: its exit status, report, seconds in ``main`` and peak
+    traced allocation in bytes."""
     import os
     import subprocess
     import sys
 
     import properk
 
-    argv = ["amalgam", "--r", "3", "--m", "100000000,2", "--theory", "k", "--check"]
-    child = ("import json, resource, sys, time\n"
+    child = ("import json, resource, sys, time, tracemalloc\n"
              "cap = 1536 << 20\n"
              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
              "from properk.cli import main\n"
+             "tracemalloc.start()\n"
              "start = time.perf_counter()\n"
              f"code = main({argv!r})\n"
-             "print(json.dumps(time.perf_counter() - start), file=sys.stderr)\n"
+             "elapsed = time.perf_counter() - start\n"
+             "print(json.dumps([elapsed, tracemalloc.get_traced_memory()[1]]), file=sys.stderr)\n"
              "sys.exit(code)\n")
     src = str(Path(properk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert [v["verdict"] for v in json.loads(proc.stdout)["verdicts"]] == ["EXACT_MATCH"] * 2
-    assert json.loads(proc.stderr.splitlines()[-1]) < 1
+    assert proc.stdout, proc.stderr.decode()  # a traceback writes no report
+    elapsed, peak = json.loads(proc.stderr.splitlines()[-1])
+    return proc.returncode, json.loads(proc.stdout), elapsed, peak
+
+
+def test_amalgam_with_a_vertex_of_order_1e8_runs_in_little_memory():
+    # Vertex orders 3·10^8 and 6: the tree peels the whole of d_0 before any
+    # restriction block is built, so the K page is a rank count.  Building
+    # the blocks once ended in a MemoryError under this cap.
+    argv = ["amalgam", "--r", "3", "--m", "100000000,2", "--theory", "k", "--check"]
+    code, report, elapsed, _ = _run_capped(argv)
+    assert code == 0
+    assert [v["verdict"] for v in report["verdicts"]] == ["EXACT_MATCH"] * 2
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("r, m", [("3", "100000000,2"), ("3,5", "100000001,7,30000001")])
+def test_amalgam_ko_pages_of_vertex_orders_near_1e8_list_no_generator(r, m):
+    # Each cut of the real complex keeps or drops whole coefficient runs, so
+    # its ranks, its peel and its rows are arithmetic on them.  Listing the
+    # generators of each cell once ended in a MemoryError under this cap.
+    code, report, _, peak = _run_capped(["amalgam", "--r", r, "--m", m, "--theory", "ko",
+                                         "--check"])
+    assert code == 0
+    verdicts = [v["verdict"] for v in report["verdicts"]]
+    assert len(verdicts) == 8 and set(verdicts) == {"EXACT_MATCH"}
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m, theory, entries", [("1000000000,2", "k", 9_000_000_018),
+                                                ("100000000,2", "ko", 1_050_000_031)])
+def test_huge_amalgam_cochain_is_refused_before_listing_a_generator(m, theory, entries):
+    # The budget check counts each cut per coefficient run; listing the
+    # cuts' generators to count them once ended in a MemoryError here.
+    argv = ["amalgam", "--r", "3", "--m", m, "--theory", theory, "--emit", "cochain"]
+    code, report, elapsed, peak = _run_capped(argv)
+    assert code == 1
+    assert report["error"]["kind"] == "too_large"
+    assert report["error"]["predicted_entries"] == entries
+    assert elapsed < 1 and peak < 1 << 20
 
 
 def _vertex_edge_dump(stabilizer: str, incidence: str = "1") -> str:
