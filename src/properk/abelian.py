@@ -589,9 +589,9 @@ class SplitCochainComplex:
     so the complex is the direct sum of an integral complex and a GF(2)
     complex.  The E2 page is read off integral complexes alone; this form
     serves the ``--emit cochain`` report, ``bredon.bredon_cohomology`` and
-    ``uct_verify``.  Each KO^{-n} complex is a cut of one integral complex
-    (the real one, ``bredon.cut_cochain``): F_p its Z rows and columns,
-    T_p its Z/2 ones reduced mod 2.  Components between the two summands cannot be
+    ``uct_verify``.  Each KO^{-n} complex is a cut of the real complex, by
+    runs (``bredon.cut_cochain``): F_p its Z rows and columns, T_p its Z/2
+    ones reduced mod 2.  Components between the two summands cannot be
     expressed at all; descriptors that would need one are refused
     (``reprings.restriction_ko``).  Construction validates the
     composability of shapes, F∘F = 0 and T∘T = 0, the last two by matrix

@@ -9,10 +9,8 @@ shape of the cellular boundary.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 from .abelian import (
     AbGroup,
@@ -25,10 +23,9 @@ from .abelian import (
 )
 from .orbit import OrbitComplex
 from .reprings import (
+    CutNumbering,
+    cell_offsets,
     coefficient_runs,
-    cut,
-    cut_indices,
-    cut_spans,
     refuse_even_cyclic,
     restriction_k0,
     restriction_ko,
@@ -141,8 +138,8 @@ def fill_peeled(complex_: OrbitComplex, theory: str,
 def _offsets(complex_: OrbitComplex, theory: str) -> list[list[int]]:
     """Per dimension, the first generator of each cell in the degree-0
     cochain group of ``theory``, and last the group's rank."""
-    size = [sum(count for _, count in coefficient_runs(g, theory)) for g in complex_.stabilizers]
-    return [list(accumulate((size[s] for s in cells), initial=0)) for cells in complex_.cells]
+    return cell_offsets(complex_.cells, [sum(count for _, count in coefficient_runs(g, theory))
+                                         for g in complex_.stabilizers])
 
 
 def _write(rows: list[dict[int, int]], complex_: OrbitComplex, theory: str,
@@ -240,25 +237,21 @@ def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,
 
     A generator keeps its row and column in the free block where its point
     value in degree -n is Z and in the torsion block, reduced mod 2, where
-    it is Z/2 (``reprings.cut``).  A KO degree with a torsion block first
-    refuses an even-order cyclic subgroup among the descriptors, naming the
-    first in the descriptor table.
+    it is Z/2, each numbered by runs (``_cut``).  A KO degree with a
+    torsion block first refuses an even-order cyclic subgroup among the
+    descriptors, naming the first in the descriptor table.
     """
     if functor.theory == "ko":
         refuse_even_cyclic(complex_.descriptors, functor.n)
-    parts = _cut_parts(complex_, functor)
-    blocks = [cut(d, parts[p + 1], parts[p]) for p, d in enumerate(full.free_d)]
-    return SplitCochainComplex(tuple(len(free) for free, _ in parts),
-                               tuple(len(tor) for _, tor in parts),
-                               tuple(free for free, _ in blocks),
-                               tuple(tor for _, tor in blocks))
+    free, tor = (_cut(complex_, functor.theory, functor.n, part) for part in (0, 1))
+    return SplitCochainComplex(free.ranks, tor.ranks, free.blocks(full.free_d),
+                               tuple(d.mod2() for d in tor.blocks(full.free_d)))
 
 
-def _cut_parts(complex_: OrbitComplex, functor: CoefficientFunctor):
-    """Per dimension, the ``cut_indices`` of the generators of its cells."""
-    runs = [coefficient_runs(g, functor.theory) for g in complex_.stabilizers]
-    return [cut_indices((run for s in cells for run in runs[s]), functor.n)
-            for cells in complex_.cells]
+def _cut(complex_: OrbitComplex, theory: str, n: int, part: int) -> CutNumbering:
+    """Part ``part`` of the degree -n cut of the cochain complex of ``theory``."""
+    return CutNumbering([coefficient_runs(g, theory) for g in complex_.stabilizers], n, part,
+                        complex_.cells)
 
 
 def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Factorization,
@@ -267,102 +260,18 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
     ``full`` on the generators whose KO^{-n} point value is Z (``part`` 0)
     or Z/2 (``part`` 1); ``factored`` is that of ``full``.
 
-    The cut keeps or drops whole coefficient runs, a stabilizer's R-type
-    generators and its C-type ones (``reprings.cut_spans``), so it is
-    decided per distinct stabilizer, with no pass over the cells and no
-    generator listed.  Keeping every generator gives ``full`` back, whose
-    factorization is reused, and keeping none gives the zero complex.
-    Otherwise each degree is numbered by runs (``_CutNumbering``): the cut
-    translates the peel of ``full`` row by row, and its d_p are the rows
-    of ``full`` that it keeps, their columns renumbered.  ``full``, the
-    page's complex, stores no peeled row, and the cut reads none.
+    The cut keeps or drops a stabilizer's whole R-type and C-type runs
+    (``_cut``): keeping every generator reuses ``factored``, keeping none
+    gives the zero complex, and otherwise the cut translates the peel of
+    ``full`` row by row, and its d_p are the rows of ``full`` that it
+    keeps, their columns renumbered.  ``full``, the page's complex, stores
+    no peeled row, and the cut reads none.
     """
-    runs = [coefficient_runs(g, "ko") for g in complex_.stabilizers]
-    spans = [cut_spans(r, n)[part] for r in runs]
-    kept = [sum(count for _, count in s) for s in spans]
-    size = [sum(count for _, count in r) for r in runs]
-    if kept == size:
-        return factored
-    if not any(kept):
-        return Factorization((0,) * len(full.free_ranks), ((),) * (len(full.free_ranks) + 1))
-    cuts = [_CutNumbering(cells, size, spans) for cells in complex_.cells]
-    peeled = cuts[1].peel(full.peeled, cuts[0]) if complex_.dim else {}
-    return factor_integral(SplitCochainComplex.integral(
-        [c.rank for c in cuts], [cuts[p + 1].block(d, cuts[p]) for p, d in enumerate(full.free_d)],
-        peeled=peeled))
-
-
-class _CutNumbering:
-    """The generators that a cut keeps in one degree, numbered by runs.
-
-    ``cells`` holds the degree's cells as stabilizer indices; per
-    stabilizer, ``size`` is its number of generators and ``spans`` the
-    (first index, count) of each run the cut keeps, in order.  A cell's
-    kept generators come in order after its cut offset, the number kept by
-    the cells before it, so a generator's cut index is that offset plus its
-    position inside the kept runs: no generator is listed.
-    """
-
-    def __init__(self, cells: tuple[int, ...], size: list[int],
-                 spans: list[list[tuple[int, int]]]):
-        self.cells = cells
-        self.spans = spans
-        self.offsets = list(accumulate((size[s] for s in self.cells), initial=0))
-        self.cut_offsets = list(accumulate(
-            (sum(count for _, count in spans[s]) for s in self.cells), initial=0))
-        self.rank = self.cut_offsets[-1]
-
-    def index(self, g: int) -> int | None:
-        """The cut index of generator ``g`` of the degree, or None if the cut
-        drops it."""
-        cell = bisect_right(self.offsets, g) - 1
-        i = g - self.offsets[cell]
-        at = self.cut_offsets[cell]
-        for start, count in self.spans[self.cells[cell]]:
-            if i < start:
-                return None
-            if i < start + count:
-                return at + i - start
-            at += count
-        return None
-
-    def kept(self) -> Iterator[int]:
-        """The generators the cut keeps, in order."""
-        for s, first in zip(self.cells, self.offsets):
-            for start, count in self.spans[s]:
-                yield from range(first + start, first + start + count)
-
-    def block(self, d: IntMatrix, cols: "_CutNumbering") -> IntMatrix:
-        """The cut of ``d``, whose rows are numbered by this degree and its
-        columns by ``cols``: its kept rows, each entry at a kept column
-        moved to that column's cut index."""
-        index = cols.index
-        return IntMatrix(self.rank, cols.rank, tuple(
-            {b: x for j, x in d.data[g].items() if (b := index(j)) is not None}
-            for g in self.kept()))
-
-    def peel(self, peeled: Mapping[int, int], cols: "_CutNumbering") -> dict[int, int]:
-        """The rows of ``peeled``, a peel of d_0 whose rows this degree
-        numbers and whose pivot columns ``cols`` does, that the cut keeps,
-        renumbered, each with its pivot column; one lookup per row.
-
-        The cut stays peeled when every kept row's pivot column is also kept:
-        each is then a unit pivot at a column that no row of the cut after it
-        meets.  Otherwise no row is peeled.  Along every inclusion in the
-        catalogue a kept row's column is kept: a real-type row has its unit
-        at a real-type generator and a complex-type row at a complex-type one
-        (``reprings.unit_columns``), and a cut keeps whole types.  So a cut
-        of the page's complex, which stores no peeled row, reads none.
-        """
-        out = {}
-        for r, c in peeled.items():
-            i = self.index(r)
-            if i is not None:
-                b = cols.index(c)
-                if b is None:
-                    return {}
-                out[i] = b
-        return out
+    cut, length = _cut(complex_, "ko", n, part), len(full.free_ranks)
+    return cut.select(
+        factored, lambda: Factorization((0,) * length, ((),) * (length + 1)),
+        lambda: factor_integral(SplitCochainComplex.integral(
+            cut.ranks, cut.blocks(full.free_d), peeled=cut.peel(full.peeled))))
 
 
 def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> SplitCochainComplex:

@@ -84,7 +84,7 @@ def _cochain_entries(complex_: OrbitComplex, theory: str) -> int:
     stabilizer alone: in every coefficient degree, each differential's
     free, tor2 and cross blocks, sized by the cut that
     ``bredon.cut_cochain`` makes, counted per coefficient run
-    (``reprings.cut_ranks``) with no generator listed."""
+    (``reprings.cut_ranks``) before anything is assembled."""
     layers = [Counter(cells).items() for cells in complex_.cells]
     runs = [coefficient_runs(g, theory) for g in complex_.stabilizers]
     total = 0

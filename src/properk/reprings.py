@@ -21,8 +21,11 @@ conjugate characters), each block in the complex order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .abelian import IntMatrix, Mod2Matrix
 from .groups import (
@@ -38,6 +41,8 @@ from .groups import (
     InclusionDescriptor,
     UnsupportedRestrictionError,
 )
+
+T = TypeVar("T")
 
 # Point coefficients for n = 0..7: (free rank, Z/2 rank).
 KO_POINT = ((1, 0), (0, 1), (0, 1), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0))
@@ -225,9 +230,7 @@ def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
 def ko_ranks(g: GroupClass, n: int) -> tuple[int, int]:
     """(free rank, Z/2 rank) of KO^{-n}_G(pt) through Segal's decomposition:
     each R-type generator carries KO^{-n}(pt), each C-type one K^{-n}(pt)."""
-    runs = coefficient_runs(g, "ko")
-    return tuple(sum(count * table[n % len(table)][part] for table, count in runs)
-                 for part in (0, 1))
+    return cut_ranks(coefficient_runs(g, "ko"), n)
 
 
 def coefficient_runs(g: GroupClass, theory: str) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
@@ -265,24 +268,104 @@ def cut_ranks(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
     return tuple(sum(count for _, count in spans) for spans in cut_spans(runs, n))
 
 
-def cut_indices(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
-                n: int) -> tuple[list[int], list[int]]:
-    """The generators of ``cut_spans``, listed: indices of those whose point
-    value in degree -n is Z, then of those whose value is Z/2."""
-    free, tor = [], []
-    for spans, listed in zip(cut_spans(runs, n), (free, tor)):
-        for start, count in spans:
-            listed.extend(range(start, start + count))
-    return free, tor
+def cell_offsets(cells: Sequence[Sequence[int]], size: Sequence[int]) -> list[list[int]]:
+    """Per degree of a complex, the first generator of each of its
+    ``cells``, given as stabilizer indices, and last the degree's rank;
+    ``size`` holds each stabilizer's number of generators."""
+    return [list(accumulate((size[s] for s in c), initial=0)) for c in cells]
 
 
-def cut(m: IntMatrix, rows: tuple[list[int], list[int]],
-        cols: tuple[list[int], list[int]]) -> tuple[IntMatrix, Mod2Matrix]:
-    """The free and torsion blocks of ``m`` on the ``cut_indices`` of its
-    rows and columns; the torsion block is reduced mod 2."""
-    free, tor = (m if (len(r), len(c)) == (m.rows, m.cols) else m.block(r, c)
-                 for r, c in zip(rows, cols))
-    return free, tor.mod2()
+class CutNumbering:
+    """One part of the degree -n cut of a complex, numbered by runs: the
+    generators whose point value is Z (``part`` 0) or Z/2 (``part`` 1).
+
+    ``runs`` holds the coefficient runs of each stabilizer and ``cells``
+    the cells of each degree as stabilizer indices.  The part keeps or
+    drops whole runs (``cut_spans``), so it is decided per stabilizer, with
+    no pass over the cells: it keeps every generator (``whole``), none
+    (``empty``) or some.  Only then are the cells numbered: a cell's kept
+    generators come in order after its cut offset, the number kept by the
+    cells before it, so a generator's cut index is that offset plus its
+    position inside the kept runs, and no generator is listed.
+    """
+
+    def __init__(self, runs: Sequence[tuple[tuple[tuple[tuple[int, int], ...], int], ...]],
+                 n: int, part: int, cells: Sequence[Sequence[int]]):
+        self.spans = [cut_spans(r, n)[part] for r in runs]
+        self._kept = [sum(count for _, count in spans) for spans in self.spans]
+        self._size = [sum(count for _, count in r) for r in runs]
+        self.whole = self._kept == self._size
+        self.empty = not any(self._kept)
+        self.cells = cells
+
+    @cached_property
+    def degrees(self) -> list[tuple[list[int], list[int]]]:
+        """Per degree, the ``cell_offsets`` of all generators and of the
+        kept ones: each cell's offset and cut offset, then both ranks."""
+        return list(zip(cell_offsets(self.cells, self._size), cell_offsets(self.cells, self._kept)))
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(cut_offsets[-1] for _, cut_offsets in self.degrees)
+
+    def select(self, whole: T, zero: Callable[[], T], renumber: Callable[[], T]) -> T:
+        """``whole``, the uncut object, if the part keeps every generator,
+        else ``zero()`` if it keeps none, else ``renumber()``: the one place
+        where a cut reuses what it cuts or drops it."""
+        if self.whole:
+            return whole
+        return zero() if self.empty else renumber()
+
+    def index(self, p: int, g: int) -> int | None:
+        """The cut index of generator ``g`` of degree ``p``, or None if the
+        part drops it."""
+        offsets, cut_offsets = self.degrees[p]
+        cell = bisect_right(offsets, g) - 1
+        i = g - offsets[cell]
+        at = cut_offsets[cell]
+        for start, count in self.spans[self.cells[p][cell]]:
+            if i < start:
+                return None
+            if i < start + count:
+                return at + i - start
+            at += count
+        return None
+
+    def kept(self, p: int) -> Iterator[int]:
+        """The generators of degree ``p`` that the part keeps, in order."""
+        for s, first in zip(self.cells[p], self.degrees[p][0]):
+            for start, count in self.spans[s]:
+                yield from range(first + start, first + start + count)
+
+    def blocks(self, diffs: Sequence[IntMatrix]) -> tuple[IntMatrix, ...]:
+        """The cut of each d_p in ``diffs``, whose rows degree p + 1 numbers
+        and whose columns degree p does: its kept rows, each entry at a kept
+        column moved to that column's cut index."""
+        def renumber(p: int, d: IntMatrix) -> IntMatrix:
+            index, ranks = self.index, self.ranks
+            return IntMatrix(ranks[p + 1], ranks[p], tuple(
+                {b: x for j, x in d.data[g].items() if (b := index(p, j)) is not None}
+                for g in self.kept(p + 1)))
+
+        return self.select(tuple(diffs), lambda: (IntMatrix.zero(0, 0),) * len(diffs),
+                           lambda: tuple(renumber(p, d) for p, d in enumerate(diffs)))
+
+    def peel(self, peeled: Mapping[int, int]) -> dict[int, int]:
+        """The rows of ``peeled``, a peel of d_0, that the part keeps,
+        renumbered, each with its pivot column, which stays a unit pivot at
+        a column no later row meets; or none if a kept row's column is
+        dropped.  A cut keeps whole types, and every unit column has its
+        row's type (``unit_columns``), so a cut of the page's complex keeps
+        its peel, and reads none of the peeled rows it does not store."""
+        index, out = self.index, {}
+        for r, c in peeled.items():
+            i = index(1, r)
+            if i is not None:
+                b = index(0, c)
+                if b is None:
+                    return {}
+                out[i] = b
+        return out
 
 
 def refuse_even_cyclic(incls: Iterable[InclusionDescriptor], n: int) -> None:
@@ -300,8 +383,9 @@ def refuse_even_cyclic(incls: Iterable[InclusionDescriptor], n: int) -> None:
 
 
 def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Matrix]:
-    """Blocks (free, torsion) of KO^{-n}(big orbit) -> KO^{-n}(sub orbit),
-    ``cut`` from the real restriction by the point tables, as
+    """Blocks (free, torsion) of KO^{-n}(big orbit) -> KO^{-n}(sub orbit):
+    the real restriction, a complex of two degrees (the big group, then the
+    subgroup), cut by the point tables (``CutNumbering``) as
     ``bredon.cut_cochain`` cuts whole complexes: n ≡ 0, 4 keep it all as the
     free block, n ≡ 1 its R-to-R part mod 2, n ≡ 2 its C-to-C part beside
     that, n ≡ 6 the C-to-C part alone, n ≡ 3, 5, 7 nothing.
@@ -314,11 +398,15 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
     """
     refuse_even_cyclic((incl,), n)
     m_real = real_restriction(incl)
-    sub = coefficient_runs(incl.sub, "ko")
-    big = coefficient_runs(incl.big, "ko")
-    if not m_real.block(cut_indices(sub, 2)[1], cut_indices(big, 2)[0]).mod2().is_zero():
-        raise UnsupportedRestrictionError(
-            f"KO^-2 restriction along {incl} needs a nonzero free-to-torsion "
-            "cross term, which is outside the supported theory")
-    return cut(m_real, cut_indices(sub, n), cut_indices(big, n))
-
+    runs = (coefficient_runs(incl.big, "ko"), coefficient_runs(incl.sub, "ko"))
+    cells = ((0,), (1,))
+    c_big = CutNumbering(runs, 2, 0, cells)  # the cross block's columns: C-type
+    if not c_big.empty:
+        r_sub = CutNumbering(runs, 2, 1, cells)  # and its rows: R-type
+        if any(x % 2 and c_big.index(0, j) is not None
+               for g in r_sub.kept(1) for j, x in m_real.data[g].items()):
+            raise UnsupportedRestrictionError(
+                f"KO^-2 restriction along {incl} needs a nonzero free-to-torsion "
+                "cross term, which is outside the supported theory")
+    (free,), (tor,) = (CutNumbering(runs, n, part, cells).blocks((m_real,)) for part in (0, 1))
+    return free, tor.mod2()

@@ -12,6 +12,7 @@ from properk import CoxeterMatrix, IntMatrix, OrbitComplex
 from properk.coxeter import INFINITY, build_bestvina_orbit_complex, build_davis_orbit_complex
 from properk.groups import cyclic, cyclic_in_cyclic, trivial, trivial_in
 from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
+from properk.reprings import KO_POINT, KU_POINT, k0_rank, real_structure
 
 # Property tests draw the same examples on every run, and no example fails
 # for being slow on a loaded machine.
@@ -153,6 +154,33 @@ def unit_columns_of_block(block: IntMatrix) -> tuple[int, ...] | None:
                                        for row in block.data):
         return None
     return tuple(firsts)
+
+
+def listed_cut(groups, theory: str, n: int) -> tuple[list[int], list[int]]:
+    """The generators of the direct sum of the degree-0 coefficient groups
+    of ``theory`` at ``groups``, in order, whose point value in degree -n is
+    Z, then those whose value is Z/2, listed one by one: for K each complex
+    irreducible carries K^{-n}(pt), for KO each real irreducible, in
+    ``real_structure`` order, KO^{-n}(pt) if of real type and K^{-n}(pt) if
+    of complex type.  The oracle for ``reprings.CutNumbering``; it shares
+    no code with ``reprings.cut_spans``."""
+    free, tor = [], []
+    values = [value for g in groups for value in (
+        [KU_POINT[n % 2]] * k0_rank(g) if theory == "k" else
+        [KO_POINT[n % 8] if kind == "R" else KU_POINT[n % 2] for kind, _ in real_structure(g)])]
+    for i, (f, t) in enumerate(values):
+        if f:
+            free.append(i)
+        elif t:
+            tor.append(i)
+    return free, tor
+
+
+def listed_cuts(complex_: OrbitComplex, theory: str, n: int) -> list[tuple[list[int], list[int]]]:
+    """``listed_cut`` of each degree of the cochain complex of ``theory`` on
+    ``complex_``, its generators numbered cell by cell."""
+    return [listed_cut([complex_.stabilizers[s] for s in cells], theory, n)
+            for cells in complex_.cells]
 
 
 def reorient(complex_: OrbitComplex, rng: random.Random) -> OrbitComplex:

@@ -36,12 +36,14 @@ from properk.coxeter import (
 )
 from properk.groups import UnsupportedRestrictionError, cyclic_in_cyclic
 from properk.orbit import AmalgamSpec, OrbitComplex, build_amalgam_orbit_complex
-from properk.reprings import ko_ranks, restriction_ko
+from properk.reprings import restriction_ko
 from conftest import (
     BOUNDARY_MODELS,
     TREE_DUMPS,
     cyclic_tree_dump,
     fold_corpus,
+    listed_cut,
+    listed_cuts,
     reorient,
     unit_columns_of_block,
     z3_square,
@@ -287,15 +289,15 @@ def per_descriptor_cochain(x, n):
     """KO^{-n} cochain data written block by block from ``restriction_ko(incl, n)``.
 
     This is how every KO complex used to be assembled, kept as the
-    reference for the cut: ranks from ``ko_ranks``, each free block added
-    alpha times, each torsion block XORed in where alpha is odd.
+    reference for the cut: ranks from the listing oracle, each free block
+    added alpha times, each torsion block XORed in where alpha is odd.
     """
     free_ranks, tor_ranks, offsets = [], [], []
     for cells in x.cells:
         offs, f_total, t_total = [], 0, 0
         for s in cells:
             offs.append((f_total, t_total))
-            f, t = ko_ranks(x.stabilizers[s], n)
+            f, t = map(len, listed_cut([x.stabilizers[s]], "ko", n))
             f_total, t_total = f_total + f, t_total + t
         free_ranks.append(f_total)
         tor_ranks.append(t_total)
@@ -582,7 +584,7 @@ def page_factorizations(x, theory):
     out = [(factored, Factorization(full.free_ranks, abelian._top_down(full.free_d)))]
     if theory == "ko":
         for n, part in ((1, 1), (6, 0)):
-            keep = [parts[part] for parts in bredon._cut_parts(x, CoefficientFunctor.ko(n))]
+            keep = [parts[part] for parts in listed_cuts(x, "ko", n)]
             whole = [d.block(keep[p + 1], keep[p]) for p, d in enumerate(full.free_d)]
             out.append((bredon._factor_cut(x, page, factored, n, part),
                         Factorization(tuple(map(len, keep)), abelian._top_down(whole))))
@@ -622,14 +624,11 @@ def test_a_partial_cut_holds_peeled_and_stored_rows():
     # so each cut of the real complex keeps rows of both kinds.
     x = z3_square(pendant=True)
     page = assemble_cochain(x, "ko")
-    size = [2, 1]  # Z3 has one R-type and one C-type generator
     for n, part in ((1, 1), (6, 0)):
-        spans = [reprings.cut_spans(reprings.coefficient_runs(g, "ko"), n)[part]
-                 for g in x.stabilizers]
-        cols, rows = (bredon._CutNumbering(cells, size, spans) for cells in x.cells[:2])
-        peeled = rows.peel(page.peeled, cols)
-        d0 = rows.block(page.free_d[0], cols)
-        assert list(peeled) == [2]  # c's row, after a's and b's
+        cut = bredon._cut(x, "ko", n, part)
+        assert not (cut.whole or cut.empty)
+        d0 = cut.blocks(page.free_d)[0]
+        assert list(cut.peel(page.peeled)) == [2]  # c's row, after a's and b's
         assert [i for i, row in enumerate(d0.data) if row] == [0, 1]
     for reduced, whole in page_factorizations(x, "ko"):
         assert reduced == whole
@@ -761,21 +760,52 @@ def test_unit_columns_meet_no_other_row(rows, units):
 
 
 def test_a_cut_peels_only_when_it_keeps_every_kept_rows_column():
-    # Two cells per degree, stabilizers 0 and 1: edges of 3 generators each
-    # and vertices of 8 and 5, each cut given by the runs it keeps.
-    def numbering(size, spans):
-        return bredon._CutNumbering((0, 1), size, spans)
+    # Two cells per degree: vertices of 8 and 5 generators (stabilizers 0
+    # and 1) and edges of 3 each (stabilizers 2 and 3), each cut given by
+    # its runs: a run of the table ``keep`` is kept, one of ``drop`` not.
+    keep, drop = ((1, 0),), ((0, 0),)
+
+    def numbering(vertices, edges):
+        return reprings.CutNumbering([*vertices, *edges], 0, 0, ((0, 1), (2, 3)))
 
     peeled = {4: 10, 2: 7, 5: 12}
-    rows = numbering([3, 3], [[(2, 1)], [(0, 2)]])  # keeps 2, 3, 4
-    cols = numbering([8, 5], [[(7, 1)], [(2, 2)]])  # keeps 7, 10, 11
-    assert list(rows.kept()) == [2, 3, 4] and list(cols.kept()) == [7, 10, 11]
-    assert rows.peel(peeled, cols) == {2: 1, 0: 0}
+    cut = numbering([((drop, 7), (keep, 1)), ((drop, 2), (keep, 2), (drop, 1))],  # keeps 7, 10, 11
+                    [((drop, 2), (keep, 1)), ((keep, 2), (drop, 1))])  # keeps 2, 3, 4
+    assert list(cut.kept(1)) == [2, 3, 4] and list(cut.kept(0)) == [7, 10, 11]
+    assert cut.peel(peeled) == {2: 1, 0: 0}
     # Row 5 is kept and its column 12 is not.
-    rows = numbering([3, 3], [[(2, 1)], [(1, 2)]])  # keeps 2, 4, 5
-    cols = numbering([8, 5], [[(7, 1)], [(2, 1)]])  # keeps 7, 10
-    assert rows.peel(peeled, cols) == {}
+    cut = numbering([((drop, 7), (keep, 1)), ((drop, 2), (keep, 1), (drop, 2))],  # keeps 7, 10
+                    [((drop, 2), (keep, 1)), ((drop, 1), (keep, 2))])  # keeps 2, 4, 5
+    assert cut.peel(peeled) == {}
     # No peeled row is kept.
-    rows = numbering([3, 3], [[], [(0, 1)]])  # keeps 3
-    cols = numbering([8, 5], [[(0, 1)], []])  # keeps 0
-    assert rows.peel(peeled, cols) == {}
+    cut = numbering([((keep, 1), (drop, 7)), ((drop, 5),)],  # keeps 0
+                    [((drop, 3),), ((keep, 1), (drop, 2))])  # keeps 3
+    assert cut.peel(peeled) == {}
+
+
+@given(data=st.data())
+def test_cut_numbering_keeps_the_listed_generators(peel_models, data):
+    # Each part of a cut, numbered by runs, keeps the generators that the
+    # listing oracle keeps, in order, and its blocks are the full complex's
+    # blocks on those rows and columns: free as they are, torsion mod 2.
+    theory = data.draw(st.sampled_from(["k", "ko"]))
+    if data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(peel_models))
+    else:
+        k = data.draw(st.integers(0, 3))
+        edge = st.integers(1, 9) if theory == "k" else st.sampled_from([1, 3, 5, 7, 9])
+        r = tuple(data.draw(edge) for _ in range(k))
+        x = build_amalgam_orbit_complex(
+            AmalgamSpec(r, tuple(data.draw(st.integers(2, 6)) for _ in range(k + 1))))
+    n = data.draw(st.integers(0, 7))
+    listed = listed_cuts(x, theory, n)
+    for part in (0, 1):
+        cut = bredon._cut(x, theory, n, part)
+        assert [list(cut.kept(p)) for p in range(x.dim + 1)] == [parts[part] for parts in listed]
+        assert cut.ranks == tuple(len(parts[part]) for parts in listed)
+    full = bredon.fill_peeled(x, theory, assemble_cochain(x, theory))
+    c = bredon.cut_cochain(x, full, CoefficientFunctor(theory, n))
+    for p, d in enumerate(full.free_d):
+        (f1, t1), (f0, t0) = listed[p + 1], listed[p]
+        assert c.free_d[p] == d.block(f1, f0)
+        assert c.tor_d[p] == d.block(t1, t0).mod2()

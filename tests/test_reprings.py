@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from properk import reprings
 from properk.abelian import invariant_factors
 from properk.groups import (
     UnsupportedRestrictionError,
@@ -26,7 +27,7 @@ from properk.reprings import (
     restriction_ko,
     unit_columns,
 )
-from conftest import unit_columns_of_block
+from conftest import listed_cut, unit_columns_of_block
 
 
 def test_group_canonicalization():
@@ -228,10 +229,16 @@ def test_restriction_ko_rejects_even_cyclic_subgroups():
     assert free.to_rows() == [[1, 1, 0], [0, 0, 2]]
 
 
-def test_restriction_ko_degree_0_equals_real_restriction():
+def test_restriction_ko_degree_0_equals_real_restriction(monkeypatch):
+    # The cut keeps every generator, so it hands back the real restriction
+    # itself, with nothing renumbered.
+    made = []
+    monkeypatch.setattr(reprings, "real_restriction",
+                        lambda incl: made.append(real_restriction(incl)) or made[-1])
     for incl in (cyclic_in_cyclic(3, 2), reflection_in_dihedral(5),
                  trivial_in(cyclic(7)), elem2_subset(1, 3, (2,))):
         free0, _ = restriction_ko(incl, 0)
+        assert free0 is made[-1]
         free4, _ = restriction_ko(incl, 4)
         assert free0 == real_restriction(incl)
         assert free4 == free0
@@ -264,20 +271,22 @@ def inclusion_descriptors():
 @example(cyclic_in_cyclic(2, 3), 1)
 @example(cyclic_in_cyclic(4, 1), 10)
 @example(cyclic_in_cyclic(3, 5), 2)
-def test_restriction_ko_blocks_have_the_ko_ranks_shapes(incl, n):
-    # The blocks are cut by the point tables, so their shapes are the
-    # KO^{-n} ranks of the subgroup (rows) and the big group (columns); the
-    # only refusal in scope is an even-order cyclic subgroup in the degrees
-    # with Z/2 coefficients.
+def test_restriction_ko_blocks_are_the_listed_cuts_of_the_real_restriction(incl, n):
+    # Each block is the real restriction on the rows of the subgroup's and
+    # the columns of the big group's generators whose KO^{-n} point value is
+    # Z (free) or Z/2 (torsion, mod 2), as the listing oracle finds them;
+    # the only refusal in scope is an even-order cyclic subgroup in the
+    # degrees with Z/2 coefficients.
     try:
         free, tor = restriction_ko(incl, n)
     except UnsupportedRestrictionError as err:
         assert n % 8 in (1, 2) and incl.kind == "cyclic_in_cyclic" and incl.extra[0] % 2 == 0
         assert str(err).startswith(f"KO^-{n % 8} restriction for an even-order cyclic subgroup")
         return
-    (f_sub, t_sub), (f_big, t_big) = ko_ranks(incl.sub, n), ko_ranks(incl.big, n)
-    assert (free.rows, free.cols) == (f_sub, f_big)
-    assert (tor.rows, tor.cols) == (t_sub, t_big)
+    m = real_restriction(incl)
+    (f_sub, t_sub), (f_big, t_big) = (listed_cut([g], "ko", n) for g in (incl.sub, incl.big))
+    assert free == m.block(f_sub, f_big)
+    assert tor == m.block(t_sub, t_big).mod2()
 
 
 @given(inclusion_descriptors())
