@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 
 from .abelian import ChainComplexError
 from .ahss import (
@@ -352,7 +353,59 @@ def _error(kind: str, message: str, **extra) -> tuple[dict, int]:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a
+    newline, for a payload of dicts with string keys, lists, strings, ints,
+    bools and None; any other type or key raises TypeError.  ``json.dumps``
+    with an indent runs its pure-Python encoder, one generator step per
+    token; this writer escapes through the same C function and writes a
+    list of plain ints, a dense matrix row, in one join."""
+    parts: list[str] = []
+    _write(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, newline: str, parts: list[str]) -> None:
+    """Append ``value``, whose lines start with ``newline``'s indent."""
+    cls = type(value)
+    if cls is str:
+        parts.append(encode_basestring_ascii(value))
+    elif cls is int:
+        parts.append(int.__repr__(value))
+    elif cls is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(opening + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, parts)
+            opening = "," + inner
+        parts.append(newline + "}")
+    elif cls is list:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, value)} == {int}:
+            parts.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                         + newline + "]")
+            return
+        opening = "[" + inner
+        for item in value:
+            parts.append(opening)
+            _write(item, inner, parts)
+            opening = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif cls is bool:
+        parts.append("true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 # Built once: parse_args leaves the parser unchanged.

@@ -268,6 +268,8 @@ class SphericalPoset:
     # ``descriptors``, which lists every distinct descriptor once.
     _inclusions: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _shapes: dict[tuple, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     _positions: dict[InclusionDescriptor, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     descriptors: list[InclusionDescriptor] = field(
@@ -289,11 +291,19 @@ class SphericalPoset:
         stabilizers; equal descriptors of different pairs share one."""
         found = self._inclusions.get((sub, big))
         if found is None:
-            desc = _inclusion_of(sub, big, self.stabilizer(sub), self.stabilizer(big))
-            found = self._positions.get(desc)
+            sub_class, big_class = self.stabilizer(sub), self.stabilizer(big)
+            # The classes and where sub sits in big fix _inclusion_of's
+            # result, so a descriptor is built and hashed once per shape.
+            shape = (sub_class.kind, sub_class.param, big_class.kind, big_class.param,
+                     tuple(big.index(s) for s in sub))
+            found = self._shapes.get(shape)
             if found is None:
-                found = self._positions[desc] = len(self.descriptors)
-                self.descriptors.append(desc)
+                desc = _inclusion_of(sub, big, sub_class, big_class)
+                found = self._positions.get(desc)
+                if found is None:
+                    found = self._positions[desc] = len(self.descriptors)
+                    self.descriptors.append(desc)
+                self._shapes[shape] = found
             self._inclusions[sub, big] = found
         return found
 

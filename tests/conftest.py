@@ -138,6 +138,16 @@ TREE_DUMPS = {
 }
 
 
+def vertex_edge_dump(stabilizer: str, incidence: str = "1") -> str:
+    """A one-vertex, one-edge dump as JSON text, so that numbers like 1e400
+    reach the loader as written."""
+    return ('[{"dim": 0, "cells": [{"label": "v", "stabilizer": %s}], "incidence": [[%s]],'
+            ' "descriptors": [{"row": 0, "col": 0, "descriptor":'
+            ' {"kind": "trivial_in_anything", "sub": "trivial", "big": %s}}]},'
+            ' {"dim": 1, "cells": [{"label": "e", "stabilizer": "trivial"}]}]'
+            % (stabilizer, incidence, stabilizer))
+
+
 def unit_columns_of_block(block: IntMatrix) -> tuple[int, ...] | None:
     """Per row of a restriction block, the column of its first ±1 entry, if
     those columns meet no other row; else None.  The oracle that

@@ -33,7 +33,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
-from conftest import TREE_DUMPS, right_angled_corpus, z3_square  # noqa: E402
+from conftest import TREE_DUMPS, right_angled_corpus, vertex_edge_dump, z3_square  # noqa: E402
 from properk import cli  # noqa: E402
 from properk.coxeter import (  # noqa: E402
     CoxeterMatrix, build_bestvina_orbit_complex, build_davis_orbit_complex)
@@ -58,12 +58,14 @@ class Group:
     argvs: list[tuple[str, ...]] = field(default_factory=list)
     files: dict[str, str] = field(default_factory=dict)  # relative path -> text
 
-    def model_runs(self, head: tuple[str, ...], both: bool = True) -> None:
-        """The page emits and the complex for one input, ``head`` naming it."""
+    def model_runs(self, head: tuple[str, ...], results_only: bool = False) -> None:
+        """Every page emit under K and KO and the complex for one input,
+        ``head`` naming it; with ``results_only``, the results alone."""
+        emits = PAGE_EMITS[:2] if results_only else PAGE_EMITS
         for theory in THEORIES:
-            for emit in PAGE_EMITS if not both else PAGE_EMITS[:2]:
+            for emit in emits:
                 self.argvs.append(head + ("--theory", theory) + emit)
-        if not both:
+        if not results_only:
             self.argvs.append(head + ("--theory", "k", "--emit", "complex"))
 
 
@@ -74,8 +76,8 @@ def matrix_arg(matrix: CoxeterMatrix) -> str:
 def coxeter_runs(group: Group, matrix: CoxeterMatrix) -> None:
     head = ("coxeter", "--matrix", matrix_arg(matrix))
     for model in ("davis", "bestvina"):
-        group.model_runs(head + ("--model", model), both=False)
-    group.model_runs(head + ("--model", "both"))
+        group.model_runs(head + ("--model", model))
+    group.model_runs(head + ("--model", "both"), results_only=True)
 
 
 def amalgam_grid() -> Group:
@@ -91,7 +93,7 @@ def amalgam_grid() -> Group:
     group = Group("amalgam-grid")
     for r, m in specs:
         group.model_runs(("amalgam", "--r", ",".join(map(str, r)),
-                          "--m", ",".join(map(str, m))), both=False)
+                          "--m", ",".join(map(str, m))))
     return group
 
 
@@ -120,10 +122,6 @@ def families() -> Group:
     for matrix in matrices:
         coxeter_runs(group, matrix)
     return group
-
-
-def _dump_text(layers) -> str:
-    return json.dumps(layers, sort_keys=True)
 
 
 def _corrupted(layers: list[dict]) -> dict[str, list[dict]]:
@@ -199,20 +197,12 @@ def dumps() -> Group:
     group = Group("dumps")
     for name, dump in layers.items():
         path = f"dumps/{name}.json"
-        group.files[path] = _dump_text(dump)
+        group.files[path] = json.dumps(dump, sort_keys=True)
         for command in ("amalgam", "coxeter"):
             for theory in THEORIES:
                 for emit in DUMP_EMITS:
                     group.argvs.append((command, "--theory", theory, "--from-complex", path) + emit)
     return group
-
-
-def _vertex_edge_dump(stabilizer: str, incidence: str = "1") -> str:
-    return ('[{"dim": 0, "cells": [{"label": "v", "stabilizer": %s}], "incidence": [[%s]],'
-            ' "descriptors": [{"row": 0, "col": 0, "descriptor":'
-            ' {"kind": "trivial_in_anything", "sub": "trivial", "big": %s}}]},'
-            ' {"dim": 1, "cells": [{"label": "e", "stabilizer": "trivial"}]}]'
-            % (stabilizer, incidence, stabilizer))
 
 
 def refusals() -> Group:
@@ -230,10 +220,10 @@ def refusals() -> Group:
         ("coxeter", "--file", "huge-size", '{"size": 1e400, "m": []}'),
         ("coxeter", "--file", "ragged", '{"size": 3, "m": [[1, 2, 2], [2, 1, 2], [2]]}'),
         ("coxeter", "--file", "asymmetric", '{"size": 2, "m": [[1, 3], [4, 1]]}'),
-        ("amalgam", "--from-complex", "huge-stabilizer", _vertex_edge_dump('{"cyclic": 1e400}')),
-        ("coxeter", "--from-complex", "float-incidence", _vertex_edge_dump('"trivial"', "1.0")),
+        ("amalgam", "--from-complex", "huge-stabilizer", vertex_edge_dump('{"cyclic": 1e400}')),
+        ("coxeter", "--from-complex", "float-incidence", vertex_edge_dump('"trivial"', "1.0")),
         ("coxeter", "--from-complex", "false-incidence",
-         _vertex_edge_dump('"trivial"', "1, false")),
+         vertex_edge_dump('"trivial"', "1, false")),
         ("amalgam", "--from-complex", "no-dim", '[{"cells": []}]'),
         ("coxeter", "--from-complex", "not-a-list", '{"dim": 0}'),
         ("amalgam", "--from-complex", "no-extra", json.dumps(

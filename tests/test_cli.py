@@ -4,10 +4,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from properk.abelian import IntMatrix
-from properk.cli import main
-from conftest import TREE_DUMPS
+from properk.cli import _json_text, main
+from conftest import TREE_DUMPS, vertex_edge_dump
 
 
 def run(capsys, argv):
@@ -741,16 +743,6 @@ def test_huge_amalgam_cochain_is_refused_before_listing_a_generator(m, theory, e
     assert elapsed < 1 and peak < 1 << 20
 
 
-def _vertex_edge_dump(stabilizer: str, incidence: str = "1") -> str:
-    """A one-vertex, one-edge dump as JSON text, so that numbers like 1e400
-    reach the loader as written."""
-    return ('[{"dim": 0, "cells": [{"label": "v", "stabilizer": %s}], "incidence": [[%s]],'
-            ' "descriptors": [{"row": 0, "col": 0, "descriptor":'
-            ' {"kind": "trivial_in_anything", "sub": "trivial", "big": %s}}]},'
-            ' {"dim": 1, "cells": [{"label": "e", "stabilizer": "trivial"}]}]'
-            % (stabilizer, incidence, stabilizer))
-
-
 # Each of these was once read as some other input or ended in a traceback:
 # "35" as r = (3, 5), 3.9 as 3, the label 2.7 as 2, true as 1, and 1e400
 # (infinity once parsed) in an OverflowError.
@@ -761,12 +753,12 @@ NON_INTEGER_INPUTS = [
     (["amalgam", "--file"], '{"r": [true], "m": [2, 2]}', "True"),
     (["amalgam", "--file"], '{"r": [1e400], "m": [2, 2]}', "inf"),
     (["coxeter", "--file"], '{"size": 1e400, "m": []}', "inf"),
-    (["amalgam", "--from-complex"], _vertex_edge_dump('{"cyclic": 1e400}'), "inf"),
-    (["coxeter", "--from-complex"], _vertex_edge_dump('"trivial"', "1.0"), "1.0"),
+    (["amalgam", "--from-complex"], vertex_edge_dump('{"cyclic": 1e400}'), "inf"),
+    (["coxeter", "--from-complex"], vertex_edge_dump('"trivial"', "1.0"), "1.0"),
     # At a zero position of the incidence, where a read that only looks at
     # the nonzeros would take them for 0.
-    (["coxeter", "--from-complex"], _vertex_edge_dump('"trivial"', "1, false"), "False"),
-    (["amalgam", "--from-complex"], _vertex_edge_dump('"trivial"', "1, 0.0"), "0.0"),
+    (["coxeter", "--from-complex"], vertex_edge_dump('"trivial"', "1, false"), "False"),
+    (["amalgam", "--from-complex"], vertex_edge_dump('"trivial"', "1, 0.0"), "0.0"),
 ]
 
 
@@ -848,3 +840,44 @@ def test_tree_dumps_with_non_unit_leaf_edges_keep_their_bytes(monkeypatch, tmp_p
         code, out = run(capsys, argv + extra)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text
+# (escaped as \uXXXX, astral ones as surrogate pairs) beside arbitrary ones.
+WRITER_TEXT = st.one_of(
+    st.text(), st.text(alphabet='"\\/\x00\x08\t\n\x1f\x7f\xe9\u2028\U0001f600 ab'))
+WRITER_INTS = st.one_of(st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 200),
+                        st.integers(max_value=-2 ** 64, min_value=-2 ** 200))
+WRITER_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), WRITER_INTS, WRITER_TEXT,
+              st.lists(st.one_of(WRITER_INTS, st.booleans()))),  # dense rows, bools mixed in
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(WRITER_TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+def _nested(depth: int):
+    """Lists and dicts alternating ``depth`` deep, with empty ones beside."""
+    value = {"": [], "x": {}}
+    for level in range(depth):
+        value = [value, [], {}] if level % 2 else {"k": value, "e": {}, "l": []}
+    return value
+
+
+@given(WRITER_PAYLOADS)
+def test_report_writer_matches_indented_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_on_empty_and_deeply_nested_containers():
+    for payload in ({}, [], [[]], [{}], {"a": {}}, _nested(3), _nested(60)):
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{"a": 1.5}, [1, 2.0], {"a": [{"b": float("nan")}]},
+                                     {1: "x"}, {"a": {None: 1}}, {"a": (1, 2)}],
+                         ids=["float", "float-in-int-row", "nested-float", "int-key",
+                              "none-key", "tuple"])
+def test_report_writer_refuses_other_types_and_keys(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)
