@@ -391,6 +391,8 @@ def _write(value, newline: str, parts: list[str]) -> None:
             return
         inner = newline + "  "
         if {*map(type, value)} == {int}:
+            # A dense matrix row is one part, not one per entry: a large
+            # --emit complex|cochain would otherwise peak far above json.dumps.
             parts.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
                          + newline + "]")
             return

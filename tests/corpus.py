@@ -207,7 +207,11 @@ def dumps() -> Group:
 
 def refusals() -> Group:
     """One command line per way of refusing: too_large, the unsupported
-    stabilizers and restrictions, no_collapse and invalid_input."""
+    stabilizers and restrictions, no_collapse and invalid_input.
+
+    A refusal whose message quotes a TypeError raised inside Python (a dump
+    that is not a list, say) is left out: CPython words those differently
+    from one version to the next, so its digest would hold on one only."""
     group = Group("refusals")
     inputs = [  # (command, flag, name, text)
         ("amalgam", "--file", "string-r", '{"r": "35", "m": [2, 2, 2]}'),
@@ -225,7 +229,6 @@ def refusals() -> Group:
         ("coxeter", "--from-complex", "false-incidence",
          vertex_edge_dump('"trivial"', "1, false")),
         ("amalgam", "--from-complex", "no-dim", '[{"cells": []}]'),
-        ("coxeter", "--from-complex", "not-a-list", '{"dim": 0}'),
         ("amalgam", "--from-complex", "no-extra", json.dumps(
             [{"dim": 0, "cells": [{"label": "v", "stabilizer": "trivial"}], "incidence": [[1]],
               "descriptors": [{"row": 0, "col": 0, "descriptor": {"kind": "cyclic_in_cyclic"}}]},
