@@ -132,16 +132,11 @@ class IntMatrix:
             raise ValueError("dimension mismatch in matrix product")
         return IntMatrix(self.rows, other.cols, product_rows(self.data, other.data))
 
-    def block(self, rows: Sequence[int], cols: Sequence[int],
-              empty: Collection[int] = ()) -> "IntMatrix":
-        """The submatrix on the given rows and columns, in their order; the
-        rows at the positions ``empty`` are left zero, and not read."""
-        if len(empty) == len(rows):
-            return IntMatrix.zero(len(rows), len(cols))
+    def block(self, rows: Sequence[int], cols: Sequence[int]) -> "IntMatrix":
+        """The submatrix on the given rows and columns, in their order."""
         pos = {j: b for b, j in enumerate(cols)}
         return IntMatrix(len(rows), len(cols), tuple(
-            {} if b in empty else {pos[j]: x for j, x in self.data[i].items() if j in pos}
-            for b, i in enumerate(rows)))
+            {pos[j]: x for j, x in self.data[i].items() if j in pos} for i in rows))
 
     def mod2(self) -> "Mod2Matrix":
         bits = []

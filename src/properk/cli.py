@@ -25,7 +25,6 @@ import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
-from .abelian import ChainComplexError
 from .ahss import (
     MISMATCH,
     AbutmentReport,
@@ -48,12 +47,14 @@ from .coxeter import (
     build_davis_orbit_complex,
 )
 from .groups import UnsupportedRestrictionError
-from .orbit import AmalgamSpec, OrbitComplex, OrbitComplexError, build_amalgam_orbit_complex
+from .orbit import AmalgamSpec, OrbitComplex, build_amalgam_orbit_complex
 from .reprings import coefficient_runs, cut_ranks
 
 # Most dense matrix entries an --emit complex or --emit cochain report may
-# write.  Each costs about 17 bytes of output and 115 bytes of peak memory
-# while the report is built, so the budget is near 170 MB and 1.1 GiB.
+# write.  Each costs 14 to 19 bytes of output and about 12 bytes of peak
+# memory above the interpreter's own, since the report is written row by row
+# (D_inf^4 Davis --emit complex and Bestvina KO --emit cochain, CPython
+# 3.11), so the budget is near 190 MB of output and 120 MB of memory.
 EMIT_ENTRY_BUDGET = 10_000_000
 
 
@@ -275,57 +276,37 @@ def _verdict_payload(reports: tuple[AbutmentReport, ...],
     return payload, any(v.verdict == MISMATCH for v in verdicts)
 
 
-def _run_amalgam(args) -> tuple[dict, int]:
-    # A loaded complex needs the amalgam parameters only for the closed form.
-    spec = _amalgam_input(args) if args.check or not args.from_complex else None
-    if args.from_complex:
-        complex_ = _loaded_complex(args.from_complex)
-        description = f"amalgam from {args.from_complex}"
-    else:
-        complex_ = build_amalgam_orbit_complex(spec)
-        description = spec.describe()
-    if args.emit == "complex":
-        return {"group": description, "complex": _complex_payload(complex_)}, 0
-    # The edge orders r_i are the orders of the 1-cell stabilizers.
-    edge_orders = ([complex_.stabilizers[s].order for s in complex_.cells[1]]
-                   if complex_.dim >= 1 else [])
-    if args.theory == "ko" and any(r % 2 == 0 for r in edge_orders):
-        raise UnsupportedRestrictionError(
-            f"KO needs every edge order r_i odd; got r = {edge_orders}")
-    if args.emit == "cochain":
-        return _cochain_payload(complex_, args.theory), 0
-    page = build_e2(complex_, args.theory)
-    if args.emit == "e2page":
-        return _page_payload(page), 0
-    reports = assemble_abutment(page)
-    payload = _result_payload(page, reports, description)
-    mismatch = False
-    if args.check:
-        payload["verdicts"], mismatch = _verdict_payload(
-            reports, closed_form_amalgam(spec, args.theory))
-    return payload, 2 if mismatch else 0
-
-
-def _run_coxeter(args) -> tuple[dict, int]:
-    # A loaded complex needs the Coxeter matrix only for the closed form.
-    matrix = _coxeter_input(args) if args.check or not args.from_complex else None
+def _run(args) -> tuple[dict, int]:
+    amalgam = args.command == "amalgam"
+    # A loaded complex needs the group only for the closed form.
+    group = ((_amalgam_input if amalgam else _coxeter_input)(args)
+             if args.check or not args.from_complex else None)
     if args.from_complex:
         complexes = {"loaded": _loaded_complex(args.from_complex)}
-        description = f"Coxeter group from {args.from_complex}"
+        description = (f"{'amalgam' if amalgam else 'Coxeter group'} "
+                       f"from {args.from_complex}")
+    elif amalgam:
+        complexes = {"amalgam": build_amalgam_orbit_complex(group)}
+        description = group.describe()
     else:
-        description = f"Coxeter group on {matrix.size} generators"
-        if args.model == "both":
-            complexes = {"davis": build_davis_orbit_complex(matrix),
-                         "bestvina": build_bestvina_orbit_complex(matrix)}
-        elif args.model == "davis":
-            complexes = {"davis": build_davis_orbit_complex(matrix)}
-        else:
-            complexes = {"bestvina": build_bestvina_orbit_complex(matrix)}
+        # Looked up per call, so a rebound builder (a tracer, a test) is used.
+        builders = {"davis": build_davis_orbit_complex,
+                    "bestvina": build_bestvina_orbit_complex}
+        names = builders if args.model == "both" else (args.model,)
+        complexes = {name: builders[name](group) for name in names}
+        description = f"Coxeter group on {group.size} generators"
     primary_name = next(iter(complexes))
     primary = complexes[primary_name]
+    model = {} if amalgam else {"model": primary_name}
     if args.emit == "complex":
-        return {"group": description, "model": primary_name,
-                "complex": _complex_payload(primary)}, 0
+        return {"group": description, **model, "complex": _complex_payload(primary)}, 0
+    if amalgam and args.theory == "ko":
+        # The edge orders r_i are the orders of the 1-cell stabilizers.
+        edge_orders = ([primary.stabilizers[s].order for s in primary.cells[1]]
+                       if primary.dim >= 1 else [])
+        if any(r % 2 == 0 for r in edge_orders):
+            raise UnsupportedRestrictionError(
+                f"KO needs every edge order r_i odd; got r = {edge_orders}")
     if args.emit == "cochain":
         return _cochain_payload(primary, args.theory), 0
     pages = {name: build_e2(cx, args.theory) for name, cx in complexes.items()}
@@ -333,8 +314,7 @@ def _run_coxeter(args) -> tuple[dict, int]:
     if args.emit == "e2page":
         return _page_payload(page), 0
     reports = {name: assemble_abutment(pg) for name, pg in pages.items()}
-    payload = _result_payload(page, reports[primary_name], description)
-    payload["model"] = primary_name
+    payload = _result_payload(page, reports[primary_name], description) | model
     if len(reports) > 1:
         davis, bestvina = reports.values()
         payload["models_agree"] = davis == bestvina
@@ -343,8 +323,9 @@ def _run_coxeter(args) -> tuple[dict, int]:
                 "Davis and Bestvina pipelines disagree; this is a bug, please report it")
     mismatch = False
     if args.check:
+        closed_form = closed_form_amalgam if amalgam else _coxeter_closed_form
         payload["verdicts"], mismatch = _verdict_payload(
-            reports[primary_name], _coxeter_closed_form(matrix, args.theory))
+            reports[primary_name], closed_form(group, args.theory))
     return payload, 2 if mismatch else 0
 
 
@@ -352,60 +333,63 @@ def _error(kind: str, message: str, **extra) -> tuple[dict, int]:
     return {"error": {"kind": kind, "message": message, **extra}}, 1
 
 
-def _json_text(payload: dict) -> str:
-    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a
-    newline, for a payload of dicts with string keys, lists, strings, ints,
-    bools and None; any other type or key raises TypeError.  ``json.dumps``
-    with an indent runs its pure-Python encoder, one generator step per
-    token; this writer escapes through the same C function and writes a
-    list of plain ints, a dense matrix row, in one join."""
-    parts: list[str] = []
-    _write(payload, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+def write_report(payload: dict, sink) -> None:
+    """Write to ``sink``, piece by piece through its ``write``, the bytes of
+    ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, for a
+    payload of dicts with string keys, lists, strings, ints, bools and
+    None.  ``json.dumps`` with an indent runs its pure-Python encoder, one
+    generator step per token; this writer escapes through the same C
+    function and writes a list of plain ints, a dense matrix row, in one
+    piece.  No piece is longer than one such row, so the report is never
+    held whole.  Any other type or key raises TypeError, possibly after part
+    of the report is written: only a payload built wrongly in this module,
+    a programming error, can do that."""
+    write = sink.write
+    _write(payload, "\n", write)
+    write("\n")
 
 
-def _write(value, newline: str, parts: list[str]) -> None:
-    """Append ``value``, whose lines start with ``newline``'s indent."""
+def _write(value, newline: str, write) -> None:
+    """Write ``value``, whose lines start with ``newline``'s indent."""
     cls = type(value)
     if cls is str:
-        parts.append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     elif cls is int:
-        parts.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif cls is dict:
         if not value:
-            parts.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         opening = "{" + inner
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(opening + encode_basestring_ascii(key) + ": ")
-            _write(value[key], inner, parts)
+            write(opening + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, write)
             opening = "," + inner
-        parts.append(newline + "}")
+        write(newline + "}")
     elif cls is list:
         if not value:
-            parts.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         if {*map(type, value)} == {int}:
-            # A dense matrix row is one part, not one per entry: a large
-            # --emit complex|cochain would otherwise peak far above json.dumps.
-            parts.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
-                         + newline + "]")
+            # A dense matrix row is one write, not one per entry: that
+            # halves the time to write a large --emit complex|cochain.
+            write("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                  + newline + "]")
             return
         opening = "[" + inner
         for item in value:
-            parts.append(opening)
-            _write(item, inner, parts)
+            write(opening)
+            _write(item, inner, write)
             opening = "," + inner
-        parts.append(newline + "]")
+        write(newline + "]")
     elif value is None:
-        parts.append("null")
+        write("null")
     elif cls is bool:
-        parts.append("true" if value else "false")
+        write("true" if value else "false")
     else:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
@@ -416,9 +400,8 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    run = _run_amalgam if args.command == "amalgam" else _run_coxeter
     try:
-        payload, status = run(args)
+        payload, status = _run(args)
     except UnsupportedStabilizerError as exc:
         payload, status = _error("unsupported_stabilizer", str(exc),
                                  subset=[f"s{i}" for i in exc.subset])
@@ -431,17 +414,17 @@ def main(argv: list[str] | None = None) -> int:
     except TooLargeError as exc:
         payload, status = _error("too_large", str(exc), predicted_entries=exc.entries,
                                  budget=EMIT_ENTRY_BUDGET)
-    except (InputError, OrbitComplexError, ChainComplexError, ValueError) as exc:
+    except ValueError as exc:  # InputError and the layers' input errors too
         payload, status = _error("invalid_input", str(exc))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(_json_text(payload))
+                write_report(payload, fh)
             return status
         except OSError as exc:
             # The report, error or not, goes nowhere: say so on stdout.
             payload, status = _error("invalid_input", f"cannot write {args.out}: {exc}")
-    sys.stdout.write(_json_text(payload))
+    write_report(payload, sys.stdout)
     return status
 
 

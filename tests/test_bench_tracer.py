@@ -43,3 +43,6 @@ def test_traced_job_counts_layers_and_restores(capsys):
     assert cli.main is main
     assert tracer.counts["bredon.cochain_entries"] > 0
     assert tracer.counts["abelian.snf_calls"] > 0
+    # The model build and the validation of each complex are timed.
+    assert tracer.times["coxeter.build_s"] > 0
+    assert tracer.times["orbit.validate_s"] > 0

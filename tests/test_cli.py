@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from properk.abelian import IntMatrix
-from properk.cli import _json_text, main
+from properk.cli import main, write_report
 from conftest import TREE_DUMPS, vertex_edge_dump
 
 
@@ -352,6 +354,24 @@ def test_model_disagreement_error_kind(monkeypatch, capsys):
                              "--model", "both"])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "model_disagreement"
+
+
+@pytest.mark.parametrize("emit", ["result", "complex", "cochain", "e2page"])
+def test_model_both_builds_both_models_through_rebound_names(monkeypatch, capsys, emit):
+    # The tracer rebinds the builders and build_e2 by name, so the run must
+    # look them up in cli when it is called; both models are built for every
+    # --emit, and both are paged for a page or a result.
+    import properk.cli as cli
+
+    calls = []
+    for name in ("build_davis_orbit_complex", "build_bestvina_orbit_complex", "build_e2"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, name=name, original=original:
+                            calls.append(name) or original(*a))
+    code, _ = run(capsys, ["coxeter", "--matrix", "1,3;3,1", "--emit", emit])
+    assert code == 0
+    paged = ["build_e2"] * 2 if emit in ("result", "e2page") else []
+    assert calls == ["build_davis_orbit_complex", "build_bestvina_orbit_complex"] + paged
 
 
 EDGE = [{"dim": 0, "cells": [{"label": "v", "stabilizer": "trivial"}],
@@ -856,6 +876,12 @@ WRITER_PAYLOADS = st.recursive(
     max_leaves=40)
 
 
+def _written(payload) -> str:
+    sink = io.StringIO()
+    write_report(payload, sink)
+    return sink.getvalue()
+
+
 def _nested(depth: int):
     """Lists and dicts alternating ``depth`` deep, with empty ones beside."""
     value = {"": [], "x": {}}
@@ -866,12 +892,12 @@ def _nested(depth: int):
 
 @given(WRITER_PAYLOADS)
 def test_report_writer_matches_indented_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert _written(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_report_writer_on_empty_and_deeply_nested_containers():
     for payload in ({}, [], [[]], [{}], {"a": {}}, _nested(3), _nested(60)):
-        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert _written(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("payload", [{"a": 1.5}, [1, 2.0], {"a": [{"b": float("nan")}]},
@@ -880,4 +906,41 @@ def test_report_writer_on_empty_and_deeply_nested_containers():
                               "none-key", "tuple"])
 def test_report_writer_refuses_other_types_and_keys(payload):
     with pytest.raises(TypeError):
-        _json_text(payload)
+        _written(payload)
+
+
+class RecordingSink:
+    """An output that keeps every piece written to it."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+def _dense_rows(value, depth: int = 0):
+    """Each non-empty list of plain ints in ``value``, with its depth."""
+    if type(value) is list and value and all(type(x) is int for x in value):
+        yield value, depth
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _dense_rows(item, depth + 1)
+
+
+def test_report_is_written_row_by_row(monkeypatch):
+    # D_inf^3 Davis --emit complex: hundreds of dense incidence rows.
+    matrix = ";".join(",".join("1" if i == j else "0" if i // 2 == j // 2 else "2"
+                               for j in range(6)) for i in range(6))
+    sink = RecordingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["coxeter", "--matrix", matrix, "--model", "davis", "--emit", "complex"]) == 0
+    monkeypatch.undo()
+    text = "".join(sink.writes)
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # A row's text is its json.dumps, indented to the row's depth.
+    row_texts = [json.dumps(row, indent=2).replace("\n", "\n" + "  " * depth)
+                 for row, depth in _dense_rows(report)]
+    assert len(row_texts) > 100
+    assert max(map(len, sink.writes)) <= max(map(len, row_texts))
