@@ -596,9 +596,9 @@ class SplitCochainComplex:
     ``fill_peeled``, whose rows meet only zero columns of F_1; every other
     complex, its cuts included, is multiplied out.
 
-    ``peeled`` lists rows of F_0 that split off as unit pivots, in order,
-    each mapped to its pivot column: the row holds ±1 there, and every other
-    row of F_0 not listed before it holds 0.  Its builder vouches for it
+    ``peeled`` lists rows of F_0 that split off as unit pivots, in order:
+    each row holds ±1 at a column where every other row of F_0 not listed
+    before it holds 0.  Its builder vouches for it
     (``bredon.assemble_cochain`` decides it from the orbit complex before
     building any block), nothing here checks it, and only
     ``factor_integral`` uses it, reading none of those rows' entries.  So
@@ -612,7 +612,7 @@ class SplitCochainComplex:
     free_d: tuple[IntMatrix, ...]
     tor_d: tuple[Mod2Matrix, ...]
     _composes: InitVar[bool] = False
-    peeled: Mapping[int, int] = field(default_factory=dict, compare=False)
+    peeled: Collection[int] = field(default=(), compare=False)
 
     def __post_init__(self, _composes: bool = False):
         n = len(self.free_ranks)
@@ -639,10 +639,10 @@ class SplitCochainComplex:
     @classmethod
     def integral(cls, free_ranks: Sequence[int], diffs: Sequence[IntMatrix],
                  _composes: bool = False,
-                 peeled: Mapping[int, int] | None = None) -> "SplitCochainComplex":
+                 peeled: Collection[int] = ()) -> "SplitCochainComplex":
         """Pure integral complex (no torsion summands)."""
         return cls(tuple(free_ranks), (0,) * len(free_ranks), tuple(diffs),
-                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs), _composes, peeled or {})
+                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs), _composes, peeled)
 
     @property
     def length(self) -> int:

@@ -10,7 +10,8 @@ shape of the cellular boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .abelian import (
     AbGroup,
@@ -26,10 +27,10 @@ from .reprings import (
     CutNumbering,
     cell_offsets,
     coefficient_runs,
+    has_unit_pivots,
     refuse_even_cyclic,
     restriction_k0,
     restriction_ko,
-    unit_columns,
 )
 
 
@@ -76,16 +77,17 @@ def assemble_cochain(complex_: OrbitComplex, theory: str) -> SplitCochainComplex
     One integral complex is assembled per theory: K^0 from the complex
     restriction matrices (``restriction_k0``), or for KO the real complex,
     which is KO^0 and KO^{-4}, from the real ones (``restriction_ko`` in
-    degree 0).  The peel of d_0 is decided first, before any block, from
-    the face table, the incidence coefficients and the descriptors' kinds
-    (``_peel``).  Its rows are the complex's ``peeled`` rows, for
-    ``factor_integral``, and are not stored: they are left empty.  Every
-    other block is written straight into sparse rows, each restriction
-    computed once per distinct descriptor, when a written face first reads
-    it, so a descriptor that only peeled faces use is never restricted.
-    ``fill_peeled`` writes the peeled rows back in, and ``bredon_cochain``
-    cuts any other degree from that.  The order of the cells fixes the
-    block layout, so assembled matrices are reproducible literals.
+    degree 0).  The peel of d_0, a list of edges, is decided first, before
+    any block, from the face table, the incidence coefficients and the
+    descriptors' kinds (``_peel``).  Those edges' rows are the complex's
+    ``peeled`` rows, for ``factor_integral``, and are not stored: they are
+    left empty.  Every other block is written straight into sparse rows,
+    each restriction computed once per distinct descriptor, when a written
+    face first reads it, so a descriptor that only peeled faces use is
+    never restricted.  ``fill_peeled`` writes the peeled rows back in, and
+    ``bredon_cochain`` cuts any other degree from that.  The order of the
+    cells fixes the block layout, so assembled matrices are reproducible
+    literals.
 
     d∘d = 0 is proved rather than multiplied out when the composite
     restrictions agree (``_composites_agree``); the orbit complex has
@@ -97,19 +99,20 @@ def assemble_cochain(complex_: OrbitComplex, theory: str) -> SplitCochainComplex
     peeled row: leaving those rows empty changes no block of d_1·d_0.
     """
     offsets = _offsets(complex_, theory)
-    peeled = _peel(complex_, offsets, theory)
+    edges = _peel(complex_, theory)
+    peeled = set(edges)
     blocks: list[IntMatrix | None] = [None] * len(complex_.descriptors)
     free_d = []
     for p, layer in enumerate(complex_.faces):
         rows: list[dict[int, int]] = [{} for _ in range(offsets[p + 1][-1])]
         cells = range(len(layer))
         if p == 0:
-            cells = [k for k in cells if offsets[1][k] not in peeled]
+            cells = [k for k in cells if k not in peeled]
         _write(rows, complex_, theory, blocks, p, offsets, cells)
         free_d.append(IntMatrix(len(rows), offsets[p][-1], tuple(rows)))
     return SplitCochainComplex.integral([offs[-1] for offs in offsets], free_d,
                                         _composes=_composites_agree(complex_, blocks),
-                                        peeled=peeled)
+                                        peeled=_edge_rows(offsets, edges))
 
 
 def fill_peeled(complex_: OrbitComplex, theory: str,
@@ -122,13 +125,14 @@ def fill_peeled(complex_: OrbitComplex, theory: str,
     d∘d = 0 is not checked again: the page proved it or multiplied it out,
     and the rows written here meet only zero columns of d_1.
     """
-    if not page.peeled:
+    edges = _peel(complex_, theory)
+    if not edges:
         return page
     offsets = _offsets(complex_, theory)
-    d0 = page.free_d[0]
-    # Fresh rows: the page's empty ones belong to its matrix.
-    rows = [{} if i in page.peeled else row for i, row in enumerate(d0.data)]
-    edges = [k for k in range(len(complex_.cells[1])) if offsets[1][k] in page.peeled]
+    d0, first = page.free_d[0], offsets[1]
+    rows = list(d0.data)
+    for k in edges:  # fresh rows: the page's empty ones belong to its matrix
+        rows[first[k]:first[k + 1]] = [{} for _ in range(first[k], first[k + 1])]
     _write(rows, complex_, theory, [None] * len(complex_.descriptors), 0, offsets, edges)
     return SplitCochainComplex.integral(
         page.free_ranks, (IntMatrix(d0.rows, d0.cols, tuple(rows)),) + page.free_d[1:],
@@ -165,20 +169,19 @@ def _write(rows: list[dict[int, int]], complex_: OrbitComplex, theory: str,
                     row[src + b] = alpha * v
 
 
-def _peel(complex_: OrbitComplex, offsets: list[list[int]], theory: str) -> dict[int, int]:
-    """The rows of d_0 split off by peeling the free edges of the orbit
-    complex, in order, each mapped to its pivot column; decided before any
-    block is built.
+def _peel(complex_: OrbitComplex, theory: str) -> list[int]:
+    """The free edges of the orbit complex, in the order they are peeled:
+    the edges whose rows of d_0 split off as unit pivots, decided before
+    any block is built.
 
     A vertex j whose only edge left is k is free when its incidence is ±1
-    and every row of k's restriction block has a ±1 in a column that no
-    other row of the block meets: ``reprings.unit_columns`` reads those
-    columns off the descriptor's kind and parameters.  j's columns of d_0
-    meet the rows of k alone, so each row of k is a unit pivot at its
-    column of j.  k is dropped and the peel goes on, so a tree collapses
-    completely.  A vertex's last edge is the sum of the indices of the edges
-    it has left, so the peel costs a few integers per edge, and each
-    descriptor is looked at once, when a free vertex first reaches it.
+    and every row of k's restriction block has a ±1 at a column that no
+    other row of the block meets: ``reprings.has_unit_pivots`` reads that
+    off the descriptor's kind.  j's columns of d_0 meet the rows of k
+    alone, so each row of k is a unit pivot at its column of j.  k is
+    dropped and the peel goes on, so a tree collapses completely.  A
+    vertex's last edge is the sum of the indices of the edges it has left,
+    so the peel costs a few integers per edge.
 
     A peeled edge k bounds no 2-cell.  Every other edge of its free vertex
     j was peeled before it and, by induction, bounds none, so for a 2-cell
@@ -186,7 +189,7 @@ def _peel(complex_: OrbitComplex, offsets: list[list[int]], theory: str) -> dict
     says why).
     """
     if not complex_.faces:
-        return {}
+        return []
     layer = complex_.faces[0]
     degree = [0] * len(complex_.cells[0])
     edges = [0] * len(degree)  # per vertex, the sum of its edges left
@@ -195,28 +198,28 @@ def _peel(complex_: OrbitComplex, offsets: list[list[int]], theory: str) -> dict
             degree[j] += 1
             edges[j] += k
     leaves = [j for j, n in enumerate(degree) if n == 1]
-    units: dict[int, tuple[int, ...] | None] = {}  # per descriptor
-    peeled: dict[int, int] = {}
+    peeled = []
     while leaves:
         j = leaves.pop()
         if degree[j] != 1:  # its edge went from the other end
             continue
         k = edges[j]
         alpha, d = layer[k][j]
-        if alpha * alpha != 1:
+        if alpha * alpha != 1 or not has_unit_pivots(complex_.descriptors[d], theory):
             continue
-        if d not in units:
-            units[d] = unit_columns(complex_.descriptors[d], theory)
-        if units[d] is None:
-            continue
-        for row, c in enumerate(units[d], offsets[1][k]):
-            peeled[row] = offsets[0][j] + c
+        peeled.append(k)
         for i in layer[k]:
             degree[i] -= 1
             edges[i] -= k
             if degree[i] == 1:
                 leaves.append(i)
     return peeled
+
+
+def _edge_rows(offsets: Sequence[Sequence[int]], edges: Iterable[int]) -> tuple[int, ...]:
+    """The rows of d_0 at ``edges``, in order: each edge's rows, from its
+    offset in degree 1 of ``offsets`` to the next edge's."""
+    return tuple(chain.from_iterable(range(offsets[1][k], offsets[1][k + 1]) for k in edges))
 
 
 def _composites_agree(complex_: OrbitComplex, blocks: list[IntMatrix]) -> bool:
@@ -262,16 +265,22 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
 
     The cut keeps or drops a stabilizer's whole R-type and C-type runs
     (``_cut``): keeping every generator reuses ``factored``, keeping none
-    gives the zero complex, and otherwise the cut translates the peel of
-    ``full`` row by row, and its d_p are the rows of ``full`` that it
-    keeps, their columns renumbered.  ``full``, the page's complex, stores
-    no peeled row, and the cut reads none.
+    gives the zero complex, and otherwise its d_p are the rows of ``full``
+    that it keeps, their columns renumbered.  Its peel is that of ``full``
+    edge by edge: a peeled edge peels all of its rows, and the cut numbers
+    a cell's kept generators contiguously, so it peels each peeled edge's
+    rows from the edge's cut offset to the next edge's.  Each kept row has
+    its unit at a kept column, since a unit has its row's type
+    (``reprings.has_unit_pivots``) and the cut keeps whole types.
+    ``full``, the page's complex, stores no peeled row, and the cut reads
+    none.
     """
     cut, length = _cut(complex_, "ko", n, part), len(full.free_ranks)
     return cut.select(
         factored, lambda: Factorization((0,) * length, ((),) * (length + 1)),
         lambda: factor_integral(SplitCochainComplex.integral(
-            cut.ranks, cut.blocks(full.free_d), peeled=cut.peel(full.peeled))))
+            cut.ranks, cut.blocks(full.free_d),
+            peeled=_edge_rows([kept for _, kept in cut.degrees], _peel(complex_, "ko")))))
 
 
 def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> SplitCochainComplex:
@@ -322,15 +331,15 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     d_0 is peeled before any block is built (``_peel``): an edge that is
     the last one left at a vertex, meets it with incidence ±1 and has a
     unit in each row of its restriction block at a column no other row
-    meets, read off the descriptor's kind, splits off as factors 1.  Its
-    rows are not stored, and a descriptor that only peeled faces use is
-    not restricted.  A tree, such as the orbit complex of an amalgam,
-    splits off the whole of d_0, so its page restricts nothing, stores no
-    entry of d_0 and eliminates no row of it: each row is a rank count.
-    The cuts translate the peel row by row and build no rows for it
+    meets, read off the descriptor's kind, splits off its rows as factors
+    1.  Those rows are not stored, and a descriptor that only peeled faces
+    use is not restricted.  A tree, such as the orbit complex of an
+    amalgam, splits off the whole of d_0, so its page restricts nothing,
+    stores no entry of d_0 and eliminates no row of it: each row is a rank
+    count.  The cuts peel the same edges and build no rows for them
     (``_factor_cut``): each keeps or drops a stabilizer's whole R-type and
-    C-type runs, so its ranks, its peel and the columns of its rows are
-    arithmetic on those runs, and it lists no generator.
+    C-type runs, so its ranks, its peeled rows and the columns of its rows
+    are arithmetic on those runs, and it lists no generator.
     Only d_0 is peeled: its pivot columns feed no further differential,
     while peeling d_p for p ≥ 1 would change the pivot columns that d_{p-1}
     skips, and on a Davis top differential that made the next elimination

@@ -123,10 +123,7 @@ def _load_json(path: str):
 
 
 def _parse_matrix_arg(text: str) -> CoxeterMatrix:
-    rows = []
-    for chunk in text.split(";"):
-        rows.append([int(x) for x in chunk.split(",")])
-    return CoxeterMatrix.from_rows(rows)
+    return CoxeterMatrix.from_rows([chunk.split(",") for chunk in text.split(";")])
 
 
 def build_parser() -> argparse.ArgumentParser:

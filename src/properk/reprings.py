@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .abelian import IntMatrix, Mod2Matrix
 from .groups import (
@@ -99,47 +99,26 @@ def restriction_k0(incl: InclusionDescriptor) -> IntMatrix:
     raise UnsupportedRestrictionError(f"unsupported inclusion kind {incl.kind!r}")
 
 
-def unit_columns(incl: InclusionDescriptor, theory: str) -> tuple[int, ...] | None:
-    """Per row of the degree-0 restriction block along ``incl``
-    (``restriction_k0`` for K, ``real_restriction`` for KO), the column of
-    its first ±1 entry, if those columns meet no other row; else None.
-    Read off the kind and its parameters, with no block built:
+def has_unit_pivots(incl: InclusionDescriptor, theory: str) -> bool:
+    """Whether every row of the degree-0 restriction block along ``incl``
+    (``restriction_k0`` for K, ``real_restriction`` for KO) has a ±1 at a
+    column that no other row meets, read off the kind with no block built.
 
-    * ``cyclic_in_cyclic`` Z/r <= Z/(m·r), for K: row t is 1 at the columns
-      t + r·i, so its unit is column t and meets no other row.  For KO the
-      trivial row has its unit at the trivial generator.  A C-type row, the
-      pair {t, r-t}, is 1 at the m distinct C-type generators of the big
-      group holding a character t + r·i, the first of them t + s, for s the
-      number of R-type generators after the trivial one (1 if r·m is even,
-      else 0).  For r even, the R-type row of chi_{r/2} has a ±1 only at
-      chi_{rm/2}, which it restricts onto once when m is odd (column 1),
-      and twice to every C-type generator it meets when m is even, so then
-      it has none.
-    * ``trivial_in_anything``: one row, whose trivial character is 1.
-    * ``reflection_in_dihedral``: trivial and sign each restrict onto
-      themselves once, every 2-dimensional rho onto both.
-    * ``elem2_subset``: row t is 1 at each character restricting onto t,
-      first at t spread onto the injection's coordinates, the rest zero.
-
-    Every unit column of a KO block is of the type of its row: R-type rows
-    have their units at R-type generators, C-type rows at C-type ones.
+    Every kind has them but KO's Z/r <= Z/(m·r) with r and m both even:
+    there the R-type row of chi_{r/2} meets only C-type generators, each
+    holding two characters r/2 + r·i, so it is 2 wherever it is not 0.
+    Otherwise each row is 1 at a generator that restricts onto it alone:
+    for a cyclic subgroup the one holding the row's character t (for KO's
+    row of chi_{r/2}, m odd, the R-type chi_{rm/2}), for (Z/2)^j the
+    character t spread onto the injection's coordinates, for a reflection
+    the trivial and sign characters, for the trivial subgroup the trivial
+    one.  In KO that generator has its row's type, so a cut, which keeps
+    or drops whole types, keeps each kept row's unit.
     """
-    if incl.kind == CYCLIC_IN_CYCLIC:
+    if incl.kind == CYCLIC_IN_CYCLIC and theory == "ko":
         r, m = incl.extra
-        if theory == "k":
-            return tuple(range(r))
-        if r % 2:
-            s = 1 - r * m % 2
-            return (0, *range(1 + s, (r + 1) // 2 + s))
-        return tuple(range(r // 2 + 1)) if m % 2 else None
-    if incl.kind == TRIVIAL_IN_ANYTHING:
-        return (0,)
-    if incl.kind == REFLECTION_IN_DIHEDRAL:
-        return (0, 1)
-    if incl.kind == ELEM2_SUBSET:
-        return tuple(sum(1 << coord for i, coord in enumerate(incl.extra) if t >> i & 1)
-                     for t in range(2 ** len(incl.extra)))
-    raise UnsupportedRestrictionError(f"unsupported inclusion kind {incl.kind!r}")
+        return bool(r % 2 or m % 2)
+    return True
 
 
 def _elem2_rank(g: GroupClass) -> int:
@@ -286,7 +265,8 @@ class CutNumbering:
     (``empty``) or some.  Only then are the cells numbered: a cell's kept
     generators come in order after its cut offset, the number kept by the
     cells before it, so a generator's cut index is that offset plus its
-    position inside the kept runs, and no generator is listed.
+    position inside the kept runs, a cell's kept generators run from its
+    cut offset to the next cell's, and no generator is listed.
     """
 
     def __init__(self, runs: Sequence[tuple[tuple[tuple[tuple[int, int], ...], int], ...]],
@@ -349,23 +329,6 @@ class CutNumbering:
 
         return self.select(tuple(diffs), lambda: (IntMatrix.zero(0, 0),) * len(diffs),
                            lambda: tuple(renumber(p, d) for p, d in enumerate(diffs)))
-
-    def peel(self, peeled: Mapping[int, int]) -> dict[int, int]:
-        """The rows of ``peeled``, a peel of d_0, that the part keeps,
-        renumbered, each with its pivot column, which stays a unit pivot at
-        a column no later row meets; or none if a kept row's column is
-        dropped.  A cut keeps whole types, and every unit column has its
-        row's type (``unit_columns``), so a cut of the page's complex keeps
-        its peel, and reads none of the peeled rows it does not store."""
-        index, out = self.index, {}
-        for r, c in peeled.items():
-            i = index(1, r)
-            if i is not None:
-                b = index(0, c)
-                if b is None:
-                    return {}
-                out[i] = b
-        return out
 
 
 def refuse_even_cyclic(incls: Iterable[InclusionDescriptor], n: int) -> None:

@@ -150,9 +150,9 @@ def vertex_edge_dump(stabilizer: str, incidence: str = "1") -> str:
 
 def unit_columns_of_block(block: IntMatrix) -> tuple[int, ...] | None:
     """Per row of a restriction block, the column of its first ±1 entry, if
-    those columns meet no other row; else None.  The oracle that
-    ``reprings.unit_columns`` reads off a descriptor's kind without the
-    block."""
+    those columns meet no other row; else None.  The oracle for
+    ``reprings.has_unit_pivots``, which reads whether they exist off a
+    descriptor's kind without the block."""
     firsts: dict[int, int] = {}
     for i, row in enumerate(block.data):
         c = next((c for c, x in row.items() if x == 1 or x == -1), None)

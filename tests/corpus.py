@@ -124,6 +124,44 @@ def families() -> Group:
     return group
 
 
+def diagram(size: int, labels: dict[tuple[int, int], int]) -> str:
+    """The --matrix text of the Coxeter diagram on ``size`` nodes whose
+    edges (a, b), a < b, carry ``labels``; every other pair commutes."""
+    return ";".join(",".join(str(1 if a == b else labels.get((min(a, b), max(a, b)), 2))
+                             for b in range(size)) for a in range(size))
+
+
+def path(*labels: int) -> str:
+    """The --matrix text of the path diagram with these edge labels."""
+    return diagram(len(labels) + 1, {(i, i + 1): label for i, label in enumerate(labels)})
+
+
+def classification() -> Group:
+    """Diagrams of rank >= 3 that reach every case of the finite-type
+    classification, under K on each model.
+
+    A4, B3, B4, F4, H3, H4, D4, D5 and E6 are finite, so each is refused:
+    Bestvina names the largest spherical subset, the whole set, which pins
+    the classification.  The near-misses are infinite: D~4 (a node of
+    degree 4), D~5 (two branch nodes) and a branch with a label 4 are
+    refused on a smaller subset, and the paths with labels (5, 5) and
+    (3, 7) give results."""
+    matrices = [path(3, 3, 3), path(4, 3), path(4, 3, 3), path(3, 4, 3), path(5, 3),
+                path(5, 3, 3),
+                diagram(4, {(0, 1): 3, (1, 2): 3, (1, 3): 3}),  # D4
+                diagram(5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (2, 4): 3}),  # D5
+                diagram(6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (2, 5): 3}),  # E6
+                diagram(5, {(0, 1): 3, (0, 2): 3, (0, 3): 3, (0, 4): 3}),  # D~4
+                diagram(6, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (3, 5): 3}),  # D~5
+                diagram(4, {(0, 1): 4, (1, 2): 3, (1, 3): 3}),  # a branch with a label 4
+                path(5, 5), path(3, 7)]
+    group = Group("classification")
+    for matrix in matrices:
+        for model in ("davis", "bestvina"):
+            group.argvs.append(("coxeter", "--matrix", matrix, "--model", model, "--theory", "k"))
+    return group
+
+
 def _corrupted(layers: list[dict]) -> dict[str, list[dict]]:
     """Variants of a dump of dimension >= 1, each broken in one way."""
     def copy():
@@ -294,7 +332,7 @@ def refusals() -> Group:
     return group
 
 
-GROUPS = (amalgam_grid, right_angled, families, dumps, refusals)
+GROUPS = (amalgam_grid, right_angled, families, dumps, refusals, classification)
 
 
 def run_one(argv: tuple[str, ...]) -> bytes:

@@ -457,10 +457,9 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
     restricted = counting(monkeypatch, bredon, "restriction_ko")
     peels = 0
     for x in fold_corpus(ra_corpus):
-        offsets = bredon._offsets(x, "ko")
-        peeled = bredon._peel(x, offsets, "ko")
+        peeled = set(bredon._peel(x, "ko"))
         read = {d for p, layer in enumerate(x.faces) for k, faces in enumerate(layer)
-                if p or offsets[1][k] not in peeled for _, d in faces.values()}
+                if p or k not in peeled for _, d in faces.values()}
         read.update(d for pair in x.coherence for d in pair)
         peels += len(read) < len(x.descriptors)
         assembled.clear()
@@ -530,9 +529,10 @@ def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
     for cut, printed in ((r_to_r, split[1].tor_d[0]), (c_to_c, split[6].free_d[0])):
         (d0,) = cut.free_d
         assert d0.is_zero() and sorted(cut.peeled) == list(range(d0.rows))
-        for i, c in cut.peeled.items():
-            column = [printed.entry(o, c) for o in range(d0.rows)]
-            assert abs(column[i]) == 1 and column.count(0) == d0.rows - 1
+        columns = [[printed.entry(o, c) for o in range(d0.rows)] for c in range(d0.cols)]
+        for i in cut.peeled:
+            assert any(abs(column[i]) == 1 and column.count(0) == d0.rows - 1
+                       for column in columns)
 
 
 def test_dimension_two_complex_type_rows(tmp_path, capsys):
@@ -619,16 +619,22 @@ def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
         assert not set(full.peeled) & {j for row in full.free_d[1].data for j in row}
 
 
-def test_a_partial_cut_holds_peeled_and_stored_rows():
+def test_a_partial_cut_holds_peeled_and_stored_rows(monkeypatch):
     # The pendant edge c is peeled and the square's edges a and b are not,
     # so each cut of the real complex keeps rows of both kinds.
     x = z3_square(pendant=True)
+    assert bredon._peel(x, "ko") == [2]
     page = assemble_cochain(x, "ko")
+    factored = abelian.factor_integral(page)
+    cuts = counting(monkeypatch, bredon, "factor_integral")
     for n, part in ((1, 1), (6, 0)):
         cut = bredon._cut(x, "ko", n, part)
         assert not (cut.whole or cut.empty)
         d0 = cut.blocks(page.free_d)[0]
-        assert list(cut.peel(page.peeled)) == [2]  # c's row, after a's and b's
+        cuts.clear()
+        bredon._factor_cut(x, page, factored, n, part)
+        ((complex_,),) = cuts
+        assert complex_.peeled == (2,)  # c's row, after a's and b's
         assert [i for i, row in enumerate(d0.data) if row] == [0, 1]
     for reduced, whole in page_factorizations(x, "ko"):
         assert reduced == whole
@@ -662,14 +668,15 @@ def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
 
 
 def peel_from_blocks(x, theory):
-    """The peel of d_0, in order, with each descriptor's unit columns read
-    off its restriction block by the test oracle instead of off its kind."""
+    """The peeled edges, in order, with whether each descriptor has unit
+    pivots read off its restriction block by the test oracle instead of
+    off its kind."""
     def from_block(incl, theory):
         block = reprings.restriction_k0(incl) if theory == "k" else restriction_ko(incl, 0)[0]
-        return unit_columns_of_block(block)
+        return unit_columns_of_block(block) is not None
 
-    with mock.patch.object(bredon, "unit_columns", from_block):
-        return list(bredon._peel(x, bredon._offsets(x, theory), theory).items())
+    with mock.patch.object(bredon, "has_unit_pivots", from_block):
+        return bredon._peel(x, theory)
 
 
 def random_cyclic_graph_dump(rng):
@@ -700,7 +707,7 @@ def test_the_peel_read_off_kinds_is_the_peel_read_off_blocks(ra_corpus):
     peels = 0
     for x in models:
         for theory in ("k", "ko"):
-            peel = list(bredon._peel(x, bredon._offsets(x, theory), theory).items())
+            peel = bredon._peel(x, theory)
             assert peel == peel_from_blocks(x, theory), (x.counts(), theory)
             peels += bool(peel)
     assert peels > len(models)
@@ -757,30 +764,6 @@ def test_dinf3_pages_factor_above_d0_as_before(monkeypatch, build):
 ])
 def test_unit_columns_meet_no_other_row(rows, units):
     assert unit_columns_of_block(IntMatrix.from_rows(rows)) == units
-
-
-def test_a_cut_peels_only_when_it_keeps_every_kept_rows_column():
-    # Two cells per degree: vertices of 8 and 5 generators (stabilizers 0
-    # and 1) and edges of 3 each (stabilizers 2 and 3), each cut given by
-    # its runs: a run of the table ``keep`` is kept, one of ``drop`` not.
-    keep, drop = ((1, 0),), ((0, 0),)
-
-    def numbering(vertices, edges):
-        return reprings.CutNumbering([*vertices, *edges], 0, 0, ((0, 1), (2, 3)))
-
-    peeled = {4: 10, 2: 7, 5: 12}
-    cut = numbering([((drop, 7), (keep, 1)), ((drop, 2), (keep, 2), (drop, 1))],  # keeps 7, 10, 11
-                    [((drop, 2), (keep, 1)), ((keep, 2), (drop, 1))])  # keeps 2, 3, 4
-    assert list(cut.kept(1)) == [2, 3, 4] and list(cut.kept(0)) == [7, 10, 11]
-    assert cut.peel(peeled) == {2: 1, 0: 0}
-    # Row 5 is kept and its column 12 is not.
-    cut = numbering([((drop, 7), (keep, 1)), ((drop, 2), (keep, 1), (drop, 2))],  # keeps 7, 10
-                    [((drop, 2), (keep, 1)), ((drop, 1), (keep, 2))])  # keeps 2, 4, 5
-    assert cut.peel(peeled) == {}
-    # No peeled row is kept.
-    cut = numbering([((keep, 1), (drop, 7)), ((drop, 5),)],  # keeps 0
-                    [((drop, 3),), ((keep, 1), (drop, 2))])  # keeps 3
-    assert cut.peel(peeled) == {}
 
 
 @given(data=st.data())
