@@ -316,23 +316,50 @@ def invariant_factors(m: IntMatrix, skip: Collection[int] = (),
     d_p's rank and its invariant factors > 1 (see there), so the result is
     that of the whole matrix.  The dense residual's pivots are not reported.
 
-    The pivot is always the smallest alive row holding a unit, at the unit
-    whose column meets the fewest alive rows, the highest such column on a
-    tie.  On the larger Davis cochains that fills in far less than the
-    row's first unit, and unlike the highest column alone it fills in no
-    more on the wide amalgam cochains.  Rows wait on a min-heap until
+    First one pass over the rows in ascending order pivots every row with a
+    unit in a column that no other alive row meets, at the highest such
+    column (the column singletons of Dumas, Saunders and Villard, "On
+    efficient sparse integer matrix Smith normal form computations", 2001).
+    Such a pivot changes no other row: the row only leaves the row sets of
+    its other columns, so a column it leaves with one row can serve a later
+    row of the same pass.  Keeping the pass in row order matters: taking
+    singleton columns off a stack instead hands ``factor_integral`` worse
+    pivot columns, and on the D_inf^5 Davis KO complex its next
+    differential then costs more than twice as much.
+
+    The rows the pass leaves are copied and go, ascending, to the heap
+    loop.  Its pivot is always the smallest alive row holding a unit, at
+    the unit whose column meets the fewest alive rows, the highest such
+    column on a tie.  On the larger Davis cochains that fills in far less
+    than the row's first unit, and unlike the highest column alone it fills
+    in no more on the wide amalgam cochains.  Rows wait on a min-heap until
     a scan finds no unit in them and go back on it only when an elimination
     step changes them, so no row is rescanned unchanged.
     """
     rows = [row for i, row in enumerate(m.data) if i not in skip] if skip else m.data
-    sparse = [dict(row) for row in rows if row]
+    rows = [row for row in rows if row]
     col_rows: dict[int, set[int]] = {}
-    for ridx, row in enumerate(sparse):
+    for ridx, row in enumerate(rows):
         for j in row:
             col_rows.setdefault(j, set()).add(ridx)
-    queued = [True] * len(sparse)
-    pending = list(range(len(sparse)))  # ascending, hence already a heap
     ones = 0
+    sparse: list[dict[int, int]] = [{}] * len(rows)  # only the heap loop's rows are copied
+    pending = []  # ascending, hence already a heap
+    for ridx, row in enumerate(rows):
+        alone = [k for k, x in row.items() if (x == 1 or x == -1) and len(col_rows[k]) == 1]
+        if not alone:
+            sparse[ridx] = dict(row)
+            pending.append(ridx)
+            continue
+        j = max(alone)
+        for k in row:
+            if k != j:
+                col_rows[k].discard(ridx)
+        del col_rows[j]
+        ones += 1
+        if pivot_cols is not None:
+            pivot_cols.add(j)
+    queued = [True] * len(sparse)
     while pending:
         ridx = heapq.heappop(pending)
         queued[ridx] = False
@@ -717,8 +744,10 @@ def factor_integral(complex_: SplitCochainComplex) -> Factorization:
 def _top_down(diffs: Sequence[IntMatrix],
               peeled: Collection[int] = ()) -> tuple[tuple[int, ...], ...]:
     """The invariant factors of d_p for p = L-1 down to 0, each d_p without
-    the rows at the unit pivot columns of d_{p+1}; index p + 1 holds d_p's,
-    and () stands for the zero maps at either end.
+    the rows at the unit pivot columns of d_{p+1}, whether the singleton
+    pass or the heap loop of ``invariant_factors`` took them (either way
+    their minor is unimodular); index p + 1 holds d_p's, and () stands for
+    the zero maps at either end.
 
     The ``peeled`` rows of d_0 join its skip set, each adding a factor 1.
     In order, each is a unit pivot at a column that every other row not

@@ -320,12 +320,13 @@ class CutNumbering:
     def blocks(self, diffs: Sequence[IntMatrix]) -> tuple[IntMatrix, ...]:
         """The cut of each d_p in ``diffs``, whose rows degree p + 1 numbers
         and whose columns degree p does: its kept rows, each entry at a kept
-        column moved to that column's cut index."""
+        column moved to that column's cut index.  An empty row (every peeled
+        row of d_0) is kept as itself, since matrix rows are never mutated."""
         def renumber(p: int, d: IntMatrix) -> IntMatrix:
             index, ranks = self.index, self.ranks
             return IntMatrix(ranks[p + 1], ranks[p], tuple(
-                {b: x for j, x in d.data[g].items() if (b := index(p, j)) is not None}
-                for g in self.kept(p + 1)))
+                row and {b: x for j, x in row.items() if (b := index(p, j)) is not None}
+                for row in map(d.data.__getitem__, self.kept(p + 1))))
 
         return self.select(tuple(diffs), lambda: (IntMatrix.zero(0, 0),) * len(diffs),
                            lambda: tuple(renumber(p, d) for p, d in enumerate(diffs)))

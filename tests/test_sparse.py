@@ -179,3 +179,55 @@ def test_invariant_factors_match_sympy_with_a_residual():
         rows += [[rng.choice((0, 2, -4))] + row for row in core]
         m = IntMatrix.from_rows(rows)
         assert invariant_factors(m) == sympy_factors(m), rows
+
+
+def staircase_matrix(rng: random.Random) -> IntMatrix:
+    """A unit-triangular staircase with shuffled columns over a residual
+    block without units.  Staircase row i has ±1 at its own column and
+    entries, some not units, at the columns of later staircase rows and of
+    the residual, so its column is alone only once every earlier staircase
+    row is pivoted, and not at all if a residual row meets it (with an entry
+    that is not a unit).  Sometimes the rows are shuffled too."""
+    n = rng.randint(1, 6)
+    core = no_unit_matrix(rng).to_rows() if rng.random() < 0.7 else []
+    width = len(core[0]) if core else 0
+    order = list(range(n + width))
+    rng.shuffle(order)
+    stair, tail = order[:n], order[n:]
+    rows = []
+    for i in range(n):
+        row = [0] * (n + width)
+        row[stair[i]] = rng.choice((1, -1))
+        for k in range(i + 1, n):
+            row[stair[k]] = rng.choice((0, 0, 1, -1, 2, -3))
+        for j in tail:
+            row[j] = rng.choice((0, 0, 1, 2, -2))
+        rows.append(row)
+    for residual in core:
+        row = [0] * (n + width)
+        for j in stair:
+            row[j] = rng.choice((0, 0, 0, 2, -4, 6))
+        for j, x in zip(tail, residual):
+            row[j] = x
+        rows.append(row)
+    if rng.random() < 0.3:
+        rng.shuffle(rows)
+    return IntMatrix.from_rows(rows, cols=n + width)
+
+
+def test_unit_pivots_match_sympy_and_hold_a_unimodular_minor():
+    # Whichever phase of invariant_factors takes a unit pivot, the kept rows
+    # have the factors sympy finds, and on the reported pivot columns they
+    # have a Smith form of all ones of full rank: the minor that
+    # factor_integral relies on when it skips those rows of the next map.
+    rng = random.Random(25)
+    for _ in range(150):
+        m = staircase_matrix(rng)
+        skip = {i for i in range(m.rows) if rng.random() < 0.25}
+        pivots = set()
+        factors = invariant_factors(m, skip, pivots)
+        kept = [row for i, row in enumerate(m.to_rows()) if i not in skip]
+        assert factors == sympy_factors(IntMatrix.from_rows(kept, cols=m.cols)), (kept, skip)
+        cols = sorted(pivots)
+        minor = IntMatrix.from_rows([[row[j] for j in cols] for row in kept], cols=len(cols))
+        assert sympy_factors(minor) == (1,) * len(cols), (kept, cols)
