@@ -341,7 +341,10 @@ def invariant_factors(m: IntMatrix, skip: Collection[int] = (),
     col_rows: dict[int, set[int]] = {}
     for ridx, row in enumerate(rows):
         for j in row:
-            col_rows.setdefault(j, set()).add(ridx)
+            if (members := col_rows.get(j)) is None:
+                col_rows[j] = {ridx}
+            else:
+                members.add(ridx)
     ones = 0
     sparse: list[dict[int, int]] = [{}] * len(rows)  # only the heap loop's rows are copied
     pending = []  # ascending, hence already a heap
@@ -614,14 +617,15 @@ class SplitCochainComplex:
     ``uct_verify``.  Each KO^{-n} complex is a cut of the real complex, by
     runs (``bredon.cut_cochain``): F_p its Z rows and columns, T_p its Z/2
     ones reduced mod 2.  Components between the two summands cannot be
-    expressed at all; descriptors that would need one are refused
-    (``reprings.restriction_ko``).  Construction validates the
-    composability of shapes, F∘F = 0 and T∘T = 0, the last two by matrix
-    products.  Only ``bredon`` skips the products, through ``integral``'s
-    private ``_composes``: ``assemble_cochain`` when it has already proved
-    F∘F = 0 from the orbit complex (``OrbitComplex.coherence``), and
-    ``fill_peeled``, whose rows meet only zero columns of F_1; every other
-    complex, its cuts included, is multiplied out.
+    expressed at all: they are left out (``bredon.bredon_rows`` says on
+    what premise), and only the per-degree oracle
+    ``reprings.restriction_ko`` refuses a descriptor that would need one.
+    Construction validates the composability of shapes, F∘F = 0 and
+    T∘T = 0, the last two by matrix products.  Only ``bredon`` skips the
+    products, through ``integral``'s private ``_composes``: its one
+    assembly pass, when it has already proved F∘F = 0 from the orbit
+    complex (``OrbitComplex.coherence``); every other complex, its cuts
+    included, is multiplied out.
 
     ``peeled`` lists rows of F_0 that split off as unit pivots, in order:
     each row holds ±1 at a column where every other row of F_0 not listed
@@ -629,9 +633,9 @@ class SplitCochainComplex:
     (``bredon.assemble_cochain`` decides it from the orbit complex before
     building any block), nothing here checks it, and only
     ``factor_integral`` uses it, reading none of those rows' entries.  So
-    the page's complex does not store them: they are empty rows until
-    ``bredon.fill_peeled`` writes them in.  It is not part of the complex's
-    identity.
+    the page's complex (``bredon.assemble_cochain``) does not store them:
+    they are empty rows, which the whole complex (``bredon.bredon_cochain``)
+    writes.  It is not part of the complex's identity.
     """
 
     free_ranks: tuple[int, ...]

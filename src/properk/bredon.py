@@ -28,9 +28,9 @@ from .reprings import (
     cell_offsets,
     coefficient_runs,
     has_unit_pivots,
+    real_restriction,
     refuse_even_cyclic,
     restriction_k0,
-    restriction_ko,
 )
 
 
@@ -71,23 +71,27 @@ class CoefficientFunctor:
 
 
 def assemble_cochain(complex_: OrbitComplex, theory: str) -> SplitCochainComplex:
-    """The Bredon cochain complex that a page of ``theory`` factors, in
-    split (Z ⊕ Z/2) form, without the rows of d_0 that its peel splits off.
+    """The Bredon cochain complex that a page of ``theory`` factors: that of
+    ``_assemble`` with the rows of d_0 that its peel splits off left empty."""
+    return _assemble(complex_, theory, peel=True)
+
+
+def _assemble(complex_: OrbitComplex, theory: str, peel: bool) -> SplitCochainComplex:
+    """The degree-0 Bredon cochain complex of ``theory`` in split form,
+    with d_0's peeled rows left empty when ``peel`` is set.
 
     One integral complex is assembled per theory: K^0 from the complex
     restriction matrices (``restriction_k0``), or for KO the real complex,
-    which is KO^0 and KO^{-4}, from the real ones (``restriction_ko`` in
-    degree 0).  The peel of d_0, a list of edges, is decided first, before
-    any block, from the face table, the incidence coefficients and the
-    descriptors' kinds (``_peel``).  Those edges' rows are the complex's
-    ``peeled`` rows, for ``factor_integral``, and are not stored: they are
+    which is KO^0 and KO^{-4}, from the real ones (``real_restriction``).
+    The peel of d_0, a list of edges, is decided first, before any block,
+    from the face table, the incidence coefficients and the descriptors'
+    kinds (``_peel``).  Those edges' rows are the complex's ``peeled``
+    rows, for ``factor_integral``; with ``peel`` they are not stored but
     left empty.  Every other block is written straight into sparse rows,
     each restriction computed once per distinct descriptor, when a written
     face first reads it, so a descriptor that only peeled faces use is
-    never restricted.  ``fill_peeled`` writes the peeled rows back in, and
-    ``bredon_cochain`` cuts any other degree from that.  The order of the
-    cells fixes the block layout, so assembled matrices are reproducible
-    literals.
+    never restricted on the page.  The order of the cells fixes the block
+    layout, so assembled matrices are reproducible literals.
 
     d∘d = 0 is proved rather than multiplied out when the composite
     restrictions agree (``_composites_agree``); the orbit complex has
@@ -100,43 +104,17 @@ def assemble_cochain(complex_: OrbitComplex, theory: str) -> SplitCochainComplex
     """
     offsets = _offsets(complex_, theory)
     edges = _peel(complex_, theory)
-    peeled = set(edges)
+    skipped = set(edges) if peel else set()
     blocks: list[IntMatrix | None] = [None] * len(complex_.descriptors)
     free_d = []
     for p, layer in enumerate(complex_.faces):
         rows: list[dict[int, int]] = [{} for _ in range(offsets[p + 1][-1])]
-        cells = range(len(layer))
-        if p == 0:
-            cells = [k for k in cells if k not in peeled]
+        cells = [k for k in range(len(layer)) if p or k not in skipped]
         _write(rows, complex_, theory, blocks, p, offsets, cells)
         free_d.append(IntMatrix(len(rows), offsets[p][-1], tuple(rows)))
     return SplitCochainComplex.integral([offs[-1] for offs in offsets], free_d,
                                         _composes=_composites_agree(complex_, blocks),
                                         peeled=_edge_rows(offsets, edges))
-
-
-def fill_peeled(complex_: OrbitComplex, theory: str,
-                page: SplitCochainComplex) -> SplitCochainComplex:
-    """``page``, the complex ``assemble_cochain(complex_, theory)`` returns,
-    with its peeled rows of d_0 written back in: the whole Bredon cochain
-    complex, which ``--emit cochain`` prints and the tests' unpeeled
-    reference cohomology reads.
-
-    d∘d = 0 is not checked again: the page proved it or multiplied it out,
-    and the rows written here meet only zero columns of d_1.
-    """
-    edges = _peel(complex_, theory)
-    if not edges:
-        return page
-    offsets = _offsets(complex_, theory)
-    d0, first = page.free_d[0], offsets[1]
-    rows = list(d0.data)
-    for k in edges:  # fresh rows: the page's empty ones belong to its matrix
-        rows[first[k]:first[k + 1]] = [{} for _ in range(first[k], first[k + 1])]
-    _write(rows, complex_, theory, [None] * len(complex_.descriptors), 0, offsets, edges)
-    return SplitCochainComplex.integral(
-        page.free_ranks, (IntMatrix(d0.rows, d0.cols, tuple(rows)),) + page.free_d[1:],
-        _composes=True, peeled=page.peeled)
 
 
 def _offsets(complex_: OrbitComplex, theory: str) -> list[list[int]]:
@@ -162,7 +140,7 @@ def _write(rows: list[dict[int, int]], complex_: OrbitComplex, theory: str,
             if block is None:
                 incl = complex_.descriptors[d]
                 block = blocks[d] = (restriction_k0(incl) if theory == "k"
-                                     else restriction_ko(incl, 0)[0])
+                                     else real_restriction(incl))
             src = lower[j]
             for row, r_row in zip(cell_rows, block.data):
                 for b, v in r_row.items():
@@ -284,10 +262,11 @@ def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Fac
 
 
 def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> SplitCochainComplex:
-    """The functor's whole cochain complex: the page's complex of its
-    theory with the peeled rows filled back in (``fill_peeled``), cut to
-    degree -n (``cut_cochain``)."""
-    full = fill_peeled(complex_, functor.theory, assemble_cochain(complex_, functor.theory))
+    """The functor's whole cochain complex: the complex of its theory with
+    every row of d_0 written (``_assemble``), cut to degree -n
+    (``cut_cochain``).  ``--emit cochain`` prints its cuts and
+    ``bredon_cohomology`` reads it."""
+    full = _assemble(complex_, functor.theory, peel=False)
     return full if functor.n == 0 else cut_cochain(complex_, full, functor)
 
 
@@ -345,10 +324,11 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     skips, and on a Davis top differential that made the next elimination
     slower.
 
-    Any free-to-torsion term is left out.  For each descriptor the page
-    restricts, ``reprings.restriction_ko`` refuses one where a C-type
-    generator restricts onto an R-type one with odd multiplicity, but that
-    multiplicity is always even; item 1 of ROADMAP.md is to settle the term.
+    Any free-to-torsion term is left out: the page reads only the real
+    restriction of each descriptor (``reprings.real_restriction``).  The
+    term would come from a C-type generator restricting onto an R-type one,
+    whose multiplicity is always even; item 1 of ROADMAP.md is to settle
+    it.
     """
     full = assemble_cochain(complex_, theory)
     zero = (AbGroup.zero(),) * (complex_.dim + 1)

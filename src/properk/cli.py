@@ -11,10 +11,10 @@ machine-readable error object whose kind names the failure:
 invalid_input (an --out file that cannot be written included, reported on
 stdout), unsupported_stabilizer, unsupported_restriction,
 no_collapse (the E2 page does not collapse positionally),
-model_disagreement (the Davis and Bestvina models differ, a bug) or
-too_large (--emit complex or cochain would write more dense matrix entries
-than EMIT_ENTRY_BUDGET, predicted before anything is assembled).  Output
-is deterministic: identical invocations produce identical bytes.
+model_disagreement (the Davis and Bestvina E2 pages or reports differ, a
+bug) or too_large (--emit complex or cochain would write more dense matrix
+entries than EMIT_ENTRY_BUDGET, predicted before anything is assembled).
+Output is deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .ahss import (
     closed_form_right_angled,
     compare,
 )
-from .bredon import CoefficientFunctor, assemble_cochain, cut_cochain, fill_peeled
+from .bredon import CoefficientFunctor, bredon_cochain, cut_cochain
 from .coxeter import (
     CoxeterMatrix,
     UnsupportedStabilizerError,
@@ -243,7 +243,7 @@ def _complex_payload(complex_: OrbitComplex) -> list[dict]:
 
 def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
     _refuse_dense("cochain", _cochain_entries(complex_, theory))
-    full = fill_peeled(complex_, theory, assemble_cochain(complex_, theory))
+    full = bredon_cochain(complex_, CoefficientFunctor(theory, 0))
     provenance = [
         [{"from_cell": j, "to_cell": k, "alpha": alpha, "descriptor": str(desc)}
          for j, k, alpha, desc in complex_.sorted_faces(p)]
@@ -264,6 +264,12 @@ def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
                               for p in range(cochain.length)],
         })
     return {"theory": theory, "cochains": out}
+
+
+def _pages_agree(a: E2Page, b: E2Page) -> bool:
+    """Whether two pages agree entry by entry, each zero above its dimension."""
+    return all(a.entry(p, n) == b.entry(p, n)
+               for n in range(a.period) for p in range(max(a.dim, b.dim) + 1))
 
 
 def _verdict_payload(reports: tuple[AbutmentReport, ...],
@@ -308,6 +314,9 @@ def _run(args) -> tuple[dict, int]:
         return _cochain_payload(primary, args.theory), 0
     pages = {name: build_e2(cx, args.theory) for name, cx in complexes.items()}
     page = pages[primary_name]
+    if len(pages) > 1 and not _pages_agree(*pages.values()):
+        raise ModelDisagreementError(
+            "Davis and Bestvina E2 pages disagree; this is a bug, please report it")
     if args.emit == "e2page":
         return _page_payload(page), 0
     reports = {name: assemble_abutment(pg) for name, pg in pages.items()}

@@ -354,6 +354,9 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
     free block, n ≡ 1 its R-to-R part mod 2, n ≡ 2 its C-to-C part beside
     that, n ≡ 6 the C-to-C part alone, n ≡ 3, 5, 7 nothing.
 
+    The tests' per-degree oracle: no page or report calls it, since every
+    KO cochain complex is written from ``real_restriction`` and cut whole.
+
     The KO^{-2} row is derived from the KO^{-6} and KO^{-1} rows, so in
     every degree a C-type generator restricting onto an R-type one with odd
     multiplicity is refused.  That multiplicity is always even, so this

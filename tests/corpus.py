@@ -332,7 +332,66 @@ def refusals() -> Group:
     return group
 
 
-GROUPS = (amalgam_grid, right_angled, families, dumps, refusals, classification)
+def descriptor_dump(vertex, edge, descriptor: dict, incidence: list | None = None) -> str:
+    """A one-vertex, one-edge dump as JSON text, its one face along
+    ``descriptor``."""
+    return json.dumps([
+        {"dim": 0, "cells": [{"label": "v", "stabilizer": vertex}],
+         "incidence": incidence or [[1]],
+         "descriptors": [{"row": 0, "col": 0, "descriptor": descriptor}]},
+        {"dim": 1, "cells": [{"label": "e", "stabilizer": edge}]}])
+
+
+def cli_paths() -> Group:
+    """Inputs that reach the loaders' and validators' branches no other
+    group reaches: a --check whose label-3 graph is not connected, inline
+    and --file matrices that fail validation, a whole --emit complex
+    report read back, and dumps that break the complex or name a group or
+    an inclusion that cannot exist.  Every one but the read-back report is
+    refused with invalid_input."""
+    group = Group("cli-paths")
+    group.argvs += [
+        ("coxeter", "--matrix", "1,3,0,0;3,1,0,0;0,0,1,3;0,0,3,1", "--theory", "k", "--check"),
+        ("coxeter", "--matrix", "2,2;2,1", "--theory", "k"),
+        ("coxeter", "--matrix", "1,1;1,1", "--theory", "k"),
+    ]
+    elem2_in_elem2 = {"kind": "elem2_subset", "sub": {"elem2": 2}, "big": {"elem2": 2}}
+    amalgam = build_amalgam_orbit_complex(AmalgamSpec((3,), (2, 2)))
+    inputs = [  # (command, flag, name, text)
+        ("coxeter", "--file", "short-rows", '{"size": 3, "m": [[1, 2], [2, 1]]}'),
+        ("amalgam", "--from-complex", "whole-report", json.dumps(
+            {"group": "Z6 *_Z3 Z6", "complex": amalgam.to_json()}, sort_keys=True)),
+        ("coxeter", "--from-complex", "empty", "[]"),
+        ("coxeter", "--from-complex", "dimension-gap", json.dumps(
+            [{"dim": 0, "cells": [{"label": "v", "stabilizer": "trivial"}]},
+             {"dim": 2, "cells": [{"label": "f", "stabilizer": "trivial"}]}])),
+        ("coxeter", "--from-complex", "wide-incidence", descriptor_dump(
+            "trivial", "trivial", {"kind": "trivial_in_anything", "sub": "trivial",
+                                   "big": "trivial"}, [[1, 0]])),
+        ("coxeter", "--from-complex", "foreign-sub", descriptor_dump(
+            {"cyclic": 3}, "trivial", {"kind": "cyclic_in_cyclic", "sub": {"cyclic": 3},
+                                       "big": {"cyclic": 3}, "extra": [3, 1]})),
+        ("coxeter", "--from-complex", "bogus-group", vertex_edge_dump('"bogus"')),
+        ("coxeter", "--from-complex", "cyclic-0", vertex_edge_dump('{"cyclic": 0}')),
+        ("coxeter", "--from-complex", "elem2-negative", vertex_edge_dump('{"elem2": -1}')),
+        ("coxeter", "--from-complex", "dihedral-even", vertex_edge_dump('{"dihedral_odd": 4}')),
+        ("coxeter", "--from-complex", "cyclic-in-cyclic-r0", descriptor_dump(
+            {"cyclic": 3}, {"cyclic": 3}, {"kind": "cyclic_in_cyclic", "sub": {"cyclic": 3},
+                                           "big": {"cyclic": 3}, "extra": [0, 1]})),
+        ("coxeter", "--from-complex", "elem2-not-injective", descriptor_dump(
+            {"elem2": 2}, {"elem2": 2}, {**elem2_in_elem2, "extra": [0, 0]})),
+        ("coxeter", "--from-complex", "elem2-out-of-range", descriptor_dump(
+            {"elem2": 2}, {"cyclic": 2}, {**elem2_in_elem2, "sub": {"cyclic": 2}, "extra": [2]})),
+    ]
+    for command, flag, name, text in inputs:
+        path = f"input/{name}.json"
+        group.files[path] = text
+        group.argvs.append((command, flag, path, "--theory", "k"))
+    return group
+
+
+GROUPS = (amalgam_grid, right_angled, families, dumps, refusals, classification,
+          cli_paths)
 
 
 def run_one(argv: tuple[str, ...]) -> bytes:

@@ -229,13 +229,14 @@ def test_cohomology_factors_each_differential_once(monkeypatch):
         assert sum(eliminated) < sum(d.rows for d in c.free_d) or not any(c.free_ranks)
 
 
-def test_ko_cross_rejection_fires_through_build_e2(monkeypatch, tmp_path, capsys):
+def test_ko_cross_rejection_is_left_to_the_restriction_ko_oracle(monkeypatch, tmp_path, capsys):
     # Make one C-type generator of Z15 restrict onto the trivial (R-type)
     # generator of Z3 with odd multiplicity: the KO^-2 cross block is then
-    # nonzero, although the page never assembles the KO^-2 complex.  The
-    # page restricts a descriptor only where a row it keeps reads the block,
-    # so the complex is a cycle, which peels no edge: two Z3 edges between
-    # a Z15 and a Z21 vertex.
+    # nonzero, and the per-degree oracle refuses it.  The page reads the
+    # real restriction alone and never calls that oracle, so the refusal
+    # does not reach it or the CLI: on a cycle, which peels no edge (two Z3
+    # edges between a Z15 and a Z21 vertex), the page restricts each
+    # descriptor once through bredon.real_restriction.
     target = cyclic_in_cyclic(3, 5)
     real_restriction = reprings.real_restriction
 
@@ -256,18 +257,20 @@ def test_ko_cross_rejection_fires_through_build_e2(monkeypatch, tmp_path, capsys
     assert str(err.value) == message
     dump = cyclic_tree_dump([15, 21], [(3, {0: 1, 1: -1}), (3, {0: 1, 1: -1})])
     x = OrbitComplex.from_json(dump)
-    with pytest.raises(UnsupportedRestrictionError) as err:
-        build_e2(x, "ko")
-    assert str(err.value) == message
+    restricted = counting(monkeypatch, bredon, "real_restriction")
+    build_e2(x, "ko")
+    assert sorted(str(incl) for (incl,) in restricted) == sorted(map(str, x.descriptors))
     assert build_e2(x, "k").rows[0][0].rank > 0  # K never looks at real structure
+    # Any call of restriction_ko along the target would read the faked real
+    # restriction and refuse, so no report route makes one.
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(dump))
-    assert main(["amalgam", "--theory", "ko", "--from-complex", str(path)]) == 1
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {"kind": "unsupported_restriction", "message": message}
+    for emit in ("result", "e2page", "cochain"):
+        assert main(["amalgam", "--theory", "ko", "--from-complex", str(path), "--emit", emit]) == 0
+    capsys.readouterr()
     # The amalgam Z15 *_Z3 Z21 is a tree, which peels every face: its page
-    # reads no block, so the faked one is never restricted.
-    restricted = counting(monkeypatch, bredon, "restriction_ko")
+    # reads no block, so nothing is restricted.
+    restricted.clear()
     build_e2(build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7))), "ko")
     assert restricted == []
 
@@ -278,7 +281,7 @@ def test_zero_functors_assemble_nothing(monkeypatch):
     def refuse(*_):
         raise AssertionError("a zero functor was assembled")
 
-    monkeypatch.setattr("properk.bredon.assemble_cochain", refuse)
+    monkeypatch.setattr(bredon, "_assemble", refuse)
     for functor in (CoefficientFunctor.k(1), CoefficientFunctor.ko(3),
                     CoefficientFunctor.ko(5), CoefficientFunctor.ko(7)):
         assert functor.is_zero_functor
@@ -454,7 +457,7 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
     # unpeeled row, or a coherence pair, reads.  A descriptor that only
     # peeled faces use is not restricted.
     assembled = counting(monkeypatch, bredon, "assemble_cochain")
-    restricted = counting(monkeypatch, bredon, "restriction_ko")
+    restricted = counting(monkeypatch, bredon, "real_restriction")
     peels = 0
     for x in fold_corpus(ra_corpus):
         peeled = set(bredon._peel(x, "ko"))
@@ -467,7 +470,7 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
         build_e2(x, "ko")
         assert assembled == [(x, "ko")]
         assert sorted(restricted, key=lambda args: x.descriptors.index(args[0])) == [
-            (x.descriptors[d], 0) for d in sorted(read)]
+            (x.descriptors[d],) for d in sorted(read)]
     assert peels  # some page leaves a descriptor unrestricted
 
 
@@ -579,7 +582,7 @@ def page_factorizations(x, theory):
     and C-to-C cuts, as (its factorization on the page, that of the whole
     complex with no row peeled)."""
     page = assemble_cochain(x, theory)
-    full = bredon.fill_peeled(x, theory, page)
+    full = bredon_cochain(x, CoefficientFunctor(theory, 0))
     factored = abelian.factor_integral(page)
     out = [(factored, Factorization(full.free_ranks, abelian._top_down(full.free_d)))]
     if theory == "ko":
@@ -619,6 +622,30 @@ def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
         assert not set(full.peeled) & {j for row in full.free_d[1].data for j in row}
 
 
+def test_the_whole_complex_is_the_page_with_its_peeled_rows_written(peel_models):
+    # One assembly pass writes both: the whole complex, which --emit cochain
+    # cuts and the reference cohomology reads, has the page's ranks, peel
+    # and rows, and a nonzero row wherever the page leaves a peeled one
+    # empty.
+    peels = 0
+    for x in peel_models:
+        for theory in ("k", "ko"):
+            page = assemble_cochain(x, theory)
+            whole = bredon_cochain(x, CoefficientFunctor(theory, 0))
+            assert (whole.free_ranks, whole.peeled) == (page.free_ranks, page.peeled)
+            assert whole.free_d[1:] == page.free_d[1:]
+            if not page.free_d:
+                continue
+            peeled = set(page.peeled)
+            for i, (kept, written) in enumerate(zip(page.free_d[0].data, whole.free_d[0].data)):
+                if i in peeled:
+                    assert kept == {} and written
+                else:
+                    assert kept == written
+            peels += bool(peeled)
+    assert peels
+
+
 def test_a_partial_cut_holds_peeled_and_stored_rows(monkeypatch):
     # The pendant edge c is peeled and the square's edges a and b are not,
     # so each cut of the real complex keeps rows of both kinds.
@@ -648,7 +675,7 @@ def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
     # eliminate.
     factored = counting(monkeypatch, abelian, "invariant_factors")
     restricted = [counting(monkeypatch, bredon, name)
-                  for name in ("restriction_k0", "restriction_ko")]
+                  for name in ("restriction_k0", "real_restriction")]
     pages = []
     assemble = bredon.assemble_cochain
     monkeypatch.setattr(bredon, "assemble_cochain",
@@ -789,7 +816,7 @@ def test_cut_numbering_keeps_the_listed_generators(peel_models, data):
         cut = bredon._cut(x, theory, n, part)
         assert [list(cut.kept(p)) for p in range(x.dim + 1)] == [parts[part] for parts in listed]
         assert cut.ranks == tuple(len(parts[part]) for parts in listed)
-    full = bredon.fill_peeled(x, theory, assemble_cochain(x, theory))
+    full = bredon_cochain(x, CoefficientFunctor(theory, 0))
     c = bredon.cut_cochain(x, full, CoefficientFunctor(theory, n))
     for p, d in enumerate(full.free_d):
         (f1, t1), (f0, t0) = listed[p + 1], listed[p]

@@ -356,6 +356,47 @@ def test_model_disagreement_error_kind(monkeypatch, capsys):
     assert json.loads(out)["error"]["kind"] == "model_disagreement"
 
 
+def second_page_replaced(monkeypatch, replace):
+    """Make ``cli.build_e2`` hand ``replace(page)`` back for its second
+    page of a run: the Bestvina page under --model both."""
+    import properk.cli as cli
+
+    build_e2, calls = cli.build_e2, []
+
+    def patched(complex_, theory):
+        calls.append(complex_)
+        page = build_e2(complex_, theory)
+        return replace(page) if len(calls) == 2 else page
+
+    monkeypatch.setattr(cli, "build_e2", patched)
+    return calls
+
+
+@pytest.mark.parametrize("emit", ["result", "e2page"])
+def test_model_both_compares_whole_pages(monkeypatch, capsys, emit):
+    from properk.abelian import AbGroup
+    from properk.ahss import E2Page
+
+    argv = ["coxeter", "--matrix", "1,0,2;0,1,3;2,3,1", "--theory", "ko", "--model", "both",
+            "--emit", emit]
+    code, expected = run(capsys, argv)
+    assert code == 0
+    # A page one dimension longer, zero above the other's top, agrees.
+    calls = second_page_replaced(monkeypatch, lambda page: E2Page(
+        page.theory, page.period, tuple(row + (AbGroup.zero(),) for row in page.rows)))
+    assert run(capsys, argv) == (0, expected)
+    assert len(calls) == 2
+    # One entry changed is a disagreement, whatever the emit.
+    monkeypatch.undo()
+    second_page_replaced(monkeypatch, lambda page: E2Page(
+        page.theory, page.period, ((AbGroup.free(7),) + page.rows[0][1:],) + page.rows[1:]))
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "model_disagreement",
+        "message": "Davis and Bestvina E2 pages disagree; this is a bug, please report it"}
+
+
 @pytest.mark.parametrize("emit", ["result", "complex", "cochain", "e2page"])
 def test_model_both_builds_both_models_through_rebound_names(monkeypatch, capsys, emit):
     # The tracer rebinds the builders and build_e2 by name, so the run must
@@ -611,17 +652,19 @@ def test_first_even_edge_in_face_order_is_named(tmp_path, capsys, emit):
 
 @pytest.mark.parametrize("theory", ["k", "ko"])
 def test_emit_cochain_assembles_once(monkeypatch, capsys, theory):
-    import properk.cli as cli
+    import properk.bredon as bredon
 
+    # Every assembly, of a page or of a whole complex, is one _assemble call.
     assembled = []
-    assemble_cochain = cli.assemble_cochain
-    monkeypatch.setattr(cli, "assemble_cochain",
-                        lambda x, functor: assembled.append(functor) or assemble_cochain(x, functor))
+    assemble = bredon._assemble
+    monkeypatch.setattr(bredon, "_assemble",
+                        lambda x, theory, peel: assembled.append((theory, peel))
+                        or assemble(x, theory, peel))
     code, out = run(capsys, ["amalgam", "--r", "3,5", "--m", "3,7,5", "--theory", theory,
                              "--emit", "cochain"])
     assert code == 0
     assert len(json.loads(out)["cochains"]) == (2 if theory == "k" else 8)
-    assert len(assembled) == 1
+    assert assembled == [(theory, False)]
 
 
 def test_large_prime_incidence_is_not_factored(tmp_path, capsys):
@@ -668,7 +711,7 @@ def test_dense_emit_budget_is_exact(monkeypatch, capsys, argv, emit, theory):
     monkeypatch.setattr(cli, "EMIT_ENTRY_BUDGET", entries)
     assert run(capsys, argv) == (0, out)
     monkeypatch.setattr(cli, "EMIT_ENTRY_BUDGET", entries - 1)
-    monkeypatch.setattr(cli, "assemble_cochain", None)
+    monkeypatch.setattr("properk.bredon._assemble", None)
     code, out = run(capsys, argv)
     assert code == 1
     error = json.loads(out)["error"]

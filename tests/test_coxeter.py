@@ -551,24 +551,63 @@ def coxeter_matrices(draw):
     return CoxeterMatrix.from_rows(rows)
 
 
-def _abutments_or_refusal(build, matrix):
-    """Both theories' abutments on one model, or the kind of its refusal."""
+def _pages_or_refusal(build, matrix):
+    """Both theories' E2 pages on one model, or the kind of its refusal."""
     try:
         cx = build(matrix)
-        return cx, tuple(assemble_abutment(build_e2(cx, theory)) for theory in ("k", "ko"))
-    except (UnsupportedStabilizerError, UnsupportedRestrictionError, NoCollapseError) as exc:
+        return cx, tuple(build_e2(cx, theory) for theory in ("k", "ko"))
+    except (UnsupportedStabilizerError, UnsupportedRestrictionError) as exc:
         return None, type(exc)
+
+
+def _abutment_or_refusal(page):
+    try:
+        return assemble_abutment(page)
+    except NoCollapseError:
+        return NoCollapseError
+
+
+def _entries(page, dim):
+    """Every E2 entry of ``page`` in degrees 0..dim, zero above its own."""
+    return [[page.entry(p, n) for p in range(dim + 1)] for n in range(page.period)]
+
+
+def assert_pages_agree(davis, bestvina, label):
+    """Two models' pages, one per theory, have the same entries everywhere,
+    the lower-dimensional page padded with zero groups."""
+    for a, b in zip(davis, bestvina):
+        dim = max(a.dim, b.dim)
+        assert _entries(a, dim) == _entries(b, dim), (label, a.theory)
 
 
 @settings(max_examples=60)
 @given(coxeter_matrices())
 def test_models_agree_on_random_matrices(matrix):
     # The Bestvina model is contractible (reduced homology zero), and it
-    # gives the Davis model's K and KO abutments, or the same refusal.
-    davis_cx, davis = _abutments_or_refusal(build_davis_orbit_complex, matrix)
-    bestvina_cx, bestvina = _abutments_or_refusal(build_bestvina_orbit_complex, matrix)
-    assert davis == bestvina, matrix.entries
+    # gives the Davis model's K and KO pages, entry by entry, and so their
+    # abutments, or the same refusal.
+    davis_cx, davis = _pages_or_refusal(build_davis_orbit_complex, matrix)
+    bestvina_cx, bestvina = _pages_or_refusal(build_bestvina_orbit_complex, matrix)
+    if bestvina_cx is None or davis_cx is None:
+        assert davis == bestvina, matrix.entries
+    else:
+        assert_pages_agree(davis, bestvina, matrix.entries)
+        assert list(map(_abutment_or_refusal, davis)) == list(map(_abutment_or_refusal, bestvina))
     if bestvina_cx is not None:
         homology = cw_homology(list(bestvina_cx.incidence), list(bestvina_cx.counts()))
         assert homology[0] == AbGroup.free(1), matrix.entries
         assert all(h.is_zero for h in homology[1:]), matrix.entries
+
+
+def test_models_agree_on_dinf4_pages():
+    # D_inf^4: both models have dimension 4, and their K and KO pages agree
+    # entry by entry; each is concentrated in degree 0, with Z^81 in KO^0
+    # and (Z/2)^81 in KO^-1 and KO^-2.
+    matrix = CoxeterMatrix.from_rows([[1 if a == b else 0 if a // 2 == b // 2 else 2
+                                       for b in range(8)] for a in range(8)])
+    davis, bestvina = ([build_e2(build(matrix), theory) for theory in ("k", "ko")]
+                       for build in (build_davis_orbit_complex, build_bestvina_orbit_complex))
+    assert_pages_agree(davis, bestvina, "D_inf^4")
+    assert davis[0].dim == bestvina[0].dim == 4
+    assert davis[1].entry(0, 0) == AbGroup.free(81)
+    assert davis[1].entry(0, 1) == AbGroup.elementary_2(81)
