@@ -51,10 +51,12 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.data) != self.rows:
             raise ValueError("row count does not match dimensions")
-        cols = self.cols
-        for row in self.data:
-            if row and (0 in row.values() or min(row) < 0 or max(row) >= cols):
-                raise ValueError("sparse row holds a zero or a column out of range")
+        # In bulk, in C: no value is zero, and the columns of all rows
+        # together lie in range.
+        columns = set().union(*self.data)
+        if not all(map(all, map(dict.values, self.data))) or columns and (
+                min(columns) < 0 or max(columns) >= self.cols):
+            raise ValueError("sparse row holds a zero or a column out of range")
 
     @classmethod
     def from_sparse(cls, rows: int, cols: int,

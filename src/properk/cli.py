@@ -295,7 +295,9 @@ def _run(args) -> tuple[dict, int]:
         # Looked up per call, so a rebound builder (a tracer, a test) is used.
         builders = {"davis": build_davis_orbit_complex,
                     "bestvina": build_bestvina_orbit_complex}
-        names = builders if args.model == "both" else (args.model,)
+        names = tuple(builders) if args.model == "both" else (args.model,)
+        if args.emit in ("complex", "cochain"):
+            names = names[:1]  # only the first model is printed
         complexes = {name: builders[name](group) for name in names}
         description = f"Coxeter group on {group.size} generators"
     primary_name = next(iter(complexes))

@@ -12,8 +12,8 @@ cross-check, never on the exact path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property, partial
+from itertools import combinations, repeat
 from typing import Iterable
 
 from .groups import (
@@ -27,7 +27,7 @@ from .groups import (
     reflection_in_dihedral,
     trivial_in,
 )
-from .orbit import OrbitComplex, intern
+from .orbit import CellLabels, OrbitComplex, intern
 
 INFINITY = 0  # Coxeter matrix entries use 0 to encode the label infinity.
 
@@ -49,6 +49,17 @@ class CoxeterMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        entries, size = self.entries, self.size
+        # In bulk first: square, symmetric, a diagonal of 1s and every other
+        # label 0 or >= 2.  Only a matrix that fails runs the ordered checks
+        # below, which name its first failure.
+        if (size >= 0 and len(entries) == size and all(len(row) == size for row in entries)
+                and entries == tuple(zip(*entries))
+                and all(row[i] == 1 for i, row in enumerate(entries))
+                and sum(row.count(1) for row in entries) == size):
+            labels = set().union(*entries) - {INFINITY, 1}
+            if not labels or min(labels) >= 2:
+                return
         if self.size < 0 or len(self.entries) != self.size:
             raise ValueError("matrix size mismatch")
         # Every row's length first: the symmetry check reads later rows.
@@ -78,7 +89,7 @@ class CoxeterMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
-        return cls(len(rows), tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(len(rows), tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
     def from_json(cls, data: dict) -> "CoxeterMatrix":
@@ -256,17 +267,19 @@ class SphericalPoset:
 
     Members are kept in a deterministic order (by size, then
     lexicographically), which downstream constructions use as the canonical
-    cell ordering.  Both models read the stabilizer of each member and each
-    parabolic inclusion from here, so each is classified once per matrix.
+    cell ordering; a member's position in it is its index.  Both models
+    read the stabilizer of each member and each parabolic inclusion from
+    here, by member index, so each is classified once per matrix.
     """
 
     matrix: CoxeterMatrix
     members: tuple[tuple[int, ...], ...]
-    _stabilizers: dict[tuple[int, ...], GroupClass] = field(
+    _stabilizers: dict[int, GroupClass] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # Each parabolic inclusion described so far, as its position in
-    # ``descriptors``, which lists every distinct descriptor once.
-    _inclusions: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = field(
+    # Each parabolic inclusion described so far, keyed sub * len(members) +
+    # big, as its position in ``descriptors``, which lists every distinct
+    # descriptor once.
+    _inclusions: dict[int, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _shapes: dict[tuple, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -278,33 +291,41 @@ class SphericalPoset:
     def __len__(self) -> int:
         return len(self.members)
 
-    def stabilizer(self, subset: tuple[int, ...]) -> GroupClass:
-        """``group_class_of(matrix, subset)``, classified once."""
-        found = self._stabilizers.get(subset)
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """The index of each member."""
+        return {m: i for i, m in enumerate(self.members)}
+
+    def stabilizer(self, member: int) -> GroupClass:
+        """``group_class_of(matrix, members[member])``, classified once."""
+        found = self._stabilizers.get(member)
         if found is None:
-            found = self._stabilizers[subset] = group_class_of(self.matrix, subset)
+            found = self._stabilizers[member] = group_class_of(self.matrix, self.members[member])
         return found
 
-    def inclusion_position(self, sub: tuple[int, ...], big: tuple[int, ...]) -> int:
+    def inclusion_position(self, sub: int, big: int) -> int:
         """The position in ``descriptors`` of ``parabolic_inclusion(matrix,
-        sub, big)`` for members sub ⊆ big, described once from the memoised
-        stabilizers; equal descriptors of different pairs share one."""
-        found = self._inclusions.get((sub, big))
+        members[sub], members[big])`` for members sub ⊆ big, described
+        once from the memoised stabilizers; equal descriptors of different
+        pairs share one."""
+        key = sub * len(self.members) + big
+        found = self._inclusions.get(key)
         if found is None:
             sub_class, big_class = self.stabilizer(sub), self.stabilizer(big)
+            sub_set, big_set = self.members[sub], self.members[big]
             # The classes and where sub sits in big fix _inclusion_of's
             # result, so a descriptor is built and hashed once per shape.
             shape = (sub_class.kind, sub_class.param, big_class.kind, big_class.param,
-                     tuple(big.index(s) for s in sub))
+                     tuple(map(big_set.index, sub_set)))
             found = self._shapes.get(shape)
             if found is None:
-                desc = _inclusion_of(sub, big, sub_class, big_class)
+                desc = _inclusion_of(sub_set, big_set, sub_class, big_class)
                 found = self._positions.get(desc)
                 if found is None:
                     found = self._positions[desc] = len(self.descriptors)
                     self.descriptors.append(desc)
                 self._shapes[shape] = found
-            self._inclusions[sub, big] = found
+            self._inclusions[key] = found
         return found
 
 
@@ -395,28 +416,35 @@ def _inclusion_of(sub: tuple[int, ...], big: tuple[int, ...], sub_class: GroupCl
 class _Tables:
     """The stabilizer and descriptor tables of one model under construction.
 
-    Cells and faces get indices into them by spherical subset, read off the
-    poset's memo.  A table grows in the order its entries are first asked
-    for, so a builder asks in the order of its cells and faces, the faces
-    of each cell by index.
+    Cells and faces get indices into them by member index of the spherical
+    poset, read off the poset's memo.  A table grows in the order its
+    entries are first asked for, so a builder asks in the order of its
+    cells and faces, the faces of each cell by index.
     """
 
     def __init__(self, poset: SphericalPoset):
         self.poset = poset
         self._stabilizers: dict[GroupClass, int] = {}
-        self._stabilizer_of: dict[tuple[int, ...], int] = {}
+        self._stabilizer_of: dict[int, int] = {}  # member -> table index
         # Position in the poset's descriptors -> index in this table.
         self._descriptors: dict[int, int] = {}
+        # sub * len(poset) + big -> index in this table.
+        self._inclusion_of: dict[int, int] = {}
 
-    def stabilizer(self, subset: tuple[int, ...]) -> int:
-        found = self._stabilizer_of.get(subset)
+    def stabilizer(self, member: int) -> int:
+        found = self._stabilizer_of.get(member)
         if found is None:
-            found = self._stabilizer_of[subset] = intern(
-                self._stabilizers, self.poset.stabilizer(subset))
+            found = self._stabilizer_of[member] = intern(
+                self._stabilizers, self.poset.stabilizer(member))
         return found
 
-    def inclusion(self, sub: tuple[int, ...], big: tuple[int, ...]) -> int:
-        return intern(self._descriptors, self.poset.inclusion_position(sub, big))
+    def inclusion(self, sub: int, big: int) -> int:
+        key = sub * len(self.poset) + big
+        found = self._inclusion_of.get(key)
+        if found is None:
+            found = self._inclusion_of[key] = intern(
+                self._descriptors, self.poset.inclusion_position(sub, big))
+        return found
 
     def complex(self, cells, labels, faces) -> OrbitComplex:
         descriptors = tuple(self.poset.descriptors[i] for i in self._descriptors)
@@ -427,33 +455,19 @@ class _Tables:
 # Davis model: the order complex of the spherical poset
 
 
-def _chains(poset: SphericalPoset) -> list[list[tuple[tuple[int, ...], ...]]]:
-    """Strictly increasing chains, grouped by length-1 (= cell dimension),
-    each group sorted.
-
-    The poset is downward closed, so the members below m are exactly the
-    proper subsets of m.  They are listed by size, then lexicographically:
-    the poset's own member order, which leaves long sorted runs for the
-    sort of each group.
-    """
-    members = poset.members
-    below = {m: [sub for size in range(len(m)) for sub in combinations(m, size)]
-             for m in members}
-    per_dim: list[list[tuple[tuple[int, ...], ...]]] = [[(m,) for m in members]]
-    while True:
-        longer = []
-        for chain in per_dim[-1]:
-            for smaller in below[chain[0]]:
-                longer.append((smaller,) + chain)
-        if not longer:
-            break
-        longer.sort()
-        per_dim.append(longer)
-    return per_dim
-
-
 def _subset_label(j: tuple[int, ...]) -> str:
     return "{" + ",".join(f"s{i}" for i in j) + "}"
+
+
+def _chain_label(name, firsts: list[list[int]], grown: list[list[int]], p: int, k: int) -> str:
+    """The label of Davis p-cell k: the names of its chain's subsets, from
+    J_0 up, joined by "<"."""
+    parts = [name(firsts[p][k])]
+    while p:
+        k = grown[p][k]
+        p -= 1
+        parts.append(name(firsts[p][k]))
+    return "<".join(parts)
 
 
 def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
@@ -463,40 +477,104 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     drop one entry with the usual alternating sign; dropping the minimum
     changes the stabilizer along W_{J_0} <= W_{J_1}, every other face keeps
     it.
+
+    The vertices are the members in the poset's order.  Every longer layer
+    is in lexicographic order of its chains, read as tuples of subsets; the
+    members are ranked in that order.  A (p+1)-cell is J_0 followed by the
+    p-cell c that it was grown from, which is its face dropping J_0:
+    ``firsts[p + 1]`` holds the rank of each cell's J_0 and ``grown[p + 1]``
+    the index of its c.  The cells starting at one J_0 are c over the
+    p-cells starting at each larger member, in rank order, so each layer
+    comes out sorted.  The face dropping entry i >= 1 of J_0 + c is J_0 +
+    (the face of c dropping entry i - 1), numbered through the offsets of
+    the layer's cells starting at J_0.
     """
     poset = matrix.poset
-    per_dim = _chains(poset)
-    names = {j: _subset_label(j) for j in poset.members}
+    members = poset.members
+    n = len(members)
+    by_rank = sorted(range(n), key=members.__getitem__)  # the member of each rank
+    rank = [0] * n
+    for r, i in enumerate(by_rank):
+        rank[i] = r
+    # above[x]: the ranks of the proper supersets of the member of rank x,
+    # ascending.  The poset is downward closed, so the members below m are
+    # exactly the proper subsets of m.
+    above: list[list[int]] = [[] for _ in range(n)]
+    index = poset.index
+    for r, i in enumerate(by_rank):
+        m = members[i]
+        for size in range(len(m)):
+            for sub in combinations(m, size):
+                above[rank[index[sub]]].append(r)
     tables = _Tables(poset)
     # The vertices are the members in order, so this meets the stabilizers
     # in the order of the cells.
-    stabilizer_of = {j: tables.stabilizer(j) for j in poset.members}
-    cells = tuple(tuple(stabilizer_of[c[0]] for c in chains) for chains in per_dim)
-    labels = tuple(tuple("<".join([names[j] for j in c]) for c in chains) for chains in per_dim)
-    # (J_0, J_1) -> (coefficient, descriptor index) of the face that drops
-    # entry i of a chain starting J_0 < J_1, for every i.
-    face_values: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
+    stabilizer_of = [tables.stabilizer(i) for i in range(n)]
+    by_rank_stabilizer = [stabilizer_of[i] for i in by_rank]
+    cells = [tuple(stabilizer_of)]
+    firsts: list[list[int]] = [rank]
+    grown: list[list[int]] = [[]]
+    # starting[y]: the cells of the last layer whose J_0 has rank y, as a
+    # range; shift[x * n + y] + c is the index of J_x + c in the last
+    # layer for a cell c one layer down starting at rank y.
+    starting = [range(i, i + 1) for i in by_rank]
+    shift: dict[int, int] = {}
+    dims = len(members[-1]) + 1  # the longest chain has one entry per size
+    # (J_0, J_1), as x * n + y for their ranks -> (coefficient, descriptor
+    # index) of the face that drops entry i of a chain starting J_0 < J_1,
+    # for every i.
+    face_values: dict[int, tuple[tuple[int, int], ...]] = {}
     faces = []
-    for p in range(len(per_dim) - 1):
-        index_of = {chain: i for i, chain in enumerate(per_dim[p])}
+    for p in range(dims - 1):
+        # Parents and faces are read off this list, so each face key is one
+        # int object shared by every cell, as with an index dict: fresh
+        # ints made the validation walk a few per cent slower.
+        number = list(range(len(firsts[-1])))
+        first: list[int] = []
+        parent: list[int] = []
+        longer_shift: dict[int, int] = {}
+        longer_starting = []
+        for x in range(n):
+            begin = len(parent)
+            for y in above[x]:
+                span = starting[y]
+                longer_shift[x * n + y] = len(parent) - span.start
+                parent.extend(number[span.start:span.stop])
+            first.extend(repeat(x, len(parent) - begin))
+            longer_starting.append(range(begin, len(parent)))
+        lower_first = firsts[-1]
+        lower_faces = faces[-1] if faces else None
+        below_first = firsts[-2] if p else None
         layer = []
-        for chain in per_dim[p + 1]:
-            js = [index_of[chain[:drop] + chain[drop + 1:]] for drop in range(len(chain))]
-            values = face_values.get(chain[:2])
+        for x, c in zip(first, parent):
+            y = lower_first[c]
+            values = face_values.get(x * n + y)
             if values is None:
-                low, up = chain[:2]
+                low, up = by_rank[x], by_rank[y]
                 # Only the face dropping J_0 changes the stabilizer.  The
                 # first chain starting J_0 < J_1 is that edge, at p = 0, and
                 # the vertices are the members in order, size first, so its
                 # face J_0 comes before J_1: the inclusion that keeps the
                 # stabilizer is asked for first, in the order of its faces.
                 kept, changed = tables.inclusion(low, low), tables.inclusion(low, up)
-                values = face_values[low, up] = (
-                    ((1, changed),) + ((-1, kept), (1, kept)) * (len(per_dim) // 2))
+                values = face_values[x * n + y] = (
+                    ((1, changed),) + ((-1, kept), (1, kept)) * (dims // 2))
+            if p:
+                xn = x * n
+                js = [c, *[number[shift[xn + below_first[f]] + f] for f in lower_faces[c]]]
+            else:
+                js = (c, by_rank[x])
             # The faces of a chain are distinct, so no coefficient cancels.
             layer.append(dict(zip(js, values)))
         faces.append(tuple(layer))
-    return tables.complex(cells, labels, tuple(faces))
+        cells.append(tuple(map(by_rank_stabilizer.__getitem__, first)))
+        firsts.append(first)
+        grown.append(parent)
+        starting, shift = longer_starting, longer_shift
+    name = cache(lambda r: _subset_label(members[by_rank[r]]))
+    labels = tuple(CellLabels(len(first), partial(_chain_label, name, firsts, grown, p))
+                   for p, first in enumerate(firsts))
+    return tables.complex(tuple(cells), labels, tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +585,23 @@ class _PanelBuilder:
     """Panel complex under construction over a spherical poset.
 
     Per dimension, ``cells`` holds the cells as (panel label, boundary)
-    pairs, the boundary listing distinct faces one dimension down as
-    (index, coefficient ±1), and ``by_label`` the indices of the cells of
-    each label.  An edge's boundary is head - tail, stored as ((head, 1),
-    (tail, -1)).  ``covers[J]`` lists the members J ∪ {s} of the poset as
-    (s, J ∪ {s}).
+    pairs, the label a member index and the boundary listing distinct faces
+    one dimension down as (index, coefficient ±1), and ``by_label`` the
+    indices of the cells of each label.  An edge's boundary is head - tail,
+    stored as ((head, 1), (tail, -1)).  ``covers[J]`` lists the members
+    J ∪ {s} of the poset as (s, index of J ∪ {s}).
     """
 
     def __init__(self, poset: SphericalPoset):
-        self.cells: list[list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]] = [[]]
-        self.by_label: list[dict[tuple[int, ...], list[int]]] = [{}]
-        self.covers: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {
-            m: [] for m in poset.members}
-        for m in poset.members:
+        self.cells: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[]]
+        self.by_label: list[dict[int, list[int]]] = [{}]
+        index = poset.index
+        self.covers: list[list[tuple[int, int]]] = [[] for _ in poset.members]
+        for bigger, m in enumerate(poset.members):
             for i, extra in enumerate(m):
-                self.covers[m[:i] + m[i + 1:]].append((extra, m))
+                self.covers[index[m[:i] + m[i + 1:]]].append((extra, bigger))
 
-    def add(self, dim: int, label: tuple[int, ...], boundary: list[tuple[int, int]]) -> int:
+    def add(self, dim: int, label: int, boundary: list[tuple[int, int]]) -> int:
         while len(self.cells) <= dim:
             self.cells.append([])
             self.by_label.append({})
@@ -531,6 +609,11 @@ class _PanelBuilder:
         idx = len(self.cells[dim]) - 1
         self.by_label[dim].setdefault(label, []).append(idx)
         return idx
+
+
+def _panel_label(members: tuple[tuple[int, ...], ...],
+                 layer: list[tuple[int, tuple]], i: int) -> str:
+    return f"B{_subset_label(members[layer[i][0]])}#{i}"
 
 
 def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
@@ -564,14 +647,16 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     only grow along faces).
     """
     poset = matrix.poset
+    members = poset.members
     builder = _PanelBuilder(poset)
-    for j_set in sorted(poset.members, key=lambda s: (-len(s), s)):
+    # By decreasing size, then in member order.
+    for j_set in sorted(range(len(members)), key=lambda i: (-len(members[i]), i)):
         _add_panel(builder, j_set, _collect_cells(builder, j_set))
 
     panel = builder.cells
     tables = _Tables(poset)
     cells = tuple(tuple(tables.stabilizer(label) for label, _ in layer) for layer in panel)
-    labels = tuple(tuple(f"B{_subset_label(label)}#{i}" for i, (label, _) in enumerate(layer))
+    labels = tuple(CellLabels(len(layer), partial(_panel_label, members, layer))
                    for layer in panel)
     faces = tuple(
         tuple({j: (coeff, tables.inclusion(label, panel[p][j][0])) for j, coeff in sorted(boundary)}
@@ -580,7 +665,7 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     return tables.complex(cells, labels, faces)
 
 
-def _collect_cells(builder: _PanelBuilder, j_set: tuple[int, ...]) -> list[list[int]]:
+def _collect_cells(builder: _PanelBuilder, j_set: int) -> list[list[int]]:
     """Indices, per dimension and in increasing order, of the cells in U,
     the union of the panels B_I, I > J.
 
@@ -605,7 +690,7 @@ def _collect_cells(builder: _PanelBuilder, j_set: tuple[int, ...]) -> list[list[
     return out or [[]]
 
 
-def _add_panel(builder: _PanelBuilder, j_set: tuple[int, ...], cell_idx: list[list[int]]) -> None:
+def _add_panel(builder: _PanelBuilder, j_set: int, cell_idx: list[list[int]]) -> None:
     """Complete B_J from U, whose cells are ``cell_idx``, by the cases of
     ``build_bestvina_orbit_complex``."""
     vertices = cell_idx[0]
@@ -648,7 +733,7 @@ def _cycle_boundary(ends: dict[int, tuple[int, int]], incident: dict[int, list[i
         e = next(f for f in incident[v] if f != e)
 
 
-def _cone(builder: _PanelBuilder, j_set: tuple[int, ...], cell_idx: list[list[int]]) -> None:
+def _cone(builder: _PanelBuilder, j_set: int, cell_idx: list[list[int]]) -> None:
     """Cone over the collected subcomplex with a fresh apex labeled J.
 
     Chain-level cone: for a vertex v, ∂(a*v) = v - a; in higher dimensions

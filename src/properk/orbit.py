@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, Sequence
 
 from .abelian import IntMatrix
 from .groups import GroupClass, InclusionDescriptor, cyclic, cyclic_in_cyclic, json_int
@@ -31,6 +32,39 @@ def intern(table: dict, item) -> int:
     return table.setdefault(item, len(table))
 
 
+class CellLabels:
+    """The labels of one dimension's cells, label i made by ``name(i)``
+    only when it is read.
+
+    It has ``len``, indexing and iteration, and it equals, and hashes as,
+    the tuple of its labels: a built complex equals its replay from a dump,
+    which holds that tuple.
+    """
+
+    __slots__ = ("_count", "_name")
+
+    def __init__(self, count: int, name: Callable[[int], str]):
+        self._count = count
+        self._name = name
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> str:
+        return self._name(range(self._count)[i])
+
+    def __iter__(self):
+        return map(self._name, range(self._count))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, CellLabels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class OrbitComplex:
     """Cells per dimension, and the faces of every higher cell.
@@ -40,7 +74,8 @@ class OrbitComplex:
     over the cells by dimension, descriptors over the faces by dimension,
     higher cell and face index.  ``cells[p][j]`` is the index of p-cell j's
     stabilizer in the first table, and ``labels[p][j]`` its name, which
-    only the dump reads.  ``faces[p][k]`` maps each p-cell j in the boundary of
+    only the dump reads: a builder may pass ``CellLabels`` that make each
+    name when it is read.  ``faces[p][k]`` maps each p-cell j in the boundary of
     (p+1)-cell k to (coefficient, descriptor index): the nonzero signed
     coefficient of j in the boundary of k, and the inclusion stab(k) <=
     stab(j).
@@ -60,7 +95,7 @@ class OrbitComplex:
     stabilizers: tuple[GroupClass, ...]
     descriptors: tuple[InclusionDescriptor, ...]
     cells: tuple[tuple[int, ...], ...]
-    labels: tuple[tuple[str, ...], ...]
+    labels: tuple[Sequence[str], ...]
     faces: tuple[tuple[dict[int, tuple[int, int]], ...], ...] = field(hash=False)
     coherence: tuple[tuple[int, int, int, int], ...] = field(
         init=False, repr=False, compare=False)

@@ -397,22 +397,43 @@ def test_model_both_compares_whole_pages(monkeypatch, capsys, emit):
         "message": "Davis and Bestvina E2 pages disagree; this is a bug, please report it"}
 
 
-@pytest.mark.parametrize("emit", ["result", "complex", "cochain", "e2page"])
-def test_model_both_builds_both_models_through_rebound_names(monkeypatch, capsys, emit):
-    # The tracer rebinds the builders and build_e2 by name, so the run must
-    # look them up in cli when it is called; both models are built for every
-    # --emit, and both are paged for a page or a result.
+def rebind_counting(monkeypatch, calls: list) -> None:
+    """Rebind the builders and build_e2 in cli to wrappers that record
+    each call's name in ``calls``."""
     import properk.cli as cli
 
-    calls = []
     for name in ("build_davis_orbit_complex", "build_bestvina_orbit_complex", "build_e2"):
         original = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, name=name, original=original:
                             calls.append(name) or original(*a))
+
+
+@pytest.mark.parametrize("emit", ["result", "e2page"])
+def test_model_both_builds_both_models_through_rebound_names(monkeypatch, capsys, emit):
+    # The tracer rebinds the builders and build_e2 by name, so the run must
+    # look them up in cli when it is called; a page or a result builds and
+    # pages both models.
+    calls = []
+    rebind_counting(monkeypatch, calls)
     code, _ = run(capsys, ["coxeter", "--matrix", "1,3;3,1", "--emit", emit])
     assert code == 0
-    paged = ["build_e2"] * 2 if emit in ("result", "e2page") else []
-    assert calls == ["build_davis_orbit_complex", "build_bestvina_orbit_complex"] + paged
+    assert calls == ["build_davis_orbit_complex", "build_bestvina_orbit_complex"] + ["build_e2"] * 2
+
+
+@pytest.mark.parametrize("emit", ["complex", "cochain"])
+def test_dump_emits_build_only_the_printed_model(monkeypatch, capsys, emit):
+    # --emit complex and cochain print the Davis model alone under the
+    # default --model both, so the Bestvina model is never built; the
+    # report keeps the bytes of a --model davis run.
+    calls = []
+    rebind_counting(monkeypatch, calls)
+    argv = ["coxeter", "--matrix", "1,0,2,2;0,1,2,2;2,2,1,0;2,2,0,1", "--theory", "ko",
+            "--emit", emit]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert calls == ["build_davis_orbit_complex"]
+    assert json.loads(out).get("model", "davis") == "davis"
+    assert run(capsys, argv + ["--model", "davis"]) == (0, out)
 
 
 EDGE = [{"dim": 0, "cells": [{"label": "v", "stabilizer": "trivial"}],

@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from properk import coxeter
@@ -22,6 +23,7 @@ from properk.coxeter import (
 )
 from properk.groups import UnsupportedRestrictionError
 from properk.groups import cyclic, dihedral_odd, elem2, trivial
+from properk.orbit import OrbitComplex, intern
 from conftest import cw_homology, gram_positive_definite, random_right_angled
 
 
@@ -41,6 +43,62 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         CoxeterMatrix.from_rows([[2]])  # diagonal must be 1
 
+
+
+def per_entry_matrix_check(size: int, entries) -> None:
+    """The checks ``CoxeterMatrix`` ran entry by entry before its bulk
+    check, kept as the reference for which failure is named."""
+    if size < 0 or len(entries) != size:
+        raise ValueError("matrix size mismatch")
+    if any(len(row) != size for row in entries):
+        raise ValueError("matrix must be square")
+    for i, row in enumerate(entries):
+        if row[i] != 1:
+            raise ValueError("diagonal entries must be 1")
+        for j, x in enumerate(row):
+            if i != j and x != INFINITY and x < 2:
+                raise ValueError("off-diagonal entries must be >= 2 or 0 for infinity")
+            if x != entries[j][i]:
+                raise ValueError("matrix must be symmetric")
+
+
+@st.composite
+def corrupted_matrices(draw):
+    """A valid Coxeter matrix with a few entries overwritten, alone or
+    with their mirror entries, a row cut short or the declared size
+    changed, each drawn or not."""
+    size = draw(st.integers(0, 5))
+    label = st.sampled_from((INFINITY, 2, 3, 5))
+    rows = [[1] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows[i][j] = rows[j][i] = draw(label)
+    if size:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+            rows[i][j] = draw(st.sampled_from((-1, INFINITY, 1, 2, 3)))
+            if draw(st.booleans()):
+                rows[j][i] = rows[i][j]
+        if draw(st.integers(0, 3)) == 0:
+            del rows[draw(st.integers(0, size - 1))][-1]
+    declared = size + draw(st.sampled_from((0,) * 8 + (-1, 1)))
+    return declared, tuple(map(tuple, rows))
+
+
+@settings(max_examples=300)
+@given(corrupted_matrices())
+# As many 1s as rows, though two sit off the diagonal.
+@example((3, ((0, 1, 2), (1, 0, 2), (2, 2, 1))))
+def test_bulk_matrix_check_names_the_failure_the_per_entry_check_names(matrix):
+    size, entries = matrix
+    try:
+        per_entry_matrix_check(size, entries)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            CoxeterMatrix(size, entries)
+        assert str(err.value) == str(exc)
+    else:
+        assert CoxeterMatrix(size, entries).entries == entries
 
 def test_pentagon_spherical_subsets():
     q = enumerate_spherical_subsets(ra_pentagon())
@@ -118,8 +176,9 @@ def test_enumeration_matches_brute_force():
 
 
 def test_poset_inclusions_match_parabolic_inclusion():
-    # The poset's memoised inclusions equal parabolic_inclusion, or refuse
-    # with the same message, and each distinct descriptor is listed once.
+    # The poset's memoised inclusions, keyed by member index, equal
+    # parabolic_inclusion, or refuse with the same message, and each
+    # distinct descriptor is listed once.
     rng = random.Random(12)
     for _ in range(30):
         size = rng.randint(1, 6)
@@ -129,17 +188,18 @@ def test_poset_inclusions_match_parabolic_inclusion():
                 rows[i][j] = rows[j][i] = rng.choice((2, 2, 3, 5, INFINITY))
         matrix = CoxeterMatrix.from_rows(rows)
         poset = matrix.poset
-        for big in poset.members:
-            for sub in poset.members:
+        for b, big in enumerate(poset.members):
+            for a, sub in enumerate(poset.members):
                 if not set(sub) <= set(big):
                     continue
+                assert poset.index[sub] == a
                 try:
                     expected = parabolic_inclusion(matrix, sub, big)
                 except UnsupportedStabilizerError as exc:
                     with pytest.raises(UnsupportedStabilizerError, match=re.escape(str(exc))):
-                        poset.inclusion_position(sub, big)
+                        poset.inclusion_position(a, b)
                     continue
-                assert poset.descriptors[poset.inclusion_position(sub, big)] == expected
+                assert poset.descriptors[poset.inclusion_position(a, b)] == expected
         assert len(set(poset.descriptors)) == len(poset.descriptors)
 
 
@@ -611,3 +671,95 @@ def test_models_agree_on_dinf4_pages():
     assert davis[0].dim == bestvina[0].dim == 4
     assert davis[1].entry(0, 0) == AbGroup.free(81)
     assert davis[1].entry(0, 1) == AbGroup.elementary_2(81)
+
+
+# ---------------------------------------------------------------------------
+# The Davis builder against a reference over chains of subset tuples
+
+
+def davis_reference(matrix: CoxeterMatrix) -> OrbitComplex:
+    """The Davis model from the chains of subsets themselves: the spherical
+    subsets by brute force, each longer layer of chains sorted, a face per
+    dropped entry with sign (-1)^i, and W_{J_0} <= W_{J_1} on the face that
+    drops J_0, the identity of W_{J_0} on every other."""
+    subsets = (tuple(i for i in range(matrix.size) if bits >> i & 1)
+               for bits in range(2 ** matrix.size))
+    members = sorted((j for j in subsets if is_spherical(matrix, j)), key=lambda j: (len(j), j))
+    chains = [[(m,) for m in members]]
+    while longer := sorted((sub,) + c for c in chains[-1] for size in range(len(c[0]))
+                           for sub in itertools.combinations(c[0], size)):
+        chains.append(longer)
+    stabilizer = functools.cache(lambda j: group_class_of(matrix, j))
+    include = functools.cache(lambda sub, big: parabolic_inclusion(matrix, sub, big))
+    stabilizers, descriptors = {}, {}
+    cells = tuple(tuple(intern(stabilizers, stabilizer(c[0])) for c in layer) for layer in chains)
+    faces = []
+    for lower, higher in zip(chains, chains[1:]):
+        index = {c: i for i, c in enumerate(lower)}
+        layer = []
+        for c in higher:
+            drops = [(index[c[:i] + c[i + 1:]], (-1) ** i, include(c[0], c[1] if i == 0 else c[0]))
+                     for i in range(len(c))]
+            ids = {j: intern(descriptors, desc) for j, _, desc in sorted(drops)}  # in face order
+            layer.append({j: (coeff, ids[j]) for j, coeff, _ in drops})
+        faces.append(tuple(layer))
+    labels = tuple(tuple("<".join("{" + ",".join(f"s{i}" for i in j) + "}" for j in c)
+                         for c in layer) for layer in chains)
+    return OrbitComplex(tuple(stabilizers), tuple(descriptors), cells, labels, tuple(faces))
+
+
+def assert_davis_matches_reference(matrix: CoxeterMatrix) -> None:
+    """Equal complexes, tables in the same order, and equal coherence
+    pairs; or the same refusal."""
+    try:
+        expected = davis_reference(matrix)
+    except UnsupportedStabilizerError as exc:
+        with pytest.raises(UnsupportedStabilizerError, match=re.escape(str(exc))):
+            build_davis_orbit_complex(matrix)
+        return
+    built = build_davis_orbit_complex(matrix)
+    assert built == expected, matrix.entries
+    assert [list(layer) for layer in built.labels] == [list(layer) for layer in expected.labels]
+    assert [[{j: (c, built.descriptors[d]) for j, (c, d) in f.items()} for f in layer]
+            for layer in built.faces] == [
+        [{j: (c, expected.descriptors[d]) for j, (c, d) in f.items()} for f in layer]
+        for layer in expected.faces]
+    assert built.coherence == expected.coherence, matrix.entries
+
+
+def dinf(k: int) -> CoxeterMatrix:
+    """D_inf^k: k commuting copies of the infinite dihedral group."""
+    return CoxeterMatrix.from_rows([[1 if a == b else INFINITY if a // 2 == b // 2 else 2
+                                     for b in range(2 * k)] for a in range(2 * k)])
+
+
+def test_davis_builder_matches_the_chain_reference(ra_corpus):
+    matrices = (ra_corpus + [CoxeterMatrix.path_family(n) for n in (2, 5, 10)]
+                + [CoxeterMatrix.polygon_family(n) for n in (2, 5, 10)]
+                + [dinf(k) for k in range(1, 5)]
+                + [CoxeterMatrix.from_rows([[1, 3, 3], [3, 1, 3], [3, 3, 1]])])
+    for matrix in matrices:
+        assert_davis_matches_reference(matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices())
+def test_davis_builder_matches_the_chain_reference_on_random_matrices(matrix):
+    assert_davis_matches_reference(matrix)
+
+
+@pytest.mark.parametrize("build", [build_davis_orbit_complex, build_bestvina_orbit_complex])
+@pytest.mark.parametrize("matrix", [dinf(2), CoxeterMatrix.polygon_family(5),
+                                    CoxeterMatrix.from_rows([[1, 3, 3], [3, 1, 3], [3, 3, 1]])],
+                         ids=["dinf2", "polygon5", "triangle"])
+def test_built_labels_equal_their_replay_from_a_dump(build, matrix):
+    # Built labels are made when read; the replay holds them as tuples of
+    # strings.  Equality and hashing cannot tell the two apart.
+    built = build(matrix)
+    replay = OrbitComplex.from_json(built.to_json())
+    assert built == replay and replay == built
+    assert hash(built) == hash(replay)
+    assert built.labels == replay.labels and hash(built.labels) == hash(replay.labels)
+    assert all(isinstance(layer, tuple) for layer in replay.labels)
+    assert [built.labels[p][-1] for p in range(built.dim + 1)] == [
+        replay.labels[p][-1] for p in range(built.dim + 1)]

@@ -99,6 +99,29 @@ def test_identity_zero_and_bad_rows():
         IntMatrix.zero(1, 1).entry(0, 1)
 
 
+
+def per_row_check(cols: int, data) -> None:
+    """The row check ``IntMatrix`` made one row at a time before it checked
+    them in bulk, kept as the reference."""
+    for row in data:
+        if row and (0 in row.values() or min(row) < 0 or max(row) >= cols):
+            raise ValueError("sparse row holds a zero or a column out of range")
+
+
+@given(st.integers(0, 4),
+       st.lists(st.dictionaries(st.integers(-2, 6), st.integers(-2, 2), max_size=4), max_size=5))
+def test_bulk_row_check_raises_exactly_when_the_per_row_check_does(cols, data):
+    # Zero values, negative columns, columns >= cols and empty rows, alone
+    # and together: the same condition and the same message.
+    try:
+        per_row_check(cols, data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            IntMatrix(len(data), cols, tuple(data))
+        assert str(err.value) == str(exc)
+    else:
+        assert IntMatrix(len(data), cols, tuple(data)).data == tuple(data)
+
 def dense_rank2(rows, cols):
     """Row reduction over GF(2) on lists of 0/1."""
     a = [[x % 2 for x in row] for row in rows]
