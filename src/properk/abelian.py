@@ -616,18 +616,19 @@ class SplitCochainComplex:
     so the complex is the direct sum of an integral complex and a GF(2)
     complex.  The E2 page is read off integral complexes alone; this form
     serves the ``--emit cochain`` report, ``bredon.bredon_cohomology`` and
-    ``uct_verify``.  Each KO^{-n} complex is a cut of the real complex, by
-    runs (``bredon.cut_cochain``): F_p its Z rows and columns, T_p its Z/2
-    ones reduced mod 2.  Components between the two summands cannot be
+    ``uct_verify``.  Each KO^{-n} complex pairs two parts of the real
+    complex (``bredon.bredon_cochain``): F_p is the part on the generators
+    whose point value is Z, T_p the part on those whose value is Z/2,
+    reduced mod 2.  Components between the two summands cannot be
     expressed at all: they are left out (``bredon.bredon_rows`` says on
     what premise), and only the per-degree oracle
     ``reprings.restriction_ko`` refuses a descriptor that would need one.
     Construction validates the composability of shapes, F∘F = 0 and
     T∘T = 0, the last two by matrix products.  Only ``bredon`` skips the
-    products, through ``integral``'s private ``_composes``: its one
-    assembly pass, when it has already proved F∘F = 0 from the orbit
-    complex (``OrbitComplex.coherence``); every other complex, its cuts
-    included, is multiplied out.
+    products, through the private ``_composes``: when it assembles a part
+    whose F∘F = 0 it has already proved from the orbit complex
+    (``OrbitComplex.coherence``), and when it pairs two parts each checked
+    so or multiplied out; every other complex is multiplied out.
 
     ``peeled`` lists rows of F_0 that split off as unit pivots, in order:
     each row holds ±1 at a column where every other row of F_0 not listed

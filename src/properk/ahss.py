@@ -55,8 +55,8 @@ class E2Page:
 def build_e2(complex_: OrbitComplex, theory: str) -> E2Page:
     """One period of rows, from the page's distinct cochain complexes only.
 
-    ``bredon.bredon_rows`` assembles one complex per theory, cuts the other
-    distinct KO complexes from it and derives the remaining rows.
+    ``bredon.bredon_rows`` assembles one complex per theory, the other
+    distinct KO complexes as parts of it, and derives the remaining rows.
     """
     rows = bredon_rows(complex_, theory)
     return E2Page(theory, len(rows), rows)

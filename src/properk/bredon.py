@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .abelian import (
     AbGroup,
@@ -22,15 +22,17 @@ from .abelian import (
     factor_integral,
     product_rows,
 )
+from .groups import GroupClass
 from .orbit import OrbitComplex
 from .reprings import (
-    CutNumbering,
     cell_offsets,
-    coefficient_runs,
     has_unit_pivots,
+    kept_types,
     real_restriction,
     refuse_even_cyclic,
     restriction_k0,
+    sliced,
+    type_range,
 )
 
 
@@ -70,30 +72,69 @@ class CoefficientFunctor:
         return self.n in ((1,) if self.theory == "k" else (3, 5, 7))
 
 
-def assemble_cochain(complex_: OrbitComplex, theory: str) -> SplitCochainComplex:
-    """The Bredon cochain complex that a page of ``theory`` factors: that of
-    ``_assemble`` with the rows of d_0 that its peel splits off left empty."""
-    return _assemble(complex_, theory, peel=True)
+def part_sizes(complex_: OrbitComplex, theory: str, types: str) -> list[int]:
+    """Per stabilizer of ``complex_``, its number of generators of the
+    types ``types`` in the degree-0 coefficient group of ``theory``."""
+    return [len(type_range(g, theory, types)) for g in complex_.stabilizers]
 
 
-def _assemble(complex_: OrbitComplex, theory: str, peel: bool) -> SplitCochainComplex:
-    """The degree-0 Bredon cochain complex of ``theory`` in split form,
-    with d_0's peeled rows left empty when ``peel`` is set.
+def part_assembler(complex_: OrbitComplex, theory: str,
+                   peel: bool) -> Callable[[str], SplitCochainComplex]:
+    """The function taking a set of types to the part of the degree-0
+    cochain complex of ``theory`` on the generators of those types
+    (``_assemble``), with d_0's peeled rows left empty when ``peel`` is set.
+    Each distinct part is assembled once: two sets of types that keep the
+    same generators of every stabilizer give one part.  All parts slice
+    their blocks from one restriction per descriptor."""
+    blocks: list[IntMatrix | None] = [None] * len(complex_.descriptors)
+    assembled: dict[tuple[range, ...], SplitCochainComplex] = {}
 
-    One integral complex is assembled per theory: K^0 from the complex
-    restriction matrices (``restriction_k0``), or for KO the real complex,
-    which is KO^0 and KO^{-4}, from the real ones (``real_restriction``).
-    The peel of d_0, a list of edges, is decided first, before any block,
-    from the face table, the incidence coefficients and the descriptors'
-    kinds (``_peel``).  Those edges' rows are the complex's ``peeled``
-    rows, for ``factor_integral``; with ``peel`` they are not stored but
-    left empty.  Every other block is written straight into sparse rows,
-    each restriction computed once per distinct descriptor, when a written
-    face first reads it, so a descriptor that only peeled faces use is
-    never restricted on the page.  The order of the cells fixes the block
-    layout, so assembled matrices are reproducible literals.
+    def part(types: str) -> SplitCochainComplex:
+        ranges = {g: type_range(g, theory, types) for g in complex_.stabilizers}
+        key = tuple(ranges.values())
+        if key not in assembled:
+            assembled[key] = _assemble(complex_, theory, ranges, peel, blocks)
+        return assembled[key]
 
-    d∘d = 0 is proved rather than multiplied out when the composite
+    return part
+
+
+def assemble_cochain(complex_: OrbitComplex, theory: str,
+                     parts: Callable[[str], SplitCochainComplex] | None = None) -> SplitCochainComplex:
+    """The Bredon cochain complex that a page of ``theory`` factors: the
+    whole complex, which is the free part of degree 0, with the rows of d_0
+    that its peel splits off left empty.  ``parts``, a ``part_assembler``
+    with the peel, lets the page's other parts share its restriction
+    blocks."""
+    parts = parts or part_assembler(complex_, theory, peel=True)
+    return parts(kept_types(theory, 0)[0])
+
+
+def _assemble(complex_: OrbitComplex, theory: str, ranges: dict[GroupClass, range], peel: bool,
+              blocks: list[IntMatrix | None]) -> SplitCochainComplex:
+    """The part of the degree-0 Bredon cochain complex of ``theory`` that
+    keeps the generators ``ranges`` names at each stabilizer, in split
+    form, with d_0's peeled rows left empty when ``peel`` is set.
+
+    A part is a coefficient system of its own.  It keeps one range of
+    generators at each stabilizer (``reprings.type_range``), numbers a
+    cell's kept generators contiguously from the cell's offset in the
+    part, and its restriction block along a descriptor is the slice of the
+    degree-0 one at those ranges: of ``restriction_k0`` for K, whose one
+    part is K^0, and of ``real_restriction`` for KO, whose whole is the real
+    complex, KO^0 and KO^{-4}.  The peel of d_0, a list of edges, is
+    decided first, before any block, from the face table, the incidence
+    coefficients and the descriptors' kinds (``_peel``).  Those edges' rows
+    are the complex's ``peeled`` rows, for ``factor_integral``; with
+    ``peel`` they are all one shared empty row.  Every other block is
+    written straight into sparse rows.  A descriptor is restricted when a
+    written face first reads it, into ``blocks``, which the caller shares
+    between parts, and sliced once per part, so a descriptor that only
+    peeled faces use is never restricted on the page.  The order of the
+    cells fixes the block layout, so assembled matrices are reproducible
+    literals.
+
+    d∘d = 0 is proved rather than multiplied out when the part's composite
     restrictions agree (``_composites_agree``); the orbit complex has
     checked ∂∘∂ = 0, so each block of d_{p+1}·d_p is then (∂∂)_{jl} times
     one composite, which is zero.  Otherwise ``SplitCochainComplex`` runs
@@ -102,47 +143,51 @@ def _assemble(complex_: OrbitComplex, theory: str, peel: bool) -> SplitCochainCo
     pair reads a block that only peeled faces use, and d_1 is zero at every
     peeled row: leaving those rows empty changes no block of d_1·d_0.
     """
-    offsets = _offsets(complex_, theory)
+    offsets = cell_offsets(complex_.cells, list(map(len, ranges.values())))
     edges = _peel(complex_, theory)
     skipped = set(edges) if peel else set()
-    blocks: list[IntMatrix | None] = [None] * len(complex_.descriptors)
+    part_blocks: list[IntMatrix | None] = [None] * len(complex_.descriptors)
+
+    def slice_block(d: int) -> IntMatrix:
+        incl = complex_.descriptors[d]
+        if blocks[d] is None:
+            blocks[d] = restriction_k0(incl) if theory == "k" else real_restriction(incl)
+        part_blocks[d] = sliced(blocks[d], ranges[incl.sub], ranges[incl.big])
+        return part_blocks[d]
+
     free_d = []
     for p, layer in enumerate(complex_.faces):
-        rows: list[dict[int, int]] = [{} for _ in range(offsets[p + 1][-1])]
-        cells = [k for k in range(len(layer)) if p or k not in skipped]
-        _write(rows, complex_, theory, blocks, p, offsets, cells)
-        free_d.append(IntMatrix(len(rows), offsets[p][-1], tuple(rows)))
+        lower, higher = offsets[p], offsets[p + 1]
+        if p or not skipped:
+            cells = range(len(layer))
+            rows = [{} for _ in range(higher[-1])]
+        else:  # every peeled row is one shared empty dict
+            cells = [k for k in range(len(layer)) if k not in skipped]
+            rows = [{}] * higher[-1]
+            for k in cells:
+                rows[higher[k]:higher[k + 1]] = [{} for _ in range(higher[k], higher[k + 1])]
+        _write(rows, layer, lower, higher, cells, part_blocks, slice_block)
+        free_d.append(IntMatrix(len(rows), lower[-1], tuple(rows)))
     return SplitCochainComplex.integral([offs[-1] for offs in offsets], free_d,
-                                        _composes=_composites_agree(complex_, blocks),
+                                        _composes=_composites_agree(complex_, part_blocks),
                                         peeled=_edge_rows(offsets, edges))
 
 
-def _offsets(complex_: OrbitComplex, theory: str) -> list[list[int]]:
-    """Per dimension, the first generator of each cell in the degree-0
-    cochain group of ``theory``, and last the group's rank."""
-    return cell_offsets(complex_.cells, [sum(count for _, count in coefficient_runs(g, theory))
-                                         for g in complex_.stabilizers])
-
-
-def _write(rows: list[dict[int, int]], complex_: OrbitComplex, theory: str,
-           blocks: list[IntMatrix | None], p: int, offsets: list[list[int]],
-           cells: Iterable[int]) -> None:
-    """Write the blocks of d_p at the (p+1)-cells ``cells`` into ``rows``, the
-    rows of d_p: each face's restriction block times its coefficient, at
-    the face's columns.  A block is restricted when a face first reads it,
-    and kept in ``blocks``, one entry per descriptor."""
-    layer, lower, higher = complex_.faces[p], offsets[p], offsets[p + 1]
+def _write(rows: list[dict[int, int]], layer: Sequence[dict[int, tuple[int, int]]],
+           lower: Sequence[int], higher: Sequence[int], cells: Iterable[int],
+           blocks: list[IntMatrix | None], slice_block: Callable[[int], IntMatrix]) -> None:
+    """Write the blocks of d_p at the (p+1)-cells ``cells``, whose faces
+    ``layer`` holds, into ``rows``, the rows of d_p: each face's block in
+    the part times its coefficient, at the face's columns.  ``blocks``
+    holds each descriptor's block, or None until ``slice_block`` makes it
+    when a face first reads it.  ``lower`` and ``higher`` are the cells'
+    offsets in degrees p and p + 1."""
     for k in cells:
         cell_rows = rows[higher[k]:higher[k + 1]]
         # A cell's faces are distinct, so their blocks never overlap.
         for j, (alpha, d) in layer[k].items():
-            block = blocks[d]
-            if block is None:
-                incl = complex_.descriptors[d]
-                block = blocks[d] = (restriction_k0(incl) if theory == "k"
-                                     else real_restriction(incl))
             src = lower[j]
-            for row, r_row in zip(cell_rows, block.data):
+            for row, r_row in zip(cell_rows, (blocks[d] or slice_block(d)).data):
                 for b, v in r_row.items():
                     row[src + b] = alpha * v
 
@@ -211,63 +256,52 @@ def _composites_agree(complex_: OrbitComplex, blocks: list[IntMatrix]) -> bool:
     return all(composite[e0, d0] == composite[e, d] for e0, d0, e, d in coherence)
 
 
-def cut_cochain(complex_: OrbitComplex, full: SplitCochainComplex,
-                functor: CoefficientFunctor) -> SplitCochainComplex:
-    """The functor's cochain complex as a sub-block of ``full``, the
-    assembled degree-0 complex of its theory.
+def _factor_part(complex_: OrbitComplex, parts: Callable[[str], SplitCochainComplex],
+                 factored: Factorization, types: str) -> Factorization:
+    """The factorization of the part of the real complex on the generators
+    of the types ``types``, R (KO^{-1}) or C (KO^{-6}); ``factored`` is that
+    of the whole real complex, and ``parts`` assembles with the peel.
 
-    A generator keeps its row and column in the free block where its point
-    value in degree -n is Z and in the torsion block, reduced mod 2, where
-    it is Z/2, each numbered by runs (``_cut``).  A KO degree with a
-    torsion block first refuses an even-order cyclic subgroup among the
-    descriptors, naming the first in the descriptor table.
+    A part that keeps every generator of every stabilizer is the whole and
+    reuses ``factored``; one that keeps none is the zero complex; any other
+    is assembled with the peel and factored.  Its peel is that of the whole
+    edge by edge: a peeled edge's kept rows run from its offset in the part
+    to the next edge's, and each has its unit at a kept column, since a
+    unit has its row's type (``reprings.has_unit_pivots``).
+    """
+    sizes = part_sizes(complex_, "ko", types)
+    if sizes == part_sizes(complex_, "ko", "RC"):
+        return factored
+    if not any(sizes):
+        return Factorization((0,) * len(factored.ranks), ((),) * (len(factored.ranks) + 1))
+    return factor_integral(parts(types))
+
+
+def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor,
+                   parts: Callable[[str], SplitCochainComplex] | None = None) -> SplitCochainComplex:
+    """The functor's whole cochain complex, with every row of d_0 written:
+    the part on the types whose point value in degree -n is Z
+    (``reprings.kept_types``) beside the part on those whose value is Z/2,
+    reduced mod 2, or the free part alone where no type has Z/2.
+    ``parts``, a ``part_assembler`` without the peel, shares parts and
+    restriction blocks between calls: ``--emit cochain`` prints one call
+    per degree.  ``bredon_cohomology`` reads it.
+
+    A KO degree with a torsion part first refuses an even-order cyclic
+    subgroup among the descriptors, naming the first in the descriptor
+    table.
     """
     if functor.theory == "ko":
         refuse_even_cyclic(complex_.descriptors, functor.n)
-    free, tor = (_cut(complex_, functor.theory, functor.n, part) for part in (0, 1))
-    return SplitCochainComplex(free.ranks, tor.ranks, free.blocks(full.free_d),
-                               tuple(d.mod2() for d in tor.blocks(full.free_d)))
-
-
-def _cut(complex_: OrbitComplex, theory: str, n: int, part: int) -> CutNumbering:
-    """Part ``part`` of the degree -n cut of the cochain complex of ``theory``."""
-    return CutNumbering([coefficient_runs(g, theory) for g in complex_.stabilizers], n, part,
-                        complex_.cells)
-
-
-def _factor_cut(complex_: OrbitComplex, full: SplitCochainComplex, factored: Factorization,
-                n: int, part: int) -> Factorization:
-    """The factorization of the integral sub-complex of the real complex
-    ``full`` on the generators whose KO^{-n} point value is Z (``part`` 0)
-    or Z/2 (``part`` 1); ``factored`` is that of ``full``.
-
-    The cut keeps or drops a stabilizer's whole R-type and C-type runs
-    (``_cut``): keeping every generator reuses ``factored``, keeping none
-    gives the zero complex, and otherwise its d_p are the rows of ``full``
-    that it keeps, their columns renumbered.  Its peel is that of ``full``
-    edge by edge: a peeled edge peels all of its rows, and the cut numbers
-    a cell's kept generators contiguously, so it peels each peeled edge's
-    rows from the edge's cut offset to the next edge's.  Each kept row has
-    its unit at a kept column, since a unit has its row's type
-    (``reprings.has_unit_pivots``) and the cut keeps whole types.
-    ``full``, the page's complex, stores no peeled row, and the cut reads
-    none.
-    """
-    cut, length = _cut(complex_, "ko", n, part), len(full.free_ranks)
-    return cut.select(
-        factored, lambda: Factorization((0,) * length, ((),) * (length + 1)),
-        lambda: factor_integral(SplitCochainComplex.integral(
-            cut.ranks, cut.blocks(full.free_d),
-            peeled=_edge_rows([kept for _, kept in cut.degrees], _peel(complex_, "ko")))))
-
-
-def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor) -> SplitCochainComplex:
-    """The functor's whole cochain complex: the complex of its theory with
-    every row of d_0 written (``_assemble``), cut to degree -n
-    (``cut_cochain``).  ``--emit cochain`` prints its cuts and
-    ``bredon_cohomology`` reads it."""
-    full = _assemble(complex_, functor.theory, peel=False)
-    return full if functor.n == 0 else cut_cochain(complex_, full, functor)
+    parts = parts or part_assembler(complex_, functor.theory, peel=False)
+    free_types, tor_types = kept_types(functor.theory, functor.n)
+    free = parts(free_types)
+    if not tor_types:
+        return free
+    tor = parts(tor_types)
+    # Each part has been checked to square to zero, so its reduction too.
+    return SplitCochainComplex(free.free_ranks, tor.free_ranks, free.free_d,
+                               tuple(d.mod2() for d in tor.free_d), _composes=True)
 
 
 def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
@@ -290,22 +324,22 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     the factorization gives; K^{-1} is a zero functor.  For KO it is the
     real complex C, which is KO^0 and KO^{-4}; KO^{-3}, KO^{-5} and KO^{-7}
     are zero functors.  Segal's decomposition makes two more rows
-    distinct, both read off integral factorizations: KO^{-1} is the
-    cohomology mod 2 of the R-to-R cut of C (its real-type generators),
-    read off the parity of that cut's invariant factors
-    (``Factorization.mod2``), and KO^{-6} is the cohomology of its C-to-C
-    cut.  KO^{-2} is the KO^{-6} free block beside
-    the KO^{-1} torsion block, so its cohomology is their direct sum degree
-    by degree.  C is factored once.  A cut that keeps every generator is C
-    and reuses that factorization, as the R-to-R cut does when no
-    stabilizer has a complex-type irreducible (every Coxeter group in
-    scope); the C-to-C cut is then empty.
+    distinct, both read off integral factorizations of parts of C, each a
+    coefficient system of its own (``_assemble``): KO^{-1} is the
+    cohomology mod 2 of the R part (the real-type generators), read off
+    the parity of its invariant factors (``Factorization.mod2``), and
+    KO^{-6} is the cohomology of the C part.  KO^{-2} is the C part's free
+    block beside the R part's torsion block, so its cohomology is their
+    direct sum degree by degree.  C is factored once.  A part that keeps
+    every generator is C and reuses that factorization, as the R part does
+    when no stabilizer has a complex-type irreducible (every Coxeter group
+    in scope); the C part is then empty (``_factor_part``).
 
-    Both cuts are integral complexes whenever C is.  Along every inclusion
+    Both parts are integral complexes whenever C is.  Along every inclusion
     in the catalogue the real restriction takes no R-type generator of the
-    big group to a C-type one of the subgroup: d_CR = 0.  So the R-to-R
-    block of d∘d = 0 reads d_RR² = -d_RC·d_CR = 0 and the C-to-C block
-    d_CC² = -d_CR·d_RC = 0, over Z and not only mod 2.
+    big group to a C-type one of the subgroup: d_CR = 0.  So the R part's
+    d∘d, the R-to-R block of C's, reads d_RR² = -d_RC·d_CR = 0 and the C
+    part's d_CC² = -d_CR·d_RC = 0, over Z and not only mod 2.
 
     d_0 is peeled before any block is built (``_peel``): an edge that is
     the last one left at a vertex, meets it with incidence ±1 and has a
@@ -315,10 +349,10 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     use is not restricted.  A tree, such as the orbit complex of an
     amalgam, splits off the whole of d_0, so its page restricts nothing,
     stores no entry of d_0 and eliminates no row of it: each row is a rank
-    count.  The cuts peel the same edges and build no rows for them
-    (``_factor_cut``): each keeps or drops a stabilizer's whole R-type and
-    C-type runs, so its ranks, its peeled rows and the columns of its rows
-    are arithmetic on those runs, and it lists no generator.
+    count.  The parts peel the same edges and build no rows for them, and
+    they slice their blocks from C's restrictions, so each descriptor is
+    restricted at most once per page.  A part's ranks and peeled rows are
+    sums of per-stabilizer range lengths, so it lists no generator.
     Only d_0 is peeled: its pivot columns feed no further differential,
     while peeling d_p for p ≥ 1 would change the pivot columns that d_{p-1}
     skips, and on a Davis top differential that made the next elimination
@@ -330,14 +364,15 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     whose multiplicity is always even; item 1 of ROADMAP.md is to settle
     it.
     """
-    full = assemble_cochain(complex_, theory)
+    parts = part_assembler(complex_, theory, peel=True)
+    full = assemble_cochain(complex_, theory, parts)
     zero = (AbGroup.zero(),) * (complex_.dim + 1)
     if theory == "k":
         return factor_integral(full).groups(), zero
     refuse_even_cyclic(complex_.descriptors, 1)
     factored = factor_integral(full)
     real = factored.groups()
-    r_to_r = _factor_cut(complex_, full, factored, 1, 1).mod2()
-    c_to_c = _factor_cut(complex_, full, factored, 6, 0).groups()
+    r_to_r = _factor_part(complex_, parts, factored, "R").mod2()
+    c_to_c = _factor_part(complex_, parts, factored, "C").groups()
     mixed = tuple(free.direct_sum(tor) for free, tor in zip(c_to_c, r_to_r))
     return (real, r_to_r, mixed, zero, real, zero, c_to_c, zero)

@@ -39,7 +39,7 @@ from .ahss import (
     closed_form_right_angled,
     compare,
 )
-from .bredon import CoefficientFunctor, bredon_cochain, cut_cochain
+from .bredon import CoefficientFunctor, bredon_cochain, part_assembler, part_sizes
 from .coxeter import (
     CoxeterMatrix,
     UnsupportedStabilizerError,
@@ -48,7 +48,7 @@ from .coxeter import (
 )
 from .groups import UnsupportedRestrictionError
 from .orbit import AmalgamSpec, OrbitComplex, build_amalgam_orbit_complex
-from .reprings import coefficient_runs, cut_ranks
+from .reprings import kept_types
 
 # Most dense matrix entries an --emit complex or --emit cochain report may
 # write.  Each costs 14 to 19 bytes of output and about 12 bytes of peak
@@ -84,16 +84,13 @@ def _complex_entries(complex_: OrbitComplex) -> int:
 def _cochain_entries(complex_: OrbitComplex, theory: str) -> int:
     """Dense entries of --emit cochain, from the number of cells with each
     stabilizer alone: in every coefficient degree, each differential's
-    free, tor2 and cross blocks, sized by the cut that
-    ``bredon.cut_cochain`` makes, counted per coefficient run
-    (``reprings.cut_ranks``) before anything is assembled."""
+    free, tor2 and cross blocks, sized by the parts that ``bredon_cochain``
+    assembles (``bredon.part_sizes``), before anything is assembled."""
     layers = [Counter(cells).items() for cells in complex_.cells]
-    runs = [coefficient_runs(g, theory) for g in complex_.stabilizers]
     total = 0
     for n in range(CoefficientFunctor(theory, 0).period):
-        kept = [cut_ranks(r, n) for r in runs]
-        ranks = [[sum(count * kept[stabilizer][part] for stabilizer, count in layer)
-                  for part in (0, 1)]
+        sizes = [part_sizes(complex_, theory, types) for types in kept_types(theory, n)]
+        ranks = [[sum(count * size[stabilizer] for stabilizer, count in layer) for size in sizes]
                  for layer in layers]  # (free, tor) per dimension
         total += sum(f1 * f0 + t1 * (t0 + f0) for (f0, t0), (f1, t1) in zip(ranks, ranks[1:]))
     return total
@@ -243,7 +240,7 @@ def _complex_payload(complex_: OrbitComplex) -> list[dict]:
 
 def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
     _refuse_dense("cochain", _cochain_entries(complex_, theory))
-    full = bredon_cochain(complex_, CoefficientFunctor(theory, 0))
+    parts = part_assembler(complex_, theory, peel=False)
     provenance = [
         [{"from_cell": j, "to_cell": k, "alpha": alpha, "descriptor": str(desc)}
          for j, k, alpha, desc in complex_.sorted_faces(p)]
@@ -251,7 +248,7 @@ def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
     ]
     out = []
     for n in range(CoefficientFunctor(theory, 0).period):
-        cochain = cut_cochain(complex_, full, CoefficientFunctor(theory, n))
+        cochain = bredon_cochain(complex_, CoefficientFunctor(theory, n), parts)
         out.append({
             "coefficient_degree": _degree_key(n),
             "free_ranks": list(cochain.free_ranks),

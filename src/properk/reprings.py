@@ -21,11 +21,10 @@ conjugate characters), each block in the complex order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .abelian import IntMatrix, Mod2Matrix
 from .groups import (
@@ -41,8 +40,6 @@ from .groups import (
     InclusionDescriptor,
     UnsupportedRestrictionError,
 )
-
-T = TypeVar("T")
 
 # Point coefficients for n = 0..7: (free rank, Z/2 rank).
 KO_POINT = ((1, 0), (0, 1), (0, 1), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0))
@@ -112,8 +109,9 @@ def has_unit_pivots(incl: InclusionDescriptor, theory: str) -> bool:
     row of chi_{r/2}, m odd, the R-type chi_{rm/2}), for (Z/2)^j the
     character t spread onto the injection's coordinates, for a reflection
     the trivial and sign characters, for the trivial subgroup the trivial
-    one.  In KO that generator has its row's type, so a cut, which keeps
-    or drops whole types, keeps each kept row's unit.
+    one.  In KO that generator has its row's type, so a part of the
+    complex, which keeps whole types (``type_range``), keeps each kept
+    row's unit.
     """
     if incl.kind == CYCLIC_IN_CYCLIC and theory == "ko":
         r, m = incl.extra
@@ -204,47 +202,52 @@ def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
 
 # ---------------------------------------------------------------------------
 # KO coefficients at orbits
+#
+# Each generator of a degree-0 coefficient group carries the point values of
+# its type: a real-type irreducible KO^*(pt), a complex-type one K^*(pt).
+# For K every complex irreducible is of the complex-like type "C".  A set of
+# types is a string of "R" and "C".
+POINT_TABLES = {"R": KO_POINT, "C": KU_POINT}
+
+
+@cache
+def kept_types(theory: str, n: int) -> tuple[str, str]:
+    """The types of generator whose point value in degree -n is Z, then
+    those whose value is Z/2: for KO, "RC" and "" in degrees 0 and 4, "" and
+    "R" in degree 1, "C" and "R" in degree 2, "C" and "" in degree 6, and
+    nothing in degrees 3, 5 and 7; for K, "C" in even degrees."""
+    types = "RC" if theory == "ko" else "C"
+    values = [(t, POINT_TABLES[t][n % len(POINT_TABLES[t])]) for t in types]
+    return tuple("".join(t for t, value in values if value[part]) for part in (0, 1))
+
+
+def type_range(g: GroupClass, theory: str, types: str) -> range:
+    """The generators of the degree-0 coefficient group of ``theory`` at
+    G/H whose type is in ``types``.  They are one range: K has one type,
+    and ``real_structure`` lists the R-type generators before the C-type
+    ones."""
+    if theory == "k":
+        return range(k0_rank(g) if "C" in types else 0)
+    counts = real_type_counts(g)
+    return range(0 if "R" in types else counts.n_r,
+                 counts.n_r + (counts.n_c if "C" in types else 0))
+
+
+def sliced(block: IntMatrix, rows: range, cols: range) -> IntMatrix:
+    """``block`` on the rows ``rows`` and the columns ``cols``, both
+    renumbered from 0: the block itself when they are all of it."""
+    if len(rows) == block.rows and len(cols) == block.cols:
+        return block
+    lo, hi = cols.start, cols.stop
+    return IntMatrix(len(rows), len(cols), tuple(
+        {j - lo: x for j, x in row.items() if lo <= j < hi}
+        for row in block.data[rows.start:rows.stop]))
 
 
 def ko_ranks(g: GroupClass, n: int) -> tuple[int, int]:
     """(free rank, Z/2 rank) of KO^{-n}_G(pt) through Segal's decomposition:
     each R-type generator carries KO^{-n}(pt), each C-type one K^{-n}(pt)."""
-    return cut_ranks(coefficient_runs(g, "ko"), n)
-
-
-def coefficient_runs(g: GroupClass, theory: str) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-    """The degree-0 coefficient basis at G/H as runs (point table, count):
-    for K each complex irreducible carries K^*(pt); for KO, in
-    ``real_structure`` order, each R-type one KO^*(pt), each C-type one K^*(pt)."""
-    if theory == "k":
-        return ((KU_POINT, k0_rank(g)),)
-    counts = real_type_counts(g)
-    return ((KO_POINT, counts.n_r), (KU_POINT, counts.n_c))
-
-
-def cut_spans(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
-              n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The generators whose point value in degree -n is Z, then those whose
-    value is Z/2, each as (first index, count) per run that holds them;
-    ``runs`` lists the generators in order.  A run's generators share one
-    point table, so a cut keeps or drops whole runs."""
-    free, tor = [], []
-    start = 0
-    for table, count in runs:
-        f, t = table[n % len(table)]
-        if f:
-            free.append((start, count))
-        elif t:
-            tor.append((start, count))
-        start += count
-    return free, tor
-
-
-def cut_ranks(runs: Iterable[tuple[tuple[tuple[int, int], ...], int]],
-              n: int) -> tuple[int, int]:
-    """How many generators ``cut_spans`` keeps in each part, without
-    listing them."""
-    return tuple(sum(count for _, count in spans) for spans in cut_spans(runs, n))
+    return tuple(len(type_range(g, "ko", types)) for types in kept_types("ko", n))
 
 
 def cell_offsets(cells: Sequence[Sequence[int]], size: Sequence[int]) -> list[list[int]]:
@@ -252,84 +255,6 @@ def cell_offsets(cells: Sequence[Sequence[int]], size: Sequence[int]) -> list[li
     ``cells``, given as stabilizer indices, and last the degree's rank;
     ``size`` holds each stabilizer's number of generators."""
     return [list(accumulate((size[s] for s in c), initial=0)) for c in cells]
-
-
-class CutNumbering:
-    """One part of the degree -n cut of a complex, numbered by runs: the
-    generators whose point value is Z (``part`` 0) or Z/2 (``part`` 1).
-
-    ``runs`` holds the coefficient runs of each stabilizer and ``cells``
-    the cells of each degree as stabilizer indices.  The part keeps or
-    drops whole runs (``cut_spans``), so it is decided per stabilizer, with
-    no pass over the cells: it keeps every generator (``whole``), none
-    (``empty``) or some.  Only then are the cells numbered: a cell's kept
-    generators come in order after its cut offset, the number kept by the
-    cells before it, so a generator's cut index is that offset plus its
-    position inside the kept runs, a cell's kept generators run from its
-    cut offset to the next cell's, and no generator is listed.
-    """
-
-    def __init__(self, runs: Sequence[tuple[tuple[tuple[tuple[int, int], ...], int], ...]],
-                 n: int, part: int, cells: Sequence[Sequence[int]]):
-        self.spans = [cut_spans(r, n)[part] for r in runs]
-        self._kept = [sum(count for _, count in spans) for spans in self.spans]
-        self._size = [sum(count for _, count in r) for r in runs]
-        self.whole = self._kept == self._size
-        self.empty = not any(self._kept)
-        self.cells = cells
-
-    @cached_property
-    def degrees(self) -> list[tuple[list[int], list[int]]]:
-        """Per degree, the ``cell_offsets`` of all generators and of the
-        kept ones: each cell's offset and cut offset, then both ranks."""
-        return list(zip(cell_offsets(self.cells, self._size), cell_offsets(self.cells, self._kept)))
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(cut_offsets[-1] for _, cut_offsets in self.degrees)
-
-    def select(self, whole: T, zero: Callable[[], T], renumber: Callable[[], T]) -> T:
-        """``whole``, the uncut object, if the part keeps every generator,
-        else ``zero()`` if it keeps none, else ``renumber()``: the one place
-        where a cut reuses what it cuts or drops it."""
-        if self.whole:
-            return whole
-        return zero() if self.empty else renumber()
-
-    def index(self, p: int, g: int) -> int | None:
-        """The cut index of generator ``g`` of degree ``p``, or None if the
-        part drops it."""
-        offsets, cut_offsets = self.degrees[p]
-        cell = bisect_right(offsets, g) - 1
-        i = g - offsets[cell]
-        at = cut_offsets[cell]
-        for start, count in self.spans[self.cells[p][cell]]:
-            if i < start:
-                return None
-            if i < start + count:
-                return at + i - start
-            at += count
-        return None
-
-    def kept(self, p: int) -> Iterator[int]:
-        """The generators of degree ``p`` that the part keeps, in order."""
-        for s, first in zip(self.cells[p], self.degrees[p][0]):
-            for start, count in self.spans[s]:
-                yield from range(first + start, first + start + count)
-
-    def blocks(self, diffs: Sequence[IntMatrix]) -> tuple[IntMatrix, ...]:
-        """The cut of each d_p in ``diffs``, whose rows degree p + 1 numbers
-        and whose columns degree p does: its kept rows, each entry at a kept
-        column moved to that column's cut index.  An empty row (every peeled
-        row of d_0) is kept as itself, since matrix rows are never mutated."""
-        def renumber(p: int, d: IntMatrix) -> IntMatrix:
-            index, ranks = self.index, self.ranks
-            return IntMatrix(ranks[p + 1], ranks[p], tuple(
-                row and {b: x for j, x in row.items() if (b := index(p, j)) is not None}
-                for row in map(d.data.__getitem__, self.kept(p + 1))))
-
-        return self.select(tuple(diffs), lambda: (IntMatrix.zero(0, 0),) * len(diffs),
-                           lambda: tuple(renumber(p, d) for p, d in enumerate(diffs)))
 
 
 def refuse_even_cyclic(incls: Iterable[InclusionDescriptor], n: int) -> None:
@@ -348,14 +273,14 @@ def refuse_even_cyclic(incls: Iterable[InclusionDescriptor], n: int) -> None:
 
 def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Matrix]:
     """Blocks (free, torsion) of KO^{-n}(big orbit) -> KO^{-n}(sub orbit):
-    the real restriction, a complex of two degrees (the big group, then the
-    subgroup), cut by the point tables (``CutNumbering``) as
-    ``bredon.cut_cochain`` cuts whole complexes: n ≡ 0, 4 keep it all as the
-    free block, n ≡ 1 its R-to-R part mod 2, n ≡ 2 its C-to-C part beside
-    that, n ≡ 6 the C-to-C part alone, n ≡ 3, 5, 7 nothing.
+    the real restriction sliced, as ``bredon`` slices every block of a
+    part, at the generators of the types ``kept_types`` names, torsion mod
+    2: n ≡ 0, 4 keep it all as the free block, n ≡ 1 its R-to-R part mod
+    2, n ≡ 2 its C-to-C part beside that, n ≡ 6 the C-to-C part alone,
+    n ≡ 3, 5, 7 nothing.
 
     The tests' per-degree oracle: no page or report calls it, since every
-    KO cochain complex is written from ``real_restriction`` and cut whole.
+    KO cochain complex is assembled part by part from ``real_restriction``.
 
     The KO^{-2} row is derived from the KO^{-6} and KO^{-1} rows, so in
     every degree a C-type generator restricting onto an R-type one with odd
@@ -365,15 +290,13 @@ def restriction_ko(incl: InclusionDescriptor, n: int) -> tuple[IntMatrix, Mod2Ma
     """
     refuse_even_cyclic((incl,), n)
     m_real = real_restriction(incl)
-    runs = (coefficient_runs(incl.big, "ko"), coefficient_runs(incl.sub, "ko"))
-    cells = ((0,), (1,))
-    c_big = CutNumbering(runs, 2, 0, cells)  # the cross block's columns: C-type
-    if not c_big.empty:
-        r_sub = CutNumbering(runs, 2, 1, cells)  # and its rows: R-type
-        if any(x % 2 and c_big.index(0, j) is not None
-               for g in r_sub.kept(1) for j, x in m_real.data[g].items()):
-            raise UnsupportedRestrictionError(
-                f"KO^-2 restriction along {incl} needs a nonzero free-to-torsion "
-                "cross term, which is outside the supported theory")
-    (free,), (tor,) = (CutNumbering(runs, n, part, cells).blocks((m_real,)) for part in (0, 1))
+    c_big = type_range(incl.big, "ko", "C")  # the cross block's columns
+    r_sub = type_range(incl.sub, "ko", "R")  # and its rows
+    if any(x % 2 and j in c_big for row in m_real.data[r_sub.start:r_sub.stop]
+           for j, x in row.items()):
+        raise UnsupportedRestrictionError(
+            f"KO^-2 restriction along {incl} needs a nonzero free-to-torsion "
+            "cross term, which is outside the supported theory")
+    free, tor = (sliced(m_real, type_range(incl.sub, "ko", types), type_range(incl.big, "ko", types))
+                 for types in kept_types("ko", n))
     return free, tor.mod2()

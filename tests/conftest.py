@@ -90,7 +90,7 @@ def z3_square(pendant: bool = False) -> OrbitComplex:
     free 2-cell with boundary a - b.
 
     With ``pendant``, a third Z3 vertex hangs off v1 by a Z3 edge c.  The
-    peel of d_0 splits off c's rows alone, so each cut of the real complex
+    peel of d_0 splits off c's rows alone, so each part of the real complex
     holds peeled rows beside stored ones."""
     z3, free = 0, 1  # stabilizer table indices
     vertex_edge, edge_face = 0, 1  # descriptor table indices
@@ -172,8 +172,8 @@ def listed_cut(groups, theory: str, n: int) -> tuple[list[int], list[int]]:
     Z, then those whose value is Z/2, listed one by one: for K each complex
     irreducible carries K^{-n}(pt), for KO each real irreducible, in
     ``real_structure`` order, KO^{-n}(pt) if of real type and K^{-n}(pt) if
-    of complex type.  The oracle for ``reprings.CutNumbering``; it shares
-    no code with ``reprings.cut_spans``."""
+    of complex type.  The oracle for the parts that ``bredon`` assembles;
+    it shares no code with ``reprings.type_range``."""
     free, tor = [], []
     values = [value for g in groups for value in (
         [KU_POINT[n % 2]] * k0_rank(g) if theory == "k" else

@@ -342,13 +342,33 @@ def descriptor_dump(vertex, edge, descriptor: dict, incidence: list | None = Non
         {"dim": 1, "cells": [{"label": "e", "stabilizer": edge}]}])
 
 
+def two_sphere_dump() -> str:
+    """The 2-sphere as two vertices, two edges between them and two discs
+    on the loop they make, every stabilizer trivial, as JSON text."""
+    face = {"kind": "trivial_in_anything", "sub": "trivial", "big": "trivial"}
+    layers = []
+    for dim, (labels, incidence) in enumerate([(("v0", "v1"), [[-1, -1], [1, 1]]),
+                                               (("e0", "e1"), [[1, 1], [-1, -1]]),
+                                               (("f0", "f1"), None)]):
+        layer = {"dim": dim, "cells": [{"label": label, "stabilizer": "trivial"}
+                                       for label in labels]}
+        if incidence:
+            layer["incidence"] = incidence
+            layer["descriptors"] = [{"row": j, "col": k, "descriptor": face}
+                                    for j in range(2) for k in range(2)]
+        layers.append(layer)
+    return json.dumps(layers)
+
+
 def cli_paths() -> Group:
-    """Inputs that reach the loaders' and validators' branches no other
-    group reaches: a --check whose label-3 graph is not connected, inline
-    and --file matrices that fail validation, a whole --emit complex
-    report read back, and dumps that break the complex or name a group or
-    an inclusion that cannot exist.  Every one but the read-back report is
-    refused with invalid_input."""
+    """Inputs that reach the loaders', validators' and abutment's branches
+    no other group reaches: a --check whose label-3 graph is not connected,
+    inline and --file matrices that fail validation, a whole --emit complex
+    report read back, dumps that break the complex or name a group or an
+    inclusion that cannot exist, and the 2-sphere, whose K^0 abutment is
+    an extension of two free pieces (p = 0 and 2), which splits.  Every
+    one but the read-back report and the 2-sphere is refused with
+    invalid_input."""
     group = Group("cli-paths")
     group.argvs += [
         ("coxeter", "--matrix", "1,3,0,0;3,1,0,0;0,0,1,3;0,0,3,1", "--theory", "k", "--check"),
@@ -382,6 +402,7 @@ def cli_paths() -> Group:
             {"elem2": 2}, {"elem2": 2}, {**elem2_in_elem2, "extra": [0, 0]})),
         ("coxeter", "--from-complex", "elem2-out-of-range", descriptor_dump(
             {"elem2": 2}, {"cyclic": 2}, {**elem2_in_elem2, "sub": {"cyclic": 2}, "extra": [2]})),
+        ("coxeter", "--from-complex", "two-sphere", two_sphere_dump()),
     ]
     for command, flag, name, text in inputs:
         path = f"input/{name}.json"

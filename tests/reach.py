@@ -2,6 +2,8 @@
 
     python3 tests/reach.py                  # every module
     python3 tests/reach.py coxeter orbit    # only these modules
+    python3 tests/reach.py --check          # fail on a line not in the baseline
+    python3 tests/reach.py --record         # rewrite tests/reach_baseline.json
 
 Runs every group of ``tests/corpus.py`` in this process under a
 ``sys.settrace`` line tracer, then lists per module, and per function in
@@ -9,15 +11,27 @@ it, each executable line that no run executed, with its text.  The
 executable lines of a module are those its compiled code objects map
 instructions to, so comments, blank lines and docstrings are not counted.
 Tracing makes the corpus several times slower.
+
+The baseline lists the unreached lines of every module by module,
+qualified function and stripped text, not by line number, so moving code
+does not change it.  ``--check`` fails when a line is unreached that the
+baseline does not hold, as often as the baseline holds it: new code the
+corpus cannot reach needs a corpus run, or a deliberate ``--record``.  A
+baseline line that is now reached is reported, and ``--record`` drops it.
+Which lines are executable differs between interpreters, so the baseline
+is recorded and checked on one: CPython 3.12.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src" / "properk"
+BASELINE = HERE / "reach_baseline.json"
 
 
 def executable_lines(path: Path) -> dict[int, str]:
@@ -66,27 +80,74 @@ def trace_corpus() -> dict[str, set[int]]:
     return reached
 
 
-def main(argv: list[str]) -> int:
-    modules = sorted(SRC.glob("*.py"))
-    if argv:
-        modules = [path for path in modules if path.stem in argv]
+def unreached(modules: list[Path]) -> dict[str, list[tuple[int, str, str]]]:
+    """Per module name, its executable lines that no corpus run reaches,
+    as (line number, qualified function, stripped text)."""
     sys.path.insert(0, str(HERE))
     reached = trace_corpus()
-    total = missed = 0
+    out = {}
     for path in modules:
         owner = executable_lines(path)
         lines = path.read_text().splitlines()
-        unreached = sorted(set(owner) - reached.get(str(path), set()))
-        total += len(owner)
-        missed += len(unreached)
-        print(f"{path.name}: {len(owner)} executable lines, {len(unreached)} not reached")
+        out[path.stem] = [(line, owner[line], lines[line - 1].strip())
+                          for line in sorted(set(owner) - reached.get(str(path), set()))]
+    return out
+
+
+def keys(missed: dict[str, list[tuple[int, str, str]]]) -> Counter:
+    return Counter((module, name, text) for module, lines in missed.items()
+                   for _, name, text in lines)
+
+
+def check(missed: dict[str, list[tuple[int, str, str]]]) -> int:
+    baseline = Counter({tuple(key): count for *key, count in json.loads(BASELINE.read_text())})
+    current = keys(missed)
+    for module, name, text in sorted((baseline - current).elements()):
+        print(f"now reached, --record drops it: {module} {name or '<module>'}: {text}")
+    new = current - baseline
+    failed = sum(new.values())
+    for module, lines in missed.items():
+        for line, name, text in lines:
+            if new[module, name, text]:
+                new[module, name, text] -= 1
+                print(f"not reached and not in the baseline: {module}.py:{line} "
+                      f"{name or '<module>'}: {text}")
+    print(f"{sum(current.values())} lines not reached, {failed} of them not in the baseline")
+    return 1 if failed else 0
+
+
+def record(missed: dict[str, list[tuple[int, str, str]]]) -> None:
+    entries = sorted([*key, count] for key, count in keys(missed).items())
+    BASELINE.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n")
+    print(f"recorded {sum(keys(missed).values())} unreached lines in {BASELINE}")
+
+
+def main(argv: list[str]) -> int:
+    modules = sorted(SRC.glob("*.py"))
+    if argv in (["--check"], ["--record"]):
+        missed = unreached(modules)
+        if argv == ["--record"]:
+            record(missed)
+            return 0
+        return check(missed)
+    if any(arg.startswith("-") for arg in argv):
+        raise SystemExit(__doc__)
+    if argv:
+        modules = [path for path in modules if path.stem in argv]
+    missed = unreached(modules)
+    total = 0
+    for path in modules:
+        lines = missed[path.stem]
+        count = len(executable_lines(path))
+        total += count
+        print(f"{path.name}: {count} executable lines, {len(lines)} not reached")
         last = None
-        for line in unreached:
-            if owner[line] != last:
-                last = owner[line]
+        for line, name, text in lines:
+            if name != last:
+                last = name
                 print(f"  {last or '<module>'}")
-            print(f"    {line:5d}  {lines[line - 1].strip()}")
-    print(f"total: {total} executable lines, {missed} not reached")
+            print(f"    {line:5d}  {text}")
+    print(f"total: {total} executable lines, {sum(map(len, missed.values()))} not reached")
     return 0
 
 

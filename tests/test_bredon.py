@@ -292,7 +292,7 @@ def per_descriptor_cochain(x, n):
     """KO^{-n} cochain data written block by block from ``restriction_ko(incl, n)``.
 
     This is how every KO complex used to be assembled, kept as the
-    reference for the cut: ranks from the listing oracle, each free block
+    reference for the parts: ranks from the listing oracle, each free block
     added alpha times, each torsion block XORed in where alpha is odd.
     """
     free_ranks, tor_ranks, offsets = [], [], []
@@ -383,7 +383,8 @@ def test_composites_that_agree_prove_the_cochain_squares_to_zero(proof_models, d
     # the product taken here is zero.  Moving a face onto another descriptor
     # with the same ends keeps the complex valid and ∂∘∂ = 0; where that
     # breaks the proof, the product check refuses exactly the complexes
-    # whose product is nonzero.
+    # whose product is nonzero.  The same holds for each part of the real
+    # complex, whose blocks are the listed cuts of the degree-0 ones.
     x = reorient(data.draw(st.sampled_from(proof_models)),
                  random.Random(data.draw(st.integers(0, 2**16))))
     ends = [(desc.sub, desc.big) for desc in x.descriptors]
@@ -393,21 +394,28 @@ def test_composites_that_agree_prove_the_cochain_squares_to_zero(proof_models, d
     if moves and data.draw(st.booleans()):
         x = rerouted(x, *data.draw(st.sampled_from(moves)))
     theory = data.draw(st.sampled_from(["k", "ko"]))
-    if theory == "ko":
-        blocks = [restriction_ko(incl, 0)[0] for incl in x.descriptors]
-    else:
-        blocks = [reprings.restriction_k0(incl) for incl in x.descriptors]
+    n, part = data.draw(st.sampled_from([(0, 0)] + [(1, 1), (6, 0)] * (theory == "ko")))
+    types = reprings.kept_types(theory, n)[part]
+
+    def block(incl):
+        whole = restriction_ko(incl, 0)[0] if theory == "ko" else reprings.restriction_k0(incl)
+        return whole.block(*(listed_cut([g], theory, n)[part] for g in (incl.sub, incl.big)))
+
+    def assemble():
+        return bredon.part_assembler(x, theory, peel=True)(types)
+
+    blocks = [block(incl) for incl in x.descriptors]
     with mock.patch.object(bredon, "_composites_agree", return_value=True):
-        d = assemble_cochain(x, theory).free_d
+        d = assemble().free_d
     nonzero = [p for p in range(len(d) - 1) if not (d[p + 1] * d[p]).is_zero()]
     if bredon._composites_agree(x, blocks):
         assert nonzero == []
     elif nonzero:
         with pytest.raises(ChainComplexError,
                            match=f"^free differentials do not compose to zero at degree {nonzero[0]}$"):
-            assemble_cochain(x, theory)
+            assemble()
     else:
-        assert assemble_cochain(x, theory).free_d == d
+        assert assemble().free_d == d
 
 
 def test_dinf3_pages_multiply_no_matrices(monkeypatch):
@@ -424,9 +432,9 @@ def test_dinf3_pages_multiply_no_matrices(monkeypatch):
 
 
 def test_ko_cochains_cut_equal_per_descriptor_assembly(ra_corpus):
-    # Every KO^{-n} complex is cut from the one real complex; it must equal,
-    # matrix for matrix, the complex assembled from each descriptor's own
-    # KO^{-n} blocks, also after the cells are reoriented.
+    # Every KO^{-n} complex is assembled from parts of the real complex; it
+    # must equal, matrix for matrix, the complex assembled from each
+    # descriptor's own KO^{-n} blocks, also after the cells are reoriented.
     rng = random.Random(13)
     for base in fold_corpus(ra_corpus):
         for x in (base, reorient(base, rng)):
@@ -452,10 +460,11 @@ def counting(monkeypatch, module, name):
 
 
 def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
-    # KO^-1 and KO^-6 are cut from the real complex: one assembly per page,
-    # and one real restriction for each descriptor that a face of an
-    # unpeeled row, or a coherence pair, reads.  A descriptor that only
-    # peeled faces use is not restricted.
+    # Right-angled stabilizers have only real-type irreducibles, so KO^-1
+    # and KO^-6 are read off the real complex: one assembly per page, and
+    # one real restriction for each descriptor that a face of an unpeeled
+    # row, or a coherence pair, reads.  A descriptor that only peeled faces
+    # use is not restricted.
     assembled = counting(monkeypatch, bredon, "assemble_cochain")
     restricted = counting(monkeypatch, bredon, "real_restriction")
     peels = 0
@@ -468,18 +477,18 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
         assembled.clear()
         restricted.clear()
         build_e2(x, "ko")
-        assert assembled == [(x, "ko")]
+        assert [args[:2] for args in assembled] == [(x, "ko")]
         assert sorted(restricted, key=lambda args: x.descriptors.index(args[0])) == [
             (x.descriptors[d],) for d in sorted(read)]
     assert peels  # some page leaves a descriptor unrestricted
 
 
 def refuse_gf2_elimination(monkeypatch):
-    """Make the split cut and the GF(2) rank fail if anything calls them."""
+    """Make the split complex and the GF(2) rank fail if anything calls them."""
     def refuse(*_):
-        raise AssertionError("the KO page built a split cut or ranked over GF(2)")
+        raise AssertionError("the KO page built a split complex or ranked over GF(2)")
 
-    monkeypatch.setattr(bredon, "cut_cochain", refuse)
+    monkeypatch.setattr(bredon, "bredon_cochain", refuse)
     monkeypatch.setattr(Mod2Matrix, "rank2", refuse)
 
 
@@ -510,9 +519,9 @@ def test_real_type_ko_page_reads_one_factorization(monkeypatch, ra_corpus):
 
 def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
     # Z15, Z21 and Z3 have complex-type irreducibles: beside the real
-    # complex C the page factors two integral cuts of it, R-to-R (read mod
-    # 2 for KO^-1) and C-to-C (KO^-6), and still builds and ranks no split
-    # cut.  The integral cuts are the blocks that --emit cochain prints.
+    # complex C the page factors two integral parts of it, R (read mod 2
+    # for KO^-1) and C (KO^-6), and still builds and ranks no split
+    # complex.  The integral parts are the blocks that --emit cochain prints.
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7)))
     full = assemble_cochain(x, "ko")
     split = {n: bredon_cochain(x, CoefficientFunctor.ko(n)) for n in (1, 6)}
@@ -526,7 +535,7 @@ def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
     assert whole == full
     # Z15 and Z21 have one R-type and 7 and 10 C-type generators, Z3 one of each.
     assert (r_to_r.free_ranks, c_to_c.free_ranks) == ((2, 1), (17, 1))
-    # The edge is free, so each cut peels its whole d_0 and builds none of
+    # The edge is free, so each part peels its whole d_0 and builds none of
     # it: every row is a unit of the printed block at a column that no
     # other row meets.
     for cut, printed in ((r_to_r, split[1].tor_d[0]), (c_to_c, split[6].free_d[0])):
@@ -539,9 +548,9 @@ def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
 
 
 def test_dimension_two_complex_type_rows(tmp_path, capsys):
-    # KO^-1 is the R-to-R cut mod 2 and KO^-6 the C-to-C cut; both are
-    # integral complexes of length 2 here, with the trivial 2-cell, whose
-    # one generator is of R-type, taking no part in the C-to-C cut.
+    # KO^-1 is the R part mod 2 and KO^-6 the C part; both are integral
+    # complexes of length 2 here, with the trivial 2-cell, whose one
+    # generator is of R-type, taking no part in the C part.
     x = z3_square()
     z, z2, zero = AbGroup.free(1), AbGroup.elementary_2(1), AbGroup.zero()
     page = build_e2(x, "ko")
@@ -555,8 +564,8 @@ def test_dimension_two_complex_type_rows(tmp_path, capsys):
 
 
 def test_real_type_route_keeps_the_even_cyclic_refusal(tmp_path, monkeypatch, capsys):
-    # Z2 <= Z2 is real-type only, so the page builds no cut, and still
-    # refuses the even-order edge group in KO^-1.
+    # Z2 <= Z2 is real-type only, so the page assembles the real complex
+    # alone, and still refuses the even-order edge group in KO^-1.
     z2_in_z2 = {"kind": "cyclic_in_cyclic", "sub": {"cyclic": 2}, "big": {"cyclic": 2},
                 "extra": [2, 1]}
     dump = [{"dim": 0,
@@ -568,9 +577,9 @@ def test_real_type_route_keeps_the_even_cyclic_refusal(tmp_path, monkeypatch, ca
             {"dim": 1, "cells": [{"label": "e", "stabilizer": {"cyclic": 2}}]}]
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(dump))
-    cuts = counting(monkeypatch, bredon, "cut_cochain")
+    assembled = counting(monkeypatch, bredon, "_assemble")
     assert main(["coxeter", "--theory", "ko", "--from-complex", str(path)]) == 1
-    assert cuts == []
+    assert [list(args[2].values()) for args in assembled] == [[range(2)]]  # all of Z2's
     assert json.loads(capsys.readouterr().out)["error"] == {
         "kind": "unsupported_restriction",
         "message": "KO^-1 restriction for an even-order cyclic subgroup Z2 is not determined "
@@ -578,18 +587,19 @@ def test_real_type_route_keeps_the_even_cyclic_refusal(tmp_path, monkeypatch, ca
 
 
 def page_factorizations(x, theory):
-    """Each complex a page factors, K^0 or the real complex and its R-to-R
-    and C-to-C cuts, as (its factorization on the page, that of the whole
-    complex with no row peeled)."""
-    page = assemble_cochain(x, theory)
+    """Each complex a page factors, K^0 or the real complex and its R and C
+    parts, as (its factorization on the page, that of the listed cut of the
+    whole complex with no row peeled)."""
+    parts = bredon.part_assembler(x, theory, peel=True)
+    page = assemble_cochain(x, theory, parts)
     full = bredon_cochain(x, CoefficientFunctor(theory, 0))
     factored = abelian.factor_integral(page)
     out = [(factored, Factorization(full.free_ranks, abelian._top_down(full.free_d)))]
     if theory == "ko":
-        for n, part in ((1, 1), (6, 0)):
-            keep = [parts[part] for parts in listed_cuts(x, "ko", n)]
+        for n, part, types in ((1, 1, "R"), (6, 0, "C")):
+            keep = [listed[part] for listed in listed_cuts(x, "ko", n)]
             whole = [d.block(keep[p + 1], keep[p]) for p, d in enumerate(full.free_d)]
-            out.append((bredon._factor_cut(x, page, factored, n, part),
+            out.append((bredon._factor_part(x, parts, factored, types),
                         Factorization(tuple(map(len, keep)), abelian._top_down(whole))))
     return out
 
@@ -624,9 +634,9 @@ def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
 
 def test_the_whole_complex_is_the_page_with_its_peeled_rows_written(peel_models):
     # One assembly pass writes both: the whole complex, which --emit cochain
-    # cuts and the reference cohomology reads, has the page's ranks, peel
+    # prints and the reference cohomology reads, has the page's ranks, peel
     # and rows, and a nonzero row wherever the page leaves a peeled one
-    # empty.
+    # empty.  The page's peeled rows are all one empty dict.
     peels = 0
     for x in peel_models:
         for theory in ("k", "ko"):
@@ -637,6 +647,7 @@ def test_the_whole_complex_is_the_page_with_its_peeled_rows_written(peel_models)
             if not page.free_d:
                 continue
             peeled = set(page.peeled)
+            assert len({id(page.free_d[0].data[i]) for i in peeled}) <= 1
             for i, (kept, written) in enumerate(zip(page.free_d[0].data, whole.free_d[0].data)):
                 if i in peeled:
                     assert kept == {} and written
@@ -648,28 +659,32 @@ def test_the_whole_complex_is_the_page_with_its_peeled_rows_written(peel_models)
 
 def test_a_partial_cut_holds_peeled_and_stored_rows(monkeypatch):
     # The pendant edge c is peeled and the square's edges a and b are not,
-    # so each cut of the real complex keeps rows of both kinds.
+    # so each part of the real complex, R and C, keeps rows of both kinds.
+    # Assembled with the peel, it is the listed cut of the page's complex.
     x = z3_square(pendant=True)
     assert bredon._peel(x, "ko") == [2]
-    page = assemble_cochain(x, "ko")
+    parts = bredon.part_assembler(x, "ko", peel=True)
+    page = assemble_cochain(x, "ko", parts)
     factored = abelian.factor_integral(page)
     cuts = counting(monkeypatch, bredon, "factor_integral")
-    for n, part in ((1, 1), (6, 0)):
-        cut = bredon._cut(x, "ko", n, part)
-        assert not (cut.whole or cut.empty)
-        d0 = cut.blocks(page.free_d)[0]
+    for n, part, types in ((1, 1, "R"), (6, 0, "C")):
+        sizes = bredon.part_sizes(x, "ko", types)
+        assert any(sizes) and sizes != bredon.part_sizes(x, "ko", "RC")
         cuts.clear()
-        bredon._factor_cut(x, page, factored, n, part)
+        bredon._factor_part(x, parts, factored, types)
         ((complex_,),) = cuts
+        keep = [listed[part] for listed in listed_cuts(x, "ko", n)]
+        assert complex_.free_d == tuple(d.block(keep[p + 1], keep[p])
+                                        for p, d in enumerate(page.free_d))
         assert complex_.peeled == (2,)  # c's row, after a's and b's
-        assert [i for i, row in enumerate(d0.data) if row] == [0, 1]
+        assert [i for i, row in enumerate(complex_.free_d[0].data) if row] == [0, 1]
     for reduced, whole in page_factorizations(x, "ko"):
         assert reduced == whole
 
 
 def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
     # The orbit complex is a tree, so d_0 is peeled whole, on the K page,
-    # the real complex and both of its cuts, before any block is built: the
+    # the real complex and both of its parts, before any block is built: the
     # page restricts nothing and stores no entry of d_0, and
     # invariant_factors, still called by name, gets no nonzero row to
     # eliminate.
@@ -797,10 +812,11 @@ def test_unit_columns_meet_no_other_row(rows, units):
 
 
 @given(data=st.data())
-def test_cut_numbering_keeps_the_listed_generators(peel_models, data):
-    # Each part of a cut, numbered by runs, keeps the generators that the
-    # listing oracle keeps, in order, and its blocks are the full complex's
-    # blocks on those rows and columns: free as they are, torsion mod 2.
+def test_parts_keep_the_listed_generators(peel_models, data):
+    # Each part of a degree, one range of generators per stabilizer, keeps
+    # the generators that the listing oracle keeps, in order, and its
+    # blocks are the full complex's blocks on those rows and columns: free
+    # as they are, torsion mod 2.
     theory = data.draw(st.sampled_from(["k", "ko"]))
     if data.draw(st.booleans()):
         x = data.draw(st.sampled_from(peel_models))
@@ -812,12 +828,18 @@ def test_cut_numbering_keeps_the_listed_generators(peel_models, data):
             AmalgamSpec(r, tuple(data.draw(st.integers(2, 6)) for _ in range(k + 1))))
     n = data.draw(st.integers(0, 7))
     listed = listed_cuts(x, theory, n)
-    for part in (0, 1):
-        cut = bredon._cut(x, theory, n, part)
-        assert [list(cut.kept(p)) for p in range(x.dim + 1)] == [parts[part] for parts in listed]
-        assert cut.ranks == tuple(len(parts[part]) for parts in listed)
+    offsets = reprings.cell_offsets(x.cells, [reprings.k0_rank(g) if theory == "k" else
+                                              len(reprings.real_structure(g))
+                                              for g in x.stabilizers])
+    c = bredon_cochain(x, CoefficientFunctor(theory, n))
+    for part, (types, ranks) in enumerate(zip(reprings.kept_types(theory, n),
+                                              (c.free_ranks, c.tor2_ranks))):
+        kept = [[first + i for s, first in zip(cells, offs)
+                 for i in reprings.type_range(x.stabilizers[s], theory, types)]
+                for cells, offs in zip(x.cells, offsets)]
+        assert kept == [parts[part] for parts in listed]
+        assert ranks == tuple(len(parts[part]) for parts in listed)
     full = bredon_cochain(x, CoefficientFunctor(theory, 0))
-    c = bredon.cut_cochain(x, full, CoefficientFunctor(theory, n))
     for p, d in enumerate(full.free_d):
         (f1, t1), (f0, t0) = listed[p + 1], listed[p]
         assert c.free_d[p] == d.block(f1, f0)

@@ -627,7 +627,7 @@ def test_emit_complex_out_feeds_back_verbatim(tmp_path, capsys, argv):
 @pytest.mark.parametrize("emit", ["result", "e2page", "cochain"])
 def test_even_edge_dump_through_coxeter_is_refused(tmp_path, capsys, emit):
     # The coxeter subcommand runs no edge-order pre-check, so the refusal
-    # comes from the KO^-1 cut of the one real complex.
+    # comes from the KO^-1 part of the one real complex.
     dump = tmp_path / "sl2z.json"
     assert main(["amalgam", "--r", "2", "--m", "3,2", "--emit", "complex", "--out", str(dump)]) == 0
     code, out = run(capsys, ["coxeter", "--theory", "ko", "--from-complex", str(dump),
@@ -674,18 +674,32 @@ def test_first_even_edge_in_face_order_is_named(tmp_path, capsys, emit):
 @pytest.mark.parametrize("theory", ["k", "ko"])
 def test_emit_cochain_assembles_once(monkeypatch, capsys, theory):
     import properk.bredon as bredon
+    from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
+    from properk.reprings import type_range
 
-    # Every assembly, of a page or of a whole complex, is one _assemble call.
-    assembled = []
+    # Every assembly, of a page or of a part, is one _assemble call: the
+    # report assembles each distinct part of its degrees at most once, with
+    # no row peeled, and restricts each descriptor once for all of them.
+    assembled, restricted = [], []
     assemble = bredon._assemble
     monkeypatch.setattr(bredon, "_assemble",
-                        lambda x, theory, peel: assembled.append((theory, peel))
-                        or assemble(x, theory, peel))
+                        lambda x, theory, ranges, peel, blocks:
+                        assembled.append((list(ranges.values()), peel))
+                        or assemble(x, theory, ranges, peel, blocks))
+    name = "restriction_k0" if theory == "k" else "real_restriction"
+    restrict = getattr(bredon, name)
+    monkeypatch.setattr(bredon, name, lambda incl: restricted.append(incl) or restrict(incl))
     code, out = run(capsys, ["amalgam", "--r", "3,5", "--m", "3,7,5", "--theory", theory,
                              "--emit", "cochain"])
     assert code == 0
     assert len(json.loads(out)["cochains"]) == (2 if theory == "k" else 8)
-    assert assembled == [(theory, False)]
+    # The stabilizers are odd cyclic groups, so the whole, R and C parts
+    # and the zero part all differ.
+    x = build_amalgam_orbit_complex(AmalgamSpec((3, 5), (3, 7, 5)))
+    parts = ["C", ""] if theory == "k" else ["RC", "", "R", "C"]
+    assert assembled == [([type_range(g, theory, types) for g in x.stabilizers], False)
+                         for types in parts]
+    assert sorted(map(str, restricted)) == sorted(map(str, x.descriptors))
 
 
 def test_large_prime_incidence_is_not_factored(tmp_path, capsys):
@@ -803,8 +817,9 @@ def test_amalgam_with_a_vertex_of_order_1e8_runs_in_little_memory():
 
 @pytest.mark.parametrize("r, m", [("3", "100000000,2"), ("3,5", "100000001,7,30000001")])
 def test_amalgam_ko_pages_of_vertex_orders_near_1e8_list_no_generator(r, m):
-    # Each cut of the real complex keeps or drops whole coefficient runs, so
-    # its ranks, its peel and its rows are arithmetic on them.  Listing the
+    # Each part of the real complex keeps one range of generators per
+    # stabilizer, so its ranks, its peel and its rows are arithmetic on the
+    # ranges.  Listing the
     # generators of each cell once ended in a MemoryError under this cap.
     code, report, _, peak = _run_capped(["amalgam", "--r", r, "--m", m, "--theory", "ko",
                                          "--check"])
@@ -817,8 +832,8 @@ def test_amalgam_ko_pages_of_vertex_orders_near_1e8_list_no_generator(r, m):
 @pytest.mark.parametrize("m, theory, entries", [("1000000000,2", "k", 9_000_000_018),
                                                 ("100000000,2", "ko", 1_050_000_031)])
 def test_huge_amalgam_cochain_is_refused_before_listing_a_generator(m, theory, entries):
-    # The budget check counts each cut per coefficient run; listing the
-    # cuts' generators to count them once ended in a MemoryError here.
+    # The budget check counts each part per stabilizer; listing the parts'
+    # generators to count them once ended in a MemoryError here.
     argv = ["amalgam", "--r", "3", "--m", m, "--theory", theory, "--emit", "cochain"]
     code, report, elapsed, peak = _run_capped(argv)
     assert code == 1

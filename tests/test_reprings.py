@@ -230,7 +230,7 @@ def test_restriction_ko_rejects_even_cyclic_subgroups():
 
 
 def test_restriction_ko_degree_0_equals_real_restriction(monkeypatch):
-    # The cut keeps every generator, so it hands back the real restriction
+    # The slice keeps every generator, so it hands back the real restriction
     # itself, with nothing renumbered.
     made = []
     monkeypatch.setattr(reprings, "real_restriction",
@@ -314,8 +314,8 @@ def test_real_type_never_restricts_onto_complex_type(incl):
     # character of order at most 2, and so is its restriction; every other
     # subgroup in the catalogue has only R-type irreducibles.  (It fails in
     # general: D_3 >= Z3 takes the 2-dimensional rho onto Z3's C-type pair.)
-    # So the R-to-R and C-to-C cuts of an integral real complex compose to
-    # zero over Z, which bredon.bredon_rows relies on.
+    # So the R and C parts of an integral real complex compose to zero over
+    # Z, which bredon.bredon_rows relies on.
     m = real_restriction(incl)
     sub_c = [w for w, (kind, _) in enumerate(real_structure(incl.sub)) if kind == "C"]
     big_r = [v for v, (kind, _) in enumerate(real_structure(incl.big)) if kind == "R"]
@@ -338,7 +338,7 @@ def small_descriptors():
 def check_unit_columns(incl, theory):
     """``has_unit_pivots`` read off the kind against the oracle's unit
     columns read off the degree-0 block; for KO, each of those columns has
-    its row's type, which makes a cut of a peeled edge peel every row it
+    its row's type, which makes a part of a peeled edge peel every row it
     keeps."""
     block = restriction_k0(incl) if theory == "k" else restriction_ko(incl, 0)[0]
     units = unit_columns_of_block(block)
