@@ -630,15 +630,16 @@ class SplitCochainComplex:
     (``OrbitComplex.coherence``), and when it pairs two parts each checked
     so or multiplied out; every other complex is multiplied out.
 
-    ``peeled`` lists rows of F_0 that split off as unit pivots, in order:
-    each row holds ±1 at a column where every other row of F_0 not listed
-    before it holds 0.  Its builder vouches for it
-    (``bredon.assemble_cochain`` decides it from the orbit complex before
-    building any block), nothing here checks it, and only
-    ``factor_integral`` uses it, reading none of those rows' entries.  So
-    the page's complex (``bredon.assemble_cochain``) does not store them:
-    they are empty rows, which the whole complex (``bredon.bredon_cochain``)
-    writes.  It is not part of the complex's identity.
+    ``peeled`` counts the rows of F_0 that split off as unit pivots and
+    that the builder left empty.  Written out, those rows hold, in some
+    order, each a ±1 at a column where every row of F_0 not before it holds
+    0, so F_0 is I ⊕ (its stored rows) up to unimodular row and column
+    operations, and F_1 is zero at each of them.  Its builder vouches for
+    it (``bredon.assemble_cochain`` decides it from the orbit complex
+    before building any block), nothing here checks it, and only
+    ``factor_integral`` reads it.  The whole complex
+    (``bredon.bredon_cochain``) writes every row and has ``peeled`` 0.  It
+    is not part of the complex's identity.
     """
 
     free_ranks: tuple[int, ...]
@@ -646,7 +647,7 @@ class SplitCochainComplex:
     free_d: tuple[IntMatrix, ...]
     tor_d: tuple[Mod2Matrix, ...]
     _composes: InitVar[bool] = False
-    peeled: Collection[int] = field(default=(), compare=False)
+    peeled: int = field(default=0, compare=False)
 
     def __post_init__(self, _composes: bool = False):
         n = len(self.free_ranks)
@@ -672,8 +673,7 @@ class SplitCochainComplex:
 
     @classmethod
     def integral(cls, free_ranks: Sequence[int], diffs: Sequence[IntMatrix],
-                 _composes: bool = False,
-                 peeled: Collection[int] = ()) -> "SplitCochainComplex":
+                 _composes: bool = False, peeled: int = 0) -> "SplitCochainComplex":
         """Pure integral complex (no torsion summands)."""
         return cls(tuple(free_ranks), (0,) * len(free_ranks), tuple(diffs),
                    tuple(Mod2Matrix.zero(0, 0) for _ in diffs), _composes, peeled)
@@ -740,30 +740,25 @@ def factor_integral(complex_: SplitCochainComplex) -> Factorization:
     im d_p ⊆ ker d_{p+1}, the rest of d_p has the rank and the invariant
     factors > 1 of d_p.
 
-    The rows ``complex_.peeled`` of d_0 are split off before any
-    elimination, one invariant factor 1 each (``_top_down``).
+    The ``complex_.peeled`` rows of d_0 that split off as unit pivots are
+    empty, and each is one invariant factor 1 of d_0 (``_top_down``).
     """
     if not complex_.is_pure_integral():
         raise ChainComplexError("factor_integral requires a pure integral complex")
     return Factorization(complex_.free_ranks, _top_down(complex_.free_d, complex_.peeled))
 
 
-def _top_down(diffs: Sequence[IntMatrix],
-              peeled: Collection[int] = ()) -> tuple[tuple[int, ...], ...]:
+def _top_down(diffs: Sequence[IntMatrix], peeled: int = 0) -> tuple[tuple[int, ...], ...]:
     """The invariant factors of d_p for p = L-1 down to 0, each d_p without
     the rows at the unit pivot columns of d_{p+1}, whether the singleton
     pass or the heap loop of ``invariant_factors`` took them (either way
     their minor is unimodular); index p + 1 holds d_p's, and () stands for
     the zero maps at either end.
 
-    The ``peeled`` rows of d_0 join its skip set, each adding a factor 1.
-    In order, each is a unit pivot at a column that every other row not
-    peeled before it leaves zero (``SplitCochainComplex.peeled``), so d_0
-    is I ⊕ (the rest of d_0) up to unimodular row and column operations.  That holds for d_0 alone: its
-    pivot columns index the rows of no further differential, while peeling
-    d_p for p ≥ 1 would change the pivot columns handed on to d_{p-1}.
-    None of them is in d_0's skip set: the orbit complex peels only edges
-    that bound no 2-cell, whose columns in d_1 are zero.
+    d_0's factors start with ``peeled`` ones, one per row that split off as
+    a unit pivot and was left empty (``SplitCochainComplex.peeled``).  An
+    empty row enters no elimination, and no unit pivot column of d_1 is one
+    of those rows, since d_1 is zero there.
     """
     out = [()] * (len(diffs) + 2)
     skip = set()
@@ -773,8 +768,7 @@ def _top_down(diffs: Sequence[IntMatrix],
             out[p + 1] = invariant_factors(diffs[p], skip, pivots)
             skip = pivots
         else:
-            skip.update(peeled)
-            out[1] = (1,) * len(peeled) + invariant_factors(diffs[0], skip)
+            out[1] = (1,) * peeled + invariant_factors(diffs[0], skip)
     return tuple(out)
 
 

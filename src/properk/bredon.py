@@ -10,7 +10,6 @@ shape of the cellular boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .abelian import (
@@ -122,17 +121,18 @@ def _assemble(complex_: OrbitComplex, theory: str, ranges: dict[GroupClass, rang
     part, and its restriction block along a descriptor is the slice of the
     degree-0 one at those ranges: of ``restriction_k0`` for K, whose one
     part is K^0, and of ``real_restriction`` for KO, whose whole is the real
-    complex, KO^0 and KO^{-4}.  The peel of d_0, a list of edges, is
-    decided first, before any block, from the face table, the incidence
-    coefficients and the descriptors' kinds (``_peel``).  Those edges' rows
-    are the complex's ``peeled`` rows, for ``factor_integral``; with
-    ``peel`` they are all one shared empty row.  Every other block is
-    written straight into sparse rows.  A descriptor is restricted when a
-    written face first reads it, into ``blocks``, which the caller shares
-    between parts, and sliced once per part, so a descriptor that only
-    peeled faces use is never restricted on the page.  The order of the
-    cells fixes the block layout, so assembled matrices are reproducible
-    literals.
+    complex, KO^0 and KO^{-4}.  With ``peel``, the peel of d_0, a list of
+    edges, is decided first, before any block, from the face table, the
+    incidence coefficients and the descriptors' kinds (``_peel``).  Those
+    edges' rows are all one shared empty row, and their number, summed
+    from the edges' offsets, is the complex's ``peeled`` count for
+    ``factor_integral``.  Without ``peel`` every row is written and
+    ``peeled`` is 0.  Every other block is written straight into sparse
+    rows.  A descriptor is restricted when a written face first reads it,
+    into ``blocks``, which the caller shares between parts, and sliced once
+    per part, so a descriptor that only peeled faces use is never
+    restricted on the page.  The order of the cells fixes the block layout,
+    so assembled matrices are reproducible literals.
 
     d∘d = 0 is proved rather than multiplied out when the part's composite
     restrictions agree (``_composites_agree``); the orbit complex has
@@ -144,8 +144,7 @@ def _assemble(complex_: OrbitComplex, theory: str, ranges: dict[GroupClass, rang
     peeled row: leaving those rows empty changes no block of d_1·d_0.
     """
     offsets = cell_offsets(complex_.cells, list(map(len, ranges.values())))
-    edges = _peel(complex_, theory)
-    skipped = set(edges) if peel else set()
+    skipped = set(_peel(complex_, theory)) if peel else set()
     part_blocks: list[IntMatrix | None] = [None] * len(complex_.descriptors)
 
     def slice_block(d: int) -> IntMatrix:
@@ -170,7 +169,7 @@ def _assemble(complex_: OrbitComplex, theory: str, ranges: dict[GroupClass, rang
         free_d.append(IntMatrix(len(rows), lower[-1], tuple(rows)))
     return SplitCochainComplex.integral([offs[-1] for offs in offsets], free_d,
                                         _composes=_composites_agree(complex_, part_blocks),
-                                        peeled=_edge_rows(offsets, edges))
+                                        peeled=sum(offsets[1][k + 1] - offsets[1][k] for k in skipped))
 
 
 def _write(rows: list[dict[int, int]], layer: Sequence[dict[int, tuple[int, int]]],
@@ -208,8 +207,8 @@ def _peel(complex_: OrbitComplex, theory: str) -> list[int]:
 
     A peeled edge k bounds no 2-cell.  Every other edge of its free vertex
     j was peeled before it and, by induction, bounds none, so for a 2-cell
-    l, 0 = (∂∂l)_j = ±(∂l)_k.  Only d_0 is peeled (``abelian._top_down``
-    says why).
+    l, 0 = (∂∂l)_j = ±(∂l)_k.  Only d_0 is peeled (``bredon_rows`` says
+    why).
     """
     if not complex_.faces:
         return []
@@ -239,12 +238,6 @@ def _peel(complex_: OrbitComplex, theory: str) -> list[int]:
     return peeled
 
 
-def _edge_rows(offsets: Sequence[Sequence[int]], edges: Iterable[int]) -> tuple[int, ...]:
-    """The rows of d_0 at ``edges``, in order: each edge's rows, from its
-    offset in degree 1 of ``offsets`` to the next edge's."""
-    return tuple(chain.from_iterable(range(offsets[1][k], offsets[1][k + 1]) for k in edges))
-
-
 def _composites_agree(complex_: OrbitComplex, blocks: list[IntMatrix]) -> bool:
     """Whether the two paths of each entry of ``complex_.coherence`` have
     one composite restriction block; each distinct (e, d) is composed once,
@@ -265,9 +258,10 @@ def _factor_part(complex_: OrbitComplex, parts: Callable[[str], SplitCochainComp
     A part that keeps every generator of every stabilizer is the whole and
     reuses ``factored``; one that keeps none is the zero complex; any other
     is assembled with the peel and factored.  Its peel is that of the whole
-    edge by edge: a peeled edge's kept rows run from its offset in the part
-    to the next edge's, and each has its unit at a kept column, since a
-    unit has its row's type (``reprings.has_unit_pivots``).
+    edge by edge, and its ``peeled`` count is the number of kept rows of
+    those edges, read off their offsets in the part: each such row has its
+    unit at a kept column, since a unit has its row's type
+    (``reprings.has_unit_pivots``).
     """
     sizes = part_sizes(complex_, "ko", types)
     if sizes == part_sizes(complex_, "ko", "RC"):
@@ -351,8 +345,9 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     stores no entry of d_0 and eliminates no row of it: each row is a rank
     count.  The parts peel the same edges and build no rows for them, and
     they slice their blocks from C's restrictions, so each descriptor is
-    restricted at most once per page.  A part's ranks and peeled rows are
-    sums of per-stabilizer range lengths, so it lists no generator.
+    restricted at most once per page.  A part's ranks and its count of
+    peeled rows are sums of per-stabilizer range lengths, so it lists no
+    generator: ``factor_integral`` learns only how many rows split off.
     Only d_0 is peeled: its pivot columns feed no further differential,
     while peeling d_p for p ≥ 1 would change the pivot columns that d_{p-1}
     skips, and on a Davis top differential that made the next elimination

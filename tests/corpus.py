@@ -33,7 +33,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
-from conftest import TREE_DUMPS, right_angled_corpus, vertex_edge_dump, z3_square  # noqa: E402
+from inputs import TREE_DUMPS, right_angled_corpus, vertex_edge_dump, z3_square  # noqa: E402
 from properk import cli  # noqa: E402
 from properk.coxeter import (  # noqa: E402
     CoxeterMatrix, build_bestvina_orbit_complex, build_davis_orbit_complex)

@@ -19,7 +19,8 @@ baseline does not hold, as often as the baseline holds it: new code the
 corpus cannot reach needs a corpus run, or a deliberate ``--record``.  A
 baseline line that is now reached is reported, and ``--record`` drops it.
 Which lines are executable differs between interpreters, so the baseline
-is recorded and checked on one: CPython 3.12.
+is recorded and checked on one: CPython 3.12.  Neither this script nor the
+corpus imports pytest or hypothesis, so it runs without the test extras.
 """
 
 from __future__ import annotations

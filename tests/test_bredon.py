@@ -536,15 +536,15 @@ def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
     # Z15 and Z21 have one R-type and 7 and 10 C-type generators, Z3 one of each.
     assert (r_to_r.free_ranks, c_to_c.free_ranks) == ((2, 1), (17, 1))
     # The edge is free, so each part peels its whole d_0 and builds none of
-    # it: every row is a unit of the printed block at a column that no
+    # it: every row of the printed block is a unit at a column that no
     # other row meets.
-    for cut, printed in ((r_to_r, split[1].tor_d[0]), (c_to_c, split[6].free_d[0])):
-        (d0,) = cut.free_d
-        assert d0.is_zero() and sorted(cut.peeled) == list(range(d0.rows))
-        columns = [[printed.entry(o, c) for o in range(d0.rows)] for c in range(d0.cols)]
-        for i in cut.peeled:
-            assert any(abs(column[i]) == 1 and column.count(0) == d0.rows - 1
-                       for column in columns)
+    whole = bredon.part_assembler(x, "ko", peel=False)
+    r_whole, c_whole = whole("R"), whole("C")
+    assert (r_whole.free_d[0].mod2(), c_whole.free_d[0]) == (split[1].tor_d[0], split[6].free_d[0])
+    for cut, written, types in ((r_to_r, r_whole, "R"), (c_to_c, c_whole, "C")):
+        rows = peeled_rows(x, "ko", types)
+        assert cut.free_d[0].is_zero() and rows == list(range(cut.free_ranks[1]))
+        check_peeled_rows(cut, written, rows)
 
 
 def test_dimension_two_complex_type_rows(tmp_path, capsys):
@@ -584,6 +584,44 @@ def test_real_type_route_keeps_the_even_cyclic_refusal(tmp_path, monkeypatch, ca
         "kind": "unsupported_restriction",
         "message": "KO^-1 restriction for an even-order cyclic subgroup Z2 is not determined "
                    "by the supported theory; odd edge orders only"}
+
+
+def peeled_rows(x, theory, types=None):
+    """The rows of d_0 that the peel splits off, in peel order: each edge
+    that ``bredon._peel`` peels, its rows from its offset in degree 1 of the
+    part on ``types`` (all of the page's generators by default) to the next
+    edge's."""
+    sizes = bredon.part_sizes(x, theory, types or reprings.kept_types(theory, 0)[0])
+    offsets = reprings.cell_offsets(x.cells, sizes)
+    return [i for k in bredon._peel(x, theory) for i in range(offsets[1][k], offsets[1][k + 1])]
+
+
+def check_peeled_rows(page, whole, rows):
+    """``rows``, in peel order, are the peeled rows of d_0 of ``page``, a
+    complex assembled with the peel, and ``whole``, the same complex with
+    every row written.  They are empty on the page and written in the whole
+    complex, where each is a unit at a column that no row after it and no
+    stored row meets; d_1 is zero at each of them, so no pivot column of
+    d_1 lands on one; and the page counts them.  The whole complex peels
+    nothing and factors as the page does."""
+    assert page.peeled == len(rows)
+    assert whole.peeled == 0 and abelian.factor_integral(whole) == abelian.factor_integral(page)
+    if not page.free_d:
+        return
+    kept, written = page.free_d[0].data, whole.free_d[0].data
+    assert all(not kept[i] and written[i] for i in rows)
+    peeled = set(rows)
+    assert all(kept[i] == written[i] for i in range(len(written)) if i not in peeled)
+    meets = {}  # per column of d_0, the rows not yet split off that meet it
+    for i, row in enumerate(written):
+        for c in row:
+            meets.setdefault(c, set()).add(i)
+    for i in rows:
+        for c in written[i]:
+            meets[c].discard(i)
+        assert any(abs(v) == 1 and not meets[c] for c, v in written[i].items())
+    if len(whole.free_d) > 1:
+        assert not peeled & {j for row in whole.free_d[1].data for j in row}
 
 
 def page_factorizations(x, theory):
@@ -626,34 +664,26 @@ def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
     x = reorient(x, random.Random(data.draw(st.integers(0, 2**16))))
     for reduced, whole in page_factorizations(x, theory):
         assert reduced == whole
-    # A peeled edge bounds no 2-cell, so no unit pivot of d_1 skips its rows.
-    full = assemble_cochain(x, theory)
-    if full.length >= 2:
-        assert not set(full.peeled) & {j for row in full.free_d[1].data for j in row}
+    check_peeled_rows(assemble_cochain(x, theory), bredon_cochain(x, CoefficientFunctor(theory, 0)),
+                      peeled_rows(x, theory))
 
 
 def test_the_whole_complex_is_the_page_with_its_peeled_rows_written(peel_models):
     # One assembly pass writes both: the whole complex, which --emit cochain
-    # prints and the reference cohomology reads, has the page's ranks, peel
-    # and rows, and a nonzero row wherever the page leaves a peeled one
-    # empty.  The page's peeled rows are all one empty dict.
+    # prints and the reference cohomology reads, has the page's ranks and
+    # rows, and a nonzero row wherever the page leaves a peeled one empty.
+    # The page's peeled rows are all one empty dict.
     peels = 0
     for x in peel_models:
         for theory in ("k", "ko"):
             page = assemble_cochain(x, theory)
             whole = bredon_cochain(x, CoefficientFunctor(theory, 0))
-            assert (whole.free_ranks, whole.peeled) == (page.free_ranks, page.peeled)
+            assert whole.free_ranks == page.free_ranks
             assert whole.free_d[1:] == page.free_d[1:]
-            if not page.free_d:
-                continue
-            peeled = set(page.peeled)
-            assert len({id(page.free_d[0].data[i]) for i in peeled}) <= 1
-            for i, (kept, written) in enumerate(zip(page.free_d[0].data, whole.free_d[0].data)):
-                if i in peeled:
-                    assert kept == {} and written
-                else:
-                    assert kept == written
-            peels += bool(peeled)
+            rows = peeled_rows(x, theory)
+            check_peeled_rows(page, whole, rows)
+            assert len({id(page.free_d[0].data[i]) for i in rows}) <= 1
+            peels += bool(rows)
     assert peels
 
 
@@ -664,6 +694,7 @@ def test_a_partial_cut_holds_peeled_and_stored_rows(monkeypatch):
     x = z3_square(pendant=True)
     assert bredon._peel(x, "ko") == [2]
     parts = bredon.part_assembler(x, "ko", peel=True)
+    whole = bredon.part_assembler(x, "ko", peel=False)
     page = assemble_cochain(x, "ko", parts)
     factored = abelian.factor_integral(page)
     cuts = counting(monkeypatch, bredon, "factor_integral")
@@ -676,8 +707,9 @@ def test_a_partial_cut_holds_peeled_and_stored_rows(monkeypatch):
         keep = [listed[part] for listed in listed_cuts(x, "ko", n)]
         assert complex_.free_d == tuple(d.block(keep[p + 1], keep[p])
                                         for p, d in enumerate(page.free_d))
-        assert complex_.peeled == (2,)  # c's row, after a's and b's
+        assert peeled_rows(x, "ko", types) == [2]  # c's row, after a's and b's
         assert [i for i, row in enumerate(complex_.free_d[0].data) if row] == [0, 1]
+        check_peeled_rows(complex_, whole(types), [2])
     for reduced, whole in page_factorizations(x, "ko"):
         assert reduced == whole
 
@@ -695,6 +727,7 @@ def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
     assemble = bredon.assemble_cochain
     monkeypatch.setattr(bredon, "assemble_cochain",
                         lambda *args: pages.append(assemble(*args)) or pages[-1])
+    peeled = []
     for r, m in (((3, 5), (5, 7, 4)), ((1, 7, 3), (2, 3, 5, 4)), ((9,), (2, 3))):
         x = build_amalgam_orbit_complex(AmalgamSpec(r=r, m=m))
         for theory, calls in (("k", 1), ("ko", 3)):
@@ -703,10 +736,16 @@ def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
             build_e2(x, theory)
             assert restricted == [[], []]
             (page,) = pages
-            assert page.free_d[0].is_zero() and len(page.peeled) == page.free_ranks[1]
+            assert page.free_d[0].is_zero() and page.peeled == page.free_ranks[1]
             assert len(factored) == calls
             for d, skip in factored:
                 assert d.rows and all(i in skip for i, row in enumerate(d.data) if row)
+            peeled.append((x, theory, page))
+    # The whole complexes, which restrict every descriptor, hold those rows.
+    for x, theory, page in peeled:
+        rows = peeled_rows(x, theory)
+        assert sorted(rows) == list(range(page.free_ranks[1]))
+        check_peeled_rows(page, bredon_cochain(x, CoefficientFunctor(theory, 0)), rows)
 
 
 def peel_from_blocks(x, theory):
@@ -763,7 +802,9 @@ def test_leaf_edges_of_incidence_two_or_three_are_not_peeled_from_the_leaf(name,
     x = OrbitComplex.from_json(TREE_DUMPS[name])
     for theory in ("k", "ko"):
         full = assemble_cochain(x, theory)
-        assert len(full.peeled) == (full.free_ranks[1] if peeled else 0)
+        rows = peeled_rows(x, theory)
+        assert len(rows) == (full.free_ranks[1] if peeled else 0)
+        check_peeled_rows(full, bredon_cochain(x, CoefficientFunctor(theory, 0)), rows)
         for reduced, whole in page_factorizations(x, theory):
             assert reduced == whole
 
