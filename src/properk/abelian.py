@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from itertools import compress
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
@@ -629,17 +629,6 @@ class SplitCochainComplex:
     whose F∘F = 0 it has already proved from the orbit complex
     (``OrbitComplex.coherence``), and when it pairs two parts each checked
     so or multiplied out; every other complex is multiplied out.
-
-    ``peeled`` counts the rows of F_0 that split off as unit pivots and
-    that the builder left empty.  Written out, those rows hold, in some
-    order, each a ±1 at a column where every row of F_0 not before it holds
-    0, so F_0 is I ⊕ (its stored rows) up to unimodular row and column
-    operations, and F_1 is zero at each of them.  Its builder vouches for
-    it (``bredon.assemble_cochain`` decides it from the orbit complex
-    before building any block), nothing here checks it, and only
-    ``factor_integral`` reads it.  The whole complex
-    (``bredon.bredon_cochain``) writes every row and has ``peeled`` 0.  It
-    is not part of the complex's identity.
     """
 
     free_ranks: tuple[int, ...]
@@ -647,7 +636,6 @@ class SplitCochainComplex:
     free_d: tuple[IntMatrix, ...]
     tor_d: tuple[Mod2Matrix, ...]
     _composes: InitVar[bool] = False
-    peeled: int = field(default=0, compare=False)
 
     def __post_init__(self, _composes: bool = False):
         n = len(self.free_ranks)
@@ -673,10 +661,10 @@ class SplitCochainComplex:
 
     @classmethod
     def integral(cls, free_ranks: Sequence[int], diffs: Sequence[IntMatrix],
-                 _composes: bool = False, peeled: int = 0) -> "SplitCochainComplex":
+                 _composes: bool = False) -> "SplitCochainComplex":
         """Pure integral complex (no torsion summands)."""
         return cls(tuple(free_ranks), (0,) * len(free_ranks), tuple(diffs),
-                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs), _composes, peeled)
+                   tuple(Mod2Matrix.zero(0, 0) for _ in diffs), _composes)
 
     @property
     def length(self) -> int:
@@ -739,26 +727,18 @@ def factor_integral(complex_: SplitCochainComplex) -> Factorization:
     coordinates is injective on ker d_{p+1}, with a saturated image; as
     im d_p ⊆ ker d_{p+1}, the rest of d_p has the rank and the invariant
     factors > 1 of d_p.
-
-    The ``complex_.peeled`` rows of d_0 that split off as unit pivots are
-    empty, and each is one invariant factor 1 of d_0 (``_top_down``).
     """
     if not complex_.is_pure_integral():
         raise ChainComplexError("factor_integral requires a pure integral complex")
-    return Factorization(complex_.free_ranks, _top_down(complex_.free_d, complex_.peeled))
+    return Factorization(complex_.free_ranks, _top_down(complex_.free_d))
 
 
-def _top_down(diffs: Sequence[IntMatrix], peeled: int = 0) -> tuple[tuple[int, ...], ...]:
+def _top_down(diffs: Sequence[IntMatrix]) -> tuple[tuple[int, ...], ...]:
     """The invariant factors of d_p for p = L-1 down to 0, each d_p without
     the rows at the unit pivot columns of d_{p+1}, whether the singleton
     pass or the heap loop of ``invariant_factors`` took them (either way
     their minor is unimodular); index p + 1 holds d_p's, and () stands for
     the zero maps at either end.
-
-    d_0's factors start with ``peeled`` ones, one per row that split off as
-    a unit pivot and was left empty (``SplitCochainComplex.peeled``).  An
-    empty row enters no elimination, and no unit pivot column of d_1 is one
-    of those rows, since d_1 is zero there.
     """
     out = [()] * (len(diffs) + 2)
     skip = set()
@@ -768,15 +748,15 @@ def _top_down(diffs: Sequence[IntMatrix], peeled: int = 0) -> tuple[tuple[int, .
             out[p + 1] = invariant_factors(diffs[p], skip, pivots)
             skip = pivots
         else:
-            out[1] = (1,) * peeled + invariant_factors(diffs[0], skip)
+            out[1] = invariant_factors(diffs[0], skip)
     return tuple(out)
 
 
 def cohomology(complex_: SplitCochainComplex) -> tuple[AbGroup, ...]:
     """ker(d_p)/im(d_{p-1}) of a split cochain complex for p = 0..length:
     the cohomology of the free blocks, factored top-down as in
-    ``factor_integral`` but with no row peeled, beside that of the torsion
-    blocks, each ranked whole over GF(2)."""
+    ``factor_integral``, beside that of the torsion blocks, each ranked
+    whole over GF(2)."""
     free = Factorization(complex_.free_ranks, _top_down(complex_.free_d)).groups()
     ranks2 = (0, *(t.rank2() for t in complex_.tor_d), 0)
     return tuple(h.direct_sum(AbGroup.elementary_2(t - ranks2[p + 1] - ranks2[p]))

@@ -10,6 +10,7 @@ shape of the cellular boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .abelian import (
@@ -24,7 +25,6 @@ from .abelian import (
 from .groups import GroupClass
 from .orbit import OrbitComplex
 from .reprings import (
-    cell_offsets,
     has_unit_pivots,
     kept_types,
     real_restriction,
@@ -73,15 +73,16 @@ class CoefficientFunctor:
 
 def part_sizes(complex_: OrbitComplex, theory: str, types: str) -> list[int]:
     """Per stabilizer of ``complex_``, its number of generators of the
-    types ``types`` in the degree-0 coefficient group of ``theory``."""
-    return [len(type_range(g, theory, types)) for g in complex_.stabilizers]
+    types ``types`` in the degree-0 coefficient group of ``theory``, read
+    off the ends of its range, which may be longer than a machine word."""
+    return [r.stop - r.start for r in (type_range(g, theory, types) for g in complex_.stabilizers)]
 
 
 def part_assembler(complex_: OrbitComplex, theory: str,
                    peel: bool) -> Callable[[str], SplitCochainComplex]:
     """The function taking a set of types to the part of the degree-0
     cochain complex of ``theory`` on the generators of those types
-    (``_assemble``), with d_0's peeled rows left empty when ``peel`` is set.
+    (``_assemble``), reduced by the peel of d_0 when ``peel`` is set.
     Each distinct part is assembled once: two sets of types that keep the
     same generators of every stabilizer give one part.  All parts slice
     their blocks from one restriction per descriptor."""
@@ -101,10 +102,9 @@ def part_assembler(complex_: OrbitComplex, theory: str,
 def assemble_cochain(complex_: OrbitComplex, theory: str,
                      parts: Callable[[str], SplitCochainComplex] | None = None) -> SplitCochainComplex:
     """The Bredon cochain complex that a page of ``theory`` factors: the
-    whole complex, which is the free part of degree 0, with the rows of d_0
-    that its peel splits off left empty.  ``parts``, a ``part_assembler``
-    with the peel, lets the page's other parts share its restriction
-    blocks."""
+    whole complex, which is the free part of degree 0, reduced by the peel
+    of d_0 (``_assemble``).  ``parts``, a ``part_assembler`` with the peel,
+    lets the page's other parts share its restriction blocks."""
     parts = parts or part_assembler(complex_, theory, peel=True)
     return parts(kept_types(theory, 0)[0])
 
@@ -112,8 +112,8 @@ def assemble_cochain(complex_: OrbitComplex, theory: str,
 def _assemble(complex_: OrbitComplex, theory: str, ranges: dict[GroupClass, range], peel: bool,
               blocks: list[IntMatrix | None]) -> SplitCochainComplex:
     """The part of the degree-0 Bredon cochain complex of ``theory`` that
-    keeps the generators ``ranges`` names at each stabilizer, in split
-    form, with d_0's peeled rows left empty when ``peel`` is set.
+    keeps the generators ``ranges`` names at each stabilizer, as an
+    integral complex; with ``peel``, reduced by the peel of d_0.
 
     A part is a coefficient system of its own.  It keeps one range of
     generators at each stabilizer (``reprings.type_range``), numbers a
@@ -121,30 +121,50 @@ def _assemble(complex_: OrbitComplex, theory: str, ranges: dict[GroupClass, rang
     part, and its restriction block along a descriptor is the slice of the
     degree-0 one at those ranges: of ``restriction_k0`` for K, whose one
     part is K^0, and of ``real_restriction`` for KO, whose whole is the real
-    complex, KO^0 and KO^{-4}.  With ``peel``, the peel of d_0, a list of
-    edges, is decided first, before any block, from the face table, the
-    incidence coefficients and the descriptors' kinds (``_peel``).  Those
-    edges' rows are all one shared empty row, and their number, summed
-    from the edges' offsets, is the complex's ``peeled`` count for
-    ``factor_integral``.  Without ``peel`` every row is written and
-    ``peeled`` is 0.  Every other block is written straight into sparse
-    rows.  A descriptor is restricted when a written face first reads it,
-    into ``blocks``, which the caller shares between parts, and sliced once
-    per part, so a descriptor that only peeled faces use is never
-    restricted on the page.  The order of the cells fixes the block layout,
-    so assembled matrices are reproducible literals.
+    complex, KO^0 and KO^{-4}.  A cell's width is its number of kept
+    generators, read off its range's ends, so a part's size is never a
+    list of its generators.
+
+    With ``peel``, the peel of d_0, a list of (free vertex, edge) pairs, is
+    decided first, before any block, from the face table, the incidence
+    coefficients and the descriptors' kinds (``_peel``).  Each peeled row
+    is a unit at a column of its free vertex that no kept row meets, so the
+    row and its column are an elementary reduction (Kaczynski, Mrozek and
+    Ślusarek, 1998): the reduced complex has the same cohomology, and its
+    d_0 has one invariant factor 1 fewer.  The part drops them all: a
+    peeled edge has width 0, and its free vertex loses that edge's width.
+    Every edge of a free vertex is peeled, so no kept row meets any of its
+    columns and it does not matter which of them go.  The reduced complex's
+    ranks are the whole's less P, the number of peeled rows, in degrees 0
+    and 1, its d_0 is the whole's kept rows, renumbered, and its d_1 is the
+    whole's without the peeled columns, where it is zero.  Without ``peel``
+    the part is the whole, with every row written.
+
+    Every other block is written straight into fresh sparse rows.  A
+    descriptor is restricted when a written face first reads it, into
+    ``blocks``, which the caller shares between parts, and sliced once per
+    part, so a descriptor that only peeled faces use is never restricted on
+    the page.  The order of the cells fixes the block layout, so assembled
+    matrices are reproducible literals.
 
     d∘d = 0 is proved rather than multiplied out when the part's composite
     restrictions agree (``_composites_agree``); the orbit complex has
     checked ∂∘∂ = 0, so each block of d_{p+1}·d_p is then (∂∂)_{jl} times
-    one composite, which is zero.  Otherwise ``SplitCochainComplex`` runs
-    its product check, which refuses the complex unless the disagreeing
-    composites cancel.  A peeled edge bounds no 2-cell, so no coherence
-    pair reads a block that only peeled faces use, and d_1 is zero at every
-    peeled row: leaving those rows empty changes no block of d_1·d_0.
+    one composite, which is zero (``OrbitComplex``).  Otherwise
+    ``SplitCochainComplex`` runs its product check, which refuses the
+    complex unless the disagreeing composites cancel.  A peeled edge bounds
+    no 2-cell, so no coherence pair reads a block that only peeled faces
+    use, and the reduction deletes no nonzero column of d_1: each block of
+    the reduced d_1·d_0 is one of the whole's.
     """
-    offsets = cell_offsets(complex_.cells, list(map(len, ranges.values())))
-    skipped = set(_peel(complex_, theory)) if peel else set()
+    size = [r.stop - r.start for r in ranges.values()]
+    widths = [[size[s] for s in cells] for cells in complex_.cells]
+    peeled = _peel(complex_, theory) if peel else []
+    for j, k in peeled:
+        widths[0][j] -= widths[1][k]
+        widths[1][k] = 0
+    offsets = [list(accumulate(w, initial=0)) for w in widths]
+    edges = {k for _, k in peeled}
     part_blocks: list[IntMatrix | None] = [None] * len(complex_.descriptors)
 
     def slice_block(d: int) -> IntMatrix:
@@ -157,19 +177,12 @@ def _assemble(complex_: OrbitComplex, theory: str, ranges: dict[GroupClass, rang
     free_d = []
     for p, layer in enumerate(complex_.faces):
         lower, higher = offsets[p], offsets[p + 1]
-        if p or not skipped:
-            cells = range(len(layer))
-            rows = [{} for _ in range(higher[-1])]
-        else:  # every peeled row is one shared empty dict
-            cells = [k for k in range(len(layer)) if k not in skipped]
-            rows = [{}] * higher[-1]
-            for k in cells:
-                rows[higher[k]:higher[k + 1]] = [{} for _ in range(higher[k], higher[k + 1])]
+        rows = [{} for _ in range(higher[-1])]
+        cells = (k for k in range(len(layer)) if p or k not in edges)
         _write(rows, layer, lower, higher, cells, part_blocks, slice_block)
         free_d.append(IntMatrix(len(rows), lower[-1], tuple(rows)))
     return SplitCochainComplex.integral([offs[-1] for offs in offsets], free_d,
-                                        _composes=_composites_agree(complex_, part_blocks),
-                                        peeled=sum(offsets[1][k + 1] - offsets[1][k] for k in skipped))
+                                        _composes=_composites_agree(complex_, part_blocks))
 
 
 def _write(rows: list[dict[int, int]], layer: Sequence[dict[int, tuple[int, int]]],
@@ -191,10 +204,11 @@ def _write(rows: list[dict[int, int]], layer: Sequence[dict[int, tuple[int, int]
                     row[src + b] = alpha * v
 
 
-def _peel(complex_: OrbitComplex, theory: str) -> list[int]:
-    """The free edges of the orbit complex, in the order they are peeled:
-    the edges whose rows of d_0 split off as unit pivots, decided before
-    any block is built.
+def _peel(complex_: OrbitComplex, theory: str) -> list[tuple[int, int]]:
+    """The free edges of the orbit complex, each with its free vertex, in
+    the order they are peeled: the edges whose rows of d_0 split off as
+    unit pivots at columns of that vertex, decided before any block is
+    built.
 
     A vertex j whose only edge left is k is free when its incidence is ±1
     and every row of k's restriction block has a ±1 at a column that no
@@ -229,7 +243,7 @@ def _peel(complex_: OrbitComplex, theory: str) -> list[int]:
         alpha, d = layer[k][j]
         if alpha * alpha != 1 or not has_unit_pivots(complex_.descriptors[d], theory):
             continue
-        peeled.append(k)
+        peeled.append((j, k))
         for i in layer[k]:
             degree[i] -= 1
             edges[i] -= k
@@ -258,10 +272,9 @@ def _factor_part(complex_: OrbitComplex, parts: Callable[[str], SplitCochainComp
     A part that keeps every generator of every stabilizer is the whole and
     reuses ``factored``; one that keeps none is the zero complex; any other
     is assembled with the peel and factored.  Its peel is that of the whole
-    edge by edge, and its ``peeled`` count is the number of kept rows of
-    those edges, read off their offsets in the part: each such row has its
-    unit at a kept column, since a unit has its row's type
-    (``reprings.has_unit_pivots``).
+    edge by edge: a peeled edge keeps no row, and its free vertex loses as
+    many columns as the edge had kept rows, since each unit has its row's
+    type (``reprings.has_unit_pivots``) and so lies at a kept column.
     """
     sizes = part_sizes(complex_, "ko", types)
     if sizes == part_sizes(complex_, "ko", "RC"):
@@ -338,16 +351,15 @@ def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...
     d_0 is peeled before any block is built (``_peel``): an edge that is
     the last one left at a vertex, meets it with incidence ±1 and has a
     unit in each row of its restriction block at a column no other row
-    meets, read off the descriptor's kind, splits off its rows as factors
-    1.  Those rows are not stored, and a descriptor that only peeled faces
+    meets, read off the descriptor's kind, leaves the complex: its rows go
+    with as many of that vertex's columns, elementary reductions that keep
+    every group and every group mod 2.  A descriptor that only peeled faces
     use is not restricted.  A tree, such as the orbit complex of an
-    amalgam, splits off the whole of d_0, so its page restricts nothing,
-    stores no entry of d_0 and eliminates no row of it: each row is a rank
-    count.  The parts peel the same edges and build no rows for them, and
-    they slice their blocks from C's restrictions, so each descriptor is
-    restricted at most once per page.  A part's ranks and its count of
-    peeled rows are sums of per-stabilizer range lengths, so it lists no
-    generator: ``factor_integral`` learns only how many rows split off.
+    amalgam, peels the whole of d_0, so its page restricts nothing and its
+    d_0 has no row: the page is O(edges) at any edge order.  The parts peel
+    the same edges, and they slice their blocks from C's restrictions, so
+    each descriptor is restricted at most once per page.  A part's ranks
+    are sums of per-stabilizer range lengths, so it lists no generator.
     Only d_0 is peeled: its pivot columns feed no further differential,
     while peeling d_p for p ≥ 1 would change the pivot columns that d_{p-1}
     skips, and on a Davis top differential that made the next elimination

@@ -302,13 +302,12 @@ def _run(args) -> tuple[dict, int]:
     model = {} if amalgam else {"model": primary_name}
     if args.emit == "complex":
         return {"group": description, **model, "complex": _complex_payload(primary)}, 0
-    if amalgam and args.theory == "ko":
-        # The edge orders r_i are the orders of the 1-cell stabilizers.
-        edge_orders = ([primary.stabilizers[s].order for s in primary.cells[1]]
-                       if primary.dim >= 1 else [])
-        if any(r % 2 == 0 for r in edge_orders):
-            raise UnsupportedRestrictionError(
-                f"KO needs every edge order r_i odd; got r = {edge_orders}")
+    # A loaded complex is refused where its restrictions need it
+    # (``reprings.refuse_even_cyclic``), as under coxeter.
+    if (amalgam and args.theory == "ko" and not args.from_complex
+            and any(r % 2 == 0 for r in group.r)):
+        raise UnsupportedRestrictionError(
+            f"KO needs every edge order r_i odd; got r = {list(group.r)}")
     if args.emit == "cochain":
         return _cochain_payload(primary, args.theory), 0
     pages = {name: build_e2(cx, args.theory) for name, cx in complexes.items()}

@@ -43,16 +43,6 @@ class GroupClass:
     kind: str
     param: int = 0
 
-    @property
-    def order(self) -> int:
-        if self.kind == TRIVIAL:
-            return 1
-        if self.kind == CYCLIC:
-            return self.param
-        if self.kind == ELEM2:
-            return 2 ** self.param
-        return 2 * self.param
-
     def __str__(self) -> str:
         if self.kind == TRIVIAL:
             return "1"

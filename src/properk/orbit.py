@@ -89,7 +89,7 @@ class OrbitComplex:
     once, in walk order.  The block from j to l of the Bredon d_{p+1}·d_p
     is Σ β·α·R_e·R_d over those paths, for restriction blocks R, so where
     every recorded pair has the composite R_e·R_d of its first pair, the
-    block is (∂∂)_{jl}·R_e0·R_d0 = 0 (``bredon.assemble_cochain``).
+    block is (∂∂)_{jl}·R_e0·R_d0 = 0 (``bredon._assemble``).
     """
 
     stabilizers: tuple[GroupClass, ...]

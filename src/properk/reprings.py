@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .abelian import IntMatrix, Mod2Matrix
 from .groups import (
@@ -247,14 +246,7 @@ def sliced(block: IntMatrix, rows: range, cols: range) -> IntMatrix:
 def ko_ranks(g: GroupClass, n: int) -> tuple[int, int]:
     """(free rank, Z/2 rank) of KO^{-n}_G(pt) through Segal's decomposition:
     each R-type generator carries KO^{-n}(pt), each C-type one K^{-n}(pt)."""
-    return tuple(len(type_range(g, "ko", types)) for types in kept_types("ko", n))
-
-
-def cell_offsets(cells: Sequence[Sequence[int]], size: Sequence[int]) -> list[list[int]]:
-    """Per degree of a complex, the first generator of each of its
-    ``cells``, given as stabilizer indices, and last the degree's rank;
-    ``size`` holds each stabilizer's number of generators."""
-    return [list(accumulate((size[s] for s in c), initial=0)) for c in cells]
+    return tuple(r.stop - r.start for r in (type_range(g, "ko", t) for t in kept_types("ko", n)))
 
 
 def refuse_even_cyclic(incls: Iterable[InclusionDescriptor], n: int) -> None:

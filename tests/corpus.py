@@ -360,15 +360,31 @@ def two_sphere_dump() -> str:
     return json.dumps(layers)
 
 
+def moore_space_dump() -> str:
+    """One vertex, three loops a, b and c, and three discs with boundaries
+    2a, 3b and 4c, every stabilizer trivial, as JSON text: H^0 = Z and
+    H^2 = Z/2 ⊕ Z/12, the Smith form of diag(2, 3, 4)."""
+    face = {"kind": "trivial_in_anything", "sub": "trivial", "big": "trivial"}
+    return json.dumps([
+        {"dim": 0, "cells": [{"label": "v", "stabilizer": "trivial"}],
+         "incidence": [[0, 0, 0]], "descriptors": []},
+        {"dim": 1, "cells": [{"label": label, "stabilizer": "trivial"} for label in "abc"],
+         "incidence": [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+         "descriptors": [{"row": j, "col": j, "descriptor": face} for j in range(3)]},
+        {"dim": 2, "cells": [{"label": label, "stabilizer": "trivial"} for label in "fgh"]}])
+
+
 def cli_paths() -> Group:
     """Inputs that reach the loaders', validators' and abutment's branches
     no other group reaches: a --check whose label-3 graph is not connected,
     inline and --file matrices that fail validation, a whole --emit complex
     report read back, dumps that break the complex or name a group or an
-    inclusion that cannot exist, and the 2-sphere, whose K^0 abutment is
-    an extension of two free pieces (p = 0 and 2), which splits.  Every
-    one but the read-back report and the 2-sphere is refused with
-    invalid_input."""
+    inclusion that cannot exist, the 2-sphere, whose K^0 abutment is an
+    extension of two free pieces (p = 0 and 2), which splits, and a wedge
+    of Moore spaces, whose d_1 needs the dense Smith form and whose K^0
+    abutment is an extension of Z and Z/2 ⊕ Z/12, its invariant factors 2
+    and 12 merged into the divisor chain.  Every one but the read-back
+    report and the two spaces is refused with invalid_input."""
     group = Group("cli-paths")
     group.argvs += [
         ("coxeter", "--matrix", "1,3,0,0;3,1,0,0;0,0,1,3;0,0,3,1", "--theory", "k", "--check"),
@@ -403,6 +419,7 @@ def cli_paths() -> Group:
         ("coxeter", "--from-complex", "elem2-out-of-range", descriptor_dump(
             {"elem2": 2}, {"cyclic": 2}, {**elem2_in_elem2, "sub": {"cyclic": 2}, "extra": [2]})),
         ("coxeter", "--from-complex", "two-sphere", two_sphere_dump()),
+        ("coxeter", "--from-complex", "moore-space", moore_space_dump()),
     ]
     for command, flag, name, text in inputs:
         path = f"input/{name}.json"

@@ -46,9 +46,10 @@ def z3_square(pendant: bool = False) -> OrbitComplex:
     vertices, two Z3 edges a and b each joined to both of them, and one
     free 2-cell with boundary a - b.
 
-    With ``pendant``, a third Z3 vertex hangs off v1 by a Z3 edge c.  The
-    peel of d_0 splits off c's rows alone, so each part of the real complex
-    holds peeled rows beside stored ones."""
+    With ``pendant``, a third Z3 vertex v2 hangs off v1 by a Z3 edge c.
+    The peel of d_0 takes c alone, from its free vertex v2, so each part of
+    the real complex, written whole, holds peeled rows beside kept ones,
+    and the page reduces d_0 to the kept rows of a and b."""
     z3, free = 0, 1  # stabilizer table indices
     vertex_edge, edge_face = 0, 1  # descriptor table indices
     square = ({0: (1, vertex_edge), 1: (-1, vertex_edge)},   # a

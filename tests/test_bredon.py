@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import json
@@ -469,7 +470,7 @@ def test_ko_page_assembles_one_cochain_complex(monkeypatch, ra_corpus):
     restricted = counting(monkeypatch, bredon, "real_restriction")
     peels = 0
     for x in fold_corpus(ra_corpus):
-        peeled = set(bredon._peel(x, "ko"))
+        peeled = {k for _, k in bredon._peel(x, "ko")}
         read = {d for p, layer in enumerate(x.faces) for k, faces in enumerate(layer)
                 if p or k not in peeled for _, d in faces.values()}
         read.update(d for pair in x.coherence for d in pair)
@@ -533,18 +534,18 @@ def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
     assert not page.rows[6][0].is_zero
     (whole,), (r_to_r,), (c_to_c,) = factored
     assert whole == full
-    # Z15 and Z21 have one R-type and 7 and 10 C-type generators, Z3 one of each.
-    assert (r_to_r.free_ranks, c_to_c.free_ranks) == ((2, 1), (17, 1))
-    # The edge is free, so each part peels its whole d_0 and builds none of
-    # it: every row of the printed block is a unit at a column that no
-    # other row meets.
+    # Z15 and Z21 have one R-type and 7 and 10 C-type generators, Z3 one of
+    # each.  The edge is free, so each part peels its whole d_0: its edge
+    # keeps no row, and its free vertex loses one column.
+    assert (r_to_r.free_ranks, c_to_c.free_ranks) == ((1, 0), (16, 0))
+    # Every row of the printed block is a unit at a column that no other
+    # row meets.
     whole = bredon.part_assembler(x, "ko", peel=False)
     r_whole, c_whole = whole("R"), whole("C")
     assert (r_whole.free_d[0].mod2(), c_whole.free_d[0]) == (split[1].tor_d[0], split[6].free_d[0])
     for cut, written, types in ((r_to_r, r_whole, "R"), (c_to_c, c_whole, "C")):
-        rows = peeled_rows(x, "ko", types)
-        assert cut.free_d[0].is_zero() and rows == list(range(cut.free_ranks[1]))
-        check_peeled_rows(cut, written, rows)
+        assert peeled_rows(x, "ko", types) == list(range(written.free_ranks[1]))
+        check_reduction(x, "ko", cut, written, types)
 
 
 def test_dimension_two_complex_type_rows(tmp_path, capsys):
@@ -586,59 +587,112 @@ def test_real_type_route_keeps_the_even_cyclic_refusal(tmp_path, monkeypatch, ca
                    "by the supported theory; odd edge orders only"}
 
 
+def cell_offsets(x, sizes):
+    """Per degree of ``x``, the first generator of each cell when each
+    stabilizer has the number of generators ``sizes`` gives, and last the
+    degree's rank."""
+    return [list(itertools.accumulate((sizes[s] for s in cells), initial=0)) for cells in x.cells]
+
+
 def peeled_rows(x, theory, types=None):
-    """The rows of d_0 that the peel splits off, in peel order: each edge
-    that ``bredon._peel`` peels, its rows from its offset in degree 1 of the
-    part on ``types`` (all of the page's generators by default) to the next
-    edge's."""
+    """The rows of the whole complex's d_0 that the peel splits off, in peel
+    order: each edge that ``bredon._peel`` peels, its rows from its offset
+    in degree 1 of the part on ``types`` (all of the page's generators by
+    default) to the next edge's."""
     sizes = bredon.part_sizes(x, theory, types or reprings.kept_types(theory, 0)[0])
-    offsets = reprings.cell_offsets(x.cells, sizes)
-    return [i for k in bredon._peel(x, theory) for i in range(offsets[1][k], offsets[1][k + 1])]
+    offsets = cell_offsets(x, sizes)
+    return [i for _, k in bredon._peel(x, theory) for i in range(offsets[1][k], offsets[1][k + 1])]
 
 
-def check_peeled_rows(page, whole, rows):
-    """``rows``, in peel order, are the peeled rows of d_0 of ``page``, a
-    complex assembled with the peel, and ``whole``, the same complex with
-    every row written.  They are empty on the page and written in the whole
-    complex, where each is a unit at a column that no row after it and no
-    stored row meets; d_1 is zero at each of them, so no pivot column of
-    d_1 lands on one; and the page counts them.  The whole complex peels
-    nothing and factors as the page does."""
-    assert page.peeled == len(rows)
-    assert whole.peeled == 0 and abelian.factor_integral(whole) == abelian.factor_integral(page)
+def renumbered(row, whole, page, gone):
+    """``row`` with each column moved from its cell's offset in ``whole`` to
+    that cell's offset in ``page``; no column lies in a cell of ``gone``."""
+    out = {}
+    for c, v in row.items():
+        cell = bisect.bisect_right(whole, c) - 1
+        assert cell not in gone, (c, cell)
+        out[c - whole[cell] + page[cell]] = v
+    return out
+
+
+def check_reduction(x, theory, page, whole, types=None):
+    """``page``, the part on ``types`` assembled with the peel, is
+    ``whole``, the same part with every row written, reduced by the peel.
+
+    In the whole complex, each peeled row, in peel order, is a unit at a
+    column of its free vertex that no row after it and no kept row meets.
+    The page numbers each cell by its width in the part, a peeled edge
+    with width 0 and its free vertex less that edge's width.  Its ranks
+    are the whole's less P, the number of peeled rows, in degrees 0 and 1.
+    Its d_0 is the whole's kept rows, renumbered, none of which meets a
+    free vertex; its d_1 is the whole's without the peeled columns, where
+    it is zero; the rest are the whole's.  The two factor alike
+    (``check_factorizations``), and no two rows share a dict."""
+    peel = bredon._peel(x, theory)
+    sizes = bredon.part_sizes(x, theory, types or reprings.kept_types(theory, 0)[0])
+    offsets = cell_offsets(x, sizes)
+    rows = peeled_rows(x, theory, types)
+    widths = [[sizes[s] for s in cells] for cells in x.cells]
+    for j, k in peel:
+        widths[0][j] -= widths[1][k]
+        widths[1][k] = 0
+    page_offsets = [list(itertools.accumulate(w, initial=0)) for w in widths]
+    assert page.free_ranks == tuple(n - len(rows) * (p < 2) for p, n in enumerate(whole.free_ranks))
+    check_factorizations(abelian.factor_integral(page), abelian.factor_integral(whole), len(rows))
+    assert len({id(row) for d in page.free_d for row in d.data}) == sum(d.rows for d in page.free_d)
     if not page.free_d:
         return
-    kept, written = page.free_d[0].data, whole.free_d[0].data
-    assert all(not kept[i] and written[i] for i in rows)
-    peeled = set(rows)
-    assert all(kept[i] == written[i] for i in range(len(written)) if i not in peeled)
+    written = whole.free_d[0].data
     meets = {}  # per column of d_0, the rows not yet split off that meet it
     for i, row in enumerate(written):
         for c in row:
             meets.setdefault(c, set()).add(i)
-    for i in rows:
-        for c in written[i]:
-            meets[c].discard(i)
-        assert any(abs(v) == 1 and not meets[c] for c, v in written[i].items())
+    for j, k in peel:
+        for i in range(offsets[1][k], offsets[1][k + 1]):
+            for c in written[i]:
+                meets[c].discard(i)
+            assert any(abs(v) == 1 and not meets[c] and offsets[0][j] <= c < offsets[0][j + 1]
+                       for c, v in written[i].items())
+    peeled = set(rows)
+    free_vertices, edges = {j for j, _ in peel}, {k for _, k in peel}
+    assert page.free_d[0].data == tuple(renumbered(row, offsets[0], page_offsets[0], free_vertices)
+                                        for i, row in enumerate(written) if i not in peeled)
     if len(whole.free_d) > 1:
-        assert not peeled & {j for row in whole.free_d[1].data for j in row}
+        assert page.free_d[1].data == tuple(renumbered(row, offsets[1], page_offsets[1], edges)
+                                            for row in whole.free_d[1].data)
+        assert page.free_d[2:] == whole.free_d[2:]
+
+
+def check_factorizations(reduced, whole, peeled):
+    """``reduced`` factors the complex that ``whole`` factors less
+    ``peeled`` elementary reductions in d_0: its ranks are less by
+    ``peeled`` in degrees 0 and 1, every differential has the same factors
+    > 1, d_0 has ``peeled`` fewer factors 1 and every other one as many,
+    and the groups and the groups mod 2 are the same."""
+    assert reduced.ranks == tuple(n - peeled * (p < 2) for p, n in enumerate(whole.ranks))
+    for i, (ours, theirs) in enumerate(zip(reduced.factors, whole.factors)):
+        assert sorted(d for d in ours if d > 1) == sorted(d for d in theirs if d > 1)
+        assert ours.count(1) == theirs.count(1) - peeled * (i == 1)
+    assert reduced.groups() == whole.groups() and reduced.mod2() == whole.mod2()
 
 
 def page_factorizations(x, theory):
     """Each complex a page factors, K^0 or the real complex and its R and C
     parts, as (its factorization on the page, that of the listed cut of the
-    whole complex with no row peeled)."""
+    whole complex with no row peeled, the number of rows the page peels)."""
     parts = bredon.part_assembler(x, theory, peel=True)
     page = assemble_cochain(x, theory, parts)
     full = bredon_cochain(x, CoefficientFunctor(theory, 0))
     factored = abelian.factor_integral(page)
-    out = [(factored, Factorization(full.free_ranks, abelian._top_down(full.free_d)))]
+    out = [(factored, Factorization(full.free_ranks, abelian._top_down(full.free_d)),
+            len(peeled_rows(x, theory)))]
     if theory == "ko":
         for n, part, types in ((1, 1, "R"), (6, 0, "C")):
             keep = [listed[part] for listed in listed_cuts(x, "ko", n)]
             whole = [d.block(keep[p + 1], keep[p]) for p, d in enumerate(full.free_d)]
             out.append((bredon._factor_part(x, parts, factored, types),
-                        Factorization(tuple(map(len, keep)), abelian._top_down(whole))))
+                        Factorization(tuple(map(len, keep)), abelian._top_down(whole)),
+                        len(peeled_rows(x, "ko", types))))
     return out
 
 
@@ -662,37 +716,34 @@ def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
         x = build_amalgam_orbit_complex(
             AmalgamSpec(r, tuple(data.draw(st.integers(2, 6)) for _ in range(k + 1))))
     x = reorient(x, random.Random(data.draw(st.integers(0, 2**16))))
-    for reduced, whole in page_factorizations(x, theory):
-        assert reduced == whole
-    check_peeled_rows(assemble_cochain(x, theory), bredon_cochain(x, CoefficientFunctor(theory, 0)),
-                      peeled_rows(x, theory))
+    for reduced, whole, peeled in page_factorizations(x, theory):
+        check_factorizations(reduced, whole, peeled)
+    check_reduction(x, theory, assemble_cochain(x, theory),
+                    bredon_cochain(x, CoefficientFunctor(theory, 0)))
 
 
 def test_the_whole_complex_is_the_page_with_its_peeled_rows_written(peel_models):
     # One assembly pass writes both: the whole complex, which --emit cochain
-    # prints and the reference cohomology reads, has the page's ranks and
-    # rows, and a nonzero row wherever the page leaves a peeled one empty.
-    # The page's peeled rows are all one empty dict.
+    # prints and the reference cohomology reads, is the page with each
+    # peeled row written and each column of a free vertex that the peel
+    # took put back.
     peels = 0
     for x in peel_models:
         for theory in ("k", "ko"):
             page = assemble_cochain(x, theory)
             whole = bredon_cochain(x, CoefficientFunctor(theory, 0))
-            assert whole.free_ranks == page.free_ranks
-            assert whole.free_d[1:] == page.free_d[1:]
-            rows = peeled_rows(x, theory)
-            check_peeled_rows(page, whole, rows)
-            assert len({id(page.free_d[0].data[i]) for i in rows}) <= 1
-            peels += bool(rows)
+            check_reduction(x, theory, page, whole)
+            peels += bool(peeled_rows(x, theory))
     assert peels
 
 
 def test_a_partial_cut_holds_peeled_and_stored_rows(monkeypatch):
-    # The pendant edge c is peeled and the square's edges a and b are not,
-    # so each part of the real complex, R and C, keeps rows of both kinds.
-    # Assembled with the peel, it is the listed cut of the page's complex.
+    # The pendant edge c is peeled from its free vertex v2 and the square's
+    # edges a and b are not, so each part of the real complex, R and C,
+    # written whole, holds rows of both kinds.  Assembled with the peel, it
+    # keeps a's and b's rows and reduces as the page does.
     x = z3_square(pendant=True)
-    assert bredon._peel(x, "ko") == [2]
+    assert bredon._peel(x, "ko") == [(2, 2)]
     parts = bredon.part_assembler(x, "ko", peel=True)
     whole = bredon.part_assembler(x, "ko", peel=False)
     page = assemble_cochain(x, "ko", parts)
@@ -704,22 +755,18 @@ def test_a_partial_cut_holds_peeled_and_stored_rows(monkeypatch):
         cuts.clear()
         bredon._factor_part(x, parts, factored, types)
         ((complex_,),) = cuts
-        keep = [listed[part] for listed in listed_cuts(x, "ko", n)]
-        assert complex_.free_d == tuple(d.block(keep[p + 1], keep[p])
-                                        for p, d in enumerate(page.free_d))
         assert peeled_rows(x, "ko", types) == [2]  # c's row, after a's and b's
-        assert [i for i, row in enumerate(complex_.free_d[0].data) if row] == [0, 1]
-        check_peeled_rows(complex_, whole(types), [2])
-    for reduced, whole in page_factorizations(x, "ko"):
-        assert reduced == whole
+        assert complex_.free_d[0].rows == 2 and all(complex_.free_d[0].data)
+        check_reduction(x, "ko", complex_, whole(types), types)
+    for reduced, whole, peeled in page_factorizations(x, "ko"):
+        check_factorizations(reduced, whole, peeled)
 
 
 def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
     # The orbit complex is a tree, so d_0 is peeled whole, on the K page,
     # the real complex and both of its parts, before any block is built: the
-    # page restricts nothing and stores no entry of d_0, and
-    # invariant_factors, still called by name, gets no nonzero row to
-    # eliminate.
+    # page restricts nothing and its d_0 has no row, so invariant_factors,
+    # still called by name, gets none to eliminate.
     factored = counting(monkeypatch, abelian, "invariant_factors")
     restricted = [counting(monkeypatch, bredon, name)
                   for name in ("restriction_k0", "real_restriction")]
@@ -736,16 +783,15 @@ def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
             build_e2(x, theory)
             assert restricted == [[], []]
             (page,) = pages
-            assert page.free_d[0].is_zero() and page.peeled == page.free_ranks[1]
+            assert page.free_ranks[1] == page.free_d[0].rows == 0
             assert len(factored) == calls
-            for d, skip in factored:
-                assert d.rows and all(i in skip for i, row in enumerate(d.data) if row)
+            assert all(d.rows == 0 for d, _ in factored)
             peeled.append((x, theory, page))
     # The whole complexes, which restrict every descriptor, hold those rows.
     for x, theory, page in peeled:
-        rows = peeled_rows(x, theory)
-        assert sorted(rows) == list(range(page.free_ranks[1]))
-        check_peeled_rows(page, bredon_cochain(x, CoefficientFunctor(theory, 0)), rows)
+        whole = bredon_cochain(x, CoefficientFunctor(theory, 0))
+        assert sorted(peeled_rows(x, theory)) == list(range(whole.free_ranks[1]))
+        check_reduction(x, theory, page, whole)
 
 
 def peel_from_blocks(x, theory):
@@ -801,12 +847,11 @@ def test_leaf_edges_of_incidence_two_or_three_are_not_peeled_from_the_leaf(name,
     # incidence 2 goes from its other end once the unit edge is peeled.
     x = OrbitComplex.from_json(TREE_DUMPS[name])
     for theory in ("k", "ko"):
-        full = assemble_cochain(x, theory)
-        rows = peeled_rows(x, theory)
-        assert len(rows) == (full.free_ranks[1] if peeled else 0)
-        check_peeled_rows(full, bredon_cochain(x, CoefficientFunctor(theory, 0)), rows)
-        for reduced, whole in page_factorizations(x, theory):
-            assert reduced == whole
+        whole = bredon_cochain(x, CoefficientFunctor(theory, 0))
+        assert len(peeled_rows(x, theory)) == (whole.free_ranks[1] if peeled else 0)
+        check_reduction(x, theory, assemble_cochain(x, theory), whole)
+        for reduced, listed, count in page_factorizations(x, theory):
+            check_factorizations(reduced, listed, count)
 
 
 # SHA-256 of the JSON list of [rows, cols, sorted skip, sorted pivot columns]
@@ -869,9 +914,8 @@ def test_parts_keep_the_listed_generators(peel_models, data):
             AmalgamSpec(r, tuple(data.draw(st.integers(2, 6)) for _ in range(k + 1))))
     n = data.draw(st.integers(0, 7))
     listed = listed_cuts(x, theory, n)
-    offsets = reprings.cell_offsets(x.cells, [reprings.k0_rank(g) if theory == "k" else
-                                              len(reprings.real_structure(g))
-                                              for g in x.stabilizers])
+    offsets = cell_offsets(x, [reprings.k0_rank(g) if theory == "k" else
+                               len(reprings.real_structure(g)) for g in x.stabilizers])
     c = bredon_cochain(x, CoefficientFunctor(theory, n))
     for part, (types, ranks) in enumerate(zip(reprings.kept_types(theory, n),
                                               (c.free_ranks, c.tor2_ranks))):

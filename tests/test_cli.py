@@ -322,9 +322,25 @@ def test_amalgam_from_complex_checks_edge_orders_for_ko(tmp_path, capsys):
     dump.write_text(json.dumps(json.loads(out)["complex"]))
     code, out = run(capsys, ["amalgam", "--theory", "ko", "--from-complex", str(dump)])
     assert code == 1
-    err = json.loads(out)["error"]
-    assert err["kind"] == "unsupported_restriction"
-    assert "r = [2]" in err["message"]
+    assert json.loads(out)["error"] == {
+        "kind": "unsupported_restriction",
+        "message": "KO^-1 restriction for an even-order cyclic subgroup Z2 is not determined "
+                   "by the supported theory; odd edge orders only"}
+
+
+def test_a_davis_dump_gets_one_page_under_both_subcommands(tmp_path, capsys):
+    # Its 1-cells have Z/2 stabilizers, which amalgam once read as even edge
+    # orders r_i and refused under KO; a loaded complex is refused only
+    # where its restrictions need it, as under coxeter.
+    code, out = run(capsys, ["coxeter", "--matrix", "1,3,3;3,1,3;3,3,1", "--model", "davis",
+                             "--emit", "complex"])
+    assert code == 0
+    dump = tmp_path / "davis.json"
+    dump.write_text(out)
+    pages = [run(capsys, [command, "--theory", "ko", "--from-complex", str(dump),
+                          "--emit", "e2page"])
+             for command in ("amalgam", "coxeter")]
+    assert pages[0] == pages[1] and pages[0][0] == 0
 
 
 def test_no_collapse_error_kind(tmp_path, capsys):
@@ -830,7 +846,9 @@ def test_amalgam_ko_pages_of_vertex_orders_near_1e8_list_no_generator(r, m):
 
 
 @pytest.mark.parametrize("m, theory, entries", [("1000000000,2", "k", 9_000_000_018),
-                                                ("100000000,2", "ko", 1_050_000_031)])
+                                                ("100000000,2", "ko", 1_050_000_031),
+                                                ("10000000000000000000000,2", "k",
+                                                 90_000_000_000_000_000_000_018)])
 def test_huge_amalgam_cochain_is_refused_before_listing_a_generator(m, theory, entries):
     # The budget check counts each part per stabilizer; listing the parts'
     # generators to count them once ended in a MemoryError here.
@@ -839,6 +857,22 @@ def test_huge_amalgam_cochain_is_refused_before_listing_a_generator(m, theory, e
     assert code == 1
     assert report["error"]["kind"] == "too_large"
     assert report["error"]["predicted_entries"] == entries
+    assert elapsed < 1 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("r, m, theory", [("30000001", "2,3", "k"), ("30000001", "2,3", "ko"),
+                                          ("3", "10000000000000000000000,2", "k"),
+                                          ("30000000000000000000001", "2,3", "ko")])
+def test_amalgam_pages_are_linear_in_the_edges_at_any_order(r, m, theory):
+    # The page peels the whole of d_0 out of the complex it factors, so it
+    # keeps no row or factor per generator.  Each part's size is read off
+    # the ends of its range: orders past a machine word once ended in a
+    # bare OverflowError from len() of a range.
+    code, report, elapsed, peak = _run_capped(["amalgam", "--r", r, "--m", m, "--theory", theory,
+                                               "--check"])
+    assert code == 0
+    verdicts = [v["verdict"] for v in report["verdicts"]]
+    assert verdicts == ["EXACT_MATCH"] * (2 if theory == "k" else 8)
     assert elapsed < 1 and peak < 1 << 20
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from properk import coxeter
+from properk import coxeter, reprings
 from properk.abelian import AbGroup
 from properk.ahss import NoCollapseError, assemble_abutment, build_e2
 from properk.coxeter import (
@@ -383,13 +383,19 @@ def test_davis_single_generator_segment():
     assert x.stabilizers[x.cells[1][0]] == trivial()
 
 
+def order(g):
+    """The order of ``g``, the sum of the squares of its irreducibles'
+    dimensions."""
+    return sum(d * d for d in reprings.complex_irrep_dims(g))
+
+
 def test_davis_descriptor_direction():
     x = build_davis_orbit_complex(CoxeterMatrix.path_family(2))
     for p in range(x.dim):
         for j, k, _, desc in x.sorted_faces(p):
             assert desc.sub == x.stabilizers[x.cells[p + 1][k]]
             assert desc.big == x.stabilizers[x.cells[p][j]]
-            assert desc.sub.order <= desc.big.order
+            assert order(desc.sub) <= order(desc.big)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_group_canonicalization():
     assert cyclic(1) == trivial()
     assert elem2(0) == trivial()
     assert elem2(1) == cyclic(2)
-    assert dihedral_odd(3).order == 6
+    assert sum(d * d for d in reprings.complex_irrep_dims(dihedral_odd(3))) == 6
     with pytest.raises(ValueError):
         dihedral_odd(4)
 
