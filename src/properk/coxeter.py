@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import combinations, repeat
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .groups import (
     GroupClass,
@@ -296,6 +296,15 @@ class SphericalPoset:
         """The index of each member."""
         return {m: i for i, m in enumerate(self.members)}
 
+    def proper_subsets(self, member: int) -> Iterator[int]:
+        """The indices of the proper subsets of ``members[member]``, by size,
+        then lexicographically.  Every subset of a spherical set is
+        spherical, so each is a member."""
+        m, index = self.members[member], self.index
+        for size in range(len(m)):
+            for sub in combinations(m, size):
+                yield index[sub]
+
     def stabilizer(self, member: int) -> GroupClass:
         """``group_class_of(matrix, members[member])``, classified once."""
         found = self._stabilizers.get(member)
@@ -497,15 +506,11 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     for r, i in enumerate(by_rank):
         rank[i] = r
     # above[x]: the ranks of the proper supersets of the member of rank x,
-    # ascending.  The poset is downward closed, so the members below m are
-    # exactly the proper subsets of m.
+    # ascending.
     above: list[list[int]] = [[] for _ in range(n)]
-    index = poset.index
     for r, i in enumerate(by_rank):
-        m = members[i]
-        for size in range(len(m)):
-            for sub in combinations(m, size):
-                above[rank[index[sub]]].append(r)
+        for sub in poset.proper_subsets(i):
+            above[rank[sub]].append(r)
     tables = _Tables(poset)
     # The vertices are the members in order, so this meets the stabilizers
     # in the order of the cells.
@@ -582,24 +587,18 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
 
 
 class _PanelBuilder:
-    """Panel complex under construction over a spherical poset.
+    """Panel complex under construction.
 
     Per dimension, ``cells`` holds the cells as (panel label, boundary)
     pairs, the label a member index and the boundary listing distinct faces
     one dimension down as (index, coefficient ±1), and ``by_label`` the
     indices of the cells of each label.  An edge's boundary is head - tail,
-    stored as ((head, 1), (tail, -1)).  ``covers[J]`` lists the members
-    J ∪ {s} of the poset as (s, index of J ∪ {s}).
+    stored as ((head, 1), (tail, -1)).
     """
 
-    def __init__(self, poset: SphericalPoset):
+    def __init__(self):
         self.cells: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[]]
         self.by_label: list[dict[int, list[int]]] = [{}]
-        index = poset.index
-        self.covers: list[list[tuple[int, int]]] = [[] for _ in poset.members]
-        for bigger, m in enumerate(poset.members):
-            for i, extra in enumerate(m):
-                self.covers[index[m[:i] + m[i + 1:]]].append((extra, bigger))
 
     def add(self, dim: int, label: int, boundary: list[tuple[int, int]]) -> int:
         while len(self.cells) <= dim:
@@ -645,13 +644,22 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     complex; the stabilizer of a cell is W of its label, and every face
     relation is witnessed by the parabolic inclusion of the labels (labels
     only grow along faces).
+
+    A cell made while processing L lies in B_I exactly when I ⊆ L, so U is
+    made of the cells of the labels L ⊋ J that have cells.  Once L's panel
+    has them, L joins ``above[J]`` for every proper subset J of L; so a
+    panel that adds nothing costs nothing later.
     """
     poset = matrix.poset
     members = poset.members
-    builder = _PanelBuilder(poset)
+    builder = _PanelBuilder()
+    above: list[list[int]] = [[] for _ in members]
     # By decreasing size, then in member order.
     for j_set in sorted(range(len(members)), key=lambda i: (-len(members[i]), i)):
-        _add_panel(builder, j_set, _collect_cells(builder, j_set))
+        _add_panel(builder, j_set, _collect_cells(builder, above[j_set]))
+        if any(j_set in layer for layer in builder.by_label):
+            for sub in poset.proper_subsets(j_set):
+                above[sub].append(j_set)
 
     panel = builder.cells
     tables = _Tables(poset)
@@ -665,26 +673,13 @@ def build_bestvina_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     return tables.complex(cells, labels, faces)
 
 
-def _collect_cells(builder: _PanelBuilder, j_set: int) -> list[list[int]]:
-    """Indices, per dimension and in increasing order, of the cells in U,
-    the union of the panels B_I, I > J.
-
-    A cell created while processing label L lies in B_I exactly when I ⊆ L.
-    So it lies in U exactly when J < L: L is spherical, so I = L will do.
-    U is read from the cells of each strict superset L of J, found by
-    adding the generators of L - J to J in increasing order: the poset is
-    downward closed, so every step is a cover, and each L is reached once.
-    """
-    supersets = []
-    stack = [(j_set, -1)]
-    while stack:
-        label, last = stack.pop()
-        for extra, bigger in builder.covers[label]:
-            if extra > last:
-                supersets.append(bigger)
-                stack.append((bigger, extra))
-    out = [sorted(i for label in supersets for i in layer.get(label, ()))
-           for layer in builder.by_label]
+def _collect_cells(builder: _PanelBuilder, labels: list[int]) -> list[list[int]]:
+    """Indices, per dimension and in increasing order, of the cells of the
+    given labels, listed in the order their panels were processed: of U,
+    when they are the labels L ⊋ J that have cells.  A panel only makes
+    cells of its own label, so each label's cells follow those of the
+    labels processed before it, and the concatenation is sorted."""
+    out = [[i for label in labels for i in layer.get(label, ())] for layer in builder.by_label]
     while out and not out[-1]:
         out.pop()
     return out or [[]]

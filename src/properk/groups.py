@@ -147,6 +147,9 @@ class InclusionDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "InclusionDescriptor":
+        """The descriptor that ``kind`` and ``extra`` build, with ``big`` for
+        the kinds that read it.  The written ``sub`` and ``big``, which
+        ``to_json`` always writes, must be its groups."""
         kind = data["kind"]
         extra = tuple(json_int(x) for x in data.get("extra", ()))
         arity = _EXTRA_ARITY.get(kind)
@@ -154,19 +157,26 @@ class InclusionDescriptor:
             raise ValueError(f"{kind} descriptor needs an extra of length {arity}, "
                              f"got {len(extra)}")
         if kind == CYCLIC_IN_CYCLIC:
-            return cyclic_in_cyclic(extra[0], extra[1])
-        if kind == ELEM2_SUBSET:
+            built = cyclic_in_cyclic(extra[0], extra[1])
+        elif kind == ELEM2_SUBSET:
             big = GroupClass.from_json(data["big"])
             k = elem2_exponent(big)
             if k is None:
                 raise ValueError(f"{kind} descriptor needs an elementary abelian 2-group "
                                  f"as big, got {big}")
-            return elem2_subset(len(extra), k, extra)
-        if kind == REFLECTION_IN_DIHEDRAL:
-            return reflection_in_dihedral(extra[0])
-        if kind == TRIVIAL_IN_ANYTHING:
-            return trivial_in(GroupClass.from_json(data["big"]))
-        raise ValueError(f"unrecognized inclusion kind: {kind!r}")
+            built = elem2_subset(len(extra), k, extra)
+        elif kind == REFLECTION_IN_DIHEDRAL:
+            built = reflection_in_dihedral(extra[0])
+        elif kind == TRIVIAL_IN_ANYTHING:
+            built = trivial_in(GroupClass.from_json(data["big"]))
+        else:
+            raise ValueError(f"unrecognized inclusion kind: {kind!r}")
+        for name, group in (("sub", built.sub), ("big", built.big)):
+            written = GroupClass.from_json(data[name])
+            if written != group:
+                raise ValueError(f"{kind} descriptor has {name} {written}, "
+                                 f"but its kind and extra give {group}")
+        return built
 
 
 def cyclic_in_cyclic(r: int, m: int) -> InclusionDescriptor:

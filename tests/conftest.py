@@ -12,6 +12,7 @@ from hypothesis import settings
 from inputs import (  # noqa: F401  (re-exported to the tests)
     TREE_DUMPS,
     cyclic_tree_dump,
+    mislabeled_edge_dump,
     random_right_angled,
     right_angled_corpus,
     vertex_edge_dump,

@@ -33,7 +33,8 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
-from inputs import TREE_DUMPS, right_angled_corpus, vertex_edge_dump, z3_square  # noqa: E402
+from inputs import (  # noqa: E402
+    TREE_DUMPS, mislabeled_edge_dump, right_angled_corpus, vertex_edge_dump, z3_square)
 from properk import cli  # noqa: E402
 from properk.coxeter import (  # noqa: E402
     CoxeterMatrix, build_bestvina_orbit_complex, build_davis_orbit_complex)
@@ -289,6 +290,7 @@ def refusals() -> Group:
                   "kind": "elem2_subset", "sub": {"cyclic": 2}, "big": {"cyclic": 3},
                   "extra": [0]}}]},
              {"dim": 1, "cells": [{"label": "e", "stabilizer": {"cyclic": 2}}]}])),
+        ("amalgam", "--from-complex", "mislabeled-edge", json.dumps(mislabeled_edge_dump())),
     ]
     for command, flag, name, text in inputs:
         path = f"input/{name}.json"

@@ -96,6 +96,14 @@ TREE_DUMPS = {
 }
 
 
+def mislabeled_edge_dump() -> list[dict]:
+    """The tree of Z6 *_Z3 Z15 with the edge's descriptor into Z6 written
+    with sub D5 and big Z7, though its kind and extra give Z3 <= Z6."""
+    dump = cyclic_tree_dump([6, 15], [(3, {0: 1, 1: -1})])
+    dump[0]["descriptors"][0]["descriptor"].update(sub={"dihedral_odd": 5}, big={"cyclic": 7})
+    return dump
+
+
 def vertex_edge_dump(stabilizer: str, incidence: str = "1") -> str:
     """A one-vertex, one-edge dump as JSON text, so that numbers like 1e400
     reach the loader as written."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,9 @@ from properk.ahss import (
     compare,
     detect_collapse,
 )
-from properk.coxeter import CoxeterMatrix, build_bestvina_orbit_complex
+from properk.coxeter import CoxeterMatrix, build_bestvina_orbit_complex, build_davis_orbit_complex
 from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
+import corpus
 
 Z = AbGroup.free
 Z2 = AbGroup.elementary_2
@@ -317,3 +319,85 @@ def test_periodicity_of_coefficients():
     for n in range(8):
         assert bredon_cohomology(x, CoefficientFunctor.ko(n)) == \
             bredon_cohomology(x, CoefficientFunctor.ko(n + 8))
+
+
+# ---------------------------------------------------------------------------
+# Whole pages of the corpus inputs against the pages their closed forms fix
+
+
+def degree_zero_page(closed: ClosedForm) -> list[list[AbGroup]]:
+    """The page behind a right-angled, path or amalgam closed form: each
+    degree's group at p = 0, and nothing above."""
+    return [[closed.entry(n)] for n in range(closed.period)]
+
+
+def polygon_page(n: int, theory: str) -> list[list[AbGroup]]:
+    """The page behind ``closed_form_polygon_family``: H^0 = Z^{n+3} and
+    H^1 = Z in the integral rows, their mod-2 reductions in KO rows 1 and
+    2, and every other row zero."""
+    integral = [Z(n + 3), Z(1)]
+    if theory == "k":
+        return [integral, []]
+    mod2 = [Z2(n + 3), Z2(1)]
+    return [integral, mod2, mod2, [], integral, [], [], []]
+
+
+def assert_page_is(page: E2Page, expected: list[list[AbGroup]], label) -> None:
+    """Entry by entry, every entry that ``expected`` does not list zero."""
+    assert page.period == len(expected), label
+    for n, row in enumerate(expected):
+        width = max(page.dim + 1, len(row))
+        got = [page.entry(p, n) for p in range(width)]
+        assert got == row + [ZERO] * (width - len(row)), (label, n)
+
+
+def corpus_inputs(group: corpus.Group, flags: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The distinct values of ``flags`` over a corpus group's command
+    lines, in order of first use."""
+    return list(dict.fromkeys(tuple(argv[argv.index(flag) + 1] for flag in flags)
+                              for argv in group.argvs))
+
+
+def ints(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(","))) if text else ()
+
+
+def closed_page(matrix: CoxeterMatrix, theory: str) -> list[list[AbGroup]] | None:
+    """The page that the matrix's closed form fixes, or None without one."""
+    if matrix.is_right_angled():
+        return degree_zero_page(closed_form_right_angled(matrix, theory))
+    family = matrix.detect_family()
+    if family is None:
+        return None
+    kind, n = family
+    if kind == "path":
+        return degree_zero_page(closed_form_path_family(n, theory))
+    return polygon_page(n, theory)
+
+
+@pytest.mark.parametrize("theory", ["k", "ko"])
+def test_amalgam_corpus_pages_are_their_closed_forms(theory):
+    inputs = corpus_inputs(corpus.amalgam_grid(), ("--r", "--m"))
+    assert len(inputs) == 148
+    for r, m in inputs:
+        spec = AmalgamSpec(ints(r), ints(m))
+        page = build_e2(build_amalgam_orbit_complex(spec), theory)
+        assert_page_is(page, degree_zero_page(closed_form_amalgam(spec, theory)), (r, m))
+
+
+@pytest.mark.parametrize("build", [build_davis_orbit_complex, build_bestvina_orbit_complex],
+                         ids=["davis", "bestvina"])
+@pytest.mark.parametrize("theory", ["k", "ko"])
+def test_coxeter_corpus_pages_are_their_closed_forms(build, theory):
+    # The zero-generator matrix is written as empty inline text, which the
+    # CLI refuses; every other corpus matrix is read back from its text.
+    texts = [text for group in (corpus.right_angled(), corpus.families())
+             for (text,) in corpus_inputs(group, ("--matrix",)) if text]
+    checked = Counter()
+    for text in texts:
+        matrix = CoxeterMatrix.from_rows([ints(row) for row in text.split(";")])
+        expected = closed_page(matrix, theory)
+        if expected is not None:
+            assert_page_is(build_e2(build(matrix), theory), expected, text)
+            checked[(matrix.detect_family() or ("right-angled",))[0]] += 1
+    assert checked == {"right-angled": 44, "path": 8, "polygon": 7}

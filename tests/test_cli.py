@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from properk.abelian import IntMatrix
 from properk.cli import main, write_report
-from conftest import TREE_DUMPS, vertex_edge_dump
+from conftest import TREE_DUMPS, mislabeled_edge_dump, vertex_edge_dump
 
 
 def run(capsys, argv):
@@ -503,10 +503,23 @@ def one_edge_dump(vertex, edge, descriptor) -> list[dict]:
                    {"kind": "reflection_in_dihedral", "sub": {"cyclic": 2},
                     "big": {"dihedral_odd": 3}}),
      "reflection_in_dihedral descriptor needs an extra of length 1, got 0"),
-], ids=["elem2-subset-of-cyclic", "cyclic-one-extra", "reflection-no-extra"])
+    (mislabeled_edge_dump(),
+     "cyclic_in_cyclic descriptor has sub D5, but its kind and extra give Z3"),
+    (one_edge_dump({"cyclic": 6}, {"cyclic": 3},
+                   {"kind": "cyclic_in_cyclic", "sub": {"cyclic": 3}, "big": {"cyclic": 7},
+                    "extra": [3, 2]}),
+     "cyclic_in_cyclic descriptor has big Z7, but its kind and extra give Z6"),
+    (one_edge_dump({"cyclic": 6}, {"cyclic": 3},
+                   {"kind": "cyclic_in_cyclic", "big": {"cyclic": 6}, "extra": [3, 2]}),
+     "'sub'"),
+], ids=["elem2-subset-of-cyclic", "cyclic-one-extra", "reflection-no-extra",
+        "written-sub-differs", "written-big-differs", "no-sub"])
 def test_malformed_descriptor_names_its_kind(tmp_path, capsys, dump, message):
     # The message names the kind whose parameters do not fit, rather than
-    # a bare exception text such as "tuple index out of range".
+    # a bare exception text such as "tuple index out of range".  The
+    # written sub and big must be the groups that kind and extra give:
+    # read from those alone, the mislabeled edge would replay as Z3 <= Z6
+    # and amalgam --r 3 --m 2,5 --check would answer EXACT_MATCH.
     path = tmp_path / "dump.json"
     path.write_text(json.dumps(dump))
     code, out = run(capsys, ["coxeter", "--theory", "ko", "--from-complex", str(path)])

@@ -539,18 +539,18 @@ def test_parabolic_inclusion_kinds():
     assert incl.extra == (1,)
 
 
+def octahedral() -> CoxeterMatrix:
+    """6 generators whose commuting graph is the octahedron, antipodal
+    pairs at infinity."""
+    return CoxeterMatrix.from_rows([[1 if i == j else INFINITY if abs(i - j) == 3 else 2
+                                     for j in range(6)] for i in range(6)])
+
+
 def test_octahedral_graph_exercises_higher_cones():
-    # 6 generators, commuting graph the octahedron (antipodal pairs at
-    # infinity): the union of panels below the empty set is a 2-sphere, so
-    # the builder falls back to a cone and produces a 3-dimensional model;
-    # 27 spherical subsets in total.
-    rows = [[0] * 6 for _ in range(6)]
-    for i in range(6):
-        rows[i][i] = 1
-        for j in range(6):
-            if i != j and abs(i - j) != 3:
-                rows[i][j] = 2
-    matrix = CoxeterMatrix.from_rows(rows)
+    # The union of panels below the empty set is a 2-sphere, so the builder
+    # falls back to a cone and produces a 3-dimensional model; 27 spherical
+    # subsets in total.
+    matrix = octahedral()
     assert len(enumerate_spherical_subsets(matrix)) == 27
     b = build_bestvina_orbit_complex(matrix)
     assert b.dim == 3
@@ -569,7 +569,7 @@ def test_components_keep_isolated_vertices_in_order_of_first_vertex():
 def hand_built_graph(n_vertices: int, edges: list[tuple[int, int]]):
     """A panel builder holding only the graph U: vertices 0..n-1 and the
     given (tail, head) edges, with the cell indices U's collection lists."""
-    builder = coxeter._PanelBuilder(CoxeterMatrix.from_rows([]).poset)
+    builder = coxeter._PanelBuilder()
     for _ in range(n_vertices):
         builder.add(0, (0,), [])
     for tail, head in edges:
@@ -714,16 +714,16 @@ def davis_reference(matrix: CoxeterMatrix) -> OrbitComplex:
     return OrbitComplex(tuple(stabilizers), tuple(descriptors), cells, labels, tuple(faces))
 
 
-def assert_davis_matches_reference(matrix: CoxeterMatrix) -> None:
+def assert_matches_reference(build, reference, matrix: CoxeterMatrix) -> None:
     """Equal complexes, tables in the same order, and equal coherence
     pairs; or the same refusal."""
     try:
-        expected = davis_reference(matrix)
+        expected = reference(matrix)
     except UnsupportedStabilizerError as exc:
         with pytest.raises(UnsupportedStabilizerError, match=re.escape(str(exc))):
-            build_davis_orbit_complex(matrix)
+            build(matrix)
         return
-    built = build_davis_orbit_complex(matrix)
+    built = build(matrix)
     assert built == expected, matrix.entries
     assert [list(layer) for layer in built.labels] == [list(layer) for layer in expected.labels]
     assert [[{j: (c, built.descriptors[d]) for j, (c, d) in f.items()} for f in layer]
@@ -731,6 +731,10 @@ def assert_davis_matches_reference(matrix: CoxeterMatrix) -> None:
         [{j: (c, expected.descriptors[d]) for j, (c, d) in f.items()} for f in layer]
         for layer in expected.faces]
     assert built.coherence == expected.coherence, matrix.entries
+
+
+assert_davis_matches_reference = functools.partial(
+    assert_matches_reference, build_davis_orbit_complex, davis_reference)
 
 
 def dinf(k: int) -> CoxeterMatrix:
@@ -769,3 +773,61 @@ def test_built_labels_equal_their_replay_from_a_dump(build, matrix):
     assert all(isinstance(layer, tuple) for layer in replay.labels)
     assert [built.labels[p][-1] for p in range(built.dim + 1)] == [
         replay.labels[p][-1] for p in range(built.dim + 1)]
+
+
+# ---------------------------------------------------------------------------
+# The Bestvina builder against a reference that finds U by scanning cells
+
+
+def bestvina_reference(matrix: CoxeterMatrix) -> OrbitComplex:
+    """The Bestvina model with each panel's U found by brute force: every
+    cell made so far whose label strictly contains J.  The panels come in
+    the builder's order, by decreasing size and then lexicographically,
+    and each is completed by the builder's ``_add_panel``; the cells are
+    labeled by their subsets themselves."""
+    subsets = (tuple(i for i in range(matrix.size) if bits >> i & 1)
+               for bits in range(2 ** matrix.size))
+    builder = coxeter._PanelBuilder()
+    for j in sorted((j for j in subsets if is_spherical(matrix, j)), key=lambda j: (-len(j), j)):
+        u = [[i for i, (label, _) in enumerate(layer) if set(j) < set(label)]
+             for layer in builder.cells]
+        while len(u) > 1 and not u[-1]:
+            u.pop()
+        coxeter._add_panel(builder, j, u)
+    stabilizer = functools.cache(lambda j: group_class_of(matrix, j))
+    include = functools.cache(lambda sub, big: parabolic_inclusion(matrix, sub, big))
+    stabilizers, descriptors = {}, {}
+    panel = builder.cells
+    cells = tuple(tuple(intern(stabilizers, stabilizer(label)) for label, _ in layer)
+                  for layer in panel)
+    faces = tuple(tuple({j: (coeff, intern(descriptors, include(label, lower[j][0])))
+                         for j, coeff in sorted(boundary)} for label, boundary in higher)
+                  for lower, higher in zip(panel, panel[1:]))
+    labels = tuple(tuple("B{" + ",".join(f"s{i}" for i in label) + f"}}#{k}"
+                         for k, (label, _) in enumerate(layer)) for layer in panel)
+    return OrbitComplex(tuple(stabilizers), tuple(descriptors), cells, labels, faces)
+
+
+assert_bestvina_matches_reference = functools.partial(
+    assert_matches_reference, build_bestvina_orbit_complex, bestvina_reference)
+
+
+def elementary(n: int) -> CoxeterMatrix:
+    """(Z/2)^n: every off-diagonal label 2."""
+    return CoxeterMatrix.from_rows([[1 if a == b else 2 for b in range(n)] for a in range(n)])
+
+
+def test_bestvina_builder_matches_the_cell_scan_reference(ra_corpus):
+    matrices = (ra_corpus + [CoxeterMatrix.path_family(n) for n in (2, 5, 10)]
+                + [CoxeterMatrix.polygon_family(n) for n in (2, 5, 10)]
+                + [dinf(k) for k in range(1, 5)]
+                + [CoxeterMatrix.from_rows([[1, 3, 3], [3, 1, 3], [3, 3, 1]]), octahedral()]
+                + [elementary(n) for n in range(7)])
+    for matrix in matrices:
+        assert_bestvina_matches_reference(matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices())
+def test_bestvina_builder_matches_the_cell_scan_reference_on_random_matrices(matrix):
+    assert_bestvina_matches_reference(matrix)
