@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import InitVar, dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -322,48 +323,47 @@ def invariant_factors(m: IntMatrix, skip: Collection[int] = (),
     unit in a column that no other alive row meets, at the highest such
     column (the column singletons of Dumas, Saunders and Villard, "On
     efficient sparse integer matrix Smith normal form computations", 2001).
-    Such a pivot changes no other row: the row only leaves the row sets of
-    its other columns, so a column it leaves with one row can serve a later
-    row of the same pass.  Keeping the pass in row order matters: taking
-    singleton columns off a stack instead hands ``factor_integral`` worse
-    pivot columns, and on the D_inf^5 Davis KO complex its next
-    differential then costs more than twice as much.
+    It counts the alive rows at each column that rows meet, no more; a pivot
+    changes no other row and only leaves its columns' counts, so a column it
+    leaves with one row can serve a later row of the same pass.  Keeping the
+    pass in row order matters: a stack of singleton columns hands
+    ``factor_integral`` worse pivot columns, and on the D_inf^5 Davis KO
+    complex its next differential then costs more than twice as much.
 
-    The rows the pass leaves are copied and go, ascending, to the heap
-    loop.  Its pivot is always the smallest alive row holding a unit, at
-    the unit whose column meets the fewest alive rows, the highest such
-    column on a tie.  On the larger Davis cochains that fills in far less
-    than the row's first unit, and unlike the highest column alone it fills
-    in no more on the wide amalgam cochains.  Rows wait on a min-heap until
-    a scan finds no unit in them and go back on it only when an elimination
-    step changes them, so no row is rescanned unchanged.
+    The rows the pass leaves are copied, numbered ascending and indexed by
+    column for the heap loop.  Its pivot is always the smallest alive row
+    holding a unit, at the unit whose column meets the fewest alive rows,
+    the highest such column on a tie: on the larger Davis cochains that
+    fills in far less than the row's first unit, and no more than the
+    highest column alone on the wide amalgam cochains.  Rows wait on a
+    min-heap until a scan finds no unit in them and go back only when an
+    elimination step changes them, so no row is rescanned unchanged.
     """
-    rows = [row for i, row in enumerate(m.data) if i not in skip] if skip else m.data
-    rows = [row for row in rows if row]
+    rows = [row for i, row in enumerate(m.data) if row and i not in skip]
+    if not rows:
+        return ()
+    count = dict(Counter(chain.from_iterable(rows)))  # the alive rows at each column
+    left = []
+    for row in rows:
+        alone = [k for k, x in row.items() if (x == 1 or x == -1) and count[k] == 1]
+        if not alone:
+            left.append(row)
+            continue
+        for k in row:
+            count[k] -= 1
+        if pivot_cols is not None:
+            pivot_cols.add(max(alone))
+    del count  # freed before the heap loop's row sets are built
+    ones = len(rows) - len(left)
+    sparse = list(map(dict, left))  # the heap loop's rows, copied
     col_rows: dict[int, set[int]] = {}
-    for ridx, row in enumerate(rows):
+    for ridx, row in enumerate(sparse):
         for j in row:
             if (members := col_rows.get(j)) is None:
                 col_rows[j] = {ridx}
             else:
                 members.add(ridx)
-    ones = 0
-    sparse: list[dict[int, int]] = [{}] * len(rows)  # only the heap loop's rows are copied
-    pending = []  # ascending, hence already a heap
-    for ridx, row in enumerate(rows):
-        alone = [k for k, x in row.items() if (x == 1 or x == -1) and len(col_rows[k]) == 1]
-        if not alone:
-            sparse[ridx] = dict(row)
-            pending.append(ridx)
-            continue
-        j = max(alone)
-        for k in row:
-            if k != j:
-                col_rows[k].discard(ridx)
-        del col_rows[j]
-        ones += 1
-        if pivot_cols is not None:
-            pivot_cols.add(j)
+    pending = list(range(len(sparse)))  # ascending, hence already a heap
     queued = [True] * len(sparse)
     while pending:
         ridx = heapq.heappop(pending)

@@ -14,6 +14,8 @@ no_collapse (the E2 page does not collapse positionally),
 model_disagreement (the Davis and Bestvina E2 pages differ, a bug) or
 too_large (--emit complex or cochain would write more dense matrix
 entries than EMIT_ENTRY_BUDGET, predicted before anything is assembled).
+A reader that closes stdout while a large report is written, as `| head`
+may, also gets status 1, with no traceback.
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -424,7 +427,14 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             # The report, error or not, goes nowhere: say so on stdout.
             payload, status = _error("invalid_input", f"cannot write {args.out}: {exc}")
-    write_report(payload, sys.stdout)
+    try:
+        write_report(payload, sys.stdout)
+    except BrokenPipeError:
+        # The reader closed the pipe, as `| head` does.  Point stdout at
+        # os.devnull, so that the interpreter's last flush of the rest of
+        # the report stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

@@ -29,6 +29,12 @@ settings.register_profile("properk", derandomize=True, deadline=None)
 settings.load_profile("properk")
 
 
+def dinf(k: int) -> CoxeterMatrix:
+    """D_inf^k: k commuting copies of the infinite dihedral group."""
+    return CoxeterMatrix.from_rows([[1 if a == b else INFINITY if a // 2 == b // 2 else 2
+                                     for b in range(2 * k)] for a in range(2 * k)])
+
+
 def random_int_matrix(rng: random.Random, max_dim: int = 6, bound: int = 5) -> IntMatrix:
     rows = rng.randint(0, max_dim)
     cols = rng.randint(0, max_dim)

@@ -107,6 +107,28 @@ def test_deterministic_across_processes():
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_a_closed_stdout_ends_with_status_1_and_no_traceback():
+    # The D_inf^3 Davis complex is a report of about 500 KB; the reader
+    # takes 100 bytes and closes the pipe, as `| head -c 100` does.
+    import os
+    import subprocess
+
+    import properk
+
+    dinf3 = ";".join(",".join("1" if a == b else "0" if a // 2 == b // 2 else "2" for b in range(6))
+                     for a in range(6))
+    argv = [sys.executable, "-m", "properk.cli", "coxeter", "--matrix", dinf3,
+            "--emit", "complex", "--theory", "ko"]
+    src = str(Path(properk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in stderr, stderr.decode()
+
+
 def test_emit_complex_round_trip(tmp_path, capsys):
     argv = ["amalgam", "--r", "2", "--m", "3,2", "--theory", "k"]
     code, direct = run(capsys, argv)

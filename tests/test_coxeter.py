@@ -24,7 +24,7 @@ from properk.coxeter import (
 from properk.groups import UnsupportedRestrictionError
 from properk.groups import cyclic, dihedral_odd, elem2, trivial
 from properk.orbit import OrbitComplex, intern
-from conftest import cw_homology, gram_positive_definite, random_right_angled
+from conftest import cw_homology, dinf, gram_positive_definite, random_right_angled
 
 
 def ra_pentagon() -> CoxeterMatrix:
@@ -735,12 +735,6 @@ def assert_matches_reference(build, reference, matrix: CoxeterMatrix) -> None:
 
 assert_davis_matches_reference = functools.partial(
     assert_matches_reference, build_davis_orbit_complex, davis_reference)
-
-
-def dinf(k: int) -> CoxeterMatrix:
-    """D_inf^k: k commuting copies of the infinite dihedral group."""
-    return CoxeterMatrix.from_rows([[1 if a == b else INFINITY if a // 2 == b // 2 else 2
-                                     for b in range(2 * k)] for a in range(2 * k)])
 
 
 def test_davis_builder_matches_the_chain_reference(ra_corpus):

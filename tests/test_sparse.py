@@ -1,13 +1,19 @@
 """Sparse integer and GF(2) kernels against plain dense references."""
 
+import heapq
 import random
+import tracemalloc
+from itertools import compress
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from properk.abelian import IntMatrix, Mod2Matrix, invariant_factors
-from conftest import random_int_matrix
+from properk import abelian
+from properk.abelian import IntMatrix, Mod2Matrix, invariant_factors, smith_normal_form
+from properk.ahss import build_e2
+from properk.coxeter import build_bestvina_orbit_complex, build_davis_orbit_complex
+from conftest import dinf, random_int_matrix
 
 SMALL = st.integers(-4, 4)
 
@@ -254,3 +260,168 @@ def test_unit_pivots_match_sympy_and_hold_a_unimodular_minor():
         cols = sorted(pivots)
         minor = IntMatrix.from_rows([[row[j] for j in cols] for row in kept], cols=len(cols))
         assert sympy_factors(minor) == (1,) * len(cols), (kept, cols)
+
+
+# ---------------------------------------------------------------------------
+# The counting singleton pass against the row-set kernel it replaced
+
+
+def reference_invariant_factors(m: IntMatrix, skip=(), pivot_cols=None) -> tuple[int, ...]:
+    """``invariant_factors`` as it was before its singleton pass counted the
+    rows at each column: every column keeps the set of alive rows meeting
+    it, from the start and through both phases.  Kept as the reference for
+    the factors and the unit pivot columns."""
+    rows = [row for i, row in enumerate(m.data) if i not in skip] if skip else m.data
+    rows = [row for row in rows if row]
+    col_rows: dict[int, set[int]] = {}
+    for ridx, row in enumerate(rows):
+        for j in row:
+            if (members := col_rows.get(j)) is None:
+                col_rows[j] = {ridx}
+            else:
+                members.add(ridx)
+    ones = 0
+    sparse: list[dict[int, int]] = [{}] * len(rows)
+    pending = []
+    for ridx, row in enumerate(rows):
+        alone = [k for k, x in row.items() if (x == 1 or x == -1) and len(col_rows[k]) == 1]
+        if not alone:
+            sparse[ridx] = dict(row)
+            pending.append(ridx)
+            continue
+        j = max(alone)
+        for k in row:
+            if k != j:
+                col_rows[k].discard(ridx)
+        del col_rows[j]
+        ones += 1
+        if pivot_cols is not None:
+            pivot_cols.add(j)
+    queued = [True] * len(sparse)
+    while pending:
+        ridx = heapq.heappop(pending)
+        queued[ridx] = False
+        prow = sparse[ridx]
+        units = [k for k, x in prow.items() if x == 1 or x == -1]
+        if not units:
+            continue
+        counts = list(map(len, map(col_rows.__getitem__, units)))
+        fewest = min(counts)
+        j = max(compress(units, map(fewest.__eq__, counts)))
+        x = prow[j]
+        for sidx in col_rows[j]:
+            if sidx == ridx:
+                continue
+            srow = sparse[sidx]
+            c = srow[j] * x
+            for k, pv in prow.items():
+                old = srow.get(k)
+                if old is None:
+                    srow[k] = -c * pv
+                    col_rows[k].add(sidx)
+                else:
+                    nv = old - c * pv
+                    if nv:
+                        srow[k] = nv
+                    else:
+                        del srow[k]
+                        if k != j:
+                            col_rows[k].discard(sidx)
+            if not queued[sidx]:
+                queued[sidx] = True
+                heapq.heappush(pending, sidx)
+        for k in prow:
+            if k != j:
+                col_rows[k].discard(ridx)
+        del col_rows[j]
+        sparse[ridx] = {}
+        ones += 1
+        if pivot_cols is not None:
+            pivot_cols.add(j)
+    live_rows = [row for row in sparse if row]
+    if not live_rows:
+        return (1,) * ones
+    live_cols = sorted({j for row in live_rows for j in row})
+    dense = IntMatrix.from_rows(
+        [[row.get(j, 0) for j in live_cols] for row in live_rows], cols=len(live_cols))
+    _, d, _ = smith_normal_form(dense)
+    rest = tuple(d.entry(i, i) for i in range(min(d.rows, d.cols)) if d.entry(i, i))
+    return (1,) * ones + rest
+
+
+@st.composite
+def sparse_with_skip(draw):
+    """A sparse integer matrix, its units frequent, and rows of it to skip."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entry = st.sampled_from((0,) * 12 + (1, 1, -1, -1, 2, -2, 3, 6))
+    a = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix.from_rows(a, cols=cols), draw(st.sets(st.integers(0, max(rows - 1, 0))))
+
+
+@given(sparse_with_skip())
+@example((IntMatrix.from_rows([[1, 1], [1, 1]]), set()))  # no singleton: the heap loop
+@example((IntMatrix.from_rows([[2, 4], [6, 3]]), set()))  # no unit: the dense residual
+# Row 0's pivot leaves column 1 to row 1 alone, whose pivot leaves column 2
+# to row 2: the pass pivots at columns 0, 1 and 3, the heap loop would
+# have taken row 1 at column 2.
+@example((IntMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]), set()))
+# Row 3 skipped leaves column 0 to row 0 alone, the singleton pass takes
+# it, the heap loop pivots row 1 at column 2 and leaves [0, 2, 0, 2].
+@example((IntMatrix.from_rows([[1, 1, 1, 0], [0, 1, 1, 0], [0, 1, -1, 2], [1, 0, 0, 5]]), {3}))
+def test_counting_kernel_matches_the_row_set_kernel(case):
+    m, skip = case
+    pivots, reference = set(), set()
+    assert invariant_factors(m, skip, pivots) == reference_invariant_factors(m, skip, reference)
+    assert pivots == reference
+
+
+def traced_top_down(monkeypatch, kernel, diffs):
+    """``abelian._top_down`` over ``diffs`` with ``kernel`` in place of
+    ``invariant_factors``, and the skipped rows and unit pivot columns of
+    each of its calls."""
+    calls = []
+
+    def recording(m, skip=(), pivot_cols=None):
+        out = kernel(m, skip, pivot_cols)
+        calls.append((sorted(skip), None if pivot_cols is None else sorted(pivot_cols)))
+        return out
+
+    monkeypatch.setattr(abelian, "invariant_factors", recording)
+    return abelian._top_down(diffs), calls
+
+
+@pytest.mark.parametrize("build", [build_davis_orbit_complex, build_bestvina_orbit_complex],
+                         ids=["davis", "bestvina"])
+def test_counting_kernel_matches_the_row_set_kernel_on_dinf_pages(monkeypatch, build):
+    # Every complex that the K and KO pages of D_inf^k, k <= 4, factor.
+    pages = []
+    top_down = abelian._top_down
+    monkeypatch.setattr(abelian, "_top_down", lambda diffs: pages.append(diffs) or top_down(diffs))
+    for k in range(1, 5):
+        x = build(dinf(k))
+        for theory in ("k", "ko"):
+            build_e2(x, theory)
+    monkeypatch.setattr(abelian, "_top_down", top_down)
+    assert len(pages) >= 8 and sum(len(diffs) for diffs in pages) > len(pages)
+    for diffs in pages:
+        counted = traced_top_down(monkeypatch, invariant_factors, diffs)
+        assert counted == traced_top_down(monkeypatch, reference_invariant_factors, diffs)
+
+
+@pytest.mark.parametrize("data, skip, factors", [
+    ((), (), ()),
+    (({123_456_789: 1},), (), (1,)),
+    (({123_456_789: 1},), {0}, ()),
+])
+def test_no_work_per_column_that_no_row_meets(data, skip, factors):
+    # 10^9 columns: a list or a count per column would take gigabytes.
+    m = IntMatrix(len(data), 10**9, data)
+    pivots = set()
+    tracemalloc.start()
+    try:
+        assert invariant_factors(m, skip, pivots) == factors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert pivots == ({123_456_789} if factors else set())
