@@ -37,7 +37,6 @@ from .ahss import (
     detect_collapse,
 )
 from .bredon import (
-    CoefficientFunctor,
     assemble_cochain,
     bredon_cochain,
     bredon_cohomology,

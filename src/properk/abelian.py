@@ -99,16 +99,13 @@ class IntMatrix:
             raise IndexError("matrix index out of range")
         return self.data[i].get(j, 0)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self._dense(self.data[i]))
-
     def to_rows(self) -> list[list[int]]:
-        return [self._dense(row) for row in self.data]
-
-    def _dense(self, row: Mapping[int, int]) -> list[int]:
-        out = [0] * self.cols
-        for j, x in row.items():
-            out[j] = x
+        out = []
+        for row in self.data:
+            dense = [0] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
         return out
 
     def transpose(self) -> "IntMatrix":
@@ -164,33 +161,6 @@ def product_rows(left: Sequence[Mapping[int, int]],
                 acc[j] = acc.get(j, 0) + a * b
         out.append({j: x for j, x in acc.items() if x})
     return tuple(out)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +407,6 @@ class Mod2Matrix:
         mask = (1 << self.cols) - 1
         if any(b & ~mask for b in self.bits):
             raise ValueError("row bits exceed column count")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Mod2Matrix":
-        r = len(rows)
-        if r == 0:
-            return cls(0, 0 if cols is None else cols, ())
-        c = len(rows[0])
-        bits = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            m = 0
-            for j, x in enumerate(row):
-                if x & 1:
-                    m |= 1 << j
-            bits.append(m)
-        return cls(r, c, tuple(bits))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mod2Matrix":

@@ -288,18 +288,13 @@ class Verdict:
 def _is_admissible_extension(candidate: AbGroup, pieces: tuple[tuple[int, AbGroup], ...]) -> bool:
     """Could ``candidate`` be the middle of the filtration with these pieces?
 
-    Conservative recognizer.  A single piece must match on the nose.  For
-    any number of pieces the split extension is always admissible, and a
-    free quotient forces splitness, so equality with the direct sum of the
-    pieces is accepted; anything else is refused rather than guessed
-    (refusal shows up as MISMATCH with the diff naming the candidate).
+    Conservative recognizer.  The split extension, the direct sum of the
+    pieces, is always admissible, and a free quotient forces splitness, so
+    equality with it is accepted; anything else is refused rather than
+    guessed (refusal shows up as MISMATCH with the diff naming the
+    candidate).
     """
-    groups = [g for _, g in pieces]
-    if not groups:
-        return candidate.is_zero
-    if len(groups) == 1:
-        return candidate == groups[0]
-    return candidate == groups[0].direct_sum(*groups[1:])
+    return candidate == AbGroup.zero().direct_sum(*(g for _, g in pieces))
 
 
 def compare(reports: tuple[AbutmentReport, ...], closed: ClosedForm) -> tuple[Verdict, ...]:

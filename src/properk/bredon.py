@@ -9,7 +9,6 @@ shape of the cellular boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
@@ -33,42 +32,6 @@ from .reprings import (
     sliced,
     type_range,
 )
-
-
-@dataclass(frozen=True)
-class CoefficientFunctor:
-    """K^{-n} or KO^{-n} as a coefficient system on orbits.
-
-    ``theory`` is "k" (period 2) or "ko" (period 8); ``n`` means the
-    nonpositive degree -n, reduced mod the period.  K in odd degrees and KO
-    in degrees -3, -5, -7 are zero functors (K^1, KO^{-3}, KO^{-5} and
-    KO^{-7} of any orbit vanish), represented explicitly so the graded
-    interface stays total.
-    """
-
-    theory: str
-    n: int
-
-    def __post_init__(self):
-        if self.theory not in ("k", "ko"):
-            raise ValueError("theory must be 'k' or 'ko'")
-        object.__setattr__(self, "n", self.n % self.period)
-
-    @classmethod
-    def k(cls, n: int = 0) -> "CoefficientFunctor":
-        return cls("k", n % 2)
-
-    @classmethod
-    def ko(cls, n: int) -> "CoefficientFunctor":
-        return cls("ko", n % 8)
-
-    @property
-    def period(self) -> int:
-        return 2 if self.theory == "k" else 8
-
-    @property
-    def is_zero_functor(self) -> bool:
-        return self.n in ((1,) if self.theory == "k" else (3, 5, 7))
 
 
 def part_sizes(complex_: OrbitComplex, theory: str, types: str) -> list[int]:
@@ -284,12 +247,14 @@ def _factor_part(complex_: OrbitComplex, parts: Callable[[str], SplitCochainComp
     return factor_integral(parts(types))
 
 
-def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor,
+def bredon_cochain(complex_: OrbitComplex, theory: str, n: int,
                    parts: Callable[[str], SplitCochainComplex] | None = None) -> SplitCochainComplex:
-    """The functor's whole cochain complex, with every row of d_0 written:
-    the part on the types whose point value in degree -n is Z
-    (``reprings.kept_types``) beside the part on those whose value is Z/2,
-    reduced mod 2, or the free part alone where no type has Z/2.
+    """The whole cochain complex of the coefficients K^{-n} (``theory``
+    "k") or KO^{-n} ("ko"), with every row of d_0 written: the part on the
+    types whose point value in degree -n is Z (``reprings.kept_types``)
+    beside the part on those whose value is Z/2, reduced mod 2, or the free
+    part alone where no type has Z/2.  A degree where no type has a value,
+    such as K^{-1}, keeps no generator, so its complex is zero.
     ``parts``, a ``part_assembler`` without the peel, shares parts and
     restriction blocks between calls: ``--emit cochain`` prints one call
     per degree.  ``bredon_cohomology`` reads it.
@@ -298,10 +263,10 @@ def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor,
     subgroup among the descriptors, naming the first in the descriptor
     table.
     """
-    if functor.theory == "ko":
-        refuse_even_cyclic(complex_.descriptors, functor.n)
-    parts = parts or part_assembler(complex_, functor.theory, peel=False)
-    free_types, tor_types = kept_types(functor.theory, functor.n)
+    free_types, tor_types = kept_types(theory, n)
+    if theory == "ko":
+        refuse_even_cyclic(complex_.descriptors, n)
+    parts = parts or part_assembler(complex_, theory, peel=False)
     free = parts(free_types)
     if not tor_types:
         return free
@@ -311,16 +276,12 @@ def bredon_cochain(complex_: OrbitComplex, functor: CoefficientFunctor,
                                tuple(d.mod2() for d in tor.free_d), _composes=True)
 
 
-def bredon_cohomology(complex_: OrbitComplex, functor: CoefficientFunctor) -> tuple[AbGroup, ...]:
-    """Graded Bredon cohomology of the orbit complex, degrees 0..dim, from
-    the functor's whole cochain complex with no row peeled: the per-functor
-    reference that tests hold the page against.
-
-    A zero functor has zero cohomology; nothing is assembled for it.
-    """
-    if functor.is_zero_functor:
-        return (AbGroup.zero(),) * (complex_.dim + 1)
-    return cohomology(bredon_cochain(complex_, functor))
+def bredon_cohomology(complex_: OrbitComplex, theory: str, n: int) -> tuple[AbGroup, ...]:
+    """Graded Bredon cohomology of the orbit complex, degrees 0..dim, with
+    the coefficients of ``bredon_cochain``, from their whole cochain
+    complex with no row peeled: the per-degree reference that tests hold
+    the page against."""
+    return cohomology(bredon_cochain(complex_, theory, n))
 
 
 def bredon_rows(complex_: OrbitComplex, theory: str) -> tuple[tuple[AbGroup, ...], ...]:

@@ -14,8 +14,8 @@ no_collapse (the E2 page does not collapse positionally),
 model_disagreement (the Davis and Bestvina E2 pages differ, a bug) or
 too_large (--emit complex or cochain would write more dense matrix
 entries than EMIT_ENTRY_BUDGET, predicted before anything is assembled).
-A reader that closes stdout while a large report is written, as `| head`
-may, also gets status 1, with no traceback.
+A reader that closes stdout before the report is written, as `| head`
+may, also gets status 1, with nothing on stderr.
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -42,7 +42,7 @@ from .ahss import (
     closed_form_right_angled,
     compare,
 )
-from .bredon import CoefficientFunctor, bredon_cochain, part_assembler, part_sizes
+from .bredon import bredon_cochain, part_assembler, part_sizes
 from .coxeter import (
     CoxeterMatrix,
     UnsupportedStabilizerError,
@@ -51,7 +51,7 @@ from .coxeter import (
 )
 from .groups import UnsupportedRestrictionError
 from .orbit import AmalgamSpec, OrbitComplex, build_amalgam_orbit_complex
-from .reprings import kept_types
+from .reprings import kept_types, period
 
 # Most dense matrix entries an --emit complex or --emit cochain report may
 # write.  Each costs 14 to 19 bytes of output and about 12 bytes of peak
@@ -91,7 +91,7 @@ def _cochain_entries(complex_: OrbitComplex, theory: str) -> int:
     assembles (``bredon.part_sizes``), before anything is assembled."""
     layers = [Counter(cells).items() for cells in complex_.cells]
     total = 0
-    for n in range(CoefficientFunctor(theory, 0).period):
+    for n in range(period(theory)):
         sizes = [part_sizes(complex_, theory, types) for types in kept_types(theory, n)]
         ranks = [[sum(count * size[stabilizer] for stabilizer, count in layer) for size in sizes]
                  for layer in layers]  # (free, tor) per dimension
@@ -250,8 +250,8 @@ def _cochain_payload(complex_: OrbitComplex, theory: str) -> dict:
         for p in range(complex_.dim)
     ]
     out = []
-    for n in range(CoefficientFunctor(theory, 0).period):
-        cochain = bredon_cochain(complex_, CoefficientFunctor(theory, n), parts)
+    for n in range(period(theory)):
+        cochain = bredon_cochain(complex_, theory, n, parts)
         out.append({
             "coefficient_degree": _degree_key(n),
             "free_ranks": list(cochain.free_ranks),
@@ -429,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
             payload, status = _error("invalid_input", f"cannot write {args.out}: {exc}")
     try:
         write_report(payload, sys.stdout)
+        # A report shorter than stdout's buffer meets a closed reader only
+        # when it is flushed, so flush it here.
+        sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe, as `| head` does.  Point stdout at
         # os.devnull, so that the interpreter's last flush of the rest of

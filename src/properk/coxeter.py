@@ -434,26 +434,14 @@ class _Tables:
     def __init__(self, poset: SphericalPoset):
         self.poset = poset
         self._stabilizers: dict[GroupClass, int] = {}
-        self._stabilizer_of: dict[int, int] = {}  # member -> table index
         # Position in the poset's descriptors -> index in this table.
         self._descriptors: dict[int, int] = {}
-        # sub * len(poset) + big -> index in this table.
-        self._inclusion_of: dict[int, int] = {}
 
     def stabilizer(self, member: int) -> int:
-        found = self._stabilizer_of.get(member)
-        if found is None:
-            found = self._stabilizer_of[member] = intern(
-                self._stabilizers, self.poset.stabilizer(member))
-        return found
+        return intern(self._stabilizers, self.poset.stabilizer(member))
 
     def inclusion(self, sub: int, big: int) -> int:
-        key = sub * len(self.poset) + big
-        found = self._inclusion_of.get(key)
-        if found is None:
-            found = self._inclusion_of[key] = intern(
-                self._descriptors, self.poset.inclusion_position(sub, big))
-        return found
+        return intern(self._descriptors, self.poset.inclusion_position(sub, big))
 
     def complex(self, cells, labels, faces) -> OrbitComplex:
         descriptors = tuple(self.poset.descriptors[i] for i in self._descriptors)

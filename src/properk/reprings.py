@@ -209,12 +209,21 @@ def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
 POINT_TABLES = {"R": KO_POINT, "C": KU_POINT}
 
 
+def period(theory: str) -> int:
+    """The number of coefficient degrees -n of ``theory`` before they
+    repeat: the length of its point table, 2 for K and 8 for KO."""
+    return len(KO_POINT if theory == "ko" else KU_POINT)
+
+
 @cache
 def kept_types(theory: str, n: int) -> tuple[str, str]:
     """The types of generator whose point value in degree -n is Z, then
     those whose value is Z/2: for KO, "RC" and "" in degrees 0 and 4, "" and
     "R" in degree 1, "C" and "R" in degree 2, "C" and "" in degree 6, and
-    nothing in degrees 3, 5 and 7; for K, "C" in even degrees."""
+    nothing in degrees 3, 5 and 7; for K, "C" in even degrees.  Any other
+    theory is refused here, before anything is assembled for it."""
+    if theory not in ("k", "ko"):
+        raise ValueError(f"theory must be 'k' or 'ko', not {theory!r}")
     types = "RC" if theory == "ko" else "C"
     values = [(t, POINT_TABLES[t][n % len(POINT_TABLES[t])]) for t in types]
     return tuple("".join(t for t, value in values if value[part]) for part in (0, 1))

@@ -42,6 +42,14 @@ def random_int_matrix(rng: random.Random, max_dim: int = 6, bound: int = 5) -> I
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
+def det(m: IntMatrix) -> int:
+    """The exact determinant of a square matrix, by sympy: a test-only
+    oracle that shares no code with properk."""
+    import sympy
+
+    return sympy.Matrix(m.to_rows()).det()
+
+
 @pytest.fixture(scope="session")
 def ra_corpus() -> list[CoxeterMatrix]:
     return right_angled_corpus()

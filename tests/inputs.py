@@ -24,18 +24,19 @@ def random_right_angled(rng: random.Random, size: int, p_commute: float = 0.4) -
 
 
 def right_angled_corpus(count: int = 50, seed: int = 20240601) -> list[CoxeterMatrix]:
-    """Deterministic corpus of right-angled matrices on <= 6 generators.
+    """Deterministic corpus of distinct right-angled matrices on <= 6
+    generators.
 
-    Matrices whose Davis model would be disproportionately large are
-    resampled, to keep the exact-arithmetic suite at desk scale.
+    A matrix drawn before is skipped, and matrices whose Davis model would
+    be disproportionately large are resampled, to keep the exact-arithmetic
+    suite at desk scale.
     """
     rng = random.Random(seed)
     out: list[CoxeterMatrix] = []
     while len(out) < count:
         size = rng.randint(2, 6)
         matrix = random_right_angled(rng, size)
-        davis = build_davis_orbit_complex(matrix)
-        if sum(davis.counts()) > 900:
+        if matrix in out or sum(build_davis_orbit_complex(matrix).counts()) > 900:
             continue
         out.append(matrix)
     return out

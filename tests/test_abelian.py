@@ -12,23 +12,22 @@ from properk.abelian import (
     Mod2Matrix,
     SplitCochainComplex,
     cohomology,
-    determinant,
     factor_integral,
     invariant_factors,
     smith_normal_form,
     tensor_mod2,
     uct_verify,
 )
-from properk.bredon import CoefficientFunctor, bredon_cochain
+from properk.bredon import bredon_cochain
 from properk.orbit import AmalgamSpec, build_amalgam_orbit_complex
-from conftest import fold_corpus, random_int_matrix
+from conftest import det, fold_corpus, random_int_matrix
 
 
 def check_snf_contract(m: IntMatrix):
     u, d, v = smith_normal_form(m)
     assert u * m * v == d
-    assert determinant(u) in (1, -1)
-    assert determinant(v) in (1, -1)
+    assert det(u) in (1, -1)
+    assert det(v) in (1, -1)
     diag = [d.entry(i, i) for i in range(min(d.rows, d.cols))]
     for i in range(d.rows):
         for j in range(d.cols):
@@ -88,9 +87,9 @@ def test_invariant_factors_match_snf():
 
 
 def test_mod2_rank_and_product():
-    a = Mod2Matrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    a = IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).mod2()
     assert a.rank2() == 2  # rows sum to zero over GF(2)
-    b = Mod2Matrix.from_rows([[1], [1], [0]])
+    b = IntMatrix.from_rows([[1], [1], [0]]).mod2()
     assert (a * b).to_rows() == [[0], [1], [1]]
 
 
@@ -343,7 +342,6 @@ def test_cohomology_matches_the_per_differential_route_on_models(ra_corpus):
                 for r, m in itertools.product(((1,), (3,), (5,), (3, 1), (1, 5, 3)),
                                               ((2, 3, 4, 2), (3, 2, 2, 4), (4, 4, 3, 3)))]
     for x in fold_corpus(ra_corpus) + amalgams:
-        for functor in (CoefficientFunctor.k(0), CoefficientFunctor.ko(0),
-                        CoefficientFunctor.ko(1), CoefficientFunctor.ko(6)):
-            c = bredon_cochain(x, functor)
-            assert cohomology(c) == per_differential_cohomology(c), (x.counts(), functor)
+        for theory, n in (("k", 0), ("ko", 0), ("ko", 1), ("ko", 6)):
+            c = bredon_cochain(x, theory, n)
+            assert cohomology(c) == per_differential_cohomology(c), (x.counts(), theory, n)

@@ -314,11 +314,10 @@ def test_mixed_stabilizer_group_outside_all_closed_forms():
 
 def test_periodicity_of_coefficients():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(1,), m=(3, 2)))
-    from properk.bredon import CoefficientFunctor, bredon_cohomology
+    from properk.bredon import bredon_cohomology
 
     for n in range(8):
-        assert bredon_cohomology(x, CoefficientFunctor.ko(n)) == \
-            bredon_cohomology(x, CoefficientFunctor.ko(n + 8))
+        assert bredon_cohomology(x, "ko", n) == bredon_cohomology(x, "ko", n + 8)
 
 
 # ---------------------------------------------------------------------------
@@ -400,4 +399,4 @@ def test_coxeter_corpus_pages_are_their_closed_forms(build, theory):
         if expected is not None:
             assert_page_is(build_e2(build(matrix), theory), expected, text)
             checked[(matrix.detect_family() or ("right-angled",))[0]] += 1
-    assert checked == {"right-angled": 44, "path": 8, "polygon": 7}
+    assert checked == {"right-angled": 54, "path": 8, "polygon": 7}

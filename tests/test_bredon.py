@@ -24,7 +24,6 @@ from properk.abelian import (
 )
 from properk.ahss import build_e2
 from properk.bredon import (
-    CoefficientFunctor,
     assemble_cochain,
     bredon_cochain,
     bredon_cohomology,
@@ -54,7 +53,7 @@ from conftest import (
 def test_sl2z_k0_cochain_literal():
     # R(Z6) + R(Z4) -> R(Z2), blocks phi_{3,2} and -phi_{2,2}
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2,), m=(3, 2)))
-    c = bredon_cochain(x, CoefficientFunctor.k(0))
+    c = bredon_cochain(x, "k", 0)
     assert c.free_ranks == (10, 2)
     assert c.free_d[0].to_rows() == [
         [1, 0, 1, 0, 1, 0, -1, 0, -1, 0],
@@ -67,7 +66,7 @@ def test_path_family_k0_cochain_blocks():
     # with f(a, b, c) = (a+c, b+c).
     n = 3
     x = build_bestvina_orbit_complex(CoxeterMatrix.path_family(n))
-    c = bredon_cochain(x, CoefficientFunctor.k(0))
+    c = bredon_cochain(x, "k", 0)
     assert c.free_ranks == (3 * n, 2 * (n - 1))
     f = [[1, 0, 1], [0, 1, 1]]
     zero = [[0, 0, 0], [0, 0, 0]]
@@ -81,21 +80,21 @@ def test_path_family_k0_cochain_blocks():
 
 def test_k1_is_the_zero_functor():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2,), m=(3, 2)))
-    c = bredon_cochain(x, CoefficientFunctor.k(1))
+    c = bredon_cochain(x, "k", 1)
     assert c.free_ranks == (0, 0)
     assert c.tor2_ranks == (0, 0)
-    assert bredon_cohomology(x, CoefficientFunctor.k(1)) == (AbGroup.zero(), AbGroup.zero())
+    assert bredon_cohomology(x, "k", 1) == (AbGroup.zero(), AbGroup.zero())
 
 
 def test_sl2z_bredon_cohomology():
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2,), m=(3, 2)))
-    assert bredon_cohomology(x, CoefficientFunctor.k(0)) == (AbGroup.free(8), AbGroup.zero())
+    assert bredon_cohomology(x, "k", 0) == (AbGroup.free(8), AbGroup.zero())
 
 
 def test_polygon_bredon_cohomology():
     n = 5
     x = build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(n))
-    h = bredon_cohomology(x, CoefficientFunctor.k(0))
+    h = bredon_cohomology(x, "k", 0)
     assert h == (AbGroup.free(n + 3), AbGroup.free(1), AbGroup.zero())
 
 
@@ -105,7 +104,7 @@ def test_pentagon_bredon_cohomology():
         rows[i][i] = 1
         rows[i][(i + 1) % 5] = rows[(i + 1) % 5][i] = 2
     x = build_bestvina_orbit_complex(CoxeterMatrix.from_rows(rows))
-    h = bredon_cohomology(x, CoefficientFunctor.k(0))
+    h = bredon_cohomology(x, "k", 0)
     assert h == (AbGroup.free(11), AbGroup.zero(), AbGroup.zero())
 
 
@@ -114,20 +113,20 @@ def test_right_angled_ko_rows_are_mod2_reductions(ra_corpus):
     # the K^0 one; cohomology must match the tensor route degreewise.
     for matrix in ra_corpus[:8]:
         x = build_bestvina_orbit_complex(matrix)
-        k0 = bredon_cochain(x, CoefficientFunctor.k(0))
+        k0 = bredon_cochain(x, "k", 0)
         reduced = tensor_mod2(k0)
         for n in (1, 2):
-            ko = bredon_cohomology(x, CoefficientFunctor.ko(n))
+            ko = bredon_cohomology(x, "ko", n)
             via_tensor = cohomology(reduced)
             assert ko == via_tensor, matrix.entries
 
 
 def test_uct_holds_on_produced_complexes(ra_corpus):
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(2, 2)))
-    assert uct_verify(bredon_cochain(x, CoefficientFunctor.k(0)))
+    assert uct_verify(bredon_cochain(x, "k", 0))
     for matrix in ra_corpus[:8]:
         for builder in (build_bestvina_orbit_complex, build_davis_orbit_complex):
-            c = bredon_cochain(builder(matrix), CoefficientFunctor.k(0))
+            c = bredon_cochain(builder(matrix), "k", 0)
             assert uct_verify(c)
 
 
@@ -140,16 +139,16 @@ def test_odd_edge_amalgams_have_no_degree_one_cohomology():
             m=tuple(rng.choice((2, 3, 4)) for _ in range(k + 1)))
         x = build_amalgam_orbit_complex(spec)
         for n in range(8):
-            h = bredon_cohomology(x, CoefficientFunctor.ko(n))
+            h = bredon_cohomology(x, "ko", n)
             assert h[1].is_zero, (spec, n)
-        h = bredon_cohomology(x, CoefficientFunctor.k(0))
+        h = bredon_cohomology(x, "k", 0)
         assert h[1].is_zero, spec
 
 
 def test_even_edge_amalgam_k_theory_still_fine():
     # K^0 needs no parity hypothesis
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2, 4), m=(3, 2, 2)))
-    h = bredon_cohomology(x, CoefficientFunctor.k(0))
+    h = bredon_cohomology(x, "k", 0)
     sigma = (3 * 2) + (2 * 2 * 4) + (2 * 4) - (2 + 4)
     assert h == (AbGroup.free(sigma), AbGroup.zero())
 
@@ -160,12 +159,12 @@ def test_cohomology_invariant_under_reorientation(ra_corpus):
              build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(3)),
              build_bestvina_orbit_complex(ra_corpus[0])]
     for x in cases:
-        base_k = bredon_cohomology(x, CoefficientFunctor.k(0))
-        base_ko = bredon_cohomology(x, CoefficientFunctor.ko(1))
+        base_k = bredon_cohomology(x, "k", 0)
+        base_ko = bredon_cohomology(x, "ko", 1)
         for _ in range(4):
             flipped = reorient(x, rng)
-            assert bredon_cohomology(flipped, CoefficientFunctor.k(0)) == base_k
-            assert bredon_cohomology(flipped, CoefficientFunctor.ko(1)) == base_ko
+            assert bredon_cohomology(flipped, "k", 0) == base_k
+            assert bredon_cohomology(flipped, "ko", 1) == base_ko
 
 
 def test_ko_cochain_cross_blocks_vanish_in_scope():
@@ -175,7 +174,7 @@ def test_ko_cochain_cross_blocks_vanish_in_scope():
     for x in (build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(3, 4))),
               build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(4))):
         for n in range(8):
-            c = bredon_cochain(x, CoefficientFunctor.ko(n))
+            c = bredon_cochain(x, "ko", n)
             assert len(c.cross_d) == c.length
             for p, xb in enumerate(c.cross_d):
                 assert xb.is_zero()
@@ -190,7 +189,7 @@ def test_e2_rows_match_unfolded_cochains(ra_corpus):
             page = build_e2(x, theory)
             assert len(page.rows) == period
             for n in range(period):
-                unfolded = cohomology(bredon_cochain(x, CoefficientFunctor(theory, n)))
+                unfolded = cohomology(bredon_cochain(x, theory, n))
                 assert page.rows[n] == unfolded, (x.counts(), theory, n)
 
 
@@ -209,8 +208,8 @@ def test_cohomology_factors_each_differential_once(monkeypatch):
             return fn(m, *args)
         return count
 
-    for functor in (CoefficientFunctor.k(0), CoefficientFunctor.ko(1), CoefficientFunctor.ko(2)):
-        c = bredon_cochain(x, functor)
+    for theory, n in (("k", 0), ("ko", 1), ("ko", 2)):
+        c = bredon_cochain(x, theory, n)
         assert c.length == x.dim == 3
         factored.clear()
         ranked.clear()
@@ -276,17 +275,24 @@ def test_ko_cross_rejection_is_left_to_the_restriction_ko_oracle(monkeypatch, tm
     assert restricted == []
 
 
-def test_zero_functors_assemble_nothing(monkeypatch):
+def test_zero_degrees_keep_no_generator():
+    # K^{-1}, KO^{-3}, KO^{-5} and KO^{-7} of every orbit vanish: no type of
+    # generator keeps a value there, so every rank is zero, and so is the
+    # cohomology.
     x = build_bestvina_orbit_complex(CoxeterMatrix.polygon_family(3))
+    for theory, n in (("k", 1), ("ko", 3), ("ko", 5), ("ko", 7)):
+        c = bredon_cochain(x, theory, n)
+        assert not any(c.free_ranks + c.tor2_ranks), (theory, n)
+        assert bredon_cohomology(x, theory, n) == (AbGroup.zero(),) * (x.dim + 1)
 
-    def refuse(*_):
-        raise AssertionError("a zero functor was assembled")
 
-    monkeypatch.setattr(bredon, "_assemble", refuse)
-    for functor in (CoefficientFunctor.k(1), CoefficientFunctor.ko(3),
-                    CoefficientFunctor.ko(5), CoefficientFunctor.ko(7)):
-        assert functor.is_zero_functor
-        assert bredon_cohomology(x, functor) == (AbGroup.zero(),) * (x.dim + 1)
+def test_an_unknown_theory_is_refused():
+    # reprings.kept_types refuses it, before any block is assembled.
+    x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(2, 5)))
+    with pytest.raises(ValueError, match="theory"):
+        bredon_cochain(x, "x", 0)
+    with pytest.raises(ValueError, match="theory"):
+        build_e2(x, "x")
 
 
 def per_descriptor_cochain(x, n):
@@ -440,7 +446,7 @@ def test_ko_cochains_cut_equal_per_descriptor_assembly(ra_corpus):
     for base in fold_corpus(ra_corpus):
         for x in (base, reorient(base, rng)):
             for n in range(8):
-                c = bredon_cochain(x, CoefficientFunctor.ko(n))
+                c = bredon_cochain(x, "ko", n)
                 free_ranks, tor_ranks, free_d, tor_d = per_descriptor_cochain(x, n)
                 assert (c.free_ranks, c.tor2_ranks) == (free_ranks, tor_ranks), (x.counts(), n)
                 assert c.free_d == free_d, (x.counts(), n)
@@ -500,7 +506,7 @@ def test_real_type_ko_page_reads_one_factorization(monkeypatch, ra_corpus):
     # complex once and builds and ranks no cut.
     matrix = next(m for m in ra_corpus if build_bestvina_orbit_complex(m).dim >= 2)
     complexes = [build_davis_orbit_complex(matrix), build_bestvina_orbit_complex(matrix)]
-    expected = [tuple(bredon_cohomology(x, CoefficientFunctor.ko(n)) for n in range(8))
+    expected = [tuple(bredon_cohomology(x, "ko", n) for n in range(8))
                 for x in complexes]  # each row from its own split complex
     assembled = []
     assemble = bredon.assemble_cochain
@@ -525,8 +531,8 @@ def test_ko_page_cuts_when_a_stabilizer_has_complex_type(monkeypatch):
     # complex.  The integral parts are the blocks that --emit cochain prints.
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(3,), m=(5, 7)))
     full = assemble_cochain(x, "ko")
-    split = {n: bredon_cochain(x, CoefficientFunctor.ko(n)) for n in (1, 6)}
-    expected = tuple(bredon_cohomology(x, CoefficientFunctor.ko(n)) for n in range(8))
+    split = {n: bredon_cochain(x, "ko", n) for n in (1, 6)}
+    expected = tuple(bredon_cohomology(x, "ko", n) for n in range(8))
     factored = counting(monkeypatch, bredon, "factor_integral")
     refuse_gf2_elimination(monkeypatch)
     page = build_e2(x, "ko")
@@ -682,7 +688,7 @@ def page_factorizations(x, theory):
     whole complex with no row peeled, the number of rows the page peels)."""
     parts = bredon.part_assembler(x, theory, peel=True)
     page = assemble_cochain(x, theory, parts)
-    full = bredon_cochain(x, CoefficientFunctor(theory, 0))
+    full = bredon_cochain(x, theory, 0)
     factored = abelian.factor_integral(page)
     out = [(factored, Factorization(full.free_ranks, abelian._top_down(full.free_d)),
             len(peeled_rows(x, theory)))]
@@ -719,7 +725,7 @@ def test_peeling_d0_keeps_every_page_factorization(peel_models, data):
     for reduced, whole, peeled in page_factorizations(x, theory):
         check_factorizations(reduced, whole, peeled)
     check_reduction(x, theory, assemble_cochain(x, theory),
-                    bredon_cochain(x, CoefficientFunctor(theory, 0)))
+                    bredon_cochain(x, theory, 0))
 
 
 def test_the_whole_complex_is_the_page_with_its_peeled_rows_written(peel_models):
@@ -731,7 +737,7 @@ def test_the_whole_complex_is_the_page_with_its_peeled_rows_written(peel_models)
     for x in peel_models:
         for theory in ("k", "ko"):
             page = assemble_cochain(x, theory)
-            whole = bredon_cochain(x, CoefficientFunctor(theory, 0))
+            whole = bredon_cochain(x, theory, 0)
             check_reduction(x, theory, page, whole)
             peels += bool(peeled_rows(x, theory))
     assert peels
@@ -789,7 +795,7 @@ def test_amalgam_pages_eliminate_no_row_of_d0(monkeypatch):
             peeled.append((x, theory, page))
     # The whole complexes, which restrict every descriptor, hold those rows.
     for x, theory, page in peeled:
-        whole = bredon_cochain(x, CoefficientFunctor(theory, 0))
+        whole = bredon_cochain(x, theory, 0)
         assert sorted(peeled_rows(x, theory)) == list(range(whole.free_ranks[1]))
         check_reduction(x, theory, page, whole)
 
@@ -847,7 +853,7 @@ def test_leaf_edges_of_incidence_two_or_three_are_not_peeled_from_the_leaf(name,
     # incidence 2 goes from its other end once the unit edge is peeled.
     x = OrbitComplex.from_json(TREE_DUMPS[name])
     for theory in ("k", "ko"):
-        whole = bredon_cochain(x, CoefficientFunctor(theory, 0))
+        whole = bredon_cochain(x, theory, 0)
         assert len(peeled_rows(x, theory)) == (whole.free_ranks[1] if peeled else 0)
         check_reduction(x, theory, assemble_cochain(x, theory), whole)
         for reduced, listed, count in page_factorizations(x, theory):
@@ -916,7 +922,7 @@ def test_parts_keep_the_listed_generators(peel_models, data):
     listed = listed_cuts(x, theory, n)
     offsets = cell_offsets(x, [reprings.k0_rank(g) if theory == "k" else
                                len(reprings.real_structure(g)) for g in x.stabilizers])
-    c = bredon_cochain(x, CoefficientFunctor(theory, n))
+    c = bredon_cochain(x, theory, n)
     for part, (types, ranks) in enumerate(zip(reprings.kept_types(theory, n),
                                               (c.free_ranks, c.tor2_ranks))):
         kept = [[first + i for s, first in zip(cells, offs)
@@ -924,7 +930,7 @@ def test_parts_keep_the_listed_generators(peel_models, data):
                 for cells, offs in zip(x.cells, offsets)]
         assert kept == [parts[part] for parts in listed]
         assert ranks == tuple(len(parts[part]) for parts in listed)
-    full = bredon_cochain(x, CoefficientFunctor(theory, 0))
+    full = bredon_cochain(x, theory, 0)
     for p, d in enumerate(full.free_d):
         (f1, t1), (f0, t0) = listed[p + 1], listed[p]
         assert c.free_d[p] == d.block(f1, f0)

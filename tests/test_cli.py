@@ -107,26 +107,43 @@ def test_deterministic_across_processes():
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_a_closed_stdout_ends_with_status_1_and_no_traceback():
-    # The D_inf^3 Davis complex is a report of about 500 KB; the reader
-    # takes 100 bytes and closes the pipe, as `| head -c 100` does.
+def closed_stdout_child(argv: list[str], read: int) -> tuple[int, bytes]:
+    """Run ``properk`` with ``argv`` in a child process, with
+    PYTHONUNBUFFERED unset, whose reader takes ``read`` bytes of stdout and
+    closes it; the child's exit status and stderr."""
     import os
     import subprocess
 
     import properk
 
-    dinf3 = ";".join(",".join("1" if a == b else "0" if a // 2 == b // 2 else "2" for b in range(6))
-                     for a in range(6))
-    argv = [sys.executable, "-m", "properk.cli", "coxeter", "--matrix", dinf3,
-            "--emit", "complex", "--theory", "ko"]
     src = str(Path(properk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(proc.stdout.read(100)) == 100
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "properk.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(read)) == read
     proc.stdout.close()
     _, stderr = proc.communicate(timeout=60)
-    assert proc.returncode == 1
+    return proc.returncode, stderr
+
+
+def test_a_closed_stdout_ends_with_status_1_and_no_traceback():
+    # The D_inf^3 Davis complex is a report of about 500 KB; the reader
+    # takes 100 bytes and closes the pipe, as `| head -c 100` does.
+    dinf3 = ";".join(",".join("1" if a == b else "0" if a // 2 == b // 2 else "2" for b in range(6))
+                     for a in range(6))
+    status, stderr = closed_stdout_child(
+        ["coxeter", "--matrix", dinf3, "--emit", "complex", "--theory", "ko"], 100)
+    assert status == 1
     assert b"Traceback" not in stderr, stderr.decode()
+
+
+def test_a_short_report_to_a_closed_stdout_ends_with_status_1_and_nothing_on_stderr():
+    # A report shorter than stdout's buffer: the child writes it only when
+    # stdout is flushed, after the reader has closed the pipe.
+    status, stderr = closed_stdout_child(["amalgam", "--r", "2", "--m", "3,2", "--theory", "k"], 0)
+    assert status == 1
+    assert stderr == b""
 
 
 def test_emit_complex_round_trip(tmp_path, capsys):
@@ -1065,6 +1082,9 @@ class RecordingSink:
 
     def write(self, text: str) -> None:
         self.writes.append(text)
+
+    def flush(self) -> None:
+        pass
 
 
 def _dense_rows(value, depth: int = 0):
