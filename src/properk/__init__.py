@@ -69,7 +69,6 @@ from .orbit import (
     build_amalgam_orbit_complex,
 )
 from .reprings import (
-    RealTypeCounts,
     k0_rank,
     real_restriction,
     real_type_counts,

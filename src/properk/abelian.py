@@ -32,7 +32,7 @@ class ChainComplexError(ValueError):
 # Integer matrices
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored as sparse rows.
 
@@ -108,24 +108,8 @@ class IntMatrix:
             out.append(dense)
         return out
 
-    def transpose(self) -> "IntMatrix":
-        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, x in row.items():
-                out[j][i] = x
-        return IntMatrix(self.cols, self.rows, tuple(out))
-
     def is_zero(self) -> bool:
         return not any(self.data)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols,
-                     tuple(tuple(sorted(row.items())) for row in self.data)))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -27,19 +27,20 @@ class E2Page:
 
     ``rows[n][p]`` is the Bredon cohomology H^p with coefficients in the
     theory's degree -n functor, n = 0..period-1; Bott periodicity identifies
-    every other row with one of these.  Each of the ``period`` rows is
-    stored, whether it was computed or derived from others.
+    every other row with one of these.  ``period`` is the number of rows:
+    each is stored, whether it was computed or derived from others.
     """
 
     theory: str
-    period: int
     rows: tuple[tuple[AbGroup, ...], ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.period:
-            raise ValueError("need exactly one row per coefficient degree in the period")
         if len({len(r) for r in self.rows}) > 1:
             raise ValueError("rows must have a common length")
+
+    @property
+    def period(self) -> int:
+        return len(self.rows)
 
     @property
     def dim(self) -> int:
@@ -58,8 +59,7 @@ def build_e2(complex_: OrbitComplex, theory: str) -> E2Page:
     ``bredon.bredon_rows`` assembles one complex per theory, the other
     distinct KO complexes as parts of it, and derives the remaining rows.
     """
-    rows = bredon_rows(complex_, theory)
-    return E2Page(theory, len(rows), rows)
+    return E2Page(theory, bredon_rows(complex_, theory))
 
 
 class NoCollapseError(ValueError):
@@ -91,13 +91,16 @@ class AbutmentReport:
     ``pieces`` lists the nonzero E^{p, -n-p} by filtration p.  ``resolved``
     is present exactly when the group is forced: at most one nonzero piece,
     or all pieces free (an extension of a free group by a free group
-    splits).  Otherwise the degree is an extension problem and is flagged.
+    splits).  Otherwise it is None, and ``extension_ambiguous`` flags the degree.
     """
 
     degree: int
     pieces: tuple[tuple[int, AbGroup], ...]
     resolved: AbGroup | None
-    extension_ambiguous: bool
+
+    @property
+    def extension_ambiguous(self) -> bool:
+        return self.resolved is None
 
     def to_json(self) -> dict:
         return {
@@ -120,14 +123,11 @@ def assemble_abutment(page: E2Page) -> tuple[AbutmentReport, ...]:
                 pieces.append((p, g))
         if len(pieces) <= 1:
             resolved = pieces[0][1] if pieces else AbGroup.zero()
-            ambiguous = False
         elif all(g.is_free() for _, g in pieces):
             resolved = AbGroup.free(sum(g.rank for _, g in pieces))
-            ambiguous = False
         else:
             resolved = None
-            ambiguous = True
-        reports.append(AbutmentReport(n, tuple(pieces), resolved, ambiguous))
+        reports.append(AbutmentReport(n, tuple(pieces), resolved))
     return tuple(reports)
 
 
@@ -147,12 +147,12 @@ ClosedEntry = AbGroup | ExtensionProblem
 
 @dataclass(frozen=True)
 class ClosedForm:
-    theory: str
-    period: int
+    """The value of each total degree -n, n = 0..period-1, period = len(degrees)."""
+
     degrees: tuple[ClosedEntry, ...]
 
     def entry(self, n: int) -> ClosedEntry:
-        return self.degrees[n % self.period]
+        return self.degrees[n % len(self.degrees)]
 
 
 def closed_form_amalgam(spec: AmalgamSpec, theory: str) -> ClosedForm:
@@ -177,7 +177,7 @@ def closed_form_amalgam(spec: AmalgamSpec, theory: str) -> ClosedForm:
     r_sum = sum(spec.r)
     if theory == "k":
         sigma = sum(orders) - r_sum
-        return ClosedForm("k", 2, (AbGroup.free(sigma), AbGroup.zero()))
+        return ClosedForm((AbGroup.free(sigma), AbGroup.zero()))
     if theory != "ko":
         raise ValueError("theory must be 'k' or 'ko'")
     if any(ri % 2 == 0 for ri in spec.r):
@@ -196,7 +196,7 @@ def closed_form_amalgam(spec: AmalgamSpec, theory: str) -> ClosedForm:
         AbGroup.free(theta),
         AbGroup.zero(),
     ]
-    return ClosedForm("ko", 8, tuple(degrees))
+    return ClosedForm(tuple(degrees))
 
 
 def closed_form_right_angled(matrix: CoxeterMatrix, theory: str) -> ClosedForm:
@@ -217,11 +217,11 @@ def _real_type_form(d: int, theory: str) -> ClosedForm:
     """The table the right-angled and path closed forms share: K is
     (Z^d, 0) and KO is (Z^d, (Z/2)^d, (Z/2)^d, 0, Z^d, 0, 0, 0)."""
     if theory == "k":
-        return ClosedForm("k", 2, (AbGroup.free(d), AbGroup.zero()))
+        return ClosedForm((AbGroup.free(d), AbGroup.zero()))
     if theory != "ko":
         raise ValueError("theory must be 'k' or 'ko'")
     free, mod2, zero = AbGroup.free(d), AbGroup.elementary_2(d), AbGroup.zero()
-    return ClosedForm("ko", 8, (free, mod2, mod2, zero, free, zero, zero, zero))
+    return ClosedForm((free, mod2, mod2, zero, free, zero, zero, zero))
 
 
 def closed_form_polygon_family(n: int, theory: str) -> ClosedForm:
@@ -244,7 +244,7 @@ def closed_form_polygon_family(n: int, theory: str) -> ClosedForm:
     if n < 2:
         raise ValueError("the polygon family needs n >= 2")
     if theory == "k":
-        return ClosedForm("k", 2, (AbGroup.free(n + 3), AbGroup.free(1)))
+        return ClosedForm((AbGroup.free(n + 3), AbGroup.free(1)))
     if theory != "ko":
         raise ValueError("theory must be 'k' or 'ko'")
     z2 = AbGroup.elementary_2(1)
@@ -258,7 +258,7 @@ def closed_form_polygon_family(n: int, theory: str) -> ClosedForm:
         AbGroup.zero(),
         AbGroup.free(1),
     ]
-    return ClosedForm("ko", 8, tuple(degrees))
+    return ClosedForm(tuple(degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +276,10 @@ class Verdict:
     verdict: str
     detail: str
 
-    def to_json(self, reports: tuple[AbutmentReport, ...] | None = None) -> dict:
-        out = {"degree": -self.degree if self.degree else 0, "verdict": self.verdict,
-               "detail": self.detail}
-        if reports is not None:
-            out["pieces"] = [{"p": p, "group": g.to_json()}
-                             for p, g in reports[self.degree].pieces]
-        return out
+    def to_json(self, reports: tuple[AbutmentReport, ...]) -> dict:
+        return {"degree": -self.degree if self.degree else 0, "verdict": self.verdict,
+                "detail": self.detail,
+                "pieces": [{"p": p, "group": g.to_json()} for p, g in reports[self.degree].pieces]}
 
 
 def _is_admissible_extension(candidate: AbGroup, pieces: tuple[tuple[int, AbGroup], ...]) -> bool:
@@ -299,7 +296,7 @@ def _is_admissible_extension(candidate: AbGroup, pieces: tuple[tuple[int, AbGrou
 
 def compare(reports: tuple[AbutmentReport, ...], closed: ClosedForm) -> tuple[Verdict, ...]:
     """Per-degree verdict of the pipeline output against a closed form."""
-    if len(reports) != closed.period:
+    if len(reports) != len(closed.degrees):
         raise ValueError("period mismatch between pipeline output and closed form")
     verdicts = []
     for report in reports:

@@ -45,7 +45,6 @@ class UnsupportedStabilizerError(ValueError):
 class CoxeterMatrix:
     """Symmetric Coxeter matrix; diagonal 1, off-diagonal >= 2 or 0 (= infinity)."""
 
-    size: int
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -53,17 +52,15 @@ class CoxeterMatrix:
         # In bulk first: square, symmetric, a diagonal of 1s and every other
         # label 0 or >= 2.  Only a matrix that fails runs the ordered checks
         # below, which name its first failure.
-        if (size >= 0 and len(entries) == size and all(len(row) == size for row in entries)
+        if (all(len(row) == size for row in entries)
                 and entries == tuple(zip(*entries))
                 and all(row[i] == 1 for i, row in enumerate(entries))
                 and sum(row.count(1) for row in entries) == size):
             labels = set().union(*entries) - {INFINITY, 1}
             if not labels or min(labels) >= 2:
                 return
-        if self.size < 0 or len(self.entries) != self.size:
-            raise ValueError("matrix size mismatch")
         # Every row's length first: the symmetry check reads later rows.
-        if any(len(row) != self.size for row in self.entries):
+        if any(len(row) != size for row in entries):
             raise ValueError("matrix must be square")
         for i, row in enumerate(self.entries):
             if row[i] != 1:
@@ -73,6 +70,10 @@ class CoxeterMatrix:
                     raise ValueError("off-diagonal entries must be >= 2 or 0 for infinity")
                 if x != self.entries[j][i]:
                     raise ValueError("matrix must be symmetric")
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
 
     def m(self, i: int, j: int) -> int:
         return self.entries[i][j]
@@ -89,7 +90,7 @@ class CoxeterMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
-        return cls(len(rows), tuple(tuple(map(int, row)) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
     def from_json(cls, data: dict) -> "CoxeterMatrix":
@@ -97,7 +98,7 @@ class CoxeterMatrix:
         rows = data["m"]
         if len(rows) != size:
             raise ValueError("matrix row count does not match declared size")
-        return cls(size, tuple(tuple(map(json_int, row)) for row in rows))
+        return cls(tuple(tuple(map(json_int, row)) for row in rows))
 
     @classmethod
     def path_family(cls, n: int) -> "CoxeterMatrix":

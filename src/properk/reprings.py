@@ -21,7 +21,6 @@ conjugate characters), each block in the complex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable
 
@@ -38,6 +37,7 @@ from .groups import (
     GroupClass,
     InclusionDescriptor,
     UnsupportedRestrictionError,
+    elem2_exponent,
 )
 
 # Point coefficients for n = 0..7: (free rank, Z/2 rank).
@@ -76,7 +76,7 @@ def restriction_k0(incl: InclusionDescriptor) -> IntMatrix:
                                    cols=k0_rank(incl.big))
     if incl.kind == ELEM2_SUBSET:
         sub_k = len(incl.extra)
-        big_k = _elem2_rank(incl.big)
+        big_k = elem2_exponent(incl.big)
         rows: list[dict[int, int]] = [{} for _ in range(2 ** sub_k)]
         for mask in range(2 ** big_k):
             t = 0
@@ -118,26 +118,8 @@ def has_unit_pivots(incl: InclusionDescriptor, theory: str) -> bool:
     return True
 
 
-def _elem2_rank(g: GroupClass) -> int:
-    from .groups import elem2_exponent
-
-    k = elem2_exponent(g)
-    if k is None:
-        raise UnsupportedRestrictionError(f"{g} is not an elementary abelian 2-group")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Real structure
-
-
-@dataclass(frozen=True)
-class RealTypeCounts:
-    """Counts of irreducible real representations by endomorphism field
-    (none in the catalogue is quaternionic)."""
-
-    n_r: int
-    n_c: int
 
 
 def real_structure(g: GroupClass) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -164,12 +146,13 @@ def real_structure(g: GroupClass) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(("R", (i,)) for i in range(k0_rank(g)))
 
 
-def real_type_counts(g: GroupClass) -> RealTypeCounts:
-    """The type counts of ``real_structure(g)``, without listing it."""
+def real_type_counts(g: GroupClass) -> tuple[int, int]:
+    """(n_r, n_c), the real-type and complex-type generators of
+    ``real_structure(g)``, counted without listing it (none is quaternionic)."""
     if g.kind == CYCLIC:
         n_r = 2 if g.param % 2 == 0 else 1
-        return RealTypeCounts(n_r, (g.param - n_r) // 2)
-    return RealTypeCounts(k0_rank(g), 0)
+        return n_r, (g.param - n_r) // 2
+    return k0_rank(g), 0
 
 
 def real_restriction(incl: InclusionDescriptor) -> IntMatrix:
@@ -236,9 +219,8 @@ def type_range(g: GroupClass, theory: str, types: str) -> range:
     ones."""
     if theory == "k":
         return range(k0_rank(g) if "C" in types else 0)
-    counts = real_type_counts(g)
-    return range(0 if "R" in types else counts.n_r,
-                 counts.n_r + (counts.n_c if "C" in types else 0))
+    n_r, n_c = real_type_counts(g)
+    return range(0 if "R" in types else n_r, n_r + (n_c if "C" in types else 0))
 
 
 def sliced(block: IntMatrix, rows: range, cols: range) -> IntMatrix:

@@ -231,7 +231,7 @@ def test_uct_verify_random_complexes():
               for j in range(n0)] for i in range(n1)], cols=n0)
         # d1 rows live in the left kernel of d0, so that d1 * d0 = 0: the
         # last columns of V in the Smith form U·d0ᵀ·V = D span the kernel of d0ᵀ.
-        _, d, v = smith_normal_form(d0.transpose())
+        _, d, v = smith_normal_form(IntMatrix.from_rows(list(zip(*d0.to_rows()))))
         r = sum(1 for i in range(min(d.rows, d.cols)) if d.entry(i, i))
         rows = [[v.entry(i, j) for i in range(n1)] for j in range(r, n1)][:2]
         if not rows:

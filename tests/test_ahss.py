@@ -1,5 +1,7 @@
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,7 @@ def synthetic_page(period, columns):
     rows = []
     for n in range(period):
         rows.append(tuple(columns.get((p, n), ZERO) for p in range(dim + 1)))
-    return E2Page("ko" if period == 8 else "k", period, tuple(rows))
+    return E2Page("ko" if period == 8 else "k", tuple(rows))
 
 
 def test_polygon_ko_page_matches_the_two_column_table():
@@ -229,7 +231,7 @@ def test_compare_negative_control():
     spec = AmalgamSpec(r=(2,), m=(3, 2))
     x = build_amalgam_orbit_complex(spec)
     reports = assemble_abutment(build_e2(x, "k"))
-    perturbed = ClosedForm("k", 2, (Z(9), ZERO))  # sigma + 1
+    perturbed = ClosedForm((Z(9), ZERO))  # sigma + 1
     verdicts = compare(reports, perturbed)
     assert verdicts[0].verdict == MISMATCH
     assert "Z^8" in verdicts[0].detail and "Z^9" in verdicts[0].detail
@@ -240,13 +242,13 @@ def test_compare_mismatched_extension_pieces():
     page = synthetic_page(8, {(0, 0): Z2(2), (1, 1): Z2(1)})
     reports = assemble_abutment(page)
     assert reports[0].extension_ambiguous
-    closed = ClosedForm("ko", 8, tuple(
+    closed = ClosedForm(tuple(
         ExtensionProblem(((0, Z2(3)), (1, Z2(1)))) if n == 0 else ZERO
         for n in range(8)))
     verdicts = compare(reports, closed)
     assert verdicts[0].verdict == MISMATCH
     # matching pieces give the extension verdict
-    matching = ClosedForm("ko", 8, tuple(
+    matching = ClosedForm(tuple(
         ExtensionProblem(((0, Z2(2)), (1, Z2(1)))) if n == 0 else ZERO
         for n in range(8)))
     assert compare(reports, matching)[0].verdict == MATCH_UP_TO_EXTENSION
@@ -259,7 +261,7 @@ def test_compare_resolved_report_against_a_closed_form_extension():
     assert reports[0].resolved == Z(3) and not reports[0].extension_ambiguous
 
     def closed(pieces):
-        return ClosedForm("k", 2, (ExtensionProblem(pieces), ZERO))
+        return ClosedForm((ExtensionProblem(pieces), ZERO))
 
     same = compare(reports, closed(((0, Z(1)), (1, Z(2)))))
     assert [v.verdict for v in same] == [MATCH_UP_TO_EXTENSION, EXACT_MATCH]
@@ -277,7 +279,7 @@ def test_compare_closed_form_that_is_no_admissible_extension_is_a_mismatch():
     assert reports[0].extension_ambiguous
 
     def closed(group):
-        return ClosedForm("ko", 8, tuple(group if n == 0 else ZERO for n in range(8)))
+        return ClosedForm(tuple(group if n == 0 else ZERO for n in range(8)))
 
     assert compare(reports, closed(Z2(3)))[0].verdict == MATCH_UP_TO_EXTENSION
     verdict = compare(reports, closed(AbGroup.from_divisors(0, [4, 2])))[0]
@@ -327,7 +329,7 @@ def test_periodicity_of_coefficients():
 def degree_zero_page(closed: ClosedForm) -> list[list[AbGroup]]:
     """The page behind a right-angled, path or amalgam closed form: each
     degree's group at p = 0, and nothing above."""
-    return [[closed.entry(n)] for n in range(closed.period)]
+    return [[g] for g in closed.degrees]
 
 
 def polygon_page(n: int, theory: str) -> list[list[AbGroup]]:
@@ -400,3 +402,11 @@ def test_coxeter_corpus_pages_are_their_closed_forms(build, theory):
             assert_page_is(build_e2(build(matrix), theory), expected, text)
             checked[(matrix.detect_family() or ("right-angled",))[0]] += 1
     assert checked == {"right-angled": 54, "path": 8, "polygon": 7}
+
+
+def test_the_readme_library_example_runs(capsys):
+    # The python block under the README's "## Library" heading, as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library\n.*?^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "Z^8\n"

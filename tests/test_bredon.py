@@ -245,7 +245,7 @@ def test_ko_cross_rejection_is_left_to_the_restriction_ko_oracle(monkeypatch, tm
         if incl != target:
             return m
         rows = [dict(row) for row in m.data]
-        first_c = reprings.real_type_counts(incl.big).n_r
+        first_c, _ = reprings.real_type_counts(incl.big)
         rows[0][first_c] = rows[0].get(first_c, 0) + 1
         return IntMatrix.from_sparse(m.rows, m.cols, rows)
 

@@ -275,7 +275,7 @@ def test_mismatch_exit_code_via_compare():
 
     x = build_amalgam_orbit_complex(AmalgamSpec(r=(2,), m=(3, 2)))
     page = build_e2(x, "k")
-    bad = ClosedForm("k", 2, (AbGroup.free(9), AbGroup.zero()))
+    bad = ClosedForm((AbGroup.free(9), AbGroup.zero()))
     payload, mismatch = _verdict_payload(assemble_abutment(page), bad)
     assert mismatch is True
     assert any(v["verdict"] == MISMATCH for v in payload)
@@ -438,13 +438,13 @@ def test_model_both_compares_whole_pages(monkeypatch, capsys, emit):
     assert code == 0
     # A page one dimension longer, zero above the other's top, agrees.
     calls = second_page_replaced(monkeypatch, lambda page: E2Page(
-        page.theory, page.period, tuple(row + (AbGroup.zero(),) for row in page.rows)))
+        page.theory, tuple(row + (AbGroup.zero(),) for row in page.rows)))
     assert run(capsys, argv) == (0, expected)
     assert len(calls) == 2
     # One entry changed is a disagreement, whatever the emit.
     monkeypatch.undo()
     second_page_replaced(monkeypatch, lambda page: E2Page(
-        page.theory, page.period, ((AbGroup.free(7),) + page.rows[0][1:],) + page.rows[1:]))
+        page.theory, ((AbGroup.free(7),) + page.rows[0][1:],) + page.rows[1:]))
     code, out = run(capsys, argv)
     assert code == 1
     assert json.loads(out)["error"] == {
