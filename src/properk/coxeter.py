@@ -12,9 +12,10 @@ cross-check, never on the exact path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
-from itertools import combinations, repeat
-from typing import Iterable, Iterator
+from functools import cache, cached_property, partial, reduce
+from itertools import combinations, compress, repeat
+from operator import and_
+from typing import Iterable, Iterator, NoReturn
 
 from .groups import (
     GroupClass,
@@ -84,13 +85,25 @@ class CoxeterMatrix:
         every model and closed form built from it."""
         return enumerate_spherical_subsets(self)
 
+    @cached_property
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """Per generator, the bitmasks of the generators it has a finite
+        label with and of those it commutes with, itself in both."""
+        finite, commuting = [], []
+        for row in self.entries:
+            near = list(compress(range(self.size), row))  # INFINITY is 0
+            finite.append(sum(map((1).__lshift__, near)))
+            commuting.append(sum(1 << j for j in near if row[j] < 3))
+        return finite, commuting
+
     def is_right_angled(self) -> bool:
-        return all(self.entries[i][j] in (2, INFINITY)
-                   for i in range(self.size) for j in range(i + 1, self.size))
+        finite, commuting = self._masks
+        return finite == commuting
 
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
-        return cls(tuple(tuple(map(int, row)) for row in rows))
+        labels = _Labels()
+        return cls(tuple(tuple(map(labels.__getitem__, row)) for row in rows))
 
     @classmethod
     def from_json(cls, data: dict) -> "CoxeterMatrix":
@@ -106,23 +119,16 @@ class CoxeterMatrix:
         at infinity."""
         if n < 1:
             raise ValueError("the path family needs n >= 1")
-        size = n + 1
-        rows = [[INFINITY] * size for _ in range(size)]
-        for i in range(size):
-            rows[i][i] = 1
-        for i in range(size - 1):
-            rows[i][i + 1] = rows[i + 1][i] = 3
-        return cls.from_rows(rows)
+        return cls.from_rows([[1 if i == j else 3 if abs(i - j) == 1 else INFINITY
+                               for j in range(n + 1)] for i in range(n + 1)])
 
     @classmethod
     def polygon_family(cls, n: int) -> "CoxeterMatrix":
         """The path family closed up with one extra label 3 between s_0 and s_n."""
         if n < 2:
             raise ValueError("the polygon family needs n >= 2")
-        base = cls.path_family(n)
-        rows = [list(row) for row in base.entries]
-        rows[0][n] = rows[n][0] = 3
-        return cls.from_rows(rows)
+        return cls.from_rows([[1 if i == j else 3 if abs(i - j) in (1, n) else INFINITY
+                               for j in range(n + 1)] for i in range(n + 1)])
 
     def detect_family(self) -> tuple[str, int] | None:
         """Recognize the path / polygon families structurally.
@@ -132,26 +138,22 @@ class CoxeterMatrix:
         infinity.  Returns ("path", n) or ("polygon", n) with n+1 = size.
         """
         size = self.size
-        if size < 2:
+        threes = [(i, j) for i, row in enumerate(self.entries)
+                  for j in compress(range(i + 1, size), row[i + 1:])]
+        # Connected, of degree <= 2: a path, or a cycle.
+        if (size < 2 or any(self.m(i, j) != 3 for i, j in threes)
+                or max(map(int.bit_count, self._masks[0])) > 3
+                or len(_components(range(size), threes)) != 1):
             return None
-        threes = []
-        for i in range(size):
-            for j in range(i + 1, size):
-                if self.entries[i][j] == 3:
-                    threes.append((i, j))
-                elif self.entries[i][j] != INFINITY:
-                    return None
-        degree = [0] * size
-        for i, j in threes:
-            degree[i] += 1
-            degree[j] += 1
-        if len(_components(range(size), threes)) != 1:
-            return None
-        if len(threes) == size - 1 and all(d <= 2 for d in degree):
-            return ("path", size - 1)
-        if size >= 3 and len(threes) == size and all(d == 2 for d in degree):
-            return ("polygon", size - 1)
-        return None
+        return ("path" if len(threes) < size else "polygon", size - 1)
+
+
+class _Labels(dict):
+    """The int of each label, from one ``int`` call per distinct label."""
+
+    def __missing__(self, label):
+        value = self[label] = int(label)
+        return value
 
 
 def _components(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -187,74 +189,40 @@ def _diagram_components(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> list[
 
 def _connected_component_is_finite(matrix: CoxeterMatrix, comp: list[int]) -> bool:
     """Is the connected diagram on ``comp`` of finite type?"""
+    adj: dict[int, list[int]] = {v: [] for v in comp}
+    for a, b in combinations(comp, 2):
+        label = matrix.m(a, b)
+        if label == INFINITY:
+            return False
+        if label >= 3:
+            adj[a].append(b)
+            adj[b].append(a)
     n = len(comp)
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            label = matrix.m(comp[a], comp[b])
-            if label == INFINITY:
-                return False
-            if label >= 3:
-                edges.append((a, b, label))
-    if n == 1:
-        return True
-    if n == 2:
-        return True  # I2(m) for any finite m
-    # Finite-type diagrams on >= 3 nodes are trees.
-    if len(edges) != n - 1:
+    if n < 3:
+        return True  # A_1, and I2(m) for any finite m
+    # On >= 3 nodes: trees with two ends (paths) or three (D and E).
+    ends = [v for v in comp if len(adj[v]) == 1]
+    if sum(map(len, adj.values())) != 2 * n - 2 or len(ends) > 3:
         return False
-    degree = [0] * n
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b, _ in edges:
-        degree[a] += 1
-        degree[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    if max(degree) >= 4:
-        return False
-    branch_nodes = [i for i in range(n) if degree[i] == 3]
-    high = sorted(label for _, _, label in edges if label > 3)
-    if len(branch_nodes) >= 2:
-        return False
-    if branch_nodes:
-        if high:
-            return False  # D/E diagrams are simply laced
-        # Branch lengths from the unique degree-3 node.
-        lengths = sorted(_branch_length(adj, branch_nodes[0], first) for first in adj[branch_nodes[0]])
-        a, b, c = lengths
-        if a == b == 1:
-            return True  # D_n
-        return (a, b) == (1, 2) and c in (2, 3, 4)  # E6, E7, E8
-    # A path: read the labels from one end.
-    end = next(i for i in range(n) if degree[i] == 1)
-    order = [end]
-    prev = None
-    while len(order) < n:
-        nxt = next(x for x in adj[order[-1]] if x != prev)
-        prev = order[-1]
-        order.append(nxt)
-    labels = [matrix.m(comp[order[i]], comp[order[i + 1]]) for i in range(n - 1)]
-    if not high:
-        return True  # A_n
-    if len(high) > 1:
-        return False
-    if high[0] == 4:
-        if labels[0] == 4 or labels[-1] == 4:
-            return True  # B_n
-        return n == 4 and labels == [3, 4, 3]  # F4
-    if high[0] == 5:
-        return n in (3, 4) and (labels[0] == 5 or labels[-1] == 5)  # H3, H4
-    return False  # labels >= 6 are finite only in rank 2
+    arms = [_arm(matrix, adj, end) for end in ends]
+    if len(arms) == 3:  # D_n and E6, E7, E8 are simply laced
+        a, b, c = sorted(map(len, arms))
+        return max(map(max, arms)) == 3 and (a == b == 1 or (a, b) == (1, 2) and c < 5)
+    labels = arms[0]
+    high = [label for label in labels if label > 3]
+    at_end = high[:1] in ([labels[0]], [labels[-1]])
+    return (not high  # A_n
+            or high == [4] and (at_end or labels == [3, 4, 3])  # B_n, F4
+            or high == [5] and at_end and n < 5)  # H3, H4; labels >= 6 only in rank 2
 
 
-def _branch_length(adj: dict[int, list[int]], center: int, first: int) -> int:
-    length = 1
-    prev, cur = center, first
-    while len(adj[cur]) == 2:
-        nxt = next(x for x in adj[cur] if x != prev)
-        prev, cur = cur, nxt
-        length += 1
-    return length
+def _arm(matrix: CoxeterMatrix, adj: dict[int, list[int]], end: int) -> list[int]:
+    """The labels from ``end`` up to the next node not of degree 2."""
+    labels, prev, cur = [], None, end
+    while not labels or len(adj[cur]) == 2:
+        prev, cur = cur, next(x for x in adj[cur] if x != prev)
+        labels.append(matrix.m(prev, cur))
+    return labels
 
 
 def is_spherical(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> bool:
@@ -270,13 +238,11 @@ class SphericalPoset:
     lexicographically), which downstream constructions use as the canonical
     cell ordering; a member's position in it is its index.  Both models
     read the stabilizer of each member and each parabolic inclusion from
-    here, by member index, so each is classified once per matrix.
+    here, by member index, so each inclusion is described once per matrix.
     """
 
     matrix: CoxeterMatrix
     members: tuple[tuple[int, ...], ...]
-    _stabilizers: dict[int, GroupClass] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
     # Each parabolic inclusion described so far, keyed sub * len(members) +
     # big, as its position in ``descriptors``, which lists every distinct
     # descriptor once.
@@ -307,17 +273,16 @@ class SphericalPoset:
                 yield index[sub]
 
     def stabilizer(self, member: int) -> GroupClass:
-        """``group_class_of(matrix, members[member])``, classified once."""
-        found = self._stabilizers.get(member)
-        if found is None:
-            found = self._stabilizers[member] = group_class_of(self.matrix, self.members[member])
-        return found
+        """``group_class_of(matrix, members[member])``, which is called
+        only for a member the masks leave: to refuse it."""
+        j = self.members[member]
+        return _mask_class(self.matrix, j) or group_class_of(self.matrix, j)
 
     def inclusion_position(self, sub: int, big: int) -> int:
         """The position in ``descriptors`` of ``parabolic_inclusion(matrix,
         members[sub], members[big])`` for members sub ⊆ big, described
-        once from the memoised stabilizers; equal descriptors of different
-        pairs share one."""
+        once from the classes of the two members; equal descriptors of
+        different pairs share one."""
         key = sub * len(self.members) + big
         found = self._inclusions.get(key)
         if found is None:
@@ -344,28 +309,29 @@ def enumerate_spherical_subsets(matrix: CoxeterMatrix) -> SphericalPoset:
 
     Every subset of a spherical J is spherical, so J is grown from its own
     prefix by one larger generator, which yields every layer in
-    lexicographic order.  Each generator has a bitmask of the generators it
-    shares a finite label with; a candidate only takes an extra generator in
-    the AND of its members' masks, so all of its pairs have finite labels.
-    A pair with a finite label is I2(m), hence spherical, and the
-    classification runs only on candidates of three or more generators.
+    lexicographic order.  A candidate only takes an extra generator in the
+    AND of its members' finite masks, so all of its pairs have finite
+    labels: a pair is I2(m), hence spherical.  An extra generator in the
+    AND of their commuting masks adds a factor A_1.  The classification
+    runs on the other candidates of three or more generators.
     """
-    finite = [sum(1 << j for j, label in enumerate(row) if label != INFINITY)
-              for row in matrix.entries]
+    finite, commuting = matrix._masks
     members = [()]
-    # Each entry: a spherical subset and the larger generators it may take.
-    layer = [((), (1 << matrix.size) - 1)]
+    # Each entry: a spherical subset, the larger generators it may take and
+    # those that commute with all of it.
+    everything = (1 << matrix.size) - 1
+    layer = [((), everything, everything)]
     while layer:
         grown = []
-        for smaller, allowed in layer:
+        for smaller, allowed, common in layer:
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low
                 extra = low.bit_length() - 1
                 cand = smaller + (extra,)
-                if len(cand) < 3 or is_spherical(matrix, cand):
-                    grown.append((cand, allowed & finite[extra]))
-        members.extend(cand for cand, _ in grown)
+                if low & common or len(cand) < 3 or is_spherical(matrix, cand):
+                    grown.append((cand, allowed & finite[extra], common & commuting[extra]))
+        members.extend(cand for cand, _, _ in grown)
         layer = grown
     return SphericalPoset(matrix, tuple(members))
 
@@ -379,17 +345,30 @@ def group_class_of(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> GroupClass
     even-label I2, and any product mixing a dihedral with more factors) has
     no representation-ring support and is refused by name.
     """
-    comps = _diagram_components(matrix, subset)
-    if all(len(c) == 1 for c in comps):
-        return elem2(len(subset))
-    if len(comps) == 1 and len(comps[0]) == 2:
-        label = matrix.m(comps[0][0], comps[0][1])
-        if label != INFINITY and label % 2 == 1:
-            return dihedral_odd(label)
+    return _mask_class(matrix, subset) or _refuse(matrix, subset)
+
+
+def _mask_class(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> GroupClass | None:
+    """(Z/2)^k for pairwise commuting generators, D_m for a pair with odd
+    label m, else None: no diagram is walked."""
+    n = len(subset)
+    if n == 2 and (label := matrix.m(*subset)) != 2:
+        return dihedral_odd(label) if label % 2 else None
+    if n > 2:
+        bits = sum(map((1).__lshift__, subset))
+        if reduce(and_, map(matrix._masks[1].__getitem__, subset), bits) != bits:
+            return None
+    return elem2(n)
+
+
+def _refuse(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> NoReturn:
+    """Refuse ``subset``, which ``_mask_class`` leaves, by name."""
+    if len(subset) == 2:
         raise UnsupportedStabilizerError(
-            tuple(subset), f"dihedral group of order {2 * label} (even rotation order)")
+            tuple(subset), f"dihedral group of order {2 * matrix.m(*subset)} (even rotation order)")
+    comps = _diagram_components(matrix, subset)
     big = max(comps, key=len)
-    if len(big) == 2 and len(comps) > 1:
+    if len(big) == 2:
         raise UnsupportedStabilizerError(
             tuple(subset), "product of a dihedral factor with further generators")
     raise UnsupportedStabilizerError(
@@ -427,9 +406,9 @@ class _Tables:
     """The stabilizer and descriptor tables of one model under construction.
 
     Cells and faces get indices into them by member index of the spherical
-    poset, read off the poset's memo.  A table grows in the order its
-    entries are first asked for, so a builder asks in the order of its
-    cells and faces, the faces of each cell by index.
+    poset.  A table grows in the order its entries are first asked for, so
+    a builder asks in the order of its cells and faces, the faces of each
+    cell by index.
     """
 
     def __init__(self, poset: SphericalPoset):

@@ -10,6 +10,7 @@ coefficient system in use is invariant under conjugation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 
 class UnsupportedRestrictionError(ValueError):
@@ -84,6 +85,7 @@ def cyclic(m: int) -> GroupClass:
     return GroupClass(CYCLIC, m)
 
 
+@cache
 def elem2(k: int) -> GroupClass:
     if k < 0:
         raise ValueError("elem2 exponent must be >= 0")
@@ -94,6 +96,7 @@ def elem2(k: int) -> GroupClass:
     return GroupClass(ELEM2, k)
 
 
+@cache
 def dihedral_odd(m: int) -> GroupClass:
     if m < 3 or m % 2 == 0:
         raise ValueError("dihedral_odd requires an odd m >= 3")

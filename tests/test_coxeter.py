@@ -350,6 +350,152 @@ def test_family_detection():
 
 
 # ---------------------------------------------------------------------------
+# The label masks against the per-subset scans
+
+
+def group_class_by_components(matrix: CoxeterMatrix, subset: tuple[int, ...]):
+    """The class of W_subset from the components of its diagram, or the
+    refusal, with no label mask: ``group_class_of`` as it was before the
+    masks."""
+    comps = coxeter._diagram_components(matrix, subset)
+    if all(len(c) == 1 for c in comps):
+        return elem2(len(subset))
+    if len(comps) == 1 and len(comps[0]) == 2:
+        label = matrix.m(comps[0][0], comps[0][1])
+        if label != INFINITY and label % 2 == 1:
+            return dihedral_odd(label)
+        raise UnsupportedStabilizerError(
+            tuple(subset), f"dihedral group of order {2 * label} (even rotation order)")
+    big = max(comps, key=len)
+    if len(big) == 2 and len(comps) > 1:
+        raise UnsupportedStabilizerError(
+            tuple(subset), "product of a dihedral factor with further generators")
+    raise UnsupportedStabilizerError(
+        tuple(subset),
+        f"irreducible factor of rank {len(big)} on {{{', '.join(f's{i}' for i in big)}}}")
+
+
+def right_angled_by_scan(matrix: CoxeterMatrix) -> bool:
+    """``is_right_angled`` as it was before the masks: every label read."""
+    return all(matrix.m(i, j) in (2, INFINITY)
+               for i in range(matrix.size) for j in range(i + 1, matrix.size))
+
+
+def family_by_scan(matrix: CoxeterMatrix):
+    """``detect_family`` as it was before the masks: every label read."""
+    size = matrix.size
+    if size < 2:
+        return None
+    threes = []
+    for i in range(size):
+        for j in range(i + 1, size):
+            if matrix.m(i, j) == 3:
+                threes.append((i, j))
+            elif matrix.m(i, j) != INFINITY:
+                return None
+    degree = [0] * size
+    for i, j in threes:
+        degree[i] += 1
+        degree[j] += 1
+    if len(coxeter._components(range(size), threes)) != 1:
+        return None
+    if len(threes) == size - 1 and all(d <= 2 for d in degree):
+        return ("path", size - 1)
+    if size >= 3 and len(threes) == size and all(d == 2 for d in degree):
+        return ("polygon", size - 1)
+    return None
+
+
+def relabelled(matrix: CoxeterMatrix, rng: random.Random) -> CoxeterMatrix:
+    """The same group with its generators renumbered at random, as the
+    benchmark relabels them."""
+    perm = list(range(matrix.size))
+    rng.shuffle(perm)
+    return CoxeterMatrix.from_rows([[matrix.m(perm[i], perm[j]) for j in range(matrix.size)]
+                                    for i in range(matrix.size)])
+
+
+def mask_test_matrices() -> list[CoxeterMatrix]:
+    rng = random.Random(35)
+    uniform = (2, 3, 4, 5, 6, 7, 9, INFINITY)
+    commuting = (2, 2, 2, 2, 2, 2, 2, 3, 4, 5, 6, 7, 9, INFINITY)
+    braids = (3, 3, INFINITY)
+    matrices = []
+    for trial in range(160):
+        size = rng.randint(0, 8)
+        labels = braids if trial >= 120 else commuting if trial % 2 else uniform
+        rows = [[1 if i == j else INFINITY for j in range(size)] for i in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                rows[i][j] = rows[j][i] = rng.choice(labels)
+        matrices.append(CoxeterMatrix.from_rows(rows))
+    families = ([CoxeterMatrix.path_family(n) for n in (1, 2, 3, 6, 10)]
+                + [CoxeterMatrix.polygon_family(n) for n in (2, 3, 6, 10)])
+    return matrices + families + [relabelled(matrix, rng) for matrix in families]
+
+
+def test_masks_classify_as_the_per_subset_route():
+    # Every member's stabilizer, read off the masks where they decide, is
+    # the class of its diagram's components, or the same refusal; and the
+    # right-angled and family questions answer as scans of every label.
+    for matrix in mask_test_matrices():
+        poset = matrix.poset
+        for i, member in enumerate(poset.members):
+            try:
+                expected = group_class_by_components(matrix, member)
+            except UnsupportedStabilizerError as exc:
+                for classify in (lambda: poset.stabilizer(i), lambda: group_class_of(matrix, member)):
+                    with pytest.raises(UnsupportedStabilizerError, match=re.escape(str(exc))):
+                        classify()
+                continue
+            assert poset.stabilizer(i) == group_class_of(matrix, member) == expected, (
+                matrix.entries, member)
+        assert matrix.is_right_angled() == right_angled_by_scan(matrix), matrix.entries
+        assert matrix.detect_family() == family_by_scan(matrix), matrix.entries
+
+
+@pytest.mark.parametrize("label", [" 3", "+3", "03", "1_0", "٣", "", "x", 3, 0, True, False])
+def test_labels_are_read_as_int_reads_them(label):
+    # Each distinct label is converted once, with int's values and errors.
+    # The diagonal mixes 1 and True, which are equal dict keys.
+    rows = [[1, label, "2"], [label, True, " 2"], ["2", "2 ", "1"]]
+    try:
+        expected = CoxeterMatrix(tuple(tuple(map(int, row)) for row in rows))
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            CoxeterMatrix.from_rows(rows)
+        return
+    matrix = CoxeterMatrix.from_rows(rows)
+    assert matrix == expected
+    assert all(type(x) is int for row in matrix.entries for x in row)
+
+
+def test_masks_leave_no_component_walk(monkeypatch, ra_corpus):
+    # Building both models of every right-angled corpus matrix, and every
+    # stabilizer and the Bestvina model of (Z/2)^12, neither classifies a
+    # candidate nor walks a member's diagram.  (The Davis model of
+    # (Z/2)^12 has a cell per chain of its 4096 subsets: too many to build.)
+    # A refused matrix is walked once, to name its refusal.
+    calls = []
+    for name in ("is_spherical", "group_class_of", "_diagram_components"):
+        def counting(*args, name=name, wrapped=getattr(coxeter, name)):
+            calls.append(name)
+            return wrapped(*args)
+        monkeypatch.setattr(coxeter, name, counting)
+    for matrix in ra_corpus:
+        for build in (build_davis_orbit_complex, build_bestvina_orbit_complex):
+            build(CoxeterMatrix(matrix.entries))  # a fresh poset each time
+    z2_12 = CoxeterMatrix.from_rows([[1 if a == b else 2 for b in range(12)] for a in range(12)])
+    assert build_bestvina_orbit_complex(z2_12).counts() == (1,)
+    assert [z2_12.poset.stabilizer(i) for i in range(4096)].count(elem2(12)) == 1
+    assert calls == []
+    a2a1 = CoxeterMatrix.from_rows([[1, 3, 2], [3, 1, 2], [2, 2, 1]])
+    with pytest.raises(UnsupportedStabilizerError, match="product of a dihedral"):
+        build_davis_orbit_complex(a2a1)
+    assert calls == ["group_class_of", "_diagram_components"]
+
+
+# ---------------------------------------------------------------------------
 # Davis model
 
 
