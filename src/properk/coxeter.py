@@ -47,19 +47,18 @@ class CoxeterMatrix:
     """Symmetric Coxeter matrix; diagonal 1, off-diagonal >= 2 or 0 (= infinity)."""
 
     entries: tuple[tuple[int, ...], ...]
+    # Per row, the columns of its finite labels: found by the bulk check and
+    # read by ``_masks`` and ``detect_family``.
+    _finite: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries, size = self.entries, self.size
-        # In bulk first: square, symmetric, a diagonal of 1s and every other
-        # label 0 or >= 2.  Only a matrix that fails runs the ordered checks
+        # In bulk first.  Only a matrix that fails runs the ordered checks
         # below, which name its first failure.
-        if (all(len(row) == size for row in entries)
-                and entries == tuple(zip(*entries))
-                and all(row[i] == 1 for i, row in enumerate(entries))
-                and sum(row.count(1) for row in entries) == size):
-            labels = set().union(*entries) - {INFINITY, 1}
-            if not labels or min(labels) >= 2:
-                return
+        finite = _finite_columns(self.entries)
+        if finite is not None:
+            object.__setattr__(self, "_finite", finite)
+            return
+        entries, size = self.entries, self.size
         # Every row's length first: the symmetry check reads later rows.
         if any(len(row) != size for row in entries):
             raise ValueError("matrix must be square")
@@ -90,8 +89,7 @@ class CoxeterMatrix:
         """Per generator, the bitmasks of the generators it has a finite
         label with and of those it commutes with, itself in both."""
         finite, commuting = [], []
-        for row in self.entries:
-            near = list(compress(range(self.size), row))  # INFINITY is 0
+        for row, near in zip(self.entries, self._finite):
             finite.append(sum(map((1).__lshift__, near)))
             commuting.append(sum(1 << j for j in near if row[j] < 3))
         return finite, commuting
@@ -138,14 +136,38 @@ class CoxeterMatrix:
         infinity.  Returns ("path", n) or ("polygon", n) with n+1 = size.
         """
         size = self.size
-        threes = [(i, j) for i, row in enumerate(self.entries)
-                  for j in compress(range(i + 1, size), row[i + 1:])]
+        threes = [(i, j) for i, near in enumerate(self._finite) for j in near if j > i]
         # Connected, of degree <= 2: a path, or a cycle.
         if (size < 2 or any(self.m(i, j) != 3 for i, j in threes)
                 or max(map(int.bit_count, self._masks[0])) > 3
                 or len(_components(range(size), threes)) != 1):
             return None
         return ("path" if len(threes) < size else "polygon", size - 1)
+
+
+def _finite_columns(entries: tuple[tuple[int, ...], ...]) -> list[list[int]] | None:
+    """Per row, the columns of its finite labels, if ``entries`` is square,
+    with a diagonal of 1s, every other label 0 or >= 2, and symmetric;
+    else None.
+
+    Symmetry is checked on the finite labels alone: where each equals its
+    mirror, the mirrors are finite labels too, as many as all of them, so
+    they are all of them, and every 0 has a 0 for its mirror.
+    """
+    size = len(entries)
+    if any(len(row) != size for row in entries):
+        return None
+    finite = []
+    for i, row in enumerate(entries):
+        near = list(compress(range(size), row))  # INFINITY is 0
+        labels = list(map(row.__getitem__, near))
+        if row[i] != 1 or labels != [entries[j][i] for j in near]:
+            return None
+        del labels[near.index(i)]  # the diagonal's
+        if labels and min(labels) < 2:
+            return None
+        finite.append(near)
+    return finite
 
 
 class _Labels(dict):
@@ -243,6 +265,8 @@ class SphericalPoset:
 
     matrix: CoxeterMatrix
     members: tuple[tuple[int, ...], ...]
+    _stabilizers: dict[int, GroupClass] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     # Each parabolic inclusion described so far, keyed sub * len(members) +
     # big, as its position in ``descriptors``, which lists every distinct
     # descriptor once.
@@ -274,9 +298,14 @@ class SphericalPoset:
 
     def stabilizer(self, member: int) -> GroupClass:
         """``group_class_of(matrix, members[member])``, which is called
-        only for a member the masks leave: to refuse it."""
-        j = self.members[member]
-        return _mask_class(self.matrix, j) or group_class_of(self.matrix, j)
+        only for a member the masks leave: to refuse it.  Each class is
+        found once per member."""
+        found = self._stabilizers.get(member)
+        if found is None:
+            j = self.members[member]
+            found = self._stabilizers[member] = (_mask_class(self.matrix, j)
+                                                 or group_class_of(self.matrix, j))
+        return found
 
     def inclusion_position(self, sub: int, big: int) -> int:
         """The position in ``descriptors`` of ``parabolic_inclusion(matrix,
@@ -423,9 +452,9 @@ class _Tables:
     def inclusion(self, sub: int, big: int) -> int:
         return intern(self._descriptors, self.poset.inclusion_position(sub, big))
 
-    def complex(self, cells, labels, faces) -> OrbitComplex:
+    def complex(self, cells, labels, faces, cones=None) -> OrbitComplex:
         descriptors = tuple(self.poset.descriptors[i] for i in self._descriptors)
-        return OrbitComplex(tuple(self._stabilizers), descriptors, cells, labels, faces)
+        return OrbitComplex(tuple(self._stabilizers), descriptors, cells, labels, faces, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +494,17 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     comes out sorted.  The face dropping entry i >= 1 of J_0 + c is J_0 +
     (the face of c dropping entry i - 1), numbered through the offsets of
     the layer's cells starting at J_0.
+
+    Each p-cell J_0 + c is the cone with apex J_0 over c, and ``firsts``
+    and ``grown``, which the labels keep, are handed to ``OrbitComplex`` as
+    its ``cones``: each vertex is named by its rank, and each cell's apex
+    by the rank of its J_0.  The faces of J_0 + c are c with +1 and the
+    inclusion W_{J_0} <= W_{J_1}, then, with W_{J_0}'s identity, the
+    vertex J_0 with -1 (p = 1), or J_0 + f with minus f's coefficient in c
+    for each face f of c, in c's order.  So ∂(J_0 + c) = c - J_0 ∗ ∂c, and
+    ∂∂(J_0 + c) = J_0 ∗ ∂∂c = 0 by induction on p; ``OrbitComplex``
+    checks this face by face and reads ``coherence`` off it, instead of
+    walking every 2-path.
     """
     poset = matrix.poset
     members = poset.members
@@ -547,7 +587,7 @@ def build_davis_orbit_complex(matrix: CoxeterMatrix) -> OrbitComplex:
     name = cache(lambda r: _subset_label(members[by_rank[r]]))
     labels = tuple(CellLabels(len(first), partial(_chain_label, name, firsts, grown, p))
                    for p, first in enumerate(firsts))
-    return tables.complex(tuple(cells), labels, tuple(faces))
+    return tables.complex(tuple(cells), labels, tuple(faces), (firsts, grown))
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +697,8 @@ def _add_panel(builder: _PanelBuilder, j_set: int, cell_idx: list[list[int]]) ->
     """Complete B_J from U, whose cells are ``cell_idx``, by the cases of
     ``build_bestvina_orbit_complex``."""
     vertices = cell_idx[0]
+    if len(cell_idx) == 1 and len(vertices) == 1:
+        return  # one vertex and no edge: a tree, B_J = U
     if len(cell_idx) <= 2:  # U has no cell above dimension 1
         ends: dict[int, tuple[int, int]] = {}  # edge -> (tail, head)
         for e in cell_idx[1] if len(cell_idx) > 1 else ():

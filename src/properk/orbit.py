@@ -7,15 +7,20 @@ CW structure and an inclusion descriptor witnessing that the stabilizer of
 the higher cell embeds in the stabilizer of the face.  Stabilizers and
 descriptors are interned: a model with thousands of faces has a few dozen
 distinct ones, kept in one table each and referred to by index.  Validation
-walks every 2-path of faces once, keyed by these indices: the walk proves
-∂∘∂ = 0 and lists the pairs of composite restrictions whose agreement
-proves that the Bredon cochain complex squares to zero too.
+checks every face, then proves ∂∘∂ = 0 and lists the pairs of composite
+restrictions whose agreement proves that the Bredon cochain complex squares
+to zero too.  A builder whose cells are cones, as the Davis model's are,
+hands over a certificate that names each cell's apex and base, and both
+facts are read off it in time linear in the faces.  Any other complex, a
+loaded dump included, and one whose certificate does not hold, is proved by
+a walk over every 2-path of faces, keyed by these indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import eq
 from typing import Callable, Sequence
 
 from .abelian import IntMatrix
@@ -80,16 +85,47 @@ class OrbitComplex:
     coefficient of j in the boundary of k, and the inclusion stab(k) <=
     stab(j).
 
-    Validation checks ∂∘∂ = 0 by one walk over the 2-paths l → k → j, l a
-    (p+2)-cell, k a face of l and j a face of k, with β the coefficient and
-    e the descriptor of k in l, α and d those of j in k: the sum of β·α over
-    the paths from l to j is entry (j, l) of ∂_p∂_{p+1}, and must vanish.
-    The walk also records ``coherence``: for each (l, j), every descriptor
-    pair (e, d) unlike the first one seen there, as (e0, d0, e, d), each
-    once, in walk order.  The block from j to l of the Bredon d_{p+1}·d_p
-    is Σ β·α·R_e·R_d over those paths, for restriction blocks R, so where
-    every recorded pair has the composite R_e·R_d of its first pair, the
-    block is (∂∂)_{jl}·R_e0·R_d0 = 0 (``bredon._assemble``).
+    Validation first checks every face: its cell and coefficient, and the
+    ends of its descriptor.  It then proves ∂∘∂ = 0 and records
+    ``coherence``, the pairs of descriptors to compare along the 2-paths
+    l → k → j, l a (p+2)-cell, k a face of l and j a face of k, with β the
+    coefficient and e the descriptor of k in l, α and d those of j in k.
+    The sum of β·α over the paths from l to j is entry (j, l) of
+    ∂_p∂_{p+1}, and must vanish.  ``coherence`` holds, for each (l, j),
+    every descriptor pair (e, d) unlike the first one seen there, as
+    (e0, d0, e, d), each once, in the order of a walk over l, then k and j
+    in the order of the faces.  The block from j to l of the Bredon
+    d_{p+1}·d_p is Σ β·α·R_e·R_d over those paths, for restriction blocks
+    R, so where every recorded pair has the composite R_e·R_d of its first
+    pair, the block is (∂∂)_{jl}·R_e0·R_d0 = 0 (``bredon._assemble``).
+
+    Without ``cones`` both are found by walking every 2-path.  A builder
+    whose cells are cones passes ``cones`` = (apexes, bases) instead.
+    ``apexes[p][k]`` names the apex of p-cell k and, for p >= 1,
+    ``bases[p][k]`` is the index of its base, a (p-1)-cell: k is the cone
+    over its base from the vertex that ``apexes[0]`` gives that name.  The
+    certificate holds when
+
+    1. no two vertices have one name, and no two cells of one layer have
+       one (apex, base) pair, so the cell of a pair (a, f), if any, is
+       written (a, f);
+    2. each edge has the stabilizer of its apex, and so, by 4 and the face
+       checks, does every cell;
+    3. the faces of a p-cell k with apex a and base b are b with +1 first,
+       then either a with -1 (p = 1), or, in any order, the cell (a, f)
+       with minus f's coefficient in b, for each face f of b;
+    4. all the faces but the first of all the cells with apex a have one
+       descriptor index, ι.
+
+    Then ∂k = b - a∗∂b, for a∗ the map from each cell f to (a, f), so
+    ∂∂k = a∗∂∂b = 0 by induction on p.  Neither b nor a face f of b has
+    apex a: by 3 on the layers below, b would be (a, g) for its own base g,
+    and so a face of k twice, and (a, f) would have f among its faces
+    twice.  So the 2-paths from k that meet again are k → b → f and
+    k → (a, f) → f, whose pairs are read face by face in walk order, and
+    those through several (a, f) to one cell, whose pairs are all (ι, ι).
+    A certificate that does not hold is no error: the walk decides, with
+    its own messages.
     """
 
     stabilizers: tuple[GroupClass, ...]
@@ -97,6 +133,8 @@ class OrbitComplex:
     cells: tuple[tuple[int, ...], ...]
     labels: tuple[Sequence[str], ...]
     faces: tuple[tuple[dict[int, tuple[int, int]], ...], ...] = field(hash=False)
+    cones: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]] | None = field(
+        default=None, repr=False, compare=False)
     coherence: tuple[tuple[int, int, int, int], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -120,15 +158,17 @@ class OrbitComplex:
         # checked by comparing indices; -1 for an end outside the table.
         subs = [position.get(desc.sub, -1) for desc in self.descriptors]
         bigs = [position.get(desc.big, -1) for desc in self.descriptors]
+        count = len(subs)
         for p, layer in enumerate(self.faces):
             lower, higher = self.cells[p], self.cells[p + 1]
+            width = len(lower)
             for k, faces in enumerate(layer):
                 sub = higher[k]
                 for j, (coeff, d) in faces.items():
-                    if not (0 <= j < len(lower) and coeff):
+                    if not (0 <= j < width and coeff):
                         raise OrbitComplexError(
                             f"face at dim {p} ({j},{k}) is out of range or has coefficient 0")
-                    if not 0 <= d < len(subs):
+                    if not 0 <= d < count:
                         raise OrbitComplexError(
                             f"descriptor index at dim {p} ({j},{k}) is out of range")
                     if subs[d] != sub:
@@ -144,8 +184,16 @@ class OrbitComplex:
                 raise OrbitComplexError(
                     f"descriptor {desc} has an end, {desc.sub if sub < 0 else desc.big}, "
                     "outside the stabilizer table")
+        coherence = self._cone_coherence(*self.cones) if self.cones else None
+        if coherence is None:
+            coherence = self._walk_coherence()
+        object.__setattr__(self, "coherence", coherence)
+
+    def _walk_coherence(self) -> tuple[tuple[int, int, int, int], ...]:
+        """``coherence`` from a walk over every 2-path, which also proves
+        ∂∘∂ = 0."""
         coherence: dict[tuple[int, int, int, int], None] = {}
-        for p in range(dims - 2):
+        for p in range(len(self.cells) - 2):
             lower = self.faces[p]
             for top in self.faces[p + 1]:
                 # Per face j of a face of this cell: (Σ β·α, e0, d0).
@@ -161,7 +209,60 @@ class OrbitComplex:
                             seen[j] = (beta * alpha, e, d)
                 if any(total for total, _, _ in seen.values()):
                     raise OrbitComplexError(f"boundary does not square to zero at dimension {p}")
-        object.__setattr__(self, "coherence", tuple(coherence))
+        return tuple(coherence)
+
+    def _cone_coherence(self, apexes: Sequence[Sequence[int]], bases: Sequence[Sequence[int]]
+                        ) -> tuple[tuple[int, int, int, int], ...] | None:
+        """``coherence`` read off the cones, one layer at a time from the
+        edges up, or None if they do not hold.  It runs after the face
+        checks, so every face and base read here is in range."""
+        cells, faces = self.cells, self.faces
+        holds = (list(map(len, apexes)) == list(map(len, cells))
+                 and list(map(len, bases[1:])) == list(map(len, cells[1:])))
+        vertex_of = {a: v for v, a in enumerate(apexes[0])} if holds else {}
+        holds = holds and len(vertex_of) == len(cells[0])
+        apex_faces: dict[int, tuple[int, tuple[int, int]]] = {}  # apex a -> its edges' face a
+        iotas: dict[int, int] = {}  # apex -> the descriptor of its cones' other faces
+        # Every (e, d, e', d') met, those with e, d = e', d' too: the walk
+        # never records them, so they are dropped at the end.
+        coherence: dict[tuple[int, int, int, int], None] = {}
+        base_descriptors: list[int] = []  # of each cell's base, by layer
+        for p in range(1, len(cells)):
+            layer, apex, base = faces[p - 1], apexes[p], bases[p]
+            width = len(cells[p - 1])
+            # The bases are matched to the first faces first: a base in
+            # range makes a * width + b one number per pair.
+            holds = (holds and (p > 1 or set(map(len, layer)) <= {2}) and 0 not in map(len, layer)
+                     and all(map(eq, map(next, map(iter, layer)), base))
+                     and len({a * width + b for a, b in zip(apex, base)}) == len(layer))
+            lower_descriptors, base_descriptors = base_descriptors, []
+            if holds and p == 1:
+                for s, edge, a in zip(cells[1], layer, apex):
+                    (_, (c, e)), face = edge.items()
+                    expected = apex_faces.get(a)
+                    if expected is None:
+                        # Once per apex: its other edges start ι at the
+                        # same stabilizer.
+                        v, (_, iota) = face
+                        expected = apex_faces[a] = (vertex_of.get(a), (-1, iota))
+                        iotas[a] = iota
+                        holds = holds and s == cells[0][v]
+                    holds = holds and c == 1 and face == expected
+                    base_descriptors.append(e)
+            elif holds:
+                lower, lower_apex, lower_base = faces[p - 2], apexes[p - 1], bases[p - 1]
+                for cell, a in zip(layer, apex):
+                    items = iter(cell.items())
+                    b, (c, e) = next(items)
+                    boundary = lower[b]
+                    iota = iotas.get(a)
+                    holds = holds and c == 1 and len(cell) == len(boundary) + 1
+                    for m, (cm, dm) in items:
+                        c, d = boundary.get(lower_base[m], (0, -1))
+                        holds = holds and lower_apex[m] == a and cm == -c and dm == iota
+                        coherence[e, d, iota, lower_descriptors[m]] = None
+                    base_descriptors.append(e)
+        return tuple(key for key in coherence if key[:2] != key[2:]) if holds else None
 
     @cached_property
     def incidence(self) -> tuple[IntMatrix, ...]:

@@ -95,6 +95,19 @@ def test_bulk_matrix_check_names_the_failure_the_per_entry_check_names(entries):
     else:
         assert CoxeterMatrix(entries).entries == entries
 
+
+@settings(max_examples=300)
+@given(corrupted_matrices())
+def test_bulk_check_accepts_exactly_what_the_ordered_checks_accept(entries):
+    try:
+        per_entry_matrix_check(entries)
+    except ValueError:
+        assert coxeter._finite_columns(entries) is None
+    else:
+        assert coxeter._finite_columns(entries) == [
+            [j for j, label in enumerate(row) if label != INFINITY] for row in entries]
+
+
 def test_pentagon_spherical_subsets():
     q = enumerate_spherical_subsets(ra_pentagon())
     assert len(q) == 11  # empty set, 5 singletons, 5 adjacent pairs
@@ -652,6 +665,23 @@ def test_orbit_complex_from_panel_descriptors():
         assert desc.big == cyclic(2)
 
 
+def test_each_member_is_classified_once(monkeypatch):
+    # Both models ask for stabilizers per cell and per inclusion; the
+    # poset finds each member's class once.
+    classified = []
+    wrapped = coxeter._mask_class
+
+    def counting(matrix, subset):
+        classified.append(subset)
+        return wrapped(matrix, subset)
+
+    monkeypatch.setattr(coxeter, "_mask_class", counting)
+    matrix = CoxeterMatrix.polygon_family(10)
+    build_davis_orbit_complex(matrix)
+    build_bestvina_orbit_complex(matrix)
+    assert sorted(classified) == sorted(matrix.poset.members)
+
+
 def test_unsupported_stabilizer_surfaces_in_model_build():
     # affine A3: a 4-cycle of braid edges, opposite generators commute;
     # {s0, s1, s2} generates S4, which has no supported representation ring
@@ -828,7 +858,8 @@ def davis_reference(matrix: CoxeterMatrix) -> OrbitComplex:
     """The Davis model from the chains of subsets themselves: the spherical
     subsets by brute force, each longer layer of chains sorted, a face per
     dropped entry with sign (-1)^i, and W_{J_0} <= W_{J_1} on the face that
-    drops J_0, the identity of W_{J_0} on every other."""
+    drops J_0, the identity of W_{J_0} on every other.  It is built with
+    no cones, so its coherence comes from walking every 2-path."""
     subsets = (tuple(i for i in range(matrix.size) if bits >> i & 1)
                for bits in range(2 ** matrix.size))
     members = sorted((j for j in subsets if is_spherical(matrix, j)), key=lambda j: (len(j), j))
@@ -891,6 +922,30 @@ def test_davis_builder_matches_the_chain_reference(ra_corpus):
 @given(coxeter_matrices())
 def test_davis_builder_matches_the_chain_reference_on_random_matrices(matrix):
     assert_davis_matches_reference(matrix)
+
+
+def test_no_davis_build_walks_its_2_paths(monkeypatch, ra_corpus):
+    # Every Davis model of the corpus and the families holds its cones, so
+    # none falls back to the walk.
+    def walk(self):
+        raise AssertionError("a Davis build walked its 2-paths")
+
+    monkeypatch.setattr(OrbitComplex, "_walk_coherence", walk)
+    families = (CoxeterMatrix.path_family, CoxeterMatrix.polygon_family)
+    matrices = (ra_corpus + [dinf(k) for k in range(1, 5)]
+                + [CoxeterMatrix.from_rows([[1, 3, 3], [3, 1, 3], [3, 3, 1]])]
+                + [family(n) for family in families for n in (2, 5, 10, 20, 40, 80, 160)])
+    for matrix in matrices:
+        build_davis_orbit_complex(matrix)
+
+
+def test_dinf5_davis_cones_give_the_walks_coherence():
+    x = build_davis_orbit_complex(dinf(5))
+    assert x.counts() == (243, 2882, 10800, 17760, 13440, 3840)
+    assert x._cone_coherence(*x.cones) is not None
+    walked = OrbitComplex(x.stabilizers, x.descriptors, x.cells, x.labels, x.faces)
+    assert len(x.coherence) == 270
+    assert x.coherence == walked.coherence
 
 
 @pytest.mark.parametrize("build", [build_davis_orbit_complex, build_bestvina_orbit_complex])

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from properk.abelian import IntMatrix
@@ -271,3 +272,134 @@ def test_boundary_that_does_not_square_to_zero_is_refused(case):
                      "--out", str(out)]) == 1
         error = json.loads(out.read_text())["error"]
     assert error == {"kind": "invalid_input", "message": f"bad orbit complex JSON: {message}"}
+
+
+def without_apex(x: OrbitComplex, name: int) -> OrbitComplex:
+    """The cells of a certified complex whose apex is not ``name``, with
+    their cones: with the empty set's name, the Davis chains that start at
+    a nonempty member, which no face of theirs does either.  Its cells of
+    top dimension have several apexes."""
+    apexes, bases = x.cones
+    keep = [[k for k, a in enumerate(layer) if a != name] for layer in apexes]
+    while not keep[-1]:
+        keep.pop()
+    number = [{k: i for i, k in enumerate(layer)} for layer in keep]
+
+    def pick(table):
+        return tuple(tuple(table[p][k] for k in layer) for p, layer in enumerate(keep))
+
+    faces = tuple(tuple({number[p][j]: v for j, v in x.faces[p][k].items()} for k in layer)
+                  for p, layer in enumerate(keep[1:]))
+    cones = ([list(layer) for layer in pick(apexes)],
+             [[]] + [[number[p - 1][bases[p][k]] for k in keep[p]] for p in range(1, len(keep))])
+    return OrbitComplex(x.stabilizers, x.descriptors, pick(x.cells), pick(x.labels), faces, cones)
+
+
+def with_trivial_stabilizers(x: OrbitComplex) -> OrbitComplex:
+    """x with every stabilizer trivial, and so one descriptor: every pair
+    of paths meets with equal descriptors."""
+    faces = tuple(tuple({j: (coeff, 0) for j, (coeff, _) in cell.items()} for cell in layer)
+                  for layer in x.faces)
+    return OrbitComplex((trivial(),), (trivial_in(trivial()),),
+                        tuple((0,) * len(layer) for layer in x.cells), x.labels, faces, x.cones)
+
+
+# Davis complexes of dimension 2 and 3, each built with its cones, the
+# chains of D_inf^3 that start at a nonempty member, and D_inf^2 with
+# trivial stabilizers.
+CERTIFIED = [build_davis_orbit_complex(CoxeterMatrix.from_rows(rows)) for rows in (
+    [[1, 2, 3], [2, 1, 0], [3, 0, 1]],
+    [[1, 0, 2, 2], [0, 1, 2, 2], [2, 2, 1, 0], [2, 2, 0, 1]],
+    [[1 if a == b else 0 if a // 2 == b // 2 else 2 for b in range(6)] for a in range(6)])]
+CERTIFIED += [without_apex(CERTIFIED[2], CERTIFIED[2].cones[0][0][0]),
+              with_trivial_stabilizers(CERTIFIED[1])]
+
+
+def outcome(tables, cones):
+    """The coherence of the complex with these tables and cones, or the
+    type and message of its refusal."""
+    try:
+        return OrbitComplex(*tables, cones).coherence
+    except OrbitComplexError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def mutated_cones(draw):
+    """The tables and cones of a certified Davis complex, copied, with one
+    face, coefficient, descriptor index, order of faces, apex or base
+    changed, or one cell given a twin: a cell with its faces and its (apex,
+    base) pair, which one face of a higher cell points to instead.  The
+    descriptor table ends in a copy of each descriptor, which has its ends
+    but is another descriptor."""
+    x = draw(st.sampled_from(CERTIFIED))
+    descriptors = x.descriptors + tuple(dataclasses.replace(d, extra=d.extra + (-1,))
+                                        for d in x.descriptors)
+    cells, labels = list(map(list, x.cells)), list(map(list, x.labels))
+    faces = [list(map(dict, layer)) for layer in x.faces]
+    apexes, bases = ([list(layer) for layer in table] for table in x.cones)
+    kind = draw(st.sampled_from(["coefficient", "descriptor", "face", "drop", "order",
+                                 "apex", "base"] + ["twin"] * (x.dim > 2)))
+    # A twin is made one layer down, and a cell over it may tell it apart.
+    p = draw(st.integers(2, x.dim - 1) if kind == "twin" else st.integers(1, x.dim))
+    k = draw(st.integers(0, len(x.cells[p]) - 1))
+    items = list(faces[p - 1][k].items())
+    i = draw(st.integers(0, len(items) - 1))
+    j, (coeff, d) = items[i]
+    if kind == "coefficient":
+        items[i] = j, (draw(st.integers(-2, 2).filter(lambda c: c != coeff)), d)
+    elif kind == "descriptor":
+        # Any descriptor, or the copy of this one.
+        copy = d + len(x.descriptors)
+        items[i] = j, (coeff, draw(st.integers(0, len(descriptors) - 1) | st.just(copy)))
+    elif kind == "face":
+        # Another cell with the face's base and stabilizer, if there is
+        # one, else any cell.
+        alike = [m for m in range(len(x.cells[p - 1])) if p > 1 and m != j
+                 and (bases[p - 1][m], x.cells[p - 1][m]) == (bases[p - 1][j], x.cells[p - 1][j])]
+        items[i] = draw(st.sampled_from(alike) if alike
+                        else st.integers(-1, len(x.cells[p - 1]))), (coeff, d)
+    elif kind == "drop":
+        del items[i]
+    elif kind == "order":
+        items.insert(draw(st.integers(0, len(items) - 1)), items.pop(i))
+    elif kind == "apex":
+        apexes[p][k] = draw(st.integers(-1, len(x.cells[0])))
+    elif kind == "base":
+        bases[p][k] = draw(st.integers(-1, len(x.cells[p - 1])))
+    else:  # a twin of face j of cell k
+        twin = len(cells[p - 1])
+        cells[p - 1].append(cells[p - 1][j])
+        labels[p - 1].append("twin")
+        faces[p - 2].append(dict(faces[p - 2][j]))
+        apexes[p - 1].append(apexes[p - 1][j])
+        bases[p - 1].append(bases[p - 1][j])
+        items[i] = twin, (coeff, d)
+    faces[p - 1][k] = dict(items)
+    tables = (x.stabilizers, descriptors, tuple(map(tuple, cells)), tuple(map(tuple, labels)),
+              tuple(map(tuple, faces)))
+    return tables, (apexes, bases)
+
+
+@settings(max_examples=1000)
+@given(mutated_cones())
+def test_cones_give_the_walks_outcome(case):
+    # Whatever one change does to a certified complex, its certificate
+    # gives the coherence, or the refusal, that the walk gives: where the
+    # change breaks the certificate, the walk decides.
+    tables, cones = case
+    assert outcome(tables, cones) == outcome(tables, None)
+
+
+@pytest.mark.parametrize("x", CERTIFIED)
+def test_reordered_cones_keep_the_walk_order(x):
+    # The faces of each cell other than its base, in reverse: the
+    # certificate still holds, and reads the pairs in the walk's new order.
+    faces = tuple(tuple({**dict([next(iter(cell.items()))]), **dict(reversed(cell.items()))}
+                        for cell in layer) for layer in x.faces)
+    assert x._cone_coherence(*x.cones) is not None
+    tables = (x.stabilizers, x.descriptors, x.cells, x.labels, faces)
+    reordered = OrbitComplex(*tables, x.cones)
+    assert reordered._cone_coherence(*x.cones) is not None
+    assert reordered.coherence == outcome(tables, None)
+    assert set(reordered.coherence) == set(x.coherence)
